@@ -57,11 +57,24 @@ def load_params(path):
         raise DataError(f"{path}: bad checkpoint header: {e}") from None
     if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint format")
+    if not isinstance(header.get("kind"), str):
+        raise DataError(f"{path}: checkpoint header names no kind")
+    config, extra = header.get("config", {}), header.get("extra", {})
+    if not (isinstance(config, dict) and isinstance(extra, dict)):
+        raise DataError(f"{path}: checkpoint config and extra must be objects")
+    entries = header.get("tensors", [])
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: checkpoint tensor table is not a list")
     params = {}
     off = 0
-    for entry in header.get("tensors", []):
-        name = entry["name"]
-        shape = tuple(int(s) for s in entry["shape"])
+    for entry in entries:
+        try:
+            name = entry["name"]
+            shape = tuple(int(s) for s in entry["shape"])
+        except (KeyError, TypeError, ValueError):
+            raise DataError(f"{path}: bad tensor entry {entry!r}") from None
+        if any(s < 0 for s in shape):
+            raise DataError(f"{path}: tensor {name!r} has a negative dimension")
         count = 1
         for s in shape:
             count *= s
@@ -73,4 +86,4 @@ def load_params(path):
         off += nbytes
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes after tensors")
-    return header["kind"], header.get("config", {}), params, header.get("extra", {})
+    return header["kind"], config, params, extra

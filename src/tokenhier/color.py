@@ -70,10 +70,13 @@ def _lab_finv(t):
     return np.where(t > _DELTA, t**3, 3 * _DELTA**2 * (t - 4.0 / 29.0))
 
 
+# linear-light value of each 8-bit level, exactly as the formula gives it
+_LINEAR_OF_U8 = _srgb_to_linear(np.arange(256) / 255.0)
+
+
 def rgb_to_lab(r: Raster) -> np.ndarray:
     """CIELAB (D65) as float64, channels (L, a, b)."""
-    rgb = as_raster(r).astype(np.float64) / 255.0
-    lin = _srgb_to_linear(rgb)
+    lin = np.take(_LINEAR_OF_U8, as_raster(r))
     xyz = lin @ _RGB2XYZ.T
     f = _lab_f(xyz / _WHITE)
     out = np.empty_like(f)
@@ -97,22 +100,36 @@ def lab_to_rgb(img) -> Raster:
     return np.clip(np.rint(srgb * 255.0), 0, 255).astype(np.uint8)
 
 
+def _mod(x, period: float):
+    """``np.mod(x, period)`` for a positive period, bit for bit, at about
+    a third of the cost: numpy's remainder is ``fmod`` plus one sign
+    fix-up, and it pays for a floor division besides."""
+    r = np.fmod(x, period)
+    # + 0.0 turns the -0.0 of a negative exact multiple into numpy's +0.0
+    return np.where(r < 0, r + period, r) + 0.0
+
+
 def rgb_to_hsv(r: Raster) -> np.ndarray:
     """Hexcone HSV as float64; H in [0,360), S,V in [0,1], gray pins H=0."""
     rgb = as_raster(r).astype(np.float64) / 255.0
-    mx = rgb.max(axis=-1)
-    mn = rgb.min(axis=-1)
-    d = mx - mn
     rc, gc, bc = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    safe = np.where(d == 0, 1.0, d)
-    h = np.where(
-        mx == rc, (gc - bc) / safe,
-        np.where(mx == gc, (bc - rc) / safe + 2.0, (rc - gc) / safe + 4.0),
-    )
-    h = np.mod(60.0 * h, 360.0)
-    h = np.where(d == 0, 0.0, h)
-    s = np.where(mx == 0, 0.0, d / np.where(mx == 0, 1.0, mx))
-    return np.stack([h, s, mx], axis=-1)
+    mx = np.maximum(np.maximum(rc, gc), bc)
+    d = mx - np.minimum(np.minimum(rc, gc), bc)
+    # the largest channel picks the numerator and the sector offset;
+    # gray (d == 0) has a zero numerator, so its hue comes out as 0
+    is_r, is_g = mx == rc, mx == gc
+    num = np.where(is_r, gc - bc, np.where(is_g, bc - rc, rc - gc))
+    offset = np.where(is_r, 0.0, np.where(is_g, 2.0, 4.0))
+    out = np.empty_like(rgb)
+    out[..., 0] = _mod(60.0 * (num / np.where(d == 0, 1.0, d) + offset), 360.0)
+    out[..., 1] = np.where(mx == 0, 0.0, d / np.where(mx == 0, 1.0, mx))
+    out[..., 2] = mx
+    return out
+
+
+# per hue sector, the index into (c, x, 0) of output channels r, g, b
+_SECTOR_PICK = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1],
+                         [2, 1, 0], [1, 2, 0], [0, 2, 1]])
 
 
 def hsv_to_rgb(img) -> Raster:
@@ -120,23 +137,19 @@ def hsv_to_rgb(img) -> Raster:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ShapeError(f"hsv image must have shape (H, W, 3), got {img.shape}")
-    h = np.mod(img[..., 0], 360.0) / 60.0
+    h = _mod(img[..., 0], 360.0) / 60.0
     s = np.clip(img[..., 1], 0.0, 1.0)
     v = np.clip(img[..., 2], 0.0, 1.0)
     c = v * s
-    x = c * (1.0 - np.abs(np.mod(h, 2.0) - 1.0))
-    m = v - c
+    cx0 = np.zeros(img.shape)
+    cx0[..., 0] = c
+    cx0[..., 1] = c * (1.0 - np.abs(_mod(h, 2.0) - 1.0))
     sector = np.floor(h).astype(np.int64) % 6
-    z = np.zeros_like(c)
-    # rgb_by_sector[k] picks the (r,g,b) pattern for sector k
-    patterns = [(c, x, z), (x, c, z), (z, c, x), (z, x, c), (x, z, c), (c, z, x)]
-    rgb = np.zeros(img.shape, dtype=np.float64)
-    for k, (pr, pg, pb) in enumerate(patterns):
-        mask = sector == k
-        rgb[..., 0] = np.where(mask, pr, rgb[..., 0])
-        rgb[..., 1] = np.where(mask, pg, rgb[..., 1])
-        rgb[..., 2] = np.where(mask, pb, rgb[..., 2])
-    rgb += m[..., None]
+    # one flat gather: pixel i, channel k reads cx0 at 3 i + pick[k]
+    flat = np.take(_SECTOR_PICK, sector, axis=0)
+    flat += 3 * np.arange(sector.size).reshape(sector.shape + (1,))
+    rgb = np.take(cx0, flat)
+    rgb += (v - c)[..., None]
     return np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
 
 
@@ -182,21 +195,19 @@ def draw_stain_jitter(rng: RngStream, mean_sigma, std_sigma):
     for channels 0..2, one Gaussian draw each.  rho clamps to >= 0.05 so
     a channel can shrink but never flip or collapse.
     """
-    dmu = np.array([rng.gaussian(1, 0.0, float(mean_sigma[c]))[0] for c in range(3)])
-    rho = np.array([rng.gaussian(1, 1.0, float(std_sigma[c]))[0] for c in range(3)])
-    return dmu, np.maximum(rho, _RHO_FLOOR)
+    draws = rng._scalar_gaussians((0.0, 0.0, 0.0, 1.0, 1.0, 1.0),
+                                  (*mean_sigma, *std_sigma))
+    return draws[:3], np.maximum(draws[3:], _RHO_FLOOR)
 
 
 def _jitter(img, mean_sigma, std_sigma, rng, hue_channel=None):
     dmu, rho = draw_stain_jitter(rng, mean_sigma, std_sigma)
-    out = np.empty_like(img)
-    for c in range(3):
-        ch = img[..., c]
-        if c == hue_channel:
-            out[..., c] = np.mod(ch + dmu[c], 360.0)
-        else:
-            mu = ch.mean()
-            out[..., c] = (ch - mu) * rho[c] + mu + dmu[c]
+    # per-channel means, each reduced on its own as the remap defines it
+    mu = np.array([img[..., c].mean() for c in range(3)])
+    out = (img - mu) * rho + mu + dmu
+    if hue_channel is not None:
+        out[..., hue_channel] = _mod(img[..., hue_channel] + dmu[hue_channel],
+                                     360.0)
     return out
 
 

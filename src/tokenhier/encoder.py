@@ -155,18 +155,30 @@ def _check_mask(mask, cfg: EncoderConfig):
     return m
 
 
-def tokenize(raster, cfg: EncoderConfig, params: dict, mask=None) -> np.ndarray:
-    """Initial sequence: [cls; patch projections] + positions, (S, D).
+def tokenize_batch(patches: np.ndarray, params: dict, masks=None) -> np.ndarray:
+    """Initial sequences for a (B, N, patch_dim) stack of patchified
+    images: [cls; patch projections] + positions, (B, S, D).
 
-    Masked patch positions take the mask token in place of their
-    projection (positions still added afterwards).
+    masks: optional (B, N) booleans.  Masked patch positions take the
+    mask token in place of their projection (positions still added
+    afterwards).
     """
+    proj = patches @ params["embed.W"] + params["embed.b"]
+    if masks is not None:
+        proj = np.where(masks[:, :, None], params["mask_token"], proj)
+    b, n, d = proj.shape
+    z0 = np.empty((b, n + 1, d))
+    z0[:, 0] = params["cls"]
+    z0[:, 1:] = proj
+    z0 += params["pos"]
+    return z0
+
+
+def tokenize(raster, cfg: EncoderConfig, params: dict, mask=None) -> np.ndarray:
+    """Initial sequence of one raster, (S, D); see :func:`tokenize_batch`."""
     mask = _check_mask(mask, cfg)
-    proj = patchify(raster, cfg) @ params["embed.W"] + params["embed.b"]
-    if mask is not None:
-        proj = np.where(mask[:, None], params["mask_token"][None, :], proj)
-    z0 = np.concatenate([params["cls"][None, :], proj], axis=0)
-    return z0 + params["pos"]
+    return tokenize_batch(patchify(raster, cfg)[None], params,
+                          None if mask is None else mask[None])[0]
 
 
 def _ln_forward(x, g, b):
@@ -296,9 +308,10 @@ def token_gradients(dz0: np.ndarray, patch_mats, masks, params: dict,
                     cfg: EncoderConfig) -> dict:
     """Fold d/d(Z_0) into embedding-level parameter gradients.
 
-    patch_mats: per-item (N, patch_dim) matrices (pre-projection).
-    masks: per-item boolean mask or None, aligned with how tokenize was
-    called for that item.
+    patch_mats: per-item (N, patch_dim) matrices (pre-projection), such
+    as the stack given to :func:`tokenize_batch`.
+    masks: per-item boolean mask or None, aligned with how the item was
+    tokenized.
     """
     b = dz0.shape[0]
     grads = {

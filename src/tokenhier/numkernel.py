@@ -23,10 +23,14 @@ from .errors import NumericError, ParameterError, ShapeError
 
 Mat = np.ndarray
 
-_M64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_M64_INT = 0xFFFFFFFFFFFFFFFF
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_M64 = np.uint64(_M64_INT)
+_GOLDEN = np.uint64(_GOLDEN_INT)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
 _STREAM_SALT = 0xD6E8FEB86659FD93
 
 
@@ -101,7 +105,12 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _mix_scalar(x: int) -> int:
-    return int(_mix64(np.uint64(x & 0xFFFFFFFFFFFFFFFF)))
+    """:func:`_mix64` of one value in Python ints (several times faster
+    than numpy scalars); x is taken as its 64-bit two's complement."""
+    z = ((x & _M64_INT) + _GOLDEN_INT) & _M64_INT
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64_INT
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64_INT
+    return z ^ (z >> 31)
 
 
 @dataclass
@@ -146,17 +155,34 @@ class RngStream:
         return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def gaussian(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """n normal draws via Box-Muller on the uniform stream."""
+        """n normal draws via Box-Muller on the uniform stream.
+
+        Counter layout, relative to the counter on entry: with m =
+        ceil(n/2), the u1 words are counters 0..m-1 and the u2 words
+        m..2m-1; the cosine branch gives draws 0..m-1 and the sine
+        branch the rest.  So a scalar call (n = 1) reads u1 at 0 and
+        u2 at 1, and the k-th of successive scalar calls reads u1 at
+        2k and u2 at 2k+1, keeping only the cosine branch.
+        """
         if sigma < 0:
             raise ParameterError(f"gaussian: sigma must be >= 0, got {sigma}")
         m = (n + 1) // 2
-        # u1 in (0, 1] keeps log finite; u2 in [0, 1).
-        u1 = ((self._raw(m) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self._raw(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
+        raw = self._raw(2 * m)
+        r, theta = _box_muller(raw[:m], raw[m:])
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return mu + sigma * z
+
+    def _scalar_gaussians(self, mu, sigma) -> np.ndarray:
+        """Entry j equals ``self.gaussian(1, mu[j], sigma[j])[0]`` from
+        successive scalar calls, bit for bit, but from one ``_raw``
+        call: u1 words at the even counters, u2 at the odd ones."""
+        mu = np.asarray(mu, dtype=np.float64)
+        sigma = np.asarray(sigma, dtype=np.float64)
+        if np.any(sigma < 0):
+            raise ParameterError(f"gaussian: sigma must be >= 0, got {sigma}")
+        raw = self._raw(2 * mu.size)
+        r, theta = _box_muller(raw[0::2], raw[1::2])
+        return mu + sigma * (r * np.cos(theta))
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n integers uniform over [0, bound). Modulo bias is negligible
@@ -174,6 +200,14 @@ class RngStream:
             j = int(js[n - 1 - i] % np.uint64(i + 1))
             perm[i], perm[j] = perm[j], perm[i]
         return perm
+
+
+def _box_muller(raw1: np.ndarray, raw2: np.ndarray):
+    """Radius and angle from two raw word blocks.  u1 in (0, 1] keeps
+    the log finite; u2 in [0, 1)."""
+    u1 = ((raw1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (raw2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
 
 
 def gaussian(rng: RngStream, n: int, mu: float, sigma: float) -> np.ndarray:

@@ -38,7 +38,7 @@ from .encoder import (
     init_params,
     patchify,
     token_gradients,
-    tokenize,
+    tokenize_batch,
 )
 from .errors import (
     ConfigError,
@@ -298,8 +298,8 @@ def init_train_state(enc_cfg: EncoderConfig, ssl_cfg: SslConfig,
 
 
 def _draw_mask(rng: RngStream, n: int, fraction: float) -> np.ndarray:
-    m = max(1, int(round(fraction * n)))
-    m = min(m, n - 1) if n > 1 else 1  # keep at least one unmasked token
+    # at least one masked and (n >= 2) at least one unmasked token
+    m = min(max(1, int(round(fraction * n))), n - 1)
     perm = rng.permutation(n)
     mask = np.zeros(n, dtype=bool)
     mask[perm[:m]] = True
@@ -332,31 +332,33 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
     if b < 1:
         raise ParameterError("empty batch")
     n = enc_cfg.num_patches
+    if n < 2:
+        raise ParameterError(
+            f"num_patches must be >= 2 so a masked view keeps an unmasked "
+            f"token, got {n} (image_size {enc_cfg.image_size}, token_size "
+            f"{enc_cfg.token_size})")
 
-    views = []     # 2b entries: (raster_view, mask); item i views at 2i, 2i+1
+    # view v = 2 i + vi of item i, patchified once for every encoder
+    patches = np.empty((2 * b, n, enc_cfg.patch_dim))
+    masks = np.empty((2 * b, n), dtype=bool)
     for i in range(b):
         item_rng = rng.derive(state.step, i)
         for vi in range(2):
             view_rng = item_rng.derive(vi)
+            view = rasters[i]
             if aug_cfg.enabled:
                 pick = "lab" if view_rng.uniform(1)[0] < 0.5 else "hsv"
-                cfg_v = replace(aug_cfg, space=pick)
-                view = stain_augment(rasters[i], cfg_v, view_rng)
-            else:
-                view = np.asarray(rasters[i])
-            mask = _draw_mask(item_rng.derive(2 + vi), n, ssl_cfg.mask_fraction)
-            views.append((view, mask))
+                view = stain_augment(view, replace(aug_cfg, space=pick),
+                                     view_rng)
+            patches[2 * i + vi] = patchify(view, enc_cfg)
+            masks[2 * i + vi] = _draw_mask(item_rng.derive(2 + vi), n,
+                                           ssl_cfg.mask_fraction)
 
     enc_s = _sub(state.student, "enc.")
     enc_t = _sub(state.teacher, "enc.")
-    masks = [m for _, m in views]
-    patch_mats = [patchify(v, enc_cfg) for v, _ in views]
-
-    z0_student = np.stack([tokenize(v, enc_cfg, enc_s, mask=m)
-                           for (v, m) in views])
-    z0_teacher = np.stack([tokenize(v, enc_cfg, enc_t) for (v, _) in views])
-    out_s, cache_s = forward_batch(z0_student, enc_cfg, enc_s, want_cache=True)
-    out_t, _ = forward_batch(z0_teacher, enc_cfg, enc_t)
+    out_s, cache_s = forward_batch(tokenize_batch(patches, enc_s, masks),
+                                   enc_cfg, enc_s, want_cache=True)
+    out_t, _ = forward_batch(tokenize_batch(patches, enc_t), enc_cfg, enc_t)
 
     cls_s = out_s[:, 0, :]
     cls_t = out_t[:, 0, :]
@@ -377,10 +379,8 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
     d_logits_s = d_logits_s / (2 * b)
 
     # patch-level at masked positions, stacked across views
-    masked_rows_s = np.concatenate(
-        [out_s[v, 1:, :][masks[v]] for v in range(2 * b)])
-    masked_rows_t = np.concatenate(
-        [out_t[v, 1:, :][masks[v]] for v in range(2 * b)])
+    masked_rows_s = out_s[:, 1:, :][masks]
+    masked_rows_t = out_t[:, 1:, :][masks]
     p_logits_s, patch_cache = head_forward(masked_rows_s, patch_head_s,
                                            want_cache=True)
     p_logits_t, _ = head_forward(masked_rows_t, patch_head_t)
@@ -394,9 +394,9 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
     gram = 0.0
     d_patches_gram = None
     if phase == POSTTRAIN:
-        gram_z0 = np.stack([tokenize(v, enc_cfg, state.gram_teacher)
-                            for (v, _) in views])
-        gram_out, _ = forward_batch(gram_z0, enc_cfg, state.gram_teacher)
+        gram_out, _ = forward_batch(
+            tokenize_batch(patches, state.gram_teacher), enc_cfg,
+            state.gram_teacher)
         gterms = []
         d_patches_gram = np.zeros_like(out_s[:, 1:, :])
         for v in range(2 * b):
@@ -412,19 +412,12 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
 
     dout = np.zeros_like(out_s)
     dout[:, 0, :] = d_cls
-    row = 0
-    for v in range(2 * b):
-        mcount = int(masks[v].sum())
-        sl = d_masked[row:row + mcount]
-        buf = np.zeros((n, out_s.shape[2]))
-        buf[masks[v]] = sl
-        dout[v, 1:, :] += buf
-        row += mcount
+    dout[:, 1:, :][masks] += d_masked
     if d_patches_gram is not None:
         dout[:, 1:, :] += ssl_cfg.gram_weight * d_patches_gram
 
     enc_grads = backward_batch(dout, cache_s, enc_s)
-    enc_grads.update(token_gradients(enc_grads.pop("z0"), patch_mats, masks,
+    enc_grads.update(token_gradients(enc_grads.pop("z0"), patches, masks,
                                      enc_s, enc_cfg))
 
     grads = {}
@@ -509,15 +502,22 @@ def load_train_state(path):
     kind, config, tensors, extra = load_params(path)
     if kind != "train_state":
         raise DataError(f"{path}: not a training checkpoint (kind {kind!r})")
+    for name in ("cls_center", "patch_center"):
+        if name not in tensors:
+            raise DataError(f"{path}: training checkpoint lacks {name!r}")
+    try:
+        step, adam_t = int(config.get("step", 0)), int(config.get("adam_t", 0))
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: training counters are not integers") from None
     state = TrainState(
         student=_sub(tensors, "student."),
         teacher=_sub(tensors, "teacher."),
         cls_center=tensors["cls_center"],
         patch_center=tensors["patch_center"],
-        adam={"t": int(config.get("adam_t", 0)),
+        adam={"t": adam_t,
               "m": _sub(tensors, "adam.m."),
               "v": _sub(tensors, "adam.v.")},
-        step=int(config.get("step", 0)),
+        step=step,
         gram_teacher=(_sub(tensors, "gram.")
                       if config.get("has_gram_teacher") else None),
     )

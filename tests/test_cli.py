@@ -275,6 +275,54 @@ class TestTraining:
         capsys.readouterr()
 
 
+    def test_single_patch_geometry_is_usage_error(self, tmp_path, capsys):
+        """image_size == token_size leaves one patch: masking it would
+        leave the student nothing unmasked, so the step refuses."""
+        cfg = tmp_path / "one_patch.json"
+        cfg.write_text(json.dumps({"image_size": 16, "token_size": 16}))
+        assert run_cli("pretrain", "--steps", "1", "--config", cfg,
+                       "--out", tmp_path / "c.ckpt") == 2
+        assert "num_patches" in capsys.readouterr().err
+
+
+def _header(**fields):
+    head = {"format_version": 1, "kind": "train_state", "config": {},
+            "tensors": [], "extra": {}}
+    head.update(fields)
+    return json.dumps(head).encode("ascii") + b"\n"
+
+
+class TestMalformedCheckpoint:
+    """Damaged checkpoint headers are data errors (exit 3), never
+    tracebacks."""
+
+    def embed_exit(self, tmp_path, payload: bytes) -> int:
+        ck = tmp_path / "bad.ckpt"
+        ck.write_bytes(payload)
+        return run_cli("embed", "--ckpt", ck, "--data", tmp_path,
+                       "--out", tmp_path / "e.emb")
+
+    def test_tensor_entry_without_name(self, tmp_path, capsys):
+        payload = _header(tensors=[{"shape": [1]}]) + bytes(8)
+        assert self.embed_exit(tmp_path, payload) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_header_without_kind(self, tmp_path, capsys):
+        head = json.loads(_header())
+        del head["kind"]
+        payload = json.dumps(head).encode("ascii") + b"\n"
+        assert self.embed_exit(tmp_path, payload) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_tensors_not_a_list(self, tmp_path, capsys):
+        assert self.embed_exit(tmp_path, _header(tensors=5)) == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_train_state_without_centers(self, tmp_path, capsys):
+        assert self.embed_exit(tmp_path, _header()) == 3
+        assert "cls_center" in capsys.readouterr().err
+
+
 class TestEmbed:
     def test_embeddings_round_trip(self, work, tmp_path, capsys):
         out = tmp_path / "g.emb"

@@ -1,13 +1,20 @@
 """Colorimetry and stain-jitter checks against independent references."""
 
 import colorsys
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tokenhier.bench import AblationConfig, make_pretrain_corpus
 from tokenhier.color import (
     StainAugConfig,
+    _mod,
     as_raster,
     draw_stain_jitter,
     hsv_to_rgb,
@@ -299,6 +306,185 @@ class TestStainAugment:
             StainAugConfig(lab_mean_sigma=(1.0, -0.5, 0.0))
         with pytest.raises(ConfigError):
             StainAugConfig(hsv_std_sigma=(0.1, 0.1))
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity of the augmentation hot path.  The pins are sha256 digests
+# of stain_augment outputs taken from the original multi-pass kernels;
+# the oracles below are test-side copies of those kernels and of the
+# one-Gaussian-at-a-time jitter draw.  Speedups must match them exactly.
+
+STAIN_PINS = {
+    ("lab", 0): "8a0c5c27f8e41551b1176a43d2c54aae05e1d38464912f3a0d62cc352a388cc7",
+    ("lab", 1): "aa9ff01222711d2a713b5f378183178bbeec12ffd5a5da929e75dc9a04fd7b84",
+    ("lab", 2): "1a5b9a98ebc83279a6339f367daa0671270ff40c84f1d7b850537c14806076b4",
+    ("hsv", 0): "301e5a4c4511845cc4a43918d18ca42e4447852ab2bf7cfb33e6411bcc2724b6",
+    ("hsv", 1): "2e8118434ca80a29259577232efbac0ec44c2ecc3f8c3fc9610a8dc3042f6a3b",
+    ("hsv", 2): "68cdb1e70f01e64a53560f81a094b5fcf216b06c41bf0f8e20df96c1469a0d1d",
+    ("both", 0): "ac1d668a2d75cd2e9f19dc3ea2517e520a5b26a2bf872edb5da59c39e4319497",
+    ("both", 1): "d6e8509ecfec757838feff8e80b7e73ac05bed4132c70e00318555072cdad924",
+    ("both", 2): "9f523e0bf1b64ae0e21a5c3bb125a254ad172e77fc26ab4441114c77e9e343d4",
+}
+PIN_STREAMS = (0, 7, 2**40 + 3)
+
+
+@pytest.fixture(scope="module")
+def bundled_rasters():
+    """The first eight rasters of the corpus the CLI trains on by default."""
+    return make_pretrain_corpus(RngStream(seed=0, stream_id=10), count=8,
+                                image_size=64)
+
+
+@pytest.mark.parametrize("space,seed", sorted(STAIN_PINS))
+def test_stain_augment_golden(bundled_rasters, space, seed):
+    cfg = replace(AblationConfig().aug, space=space)
+    h = hashlib.sha256()
+    for sid in PIN_STREAMS:
+        for r in bundled_rasters:
+            h.update(stain_augment(r, cfg, RngStream(seed=seed,
+                                                     stream_id=sid)).tobytes())
+    assert h.hexdigest() == STAIN_PINS[space, seed]
+
+
+def multipass_rgb_to_hsv(r):
+    rgb = r.astype(np.float64) / 255.0
+    mx = rgb.max(axis=-1)
+    mn = rgb.min(axis=-1)
+    d = mx - mn
+    rc, gc, bc = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    safe = np.where(d == 0, 1.0, d)
+    h = np.where(
+        mx == rc, (gc - bc) / safe,
+        np.where(mx == gc, (bc - rc) / safe + 2.0, (rc - gc) / safe + 4.0),
+    )
+    h = np.mod(60.0 * h, 360.0)
+    h = np.where(d == 0, 0.0, h)
+    s = np.where(mx == 0, 0.0, d / np.where(mx == 0, 1.0, mx))
+    return np.stack([h, s, mx], axis=-1)
+
+
+def multipass_hsv_to_rgb(img):
+    h = np.mod(img[..., 0], 360.0) / 60.0
+    s = np.clip(img[..., 1], 0.0, 1.0)
+    v = np.clip(img[..., 2], 0.0, 1.0)
+    c = v * s
+    x = c * (1.0 - np.abs(np.mod(h, 2.0) - 1.0))
+    m = v - c
+    sector = np.floor(h).astype(np.int64) % 6
+    z = np.zeros_like(c)
+    patterns = [(c, x, z), (x, c, z), (z, c, x), (z, x, c), (x, z, c), (c, z, x)]
+    rgb = np.zeros(img.shape, dtype=np.float64)
+    for k, (pr, pg, pb) in enumerate(patterns):
+        mask = sector == k
+        rgb[..., 0] = np.where(mask, pr, rgb[..., 0])
+        rgb[..., 1] = np.where(mask, pg, rgb[..., 1])
+        rgb[..., 2] = np.where(mask, pb, rgb[..., 2])
+    rgb += m[..., None]
+    return np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
+
+
+def power_rgb_to_lab(r):
+    """rgb_to_lab with the sRGB power law evaluated at every pixel."""
+    c = r.astype(np.float64) / 255.0
+    lin = np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
+    m = np.array([[0.4124564, 0.3575761, 0.1804375],
+                  [0.2126729, 0.7151522, 0.0721750],
+                  [0.0193339, 0.1191920, 0.9503041]])
+    xyz = lin @ m.T
+    t = np.maximum(xyz / m.sum(axis=1), 0.0)
+    delta = 6.0 / 29.0
+    f = np.where(t > delta**3, np.cbrt(t), t / (3 * delta**2) + 4.0 / 29.0)
+    out = np.empty_like(f)
+    out[..., 0] = 116.0 * f[..., 1] - 16.0
+    out[..., 1] = 500.0 * (f[..., 0] - f[..., 1])
+    out[..., 2] = 200.0 * (f[..., 1] - f[..., 2])
+    return out
+
+
+def scalar_jitter_draw(rng, mean_sigma, std_sigma):
+    """Six successive single-Gaussian draws in the documented order."""
+    dmu = np.array([rng.gaussian(1, 0.0, float(mean_sigma[c]))[0]
+                    for c in range(3)])
+    rho = np.array([rng.gaussian(1, 1.0, float(std_sigma[c]))[0]
+                    for c in range(3)])
+    return dmu, np.maximum(rho, 0.05)
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: stricter than array_equal, which
+    takes -0.0 for 0.0."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+small_rasters = arrays(np.uint8, st.tuples(st.integers(1, 9), st.integers(1, 9),
+                                           st.just(3)))
+sector_edges = st.sampled_from([-360.0, -60.0, -1e-300, -0.0, 0.0, 60.0,
+                                120.0, 180.0, 240.0, 300.0, 360.0, 720.0,
+                                np.nextafter(60.0, 0.0),
+                                np.nextafter(360.0, 0.0)])
+hsv_channel = st.floats(-0.5, 1.5, allow_nan=False)
+hsv_pixels = st.tuples(st.one_of(st.floats(-1000.0, 1000.0, allow_nan=False),
+                                 sector_edges),
+                       hsv_channel, hsv_channel)
+sigmas = st.tuples(*[st.floats(0.0, 50.0, allow_nan=False)] * 3)
+
+
+class TestSinglePassKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), sector_edges), min_size=1,
+                    max_size=20),
+           st.sampled_from([2.0, 360.0]))
+    def test_mod_matches_numpy_bitwise(self, xs, period):
+        """Same bits as np.mod, signed zeros and NaN included."""
+        x = np.array(xs)
+        with np.errstate(invalid="ignore"):
+            assert _mod(x, period).tobytes() == np.mod(x, period).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_rasters)
+    def test_rgb_to_hsv_matches_multipass(self, r):
+        assert same_bits(rgb_to_hsv(r), multipass_rgb_to_hsv(r))
+
+    def test_rgb_to_hsv_every_ordering(self):
+        """All 16.7M colours would be slow; every channel ordering,
+        including ties and grays, over a coarse lattice is not."""
+        lv = np.array([0, 1, 2, 63, 64, 127, 128, 200, 254, 255])
+        r = np.stack(np.meshgrid(lv, lv, lv, indexing="ij"), axis=-1)
+        r = r.reshape(len(lv), -1, 3).astype(np.uint8)
+        assert same_bits(rgb_to_hsv(r), multipass_rgb_to_hsv(r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(hsv_pixels, min_size=1, max_size=40))
+    def test_hsv_to_rgb_matches_multipass(self, pixels):
+        img = np.array(pixels, dtype=np.float64).reshape(1, -1, 3)
+        assert np.array_equal(hsv_to_rgb(img), multipass_hsv_to_rgb(img))
+
+    def test_rgb_to_lab_every_level(self):
+        """Each 8-bit level in each channel position, against the power
+        formula evaluated per pixel."""
+        lv = np.arange(256, dtype=np.uint8)
+        r = np.stack([lv, lv[::-1], np.roll(lv, 85)], axis=-1).reshape(16, 16, 3)
+        assert same_bits(rgb_to_lab(r), power_rgb_to_lab(r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(-2**63, 2**64 - 1),
+           st.integers(0, 40), sigmas, sigmas)
+    def test_jitter_draw_matches_six_scalar_draws(self, seed, sid, skip,
+                                                  mean_sigma, std_sigma):
+        a, b = RngStream(seed, sid), RngStream(seed, sid)
+        a.uniform(skip)
+        b.uniform(skip)
+        dmu, rho = draw_stain_jitter(a, mean_sigma, std_sigma)
+        ref_dmu, ref_rho = scalar_jitter_draw(b, mean_sigma, std_sigma)
+        assert same_bits(dmu, ref_dmu)
+        assert same_bits(rho, ref_rho)
+        assert a.counter == b.counter  # the stream advances the same way
+        assert np.array_equal(a.uniform(2), b.uniform(2))
+
+    def test_jitter_draw_rejects_negative_sigma(self):
+        with pytest.raises(ParameterError):
+            draw_stain_jitter(RngStream(seed=0), (1.0, -0.1, 1.0),
+                              (0.1, 0.1, 0.1))
 
 
 class TestPpm:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tokenhier.errors import NumericError, ParameterError, ShapeError
 from tokenhier.numkernel import (
     RngStream,
+    _mix_scalar,
     gelu,
     gelu_grad,
     layer_norm,
@@ -203,6 +204,45 @@ class TestRngStream:
     def test_gaussian_negative_sigma_raises(self):
         with pytest.raises(ParameterError):
             RngStream(seed=1).gaussian(3, sigma=-0.1)
+
+    def test_gaussian_counter_layout(self):
+        """A scalar call k reads u1 at counter 2k and u2 at 2k+1; a call
+        for n > 1 reads a block of u1 words, then a block of u2 words."""
+        def box_muller(raw1, raw2):
+            u1 = ((raw1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+            u2 = (raw2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            r = np.sqrt(-2.0 * np.log(u1))
+            return r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)
+
+        raw = RngStream(seed=31, stream_id=4)._raw(6)
+        s = RngStream(seed=31, stream_id=4)
+        scalars = [s.gaussian(1)[0] for _ in range(3)]
+        np.testing.assert_array_equal(scalars, box_muller(raw[0::2], raw[1::2])[0])
+        cos, sin = box_muller(raw[:3], raw[3:])
+        np.testing.assert_array_equal(RngStream(seed=31, stream_id=4).gaussian(5),
+                                      np.concatenate([cos, sin])[:5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2**70, 2**70))
+    def test_mix_scalar_matches_uint64_arithmetic(self, x):
+        """The Python-int finalizer equals splitmix64 in numpy uint64
+        arithmetic on the value's 64-bit two's-complement pattern."""
+        m64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+        with np.errstate(over="ignore"):
+            z = (np.uint64(x & 0xFFFFFFFFFFFFFFFF)
+                 + np.uint64(0x9E3779B97F4A7C15)) & m64
+            z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & m64
+            z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & m64
+            want = int(z ^ (z >> np.uint64(31)))
+        assert _mix_scalar(x) == want
+
+    def test_stream_keys_pinned(self):
+        """Keys of root and derived streams, pinned so the identity of
+        every stream survives reimplementation."""
+        root = RngStream(seed=2024, stream_id=3)
+        assert root._key == 0x0B05E43BE5AD8428
+        assert root.derive(0, 7)._key == 0x0B7E9236E0EEBDD8
+        assert RngStream(seed=0)._key == 0x3B2BB204ABD35422
 
     def test_derive_is_stable_and_independent(self):
         root = RngStream(seed=99)

@@ -1,6 +1,7 @@
 """Objective terms against extended-precision and brute-force oracles,
 plus the student/teacher loop."""
 
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -507,6 +508,17 @@ class TestTrainStep:
         with pytest.raises(ParameterError):
             train_step([], state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=16))
 
+    def test_single_patch_rejected(self):
+        """With one patch the mask would cover every token."""
+        enc_cfg = EncoderConfig(image_size=16, token_size=16, embed_dim=16,
+                                depth=1, num_heads=2, mlp_ratio=2.0)
+        ssl_cfg = SslConfig(prototype_count=8)
+        state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=25))
+        corpus = [np.full((16, 16, 3), 100, dtype=np.uint8)] * 2
+        with pytest.raises(ParameterError, match="num_patches"):
+            train_step(corpus, state, ssl_cfg, enc_cfg, StainAugConfig(),
+                       RngStream(seed=26))
+
     def test_bad_phase(self):
         enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=17))
@@ -525,6 +537,38 @@ class TestTrainStep:
         assert len(lines) == 3
         assert set(lines[0]) == {"step", "dino", "ibot", "koleo", "gram",
                                  "total"}
+
+
+def state_sha256(state) -> str:
+    h = hashlib.sha256()
+    for group in (state.student, state.teacher, state.adam["m"],
+                  state.adam["v"]):
+        for name in sorted(group):
+            h.update(name.encode("ascii"))
+            h.update(np.ascontiguousarray(group[name]).tobytes())
+    h.update(state.cls_center.tobytes())
+    h.update(state.patch_center.tobytes())
+    return h.hexdigest()
+
+
+# Final-state digests from the per-view tokenize path, so that batching
+# the step cannot change a byte of training.
+TRAIN_PINS = {
+    PRETRAIN: "340c1eb9b835ae9826ca3fb80e96bc92717bd0766abf5115a26b5d727fef58d0",
+    POSTTRAIN: "248411fd3c9e0be98b9aba0e39d0214a54e599f4cf1fbd8b0648ef65750cc63a",
+}
+
+
+@pytest.mark.parametrize("phase", [PRETRAIN, POSTTRAIN])
+def test_train_state_golden(phase):
+    enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+    state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=23))
+    if phase == POSTTRAIN:
+        state.gram_teacher = {k: v.copy()
+                              for k, v in _sub(state.student, "enc.").items()}
+    run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=24),
+                 steps=3, batch_size=4, phase=phase)
+    assert state_sha256(state) == TRAIN_PINS[phase]
 
 
 class TestSmokeTraining:
