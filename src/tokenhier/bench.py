@@ -23,7 +23,7 @@ import hashlib
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -578,17 +578,10 @@ class AblationConfig:
 
 
 def ablation_config_dict(cfg: AblationConfig) -> dict:
-    from dataclasses import asdict
-
     d = asdict(cfg)
     # thread count is execution infrastructure, not configuration: results
     # are identical for any value, so it stays out of the fingerprint
     d.pop("threads")
-    d["seeds"] = list(cfg.seeds)
-    d["aug"]["lab_mean_sigma"] = list(cfg.aug.lab_mean_sigma)
-    d["aug"]["lab_std_sigma"] = list(cfg.aug.lab_std_sigma)
-    d["aug"]["hsv_mean_sigma"] = list(cfg.aug.hsv_mean_sigma)
-    d["aug"]["hsv_std_sigma"] = list(cfg.aug.hsv_std_sigma)
     return d
 
 
@@ -614,20 +607,25 @@ _ROW_DEFS = (
 )
 
 
-def acceptance_suites(rng: RngStream) -> dict:
+# The shipped keyword sets of each suite kind, shared by the CLI's
+# ``bench`` trees and the ablation grid.
+SUITE_SPECS = {
+    GLOBAL: dict(kind=GLOBAL),
+    LOCAL: dict(kind=LOCAL, color_jitter=0.0, gradient_amp=20.0),
+    SHIFTED: dict(kind=SHIFTED, color_step=2.0, color_jitter=3.0,
+                  structure_amp=20.0, shift_offset=(20.0, 16.0, -10.0),
+                  shift_scale=(1.25, 1.25, 1.25)),
+}
+
+
+def acceptance_suites(rng: RngStream, per_class: int = 60) -> dict:
     """The shipped desk-scale pair: LOCAL with distractor textures and
     SHIFTED with an out-of-protocol color change over a structural label."""
-    return {
-        "local": make_synthetic_suite(
-            rng.derive(0), SuiteSpec(kind=LOCAL, per_class=60,
-                                     color_jitter=0.0, gradient_amp=20.0)),
-        "shifted": make_synthetic_suite(
-            rng.derive(1), SuiteSpec(kind=SHIFTED, per_class=60,
-                                     color_step=2.0, color_jitter=3.0,
-                                     structure_amp=20.0,
-                                     shift_offset=(20.0, 16.0, -10.0),
-                                     shift_scale=(1.25, 1.25, 1.25))),
-    }
+    def suite(i, kind):
+        spec = SuiteSpec(per_class=per_class, **SUITE_SPECS[kind])
+        return make_synthetic_suite(rng.derive(i), spec)
+
+    return {"local": suite(0, LOCAL), "shifted": suite(1, SHIFTED)}
 
 
 def run_ablation(datasets: dict, cfg: AblationConfig) -> dict:

@@ -25,15 +25,15 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import bench as B
-from .bench import (AblationConfig, SuiteSpec, balanced_accuracy,
-                    embed_dataset, ingest_directory, make_report,
-                    make_pretrain_corpus, make_synthetic_suite,
+from .bench import (AblationConfig, SuiteSpec, acceptance_suites,
+                    balanced_accuracy, embed_dataset, ingest_directory,
+                    make_report, make_pretrain_corpus, make_synthetic_suite,
                     render_ablation_table, run_ablation, save_embeddings,
                     split_dataset, write_bacc_svg, write_report)
 from .checkpoint import config_fingerprint
@@ -76,10 +76,6 @@ def _build(dc_type, base, flat: dict):
     """Dataclass instance from flat config keys matching its fields."""
     names = {f.name for f in fields(dc_type)}
     picked = {k: v for k, v in flat.items() if k in names}
-    for key in ("lab_mean_sigma", "lab_std_sigma", "hsv_mean_sigma",
-                "hsv_std_sigma"):
-        if key in picked and isinstance(picked[key], list):
-            picked[key] = tuple(picked[key])
     try:
         return replace(base, **picked) if base is not None else dc_type(**picked)
     except TypeError as e:
@@ -183,10 +179,10 @@ def cmd_augment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = {"seed": args.seed, "space": aug.space,
-                "lab_mean_sigma": list(aug.lab_mean_sigma),
-                "lab_std_sigma": list(aug.lab_std_sigma),
-                "hsv_mean_sigma": list(aug.hsv_mean_sigma),
-                "hsv_std_sigma": list(aug.hsv_std_sigma)}
+                "lab_mean_sigma": aug.lab_mean_sigma,
+                "lab_std_sigma": aug.lab_std_sigma,
+                "hsv_mean_sigma": aug.hsv_mean_sigma,
+                "hsv_std_sigma": aug.hsv_std_sigma}
     fp = _fingerprint("augment", resolved)
     root = RngStream(seed=args.seed, stream_id=71)
     for i, f in enumerate(files):
@@ -228,11 +224,7 @@ def _training_configs(args):
         raise ConfigError(f"--steps must be >= 0, got {steps}")
     resolved = {"encoder": encoder_config_dict(enc),
                 "ssl": ssl_config_dict(ssl),
-                "aug": {"space": aug.space, "enabled": aug.enabled,
-                        "lab_mean_sigma": list(aug.lab_mean_sigma),
-                        "lab_std_sigma": list(aug.lab_std_sigma),
-                        "hsv_mean_sigma": list(aug.hsv_mean_sigma),
-                        "hsv_std_sigma": list(aug.hsv_std_sigma)},
+                "aug": asdict(aug),
                 "steps": steps, "batch_size": batch, "lr": lr, "seed": seed}
     return enc, ssl, aug, steps, batch, lr, seed, resolved
 
@@ -311,6 +303,8 @@ def _encoder_from_checkpoint(path):
 def cmd_embed(args) -> int:
     params, enc_cfg = _encoder_from_checkpoint(args.ckpt)
     ds = ingest_directory(args.data)
+    if not ds.items:
+        raise DataError(f"{args.data}: no class subdirectory holds a .ppm file")
     fp = _fingerprint("embed", {"encoder": encoder_config_dict(enc_cfg),
                                 "data": sorted(ds.source_ids)})
     seqs = embed_dataset(ds, params, enc_cfg, threads=_threads(args))
@@ -367,21 +361,8 @@ def cmd_probe(args) -> int:
 # bench
 
 
-_SUITE_SPECS = {
-    B.GLOBAL: dict(kind=B.GLOBAL),
-    B.LOCAL: dict(kind=B.LOCAL, color_jitter=0.0, gradient_amp=20.0),
-    B.SHIFTED: dict(kind=B.SHIFTED, color_step=2.0, color_jitter=3.0,
-                    structure_amp=20.0, shift_offset=(20.0, 16.0, -10.0),
-                    shift_scale=(1.25, 1.25, 1.25)),
-}
-
-
-def _materialize_suite(kind: str, per_class: int, seed: int, out_dir: Path,
-                       distractor_amp=None):
-    kw = dict(_SUITE_SPECS[kind])
-    if distractor_amp is not None:
-        kw["distractor_amp"] = distractor_amp
-    spec = SuiteSpec(per_class=per_class, **kw)
+def _materialize_suite(kind: str, per_class: int, seed: int, out_dir: Path):
+    spec = SuiteSpec(per_class=per_class, **B.SUITE_SPECS[kind])
     splits = make_synthetic_suite(RngStream(seed=seed, stream_id=5), spec)
     for name in (f"class{c}" for c in range(spec.num_classes)):
         (out_dir / name).mkdir(parents=True, exist_ok=True)
@@ -447,15 +428,8 @@ def cmd_ablate(args) -> int:
     cfg = replace(cfg, threads=_threads(args))
     suite_seed = int(flat.get("suite_seed", 2024))
     per_class = int(flat.get("suite_per_class", 60))
-    rng = RngStream(seed=suite_seed, stream_id=5)
-    suites = {
-        "local": make_synthetic_suite(
-            rng.derive(0), SuiteSpec(per_class=per_class,
-                                     **_SUITE_SPECS[B.LOCAL])),
-        "shifted": make_synthetic_suite(
-            rng.derive(1), SuiteSpec(per_class=per_class,
-                                     **_SUITE_SPECS[B.SHIFTED])),
-    }
+    suites = acceptance_suites(RngStream(seed=suite_seed, stream_id=5),
+                               per_class)
     report = run_ablation(suites, cfg)
     _ensure_parent(args.out)
     write_report(report, args.out)

@@ -177,7 +177,10 @@ class StainAugConfig:
             raise ConfigError(f"space must be one of {_SPACES}, got {self.space!r}")
         for name in ("lab_mean_sigma", "lab_std_sigma",
                      "hsv_mean_sigma", "hsv_std_sigma"):
-            trip = getattr(self, name)
+            # tuples whatever the source (JSON gives lists), so configs
+            # compare and hash alike; JSON renders them back as lists
+            trip = tuple(getattr(self, name))
+            object.__setattr__(self, name, trip)
             if len(trip) != 3:
                 raise ConfigError(f"{name} must have 3 entries, got {len(trip)}")
             for v in trip:

@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .color import as_raster
-from .errors import ConfigError, NumericError, ShapeError
-from .numkernel import RngStream, gelu, gelu_grad
-
-_LN_EPS = 1e-6
+from .errors import ConfigError, DataError, NumericError, ShapeError
+from .numkernel import (RngStream, gelu, gelu_grad, layer_norm,
+                        layer_norm_backward, softmax_backward, softmax_rows,
+                        trunc_normal)
 
 
 @dataclass(frozen=True)
@@ -90,36 +90,30 @@ class TokenSequence:
     config_hash: str
 
 
-def _trunc_normal(rng: RngStream, shape, sigma=0.02):
-    n = int(np.prod(shape))
-    v = rng.gaussian(n, 0.0, sigma)
-    return np.clip(v, -2 * sigma, 2 * sigma).reshape(shape)
-
-
 def init_params(cfg: EncoderConfig, rng: RngStream) -> dict:
     """Fresh parameter dict. Weights are clipped normal (sigma 0.02),
     biases and the class token start at zero, norm gains at one."""
     d = cfg.embed_dim
     p = {
-        "embed.W": _trunc_normal(rng, (cfg.patch_dim, d)),
+        "embed.W": trunc_normal(rng, (cfg.patch_dim, d)),
         "embed.b": np.zeros(d),
-        "pos": _trunc_normal(rng, (cfg.seq_len, d)),
+        "pos": trunc_normal(rng, (cfg.seq_len, d)),
         "cls": np.zeros(d),
-        "mask_token": _trunc_normal(rng, (d,)),
+        "mask_token": trunc_normal(rng, (d,)),
     }
     for i in range(cfg.depth):
         pre = f"layer{i}."
         p[pre + "ln1.g"] = np.ones(d)
         p[pre + "ln1.b"] = np.zeros(d)
         for w in ("Wq", "Wk", "Wv", "Wo"):
-            p[pre + "attn." + w] = _trunc_normal(rng, (d, d))
+            p[pre + "attn." + w] = trunc_normal(rng, (d, d))
         for b in ("bq", "bk", "bv", "bo"):
             p[pre + "attn." + b] = np.zeros(d)
         p[pre + "ln2.g"] = np.ones(d)
         p[pre + "ln2.b"] = np.zeros(d)
-        p[pre + "mlp.W1"] = _trunc_normal(rng, (d, cfg.mlp_hidden))
+        p[pre + "mlp.W1"] = trunc_normal(rng, (d, cfg.mlp_hidden))
         p[pre + "mlp.b1"] = np.zeros(cfg.mlp_hidden)
-        p[pre + "mlp.W2"] = _trunc_normal(rng, (cfg.mlp_hidden, d))
+        p[pre + "mlp.W2"] = trunc_normal(rng, (cfg.mlp_hidden, d))
         p[pre + "mlp.b2"] = np.zeros(d)
     p["final_ln.g"] = np.ones(d)
     p["final_ln.b"] = np.zeros(d)
@@ -145,16 +139,6 @@ def patchify(raster, cfg: EncoderConfig) -> np.ndarray:
             .reshape(cfg.num_patches, cfg.patch_dim))
 
 
-def _check_mask(mask, cfg: EncoderConfig):
-    if mask is None:
-        return None
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != (cfg.num_patches,):
-        raise ShapeError(
-            f"mask must have shape ({cfg.num_patches},), got {m.shape}")
-    return m
-
-
 def tokenize_batch(patches: np.ndarray, params: dict, masks=None) -> np.ndarray:
     """Initial sequences for a (B, N, patch_dim) stack of patchified
     images: [cls; patch projections] + positions, (B, S, D).
@@ -176,30 +160,13 @@ def tokenize_batch(patches: np.ndarray, params: dict, masks=None) -> np.ndarray:
 
 def tokenize(raster, cfg: EncoderConfig, params: dict, mask=None) -> np.ndarray:
     """Initial sequence of one raster, (S, D); see :func:`tokenize_batch`."""
-    mask = _check_mask(mask, cfg)
-    return tokenize_batch(patchify(raster, cfg)[None], params,
-                          None if mask is None else mask[None])[0]
-
-
-def _ln_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.maximum(var, _LN_EPS))
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, var)
-
-
-def _ln_backward(dy, g, stats):
-    xhat, inv, var = stats
-    dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * g
-    live = (var > _LN_EPS)  # else the denominator was pinned at sqrt(eps)
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - np.where(live, xhat * m2, 0.0))
-    return dx, dg, db
+    masks = None
+    if mask is not None:
+        masks = np.asarray(mask, dtype=bool)[None]
+        if masks.shape != (1, cfg.num_patches):
+            raise ShapeError(f"mask must have shape ({cfg.num_patches},), "
+                             f"got {masks.shape[1:]}")
+    return tokenize_batch(patchify(raster, cfg)[None], params, masks)[0]
 
 
 def _split_heads(x, cfg: EncoderConfig):
@@ -228,17 +195,15 @@ def forward_batch(z0: np.ndarray, cfg: EncoderConfig, params: dict,
     layers = []
     for i in range(cfg.depth):
         pre = f"layer{i}."
-        h1, ln1_stats = _ln_forward(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
+        h1, ln1_stats = layer_norm(x, params[pre + "ln1.g"], params[pre + "ln1.b"])
         q = _split_heads(h1 @ params[pre + "attn.Wq"] + params[pre + "attn.bq"], cfg)
         k = _split_heads(h1 @ params[pre + "attn.Wk"] + params[pre + "attn.bk"], cfg)
         v = _split_heads(h1 @ params[pre + "attn.Wv"] + params[pre + "attn.bv"], cfg)
         scores = np.einsum("bhsd,bhtd->bhst", q, k) * scale
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        attn = e / e.sum(axis=-1, keepdims=True)
+        attn = softmax_rows(scores)
         ctx = _merge_heads(np.einsum("bhst,bhtd->bhsd", attn, v))
         x = x + ctx @ params[pre + "attn.Wo"] + params[pre + "attn.bo"]
-        h2, ln2_stats = _ln_forward(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
+        h2, ln2_stats = layer_norm(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
         u1 = h2 @ params[pre + "mlp.W1"] + params[pre + "mlp.b1"]
         a1 = gelu(u1)
         x = x + a1 @ params[pre + "mlp.W2"] + params[pre + "mlp.b2"]
@@ -248,7 +213,7 @@ def forward_batch(z0: np.ndarray, cfg: EncoderConfig, params: dict,
             layers.append(dict(h1=h1, ln1=ln1_stats, q=q, k=k, v=v,
                                attn=attn, ctx=ctx, h2=h2,
                                ln2=ln2_stats, u1=u1, a1=a1))
-    out, fin_stats = _ln_forward(x, params["final_ln.g"], params["final_ln.b"])
+    out, fin_stats = layer_norm(x, params["final_ln.g"], params["final_ln.b"])
     if not np.all(np.isfinite(out)):
         raise NumericError("final norm: non-finite activations")
     cache = dict(layers=layers, fin=fin_stats, cfg=cfg) if want_cache else None
@@ -260,8 +225,8 @@ def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
     cfg: EncoderConfig = cache["cfg"]
     scale = 1.0 / np.sqrt(cfg.head_dim)
     grads = {}
-    dx, dg, db = _ln_backward(np.asarray(dout, dtype=np.float64),
-                              params["final_ln.g"], cache["fin"])
+    dx, dg, db = layer_norm_backward(np.asarray(dout, dtype=np.float64),
+                                     params["final_ln.g"], cache["fin"])
     grads["final_ln.g"] = dg
     grads["final_ln.b"] = db
     for i in reversed(range(cfg.depth)):
@@ -275,7 +240,7 @@ def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
         grads[pre + "mlp.W1"] = np.einsum("bsd,bsh->dh", c["h2"], du1)
         grads[pre + "mlp.b1"] = du1.sum(axis=(0, 1))
         dh2 = du1 @ params[pre + "mlp.W1"].T
-        dmid, dg2, db2 = _ln_backward(dh2, params[pre + "ln2.g"], c["ln2"])
+        dmid, dg2, db2 = layer_norm_backward(dh2, params[pre + "ln2.g"], c["ln2"])
         grads[pre + "ln2.g"] = dg2
         grads[pre + "ln2.b"] = db2
         dx = dx + dmid
@@ -286,8 +251,7 @@ def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
         dctx_h = _split_heads(dctx, cfg)
         dattn = np.einsum("bhsd,bhtd->bhst", dctx_h, c["v"])
         dv = np.einsum("bhst,bhsd->bhtd", c["attn"], dctx_h)
-        inner = (dattn * c["attn"]).sum(axis=-1, keepdims=True)
-        dscores = c["attn"] * (dattn - inner)
+        dscores = softmax_backward(c["attn"], dattn)
         dq = np.einsum("bhst,bhtd->bhsd", dscores, c["k"]) * scale
         dk = np.einsum("bhst,bhsd->bhtd", dscores, c["q"]) * scale
         dh1 = np.zeros_like(c["h1"])
@@ -296,7 +260,7 @@ def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
             grads[pre + "attn." + w] = np.einsum("bsd,bse->de", c["h1"], merged)
             grads[pre + "attn.b" + w[1:].lower()] = merged.sum(axis=(0, 1))
             dh1 = dh1 + merged @ params[pre + "attn." + w].T
-        din, dg1, db1 = _ln_backward(dh1, params[pre + "ln1.g"], c["ln1"])
+        din, dg1, db1 = layer_norm_backward(dh1, params[pre + "ln1.g"], c["ln1"])
         grads[pre + "ln1.g"] = dg1
         grads[pre + "ln1.b"] = db1
         dx = dx + din
@@ -342,22 +306,14 @@ def forward(raster, cfg: EncoderConfig, params: dict) -> TokenSequence:
                          config_hash=config_hash(cfg))
 
 
-def forward_masked(raster, mask, cfg: EncoderConfig, params: dict) -> TokenSequence:
-    """Forward pass with selected patch embeddings replaced by the mask
-    token before the block stack."""
-    m = _check_mask(np.asarray(mask), cfg)
-    z0 = tokenize(raster, cfg, params, mask=m)
-    out, _ = forward_batch(z0[None, :, :], cfg, params)
-    return TokenSequence(cls=out[0, 0].copy(), patches=out[0, 1:].copy(),
-                         config_hash=config_hash(cfg))
-
-
 def encoder_config_dict(cfg: EncoderConfig) -> dict:
     return asdict(cfg)
 
 
 def encoder_config_from_dict(d: dict) -> EncoderConfig:
+    """The config stored in an artifact header; one that is not an
+    object or not a valid config means the artifact is damaged."""
     try:
         return EncoderConfig(**d)
-    except TypeError as e:
-        raise ConfigError(f"bad encoder config: {e}") from None
+    except (TypeError, ConfigError) as e:
+        raise DataError(f"bad encoder config: {e}") from None

@@ -1,8 +1,8 @@
 """Central finite-difference verification of every backward pass.
 
-Each component check builds a small fixed instance, computes analytic
-gradients, and compares a deterministic sample of entries against
-central differences.  The reported number is the worst relative error
+Each component is a small fixed instance in one table; a single routine
+compares a deterministic sample of its analytic gradient entries
+against central differences.  The reported number is the worst relative error
 |a - n| / max(1e-6, |a|, |n|) over the sampled entries, so a single
 wrong entry cannot hide behind a large tensor.
 
@@ -18,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import (EncoderConfig, backward_batch, forward_batch,
-                      init_params, patchify, token_gradients, tokenize)
+from .encoder import (EncoderConfig, TokenSequence, backward_batch,
+                      forward_batch, init_params, patchify, token_gradients,
+                      tokenize)
 from .errors import ParameterError
 from .heads import (ATTNPOOL, LINEAR, AttnPoolParams, ProbeParams,
                     head_gradients)
 from .numkernel import RngStream
-from .ssl import (SslConfig, dino_loss, dino_loss_grad, gram_loss,
-                  gram_loss_grad, ibot_loss, ibot_loss_grad, koleo_loss,
+from .ssl import (SslConfig, dino_loss_grad, gram_loss_grad, ibot_loss_grad,
                   koleo_loss_grad)
 
 TOLERANCE = 1e-4
@@ -75,17 +75,12 @@ def _check_tensor(loss_fn, arr, analytic, rng) -> float:
     return worst
 
 
-def _apply_fault(grads: dict, component: str, inject_fault):
-    if inject_fault == component:
-        name = sorted(grads)[0]
-        g = np.asarray(grads[name], dtype=np.float64).copy()
-        g.reshape(-1)[0] += 1.0
-        grads = dict(grads)
-        grads[name] = g
-    return grads
+def _crc_streams(rng: RngStream, tag: int, names) -> dict:
+    """One sampling stream per tensor, keyed on a hash of its name."""
+    return {n: rng.derive(tag, zlib.crc32(n.encode()) % 1000) for n in names}
 
 
-def _check_encoder_blocks(inject_fault=None) -> float:
+def _encoder_blocks():
     cfg = EncoderConfig(image_size=32, token_size=16, embed_dim=16,
                         depth=2, num_heads=2, mlp_ratio=2.0)
     rng = RngStream(seed=101, stream_id=1)
@@ -101,19 +96,14 @@ def _check_encoder_blocks(inject_fault=None) -> float:
         out, _ = forward_batch(z0, cfg, params)
         return float((w * out).sum())
 
-    out, cache = forward_batch(z0, cfg, params, want_cache=True)
+    _, cache = forward_batch(z0, cfg, params, want_cache=True)
     grads = backward_batch(w, cache, params)
-    grads = _apply_fault(grads, "encoder.blocks", inject_fault)
-    worst = _check_tensor(loss, z0, grads["z0"], rng.derive(4))
-    for name in sorted(grads):
-        if name == "z0":
-            continue
-        worst = max(worst, _check_tensor(loss, params[name], grads[name],
-                                         rng.derive(5, zlib.crc32(name.encode()) % 1000)))
-    return worst
+    streams = _crc_streams(rng, 5, params)
+    streams["z0"] = rng.derive(4)
+    return loss, grads, dict(params, z0=z0), streams
 
 
-def _check_encoder_embedding(inject_fault=None) -> float:
+def _encoder_embedding():
     cfg = EncoderConfig(image_size=32, token_size=16, embed_dim=12,
                         depth=0, num_heads=2, mlp_ratio=2.0)
     rng = RngStream(seed=102, stream_id=1)
@@ -131,60 +121,29 @@ def _check_encoder_embedding(inject_fault=None) -> float:
 
     grads = token_gradients(w[None, :, :], [patchify(raster, cfg)], [mask],
                             params, cfg)
-    grads = _apply_fault(grads, "encoder.embedding", inject_fault)
-    worst = 0.0
-    for name in sorted(grads):
-        worst = max(worst, _check_tensor(loss, params[name], grads[name],
-                                         rng.derive(3, zlib.crc32(name.encode()) % 1000)))
-    return worst
+    return loss, grads, params, _crc_streams(rng, 3, grads)
 
 
-def _check_dino(inject_fault=None) -> float:
+def _loss_term(seed, loss_grad, draws):
+    """A (value, grad) loss checked on its first argument.  Argument i
+    is drawn from stream i as (shape, sigma); the next stream samples."""
+    def build():
+        rng = RngStream(seed=seed, stream_id=1)
+        args = [rng.derive(i).gaussian(int(np.prod(shape)), 0.0, sigma)
+                .reshape(shape) for i, (shape, sigma) in enumerate(draws)]
+        _, grad = loss_grad(*args)
+        return (lambda: loss_grad(*args)[0], {"x": grad}, {"x": args[0]},
+                {"x": rng.derive(len(draws))})
+    return build
+
+
+def _centered_term(seed, loss_grad, rows):
     cfg = SslConfig(prototype_count=8)
-    rng = RngStream(seed=103, stream_id=1)
-    s = rng.derive(0).gaussian(4 * 8).reshape(4, 8)
-    t = rng.derive(1).gaussian(4 * 8).reshape(4, 8)
-    center = rng.derive(2).gaussian(8, 0.0, 0.1)
-    _, grad = dino_loss_grad(s, t, center, cfg)
-    grads = _apply_fault({"logits": grad}, "ssl.dino", inject_fault)
-    return _check_tensor(lambda: dino_loss(s, t, center, cfg), s,
-                         grads["logits"], rng.derive(3))
-
-
-def _check_ibot(inject_fault=None) -> float:
-    cfg = SslConfig(prototype_count=8)
-    rng = RngStream(seed=104, stream_id=1)
-    s = rng.derive(0).gaussian(6 * 8).reshape(6, 8)
-    t = rng.derive(1).gaussian(6 * 8).reshape(6, 8)
-    center = rng.derive(2).gaussian(8, 0.0, 0.1)
-    _, grad = ibot_loss_grad(s, t, center, cfg)
-    grads = _apply_fault({"logits": grad}, "ssl.ibot", inject_fault)
-    return _check_tensor(lambda: ibot_loss(s, t, center, cfg), s,
-                         grads["logits"], rng.derive(3))
-
-
-def _check_koleo(inject_fault=None) -> float:
-    rng = RngStream(seed=105, stream_id=1)
-    x = rng.derive(0).gaussian(8 * 16).reshape(8, 16)
-    _, grad = koleo_loss_grad(x)
-    grads = _apply_fault({"features": grad}, "ssl.koleo", inject_fault)
-    return _check_tensor(lambda: koleo_loss(x), x, grads["features"],
-                         rng.derive(1))
-
-
-def _check_gram(inject_fault=None) -> float:
-    rng = RngStream(seed=106, stream_id=1)
-    xs = rng.derive(0).gaussian(8 * 16).reshape(8, 16)
-    xg = rng.derive(1).gaussian(8 * 16).reshape(8, 16)
-    _, grad = gram_loss_grad(xs, xg)
-    grads = _apply_fault({"patches": grad}, "ssl.gram", inject_fault)
-    return _check_tensor(lambda: gram_loss(xs, xg), xs, grads["patches"],
-                         rng.derive(2))
+    return _loss_term(seed, lambda s, t, c: loss_grad(s, t, c, cfg),
+                      [((rows, 8), 1.0), ((rows, 8), 1.0), ((8,), 0.1)])
 
 
 def _head_batch(rng, d, n, count=4):
-    from .encoder import TokenSequence
-
     items = []
     for i in range(count):
         r = rng.derive(i)
@@ -194,24 +153,19 @@ def _head_batch(rng, d, n, count=4):
     return items
 
 
-def _check_linear_head(inject_fault=None) -> float:
+def _linear_head():
     rng = RngStream(seed=107, stream_id=1)
     d = 16
     batch = _head_batch(rng.derive(0), d, 4)
     p = ProbeParams(rng.derive(1).gaussian(2 * d, 0.0, 0.3).reshape(2, d),
                     rng.derive(2).gaussian(2, 0.0, 0.3))
-
-    def loss():
-        _, value = head_gradients(batch, p, LINEAR)
-        return value
-
     grads, _ = head_gradients(batch, p, LINEAR)
-    grads = _apply_fault(grads, "heads.linear", inject_fault)
-    worst = _check_tensor(loss, p.W_lp, grads["W_lp"], rng.derive(3))
-    return max(worst, _check_tensor(loss, p.b, grads["b"], rng.derive(4)))
+    return (lambda: head_gradients(batch, p, LINEAR)[1], grads,
+            {"W_lp": p.W_lp, "b": p.b},
+            {"W_lp": rng.derive(3), "b": rng.derive(4)})
 
 
-def _check_attnpool_head(inject_fault=None) -> float:
+def _attnpool_head():
     rng = RngStream(seed=108, stream_id=1)
     d, heads, n = 16, 2, 8
     dh = d // heads
@@ -221,41 +175,50 @@ def _check_attnpool_head(inject_fault=None) -> float:
     p = AttnPoolParams(Wq=g((heads, dh, d), 0), Wk=g((heads, dh, d), 1),
                        Wv=g((heads, dh, d), 2), Wo=g((d, d), 3),
                        W_attn=g((2, d), 4), b=g((2,), 5))
-
-    def loss():
-        _, value = head_gradients(batch, p, ATTNPOOL)
-        return value
-
     grads, _ = head_gradients(batch, p, ATTNPOOL)
-    grads = _apply_fault(grads, "heads.attnpool", inject_fault)
-    worst = 0.0
-    for name in sorted(grads):
-        worst = max(worst, _check_tensor(loss, getattr(p, name), grads[name],
-                                         rng.derive(2, zlib.crc32(name.encode()) % 1000)))
-    return worst
+    return (lambda: head_gradients(batch, p, ATTNPOOL)[1], grads,
+            {name: getattr(p, name) for name in grads},
+            _crc_streams(rng, 2, grads))
 
 
-_COMPONENTS = (
-    ("encoder.embedding", _check_encoder_embedding),
-    ("encoder.blocks", _check_encoder_blocks),
-    ("ssl.dino", _check_dino),
-    ("ssl.ibot", _check_ibot),
-    ("ssl.koleo", _check_koleo),
-    ("ssl.gram", _check_gram),
-    ("heads.linear", _check_linear_head),
-    ("heads.attnpool", _check_attnpool_head),
-)
+# Each builder returns (loss, analytic grads, tensors, sampling streams);
+# the last three are keyed alike, and every analytic gradient is checked
+# against central differences of loss over its tensor.
+_COMPONENTS = {
+    "encoder.embedding": _encoder_embedding,
+    "encoder.blocks": _encoder_blocks,
+    "ssl.dino": _centered_term(103, dino_loss_grad, 4),
+    "ssl.ibot": _centered_term(104, ibot_loss_grad, 6),
+    "ssl.koleo": _loss_term(105, koleo_loss_grad, [((8, 16), 1.0)]),
+    "ssl.gram": _loss_term(106, gram_loss_grad,
+                           [((8, 16), 1.0), ((8, 16), 1.0)]),
+    "heads.linear": _linear_head,
+    "heads.attnpool": _attnpool_head,
+}
+
+
+def _worst(build, inject_fault: bool) -> float:
+    loss, grads, tensors, streams = build()
+    if inject_fault:
+        # a visible offset on entry 0 of the first tensor by name
+        name = sorted(grads)[0]
+        grads = dict(grads)
+        grads[name] = np.asarray(grads[name], dtype=np.float64).copy()
+        grads[name].reshape(-1)[0] += 1.0
+    return max(_check_tensor(loss, tensors[n], grads[n], streams[n])
+               for n in grads)
 
 
 def component_names():
-    return [name for name, _ in _COMPONENTS]
+    return list(_COMPONENTS)
 
 
 def run_all(tolerance: float = TOLERANCE, inject_fault: str = None):
     """Every component's worst sampled relative error, in a fixed order."""
-    if inject_fault is not None and inject_fault not in component_names():
+    if inject_fault is not None and inject_fault not in _COMPONENTS:
         raise ParameterError(
             f"unknown component {inject_fault!r}; "
             f"expected one of {component_names()}")
-    return [ComponentResult(name, float(fn(inject_fault)), tolerance)
-            for name, fn in _COMPONENTS]
+    return [ComponentResult(name, float(_worst(build, name == inject_fault)),
+                            tolerance)
+            for name, build in _COMPONENTS.items()]

@@ -4,8 +4,13 @@ The probe reads only the class token and applies a softmax classifier.
 The pooling head forms one query per head from the class token, attends
 over the patch tokens, concatenates the per-head summaries through an
 output projection, and classifies the pooled vector.  Both heads train
-with Adam on mean cross-entropy while the encoder stays untouched;
-model selection is by best validation balanced accuracy.
+with Adam on mean cross-entropy (``head_gradients``) while the encoder
+stays untouched; model selection is by best validation balanced
+accuracy.
+
+Everything runs on batches: ``probs_batch`` is the one forward pass of
+both heads and ``predict_batch`` its argmax.  ``attention_pool`` gives
+one sequence's pooled vector and per-head weights for inspection.
 
 Projections are learnable by default.  The projection-free literal
 variant (query = class token, keys = values = raw patch tokens, no
@@ -15,15 +20,13 @@ output map) is available via ``identity_projections`` for ablation.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import load_params, save_params
 from .encoder import TokenSequence
-from .errors import ConfigError, DataError, ParameterError, ShapeError
-from .numkernel import RngStream, softmax_rows
+from .errors import ConfigError, ParameterError, ShapeError
+from .numkernel import RngStream, softmax_backward, softmax_rows, trunc_normal
 from .optim import AdamConfig, adam_init, adam_step
 
 LINEAR = "linear"
@@ -65,10 +68,6 @@ class AttnPoolParams:
         if self.W_attn.ndim != 2 or self.W_attn.shape[0] < 2:
             raise ParameterError("classifier needs C >= 2 rows")
 
-    @property
-    def num_heads(self):
-        return self.Wq.shape[0]
-
 
 @dataclass(frozen=True)
 class HeadTrainConfig:
@@ -104,31 +103,16 @@ def make_attnpool_params(embed_dim: int, num_classes: int, num_heads: int,
     if embed_dim % num_heads:
         raise ParameterError(
             f"embed_dim {embed_dim} not divisible by num_heads {num_heads}")
-    dh = embed_dim // num_heads
-    sigma = 0.02
-
-    def draw(shape):
-        v = rng.gaussian(int(np.prod(shape)), 0.0, sigma)
-        return np.clip(v, -2 * sigma, 2 * sigma).reshape(shape)
-
+    shape = (num_heads, embed_dim // num_heads, embed_dim)
     return AttnPoolParams(
-        Wq=draw((num_heads, dh, embed_dim)),
-        Wk=draw((num_heads, dh, embed_dim)),
-        Wv=draw((num_heads, dh, embed_dim)),
+        Wq=trunc_normal(rng, shape),
+        Wk=trunc_normal(rng, shape),
+        Wv=trunc_normal(rng, shape),
         Wo=np.eye(embed_dim),   # starts as a pass-through
         W_attn=np.zeros((num_classes, embed_dim)),
         b=np.zeros(num_classes),
         identity_projections=identity_projections,
     )
-
-
-def linear_probe_forward(cls_token, p: ProbeParams) -> np.ndarray:
-    """Class probabilities softmax(W z + b)."""
-    z = np.asarray(cls_token, dtype=np.float64)
-    if z.shape != (p.W_lp.shape[1],):
-        raise ShapeError(
-            f"class token has dim {z.shape}, probe expects ({p.W_lp.shape[1]},)")
-    return softmax_rows((p.W_lp @ z + p.b)[None, :])[0]
 
 
 def _pool_batch(cls, patches, p: AttnPoolParams, want_cache: bool = False):
@@ -154,7 +138,7 @@ def _pool_batch(cls, patches, p: AttnPoolParams, want_cache: bool = False):
     hh = np.einsum("bhn,bhnp->bhp", a, v)
     hc = hh.reshape(bsz, d)
     h = hc @ p.Wo.T
-    cache = dict(q=q, k=k, v=v, a=a, hh=hh, hc=hc) if want_cache else None
+    cache = dict(q=q, k=k, v=v, a=a, hc=hc) if want_cache else None
     return h, a, cache
 
 
@@ -164,12 +148,6 @@ def attention_pool(seq: TokenSequence, p: AttnPoolParams):
     return h[0], w[0]
 
 
-def attnpool_forward(seq: TokenSequence, p: AttnPoolParams) -> np.ndarray:
-    """Class probabilities from the pooled vector."""
-    h, _ = attention_pool(seq, p)
-    return softmax_rows((p.W_attn @ h + p.b)[None, :])[0]
-
-
 def _stack(items):
     cls = np.stack([seq.cls for seq, _ in items])
     patches = np.stack([seq.patches for seq, _ in items])
@@ -177,7 +155,14 @@ def _stack(items):
     return cls, patches, y
 
 
-def _probs_batch(cls, patches, params, mode):
+def probs_batch(cls, patches, params, mode):
+    """Class probabilities (B, C) from class tokens (B, D) and patch
+    tokens (B, N, D), plus what :func:`head_gradients` needs of the
+    pooling forward (None for the linear probe)."""
+    width = (params.W_lp if mode == LINEAR else params.W_attn).shape[1]
+    if cls.shape[1] != width:
+        raise ShapeError(
+            f"class tokens have dim {cls.shape[1]}, head expects {width}")
     if mode == LINEAR:
         return softmax_rows(cls @ params.W_lp.T + params.b), None
     h, _, cache = _pool_batch(cls, patches, params, want_cache=True)
@@ -191,7 +176,7 @@ def head_gradients(batch, params, mode):
     """
     cls, patches, y = _stack(batch)
     bsz = len(batch)
-    probs, extra = _probs_batch(cls, patches, params, mode)
+    probs, extra = probs_batch(cls, patches, params, mode)
     loss = float(-np.mean(np.log(probs[np.arange(bsz), y] + 1e-12)))
     dlogits = probs.copy()
     dlogits[np.arange(bsz), y] -= 1.0
@@ -210,8 +195,7 @@ def head_gradients(batch, params, mode):
     dhh = dhc.reshape(bsz, nh, dhd)
     da = np.einsum("bhp,bhnp->bhn", dhh, cache["v"])
     dv = np.einsum("bhn,bhp->bhnp", cache["a"], dhh)
-    inner = (da * cache["a"]).sum(axis=-1, keepdims=True)
-    dlog = cache["a"] * (da - inner) / np.sqrt(dhd)
+    dlog = softmax_backward(cache["a"], da) / np.sqrt(dhd)
     dq = np.einsum("bhn,bhnp->bhp", dlog, cache["k"])
     dk = np.einsum("bhn,bhp->bhnp", dlog, cache["q"])
     grads["Wq"] = np.einsum("bhp,bd->hpd", dq, cls)
@@ -230,18 +214,10 @@ def _params_dict(params, mode):
     return d
 
 
-def predict(seq: TokenSequence, params) -> int:
-    """argmax class; exact ties resolve to the lowest index."""
-    if isinstance(params, ProbeParams):
-        probs = linear_probe_forward(seq.cls, params)
-    else:
-        probs = attnpool_forward(seq, params)
-    return int(np.argmax(probs))
-
-
 def predict_batch(items, params, mode):
+    """argmax class per sequence; exact ties resolve to the lowest index."""
     cls, patches, _ = _stack([(seq, 0) for seq in items])
-    probs, _ = _probs_batch(cls, patches, params, mode)
+    probs, _ = probs_batch(cls, patches, params, mode)
     return probs.argmax(axis=1)
 
 
@@ -302,47 +278,3 @@ def train_head(train_items, val_items, mode, cfg: HeadTrainConfig,
             best.best_epoch = epoch
             best.params = copy.deepcopy(params)
     return best
-
-
-def save_head(path, params, extra: dict = None) -> None:
-    if isinstance(params, ProbeParams):
-        kind = "linear_head"
-        cfgdict = {"classes": int(params.W_lp.shape[0]),
-                   "embed_dim": int(params.W_lp.shape[1])}
-    else:
-        kind = "attnpool_head"
-        cfgdict = {"classes": int(params.W_attn.shape[0]),
-                   "embed_dim": int(params.Wo.shape[0]),
-                   "num_heads": int(params.num_heads),
-                   "identity_projections": bool(params.identity_projections)}
-    tensors = {k: np.asarray(v) for k, v in _params_dict(
-        params, LINEAR if kind == "linear_head" else ATTNPOOL).items()}
-    if kind == "attnpool_head" and params.identity_projections:
-        # keep the full tensor set so load() can rebuild the dataclass
-        tensors.update({"Wq": params.Wq, "Wk": params.Wk, "Wv": params.Wv,
-                        "Wo": params.Wo})
-    save_params(path, kind, cfgdict, tensors, extra=extra)
-
-
-def load_head(path):
-    kind, cfgdict, tensors, _ = load_params(path)
-    if kind == "linear_head":
-        return ProbeParams(tensors["W_lp"], tensors["b"])
-    if kind == "attnpool_head":
-        return AttnPoolParams(
-            tensors["Wq"], tensors["Wk"], tensors["Wv"], tensors["Wo"],
-            tensors["W_attn"], tensors["b"],
-            identity_projections=bool(cfgdict.get("identity_projections")))
-    raise DataError(f"{path}: not a head checkpoint (kind {kind!r})")
-
-
-def dump_attention_weights(items, params: AttnPoolParams, path) -> None:
-    """Per-item, per-head attention weights as JSON for inspection."""
-    out = []
-    for i, seq in enumerate(items):
-        _, w = attention_pool(seq, params)
-        out.append({"index": i, "weights": [list(map(float, row))
-                                            for row in w]})
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(out, fh, indent=1, sort_keys=True)
-        fh.write("\n")

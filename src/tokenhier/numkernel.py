@@ -1,9 +1,11 @@
 """Deterministic dense float64 primitives and the counter-based RNG.
 
-Matrices are plain 2-D ``numpy.ndarray`` objects with dtype float64 and
-row-major layout; ``Mat`` is an alias documenting that contract.  All
-operations here are pure functions over immutable inputs and are safe to
-call concurrently.
+This module holds the one copy of each numeric primitive the model
+uses: softmax and layer norm with their backward passes, exact GELU
+and clipped-normal init.  Arrays are float64 ``numpy.ndarray`` objects
+(``Mat`` documents that contract); the kernels act on the last axis,
+so leading batch or head axes pass through.  All operations here are
+pure functions over immutable inputs and are safe to call concurrently.
 
 Randomness comes from :class:`RngStream`, a counter-based generator built
 on the splitmix64 finalizer.  The n-th draw of a stream is a pure function
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import ParameterError
 
 Mat = np.ndarray
 
@@ -33,28 +35,8 @@ _MIX1 = np.uint64(_MIX1_INT)
 _MIX2 = np.uint64(_MIX2_INT)
 _STREAM_SALT = 0xD6E8FEB86659FD93
 
-
-def as_mat(a, name: str = "matrix") -> Mat:
-    """Coerce to a 2-D float64 array, rejecting anything else."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
-    return m
-
-
-def _check_finite(m: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise NumericError(f"{op} produced non-finite values")
-    return m
-
-
-def matmul(a: Mat, b: Mat) -> Mat:
-    """Standard matrix product with shape validation."""
-    a = as_mat(a, "a")
-    b = as_mat(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
-    return _check_finite(a @ b, "matmul")
+# layer norm's variance floor
+LN_EPS = 1e-6
 
 
 def softmax_rows(m: Mat) -> Mat:
@@ -66,22 +48,50 @@ def softmax_rows(m: Mat) -> Mat:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def layer_norm(x: Mat, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-6) -> Mat:
+def softmax_backward(p: Mat, dp: Mat) -> Mat:
+    """Gradient through :func:`softmax_rows`: given its output p and the
+    upstream gradient dp, the gradient with respect to its input."""
+    inner = (dp * p).sum(axis=-1, keepdims=True)
+    return p * (dp - inner)
+
+
+def layer_norm(x: Mat, gain: np.ndarray, bias: np.ndarray):
     """Per-row standardization followed by an affine map.
 
-    The denominator is ``sqrt(max(var, eps))`` rather than
+    The denominator is ``sqrt(max(var, LN_EPS))`` rather than
     ``sqrt(var + eps)`` so rows that are already exactly normalized pass
     through unchanged and constant rows collapse to the bias instead of
-    dividing by zero.
+    dividing by zero.  Returns (out, stats); stats feed
+    :func:`layer_norm_backward`.
     """
-    if eps <= 0:
-        raise ParameterError("layer_norm: eps must be > 0")
-    x = np.asarray(x, dtype=np.float64)
-    mu = np.mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.maximum(var, eps))
-    return centered * inv * gain + bias
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.maximum(var, LN_EPS))
+    xhat = xc * inv
+    return xhat * gain + bias, (xhat, inv, var)
+
+
+def layer_norm_backward(dy: Mat, gain: np.ndarray, stats):
+    """(dx, dgain, dbias) for :func:`layer_norm`; gain and bias
+    gradients are summed over every leading axis."""
+    xhat, inv, var = stats
+    lead = tuple(range(dy.ndim - 1))
+    dg = np.sum(dy * xhat, axis=lead)
+    db = np.sum(dy, axis=lead)
+    dxhat = dy * gain
+    live = (var > LN_EPS)  # else the denominator was pinned at sqrt(eps)
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    dx = inv * (dxhat - m1 - np.where(live, xhat * m2, 0.0))
+    return dx, dg, db
+
+
+def trunc_normal(rng: RngStream, shape, sigma: float = 0.02) -> np.ndarray:
+    """Normal draws clipped to two sigma, in one ``gaussian`` call so
+    the draw order is the row-major order of ``shape``."""
+    v = rng.gaussian(int(np.prod(shape)), 0.0, sigma)
+    return np.clip(v, -2 * sigma, 2 * sigma).reshape(shape)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -209,7 +219,3 @@ def _box_muller(raw1: np.ndarray, raw2: np.ndarray):
     u2 = (raw2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
 
-
-def gaussian(rng: RngStream, n: int, mu: float, sigma: float) -> np.ndarray:
-    """Module-level spelling of :meth:`RngStream.gaussian`."""
-    return rng.gaussian(n, mu, sigma)

@@ -3,20 +3,20 @@
 Four terms over prototype logits and token embeddings:
 
 - image-level: cross-entropy between the teacher's centered, sharpened
-  class-token distribution and the student's (``dino_loss``),
+  class-token distribution and the student's (``dino_loss_grad``),
 - patch-level: the same cross-entropy at masked positions, student
-  masked / teacher unmasked (``ibot_loss``),
+  masked / teacher unmasked (``ibot_loss_grad``),
 - spread: negative mean log nearest-neighbor distance of normalized
-  features (``koleo_loss``),
+  features (``koleo_loss_grad``),
 - anchoring: Frobenius gap between normalized patch Gram matrices
-  against a frozen earlier checkpoint (``gram_loss``), post-training
-  only.
+  against a frozen earlier checkpoint (``gram_loss_grad``),
+  post-training only.
 
-Every loss ships an analytic gradient verified against central
-differences.  The training step builds two augmented views per image,
-runs the student on masked tokens and the teacher unmasked, applies one
-Adam step to the student, and moves the teacher and the logit centers
-by momentum.
+Each term is one function returning (value, gradient); the gradient is
+verified against central differences.  The training step builds two
+augmented views per image, runs the student on masked tokens and the
+teacher unmasked, applies one Adam step to the student, and moves the
+teacher and the logit centers by momentum.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import (
     ParameterError,
     ShapeError,
 )
-from .numkernel import RngStream, gelu, gelu_grad, softmax_rows
+from .numkernel import RngStream, gelu, gelu_grad, softmax_rows, trunc_normal
 from .optim import AdamConfig, adam_init, adam_step
 
 _LOG_EPS = 1e-12
@@ -124,16 +124,10 @@ def _centered_ce(student_logits, teacher_logits, center, cfg: SslConfig):
     return rows, ds
 
 
-def dino_loss(student_cls_logits, teacher_cls_logits, center,
-              cfg: SslConfig) -> float:
-    """Image-level term for one (student, teacher) logit pair."""
-    rows, _ = _centered_ce(np.atleast_2d(student_cls_logits),
-                           np.atleast_2d(teacher_cls_logits), center, cfg)
-    return float(rows.mean())
-
-
 def dino_loss_grad(student_cls_logits, teacher_cls_logits, center,
                    cfg: SslConfig):
+    """Image-level term: mean centered cross-entropy over (student,
+    teacher) logit rows, and its student gradient."""
     s = np.atleast_2d(student_cls_logits)
     rows, ds = _centered_ce(s, np.atleast_2d(teacher_cls_logits), center, cfg)
     grad = ds / rows.size
@@ -142,15 +136,10 @@ def dino_loss_grad(student_cls_logits, teacher_cls_logits, center,
     return float(rows.mean()), grad
 
 
-def ibot_loss(student_masked_patch_logits, teacher_patch_logits, center,
-              cfg: SslConfig) -> float:
-    """Mean centered cross-entropy over masked patch positions."""
-    return ibot_loss_grad(student_masked_patch_logits, teacher_patch_logits,
-                          center, cfg)[0]
-
-
 def ibot_loss_grad(student_masked_patch_logits, teacher_patch_logits, center,
                    cfg: SslConfig):
+    """Mean centered cross-entropy over masked patch positions, and its
+    student gradient."""
     s = np.asarray(student_masked_patch_logits, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] == 0:
         raise ParameterError("need at least one masked position")
@@ -163,12 +152,9 @@ def _normalize_rows(x):
     return x / np.maximum(norms, 1e-12), norms
 
 
-def koleo_loss(features) -> float:
-    """Negative mean log nearest-neighbor distance of normalized rows."""
-    return koleo_loss_grad(features)[0]
-
-
 def koleo_loss_grad(features):
+    """Negative mean log nearest-neighbor distance of normalized rows,
+    and its gradient."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ParameterError("need at least 2 feature rows")
@@ -195,12 +181,9 @@ def koleo_loss_grad(features):
     return loss, dx
 
 
-def gram_loss(student_patches, gram_teacher_patches) -> float:
-    """Normalized-Gram Frobenius gap, averaged by 1/N^2."""
-    return gram_loss_grad(student_patches, gram_teacher_patches)[0]
-
-
 def gram_loss_grad(student_patches, gram_teacher_patches):
+    """Normalized-Gram Frobenius gap averaged by 1/N^2, and its student
+    gradient."""
     xs = np.asarray(student_patches, dtype=np.float64)
     xg = np.asarray(gram_teacher_patches, dtype=np.float64)
     if xs.ndim != 2 or xg.ndim != 2 or xs.shape[0] != xg.shape[0]:
@@ -221,14 +204,10 @@ def make_head_params(embed_dim: int, prototype_count: int,
                      rng: RngStream) -> dict:
     """2-layer GELU MLP head: D -> 2D -> K prototype logits."""
     hidden = 2 * embed_dim
-    sigma = 0.02
-    def draw(shape):
-        v = rng.gaussian(int(np.prod(shape)), 0.0, sigma)
-        return np.clip(v, -2 * sigma, 2 * sigma).reshape(shape)
     return {
-        "W1": draw((embed_dim, hidden)),
+        "W1": trunc_normal(rng, (embed_dim, hidden)),
         "b1": np.zeros(hidden),
-        "W2": draw((hidden, prototype_count)),
+        "W2": trunc_normal(rng, (hidden, prototype_count)),
         "b2": np.zeros(prototype_count),
     }
 
@@ -373,10 +352,9 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
 
     # image-level: cross-view pairs (teacher a -> student b and vice versa)
     swap = np.arange(2 * b).reshape(b, 2)[:, ::-1].reshape(-1)
-    dino_rows, d_logits_s = _centered_ce(logits_s, logits_t[swap],
-                                         state.cls_center, ssl_cfg)
-    dino = _guard(float(dino_rows.mean()), "dino", state.step)
-    d_logits_s = d_logits_s / (2 * b)
+    dino, d_logits_s = dino_loss_grad(logits_s, logits_t[swap],
+                                      state.cls_center, ssl_cfg)
+    _guard(dino, "dino", state.step)
 
     # patch-level at masked positions, stacked across views
     masked_rows_s = out_s[:, 1:, :][masks]
@@ -531,7 +509,9 @@ def ssl_config_dict(cfg: SslConfig) -> dict:
 
 
 def ssl_config_from_dict(d: dict) -> SslConfig:
+    """The config stored in an artifact header; one that is not an
+    object or not a valid config means the artifact is damaged."""
     try:
         return SslConfig(**d)
-    except TypeError as e:
-        raise ConfigError(f"bad ssl config: {e}") from None
+    except (TypeError, ConfigError) as e:
+        raise DataError(f"bad ssl config: {e}") from None

@@ -363,6 +363,19 @@ class TestEmbedDataset:
         with pytest.raises(DataError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("config", [{"embed_dim": -3}, {"depth": "x"},
+                                        {"warp": 9}])
+    def test_load_rejects_damaged_config(self, tmp_path, config):
+        """An invalid encoder config in the header is damaged data."""
+        from tokenhier.checkpoint import save_params
+
+        path = tmp_path / "x.emb"
+        save_params(path, "embeddings", config,
+                    {"cls": np.zeros((1, 4)), "patches": np.zeros((1, 2, 4)),
+                     "labels": np.zeros(1)})
+        with pytest.raises(DataError, match="bad encoder config"):
+            load_embeddings(path)
+
 
 class TestReports:
     def make(self):

