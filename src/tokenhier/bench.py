@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -30,8 +29,8 @@ import numpy as np
 
 from .checkpoint import config_fingerprint, load_params, save_params
 from .color import StainAugConfig, lab_to_rgb, read_ppm, rgb_to_lab
-from .encoder import (EncoderConfig, TokenSequence, config_hash,
-                      encoder_config_dict, encoder_config_from_dict, forward)
+from .encoder import (EncoderConfig, TokenSequence, encoder_config_from_dict,
+                      forward_batch, patchify, tokenize_batch)
 from .errors import ConfigError, DataError, ParameterError
 from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, predict_batch,
                     train_head)
@@ -47,8 +46,9 @@ GLOBAL = "global"
 LOCAL = "local"
 SHIFTED = "shifted"
 
-# Fixed forward-pass chunk so embeddings are bitwise independent of how
-# work is distributed across threads (BLAS kernels vary with shape).
+# Images per ``forward_batch`` call when embedding.  The chunk bounds the
+# activations held at once; the bytes of each item's tokens do not depend
+# on how the items are split into calls.
 _EMBED_CHUNK = 16
 
 
@@ -315,7 +315,7 @@ def make_token_suite(rng: RngStream, embed_dim: int = 64,
                     patch_count, embed_dim)
                 patches[signal_index, 0] += beacon
                 patches[signal_index, 1] += amplitude if c == 0 else -amplitude
-                items.append((TokenSequence(cls_tok, patches, "tokensuite"), c))
+                items.append((TokenSequence(cls_tok, patches), c))
         return items
 
     return build(per_class_train, 0), build(per_class_val, 1)
@@ -393,22 +393,18 @@ def embed_dataset(ds: LabeledDataset, enc_params: dict, cfg: EncoderConfig,
                   threads: int = 1) -> list:
     """Frozen-encoder token sequences for every item, in dataset order.
 
-    Work is chunked at a fixed size and chunks may run on a thread
-    pool; outputs are assembled in order, so results are byte-identical
-    for any thread count."""
+    Each chunk of images is patchified into one stack and run through
+    one ``tokenize_batch`` + ``forward_batch`` on the calling thread.
+    ``threads`` is ignored; it is still accepted for existing callers."""
     rasters = ds.rasters if isinstance(ds, LabeledDataset) else list(ds)
-    chunks = [rasters[i:i + _EMBED_CHUNK]
-              for i in range(0, len(rasters), _EMBED_CHUNK)]
-
-    def run(chunk):
-        return [forward(r, cfg, enc_params) for r in chunk]
-
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(c) for c in chunks]
-    return [seq for part in parts for seq in part]
+    seqs = []
+    for i in range(0, len(rasters), _EMBED_CHUNK):
+        stack = np.stack([patchify(r, cfg)
+                          for r in rasters[i:i + _EMBED_CHUNK]])
+        out, _ = forward_batch(tokenize_batch(stack, enc_params), cfg,
+                               enc_params)
+        seqs += [TokenSequence(row[0], row[1:]) for row in out]
+    return seqs
 
 
 def save_embeddings(path, seqs: list, labels, cfg: EncoderConfig,
@@ -418,7 +414,7 @@ def save_embeddings(path, seqs: list, labels, cfg: EncoderConfig,
         "patches": np.stack([s.patches for s in seqs]),
         "labels": np.asarray(labels, dtype=np.float64),
     }
-    save_params(path, "embeddings", encoder_config_dict(cfg), tensors,
+    save_params(path, "embeddings", asdict(cfg), tensors,
                 extra=extra or {})
 
 
@@ -426,8 +422,20 @@ def load_embeddings(path):
     kind, cfgdict, tensors, extra = load_params(path)
     if kind != "embeddings":
         raise DataError(f"{path}: not an embeddings file (kind {kind!r})")
-    chash = config_hash(encoder_config_from_dict(cfgdict))
-    seqs = [TokenSequence(c, p, chash)
+    cfg = encoder_config_from_dict(cfgdict)
+    shapes = {"cls": (cfg.embed_dim,),
+              "patches": (cfg.num_patches, cfg.embed_dim), "labels": ()}
+    for name, row_shape in shapes.items():
+        if name not in tensors:
+            raise DataError(f"{path}: no {name!r} tensor")
+        shape = tensors[name].shape
+        if not shape or shape[1:] != row_shape:
+            raise DataError(f"{path}: {name!r} has shape {shape}; the "
+                            f"header's encoder gives rows of {row_shape}")
+    if len({tensors[name].shape[0] for name in shapes}) != 1:
+        raise DataError(f"{path}: cls, patches and labels disagree on the "
+                        "item count")
+    seqs = [TokenSequence(c, p)
             for c, p in zip(tensors["cls"], tensors["patches"])]
     return seqs, tensors["labels"].astype(np.int64), extra
 
@@ -566,7 +574,6 @@ class AblationConfig:
         hsv_std_sigma=(0.1, 0.1, 0.1)))
     head: HeadTrainConfig = field(default_factory=lambda: HeadTrainConfig(
         epochs=60, lr=1e-2, weight_decay=1e-3, batch=32, num_heads=4))
-    threads: int = 1
 
     def __post_init__(self):
         if not self.seeds:
@@ -575,14 +582,6 @@ class AblationConfig:
             raise ConfigError("bad pretrain schedule")
         if self.ssl_lr <= 0:
             raise ConfigError("ssl_lr must be positive")
-
-
-def ablation_config_dict(cfg: AblationConfig) -> dict:
-    d = asdict(cfg)
-    # thread count is execution infrastructure, not configuration: results
-    # are identical for any value, so it stays out of the fingerprint
-    d.pop("threads")
-    return d
 
 
 def _pretrain_encoder(corpus, cfg: AblationConfig, seed: int,
@@ -649,7 +648,7 @@ def run_ablation(datasets: dict, cfg: AblationConfig) -> dict:
                 enc = _pretrain_encoder(tr.rasters, cfg, seed,
                                         augmented=flag)
                 embeds[flag] = tuple(
-                    embed_dataset(ds, enc, cfg.encoder, cfg.threads)
+                    embed_dataset(ds, enc, cfg.encoder)
                     for ds in (tr, va, te))
             for i, rowdef in enumerate(_ROW_DEFS):
                 etr, eva, ete = embeds[rowdef["staining_aug"]]
@@ -674,7 +673,7 @@ def run_ablation(datasets: dict, cfg: AblationConfig) -> dict:
         rows[i]["delta_rendered"] = _fmt_delta(rows[i]["delta_vs_previous"])
     if any(r["split_hashes"] != rows[0]["split_hashes"] for r in rows):
         raise DataError("ablation rows saw different splits")
-    fingerprint = config_fingerprint(ablation_config_dict(cfg))
+    fingerprint = config_fingerprint(asdict(cfg))
     report = {
         "format_version": 1,
         "task": "+".join(names),

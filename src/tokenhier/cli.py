@@ -8,11 +8,12 @@ Conventions shared by every command:
   - exit codes: 0 success, 1 verification failure, 2 usage/config
     error, 3 data error
   - configs come from an optional JSON file (flat, module-mirrored
-    field names) with command-line flags overriding file values
-  - every primary output records a fingerprint of the resolved config;
-    thread count is execution infrastructure and deliberately excluded
-    from the fingerprint, so outputs are byte-identical for any
-    --threads value
+    field names) with command-line flags overriding file values;
+    integer keys take JSON integers only
+  - every primary output records a fingerprint of the resolved config
+  - --threads (fallback TOKENHIER_THREADS) is validated but no command
+    runs a worker pool, so outputs are byte-identical for any value and
+    the thread count stays out of every fingerprint
   - timestamps appear only in ``<output>.log`` sidecars, never in
     primary outputs
 """
@@ -38,7 +39,7 @@ from .bench import (AblationConfig, SuiteSpec, acceptance_suites,
                     split_dataset, write_bacc_svg, write_report)
 from .checkpoint import config_fingerprint
 from .color import StainAugConfig, read_ppm, stain_augment, write_ppm
-from .encoder import EncoderConfig, encoder_config_dict
+from .encoder import EncoderConfig
 from .errors import (ConfigError, DataError, NumericError, ParameterError,
                      TokenhierError)
 from .gradcheck import component_names, run_all
@@ -46,8 +47,7 @@ from .heads import ATTNPOOL, LINEAR, HeadTrainConfig, predict_batch, train_head
 from .numkernel import RngStream
 from .optim import AdamConfig
 from .ssl import (POSTTRAIN, SslConfig, init_train_state, load_train_state,
-                  run_training, save_train_state, ssl_config_dict,
-                  student_encoder_params)
+                  run_training, save_train_state, student_encoder_params)
 from .tiler import TileManifest, extract_tiles, merge_manifests, write_manifest
 
 _DESK = AblationConfig()   # desk-scale defaults shared with the ablation grid
@@ -72,10 +72,20 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
+def _integer(key: str, value):
+    """A config value that must be a JSON integer (not a float or bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _build(dc_type, base, flat: dict):
     """Dataclass instance from flat config keys matching its fields."""
     names = {f.name for f in fields(dc_type)}
     picked = {k: v for k, v in flat.items() if k in names}
+    for f in fields(dc_type):
+        if f.name in picked and f.type in (int, "int"):
+            _integer(f.name, picked[f.name])
     try:
         return replace(base, **picked) if base is not None else dc_type(**picked)
     except TypeError as e:
@@ -104,14 +114,11 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        value = int(os.environ.get("TOKENHIER_THREADS", "1"))
+def _check_threads(args) -> None:
+    value = (args.threads if args.threads is not None
+             else int(os.environ.get("TOKENHIER_THREADS", "1")))
     if value < 1:
         raise ConfigError(f"--threads must be >= 1, got {value}")
-    return value
 
 
 def _ensure_parent(path) -> None:
@@ -178,13 +185,14 @@ def cmd_augment(args) -> int:
         raise DataError(f"no .ppm files under {args.input}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    resolved = {"seed": args.seed, "space": aug.space,
+    seed = 0 if args.seed is None else args.seed
+    resolved = {"seed": seed, "space": aug.space,
                 "lab_mean_sigma": aug.lab_mean_sigma,
                 "lab_std_sigma": aug.lab_std_sigma,
                 "hsv_mean_sigma": aug.hsv_mean_sigma,
                 "hsv_std_sigma": aug.hsv_std_sigma}
     fp = _fingerprint("augment", resolved)
-    root = RngStream(seed=args.seed, stream_id=71)
+    root = RngStream(seed=seed, stream_id=71)
     for i, f in enumerate(files):
         write_ppm(out_dir / f.name, stain_augment(read_ppm(f), aug,
                                                   root.derive(i)))
@@ -215,16 +223,17 @@ def _training_configs(args):
     enc = _build(EncoderConfig, _DESK.encoder, flat)
     ssl = _build(SslConfig, _DESK.ssl, flat)
     aug = _build(StainAugConfig, _DESK.aug, flat)
-    steps = args.steps if args.steps is not None else int(flat.get("steps", 200))
+    steps = (args.steps if args.steps is not None
+             else _integer("steps", flat.get("steps", 200)))
     batch = (args.batch_size if args.batch_size is not None
-             else int(flat.get("batch_size", _DESK.batch_size)))
+             else _integer("batch_size",
+                           flat.get("batch_size", _DESK.batch_size)))
     lr = float(flat.get("lr", _DESK.ssl_lr))
-    seed = args.seed if args.seed is not None else int(flat.get("seed", 0))
+    seed = (args.seed if args.seed is not None
+            else _integer("seed", flat.get("seed", 0)))
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
-    resolved = {"encoder": encoder_config_dict(enc),
-                "ssl": ssl_config_dict(ssl),
-                "aug": asdict(aug),
+    resolved = {"encoder": asdict(enc), "ssl": asdict(ssl), "aug": asdict(aug),
                 "steps": steps, "batch_size": batch, "lr": lr, "seed": seed}
     return enc, ssl, aug, steps, batch, lr, seed, resolved
 
@@ -248,13 +257,13 @@ def _run_ssl(args, phase: str) -> int:
         if not args.gram_teacher:
             raise ConfigError("post-training requires --gram-teacher")
         anchor_state, anchor_enc, _, _ = load_train_state(args.gram_teacher)
-        if encoder_config_dict(anchor_enc) != encoder_config_dict(enc):
+        if anchor_enc != enc:
             raise ConfigError("--gram-teacher encoder geometry differs "
                               "from the requested config")
         gram_params = student_encoder_params(anchor_state)
         if args.init:
             state, init_enc, _, _ = load_train_state(args.init)
-            if encoder_config_dict(init_enc) != encoder_config_dict(enc):
+            if init_enc != enc:
                 raise ConfigError("--init encoder geometry differs "
                                   "from the requested config")
         else:
@@ -305,9 +314,10 @@ def cmd_embed(args) -> int:
     ds = ingest_directory(args.data)
     if not ds.items:
         raise DataError(f"{args.data}: no class subdirectory holds a .ppm file")
-    fp = _fingerprint("embed", {"encoder": encoder_config_dict(enc_cfg),
+    fp = _fingerprint("embed", {"encoder": asdict(enc_cfg),
                                 "data": sorted(ds.source_ids)})
-    seqs = embed_dataset(ds, params, enc_cfg, threads=_threads(args))
+    _check_threads(args)
+    seqs = embed_dataset(ds, params, enc_cfg)
     _ensure_parent(args.out)
     save_embeddings(args.out, seqs, ds.labels, enc_cfg,
                     extra={"config_fingerprint": fp,
@@ -334,13 +344,12 @@ def cmd_probe(args) -> int:
             f"{args.data}: found {len(ds.class_names)} class directories; "
             "probing needs at least 2")
     tr, va, te = split_dataset(ds, seed)
-    threads = _threads(args)
-    etr, eva, ete = (embed_dataset(s, params, enc_cfg, threads=threads)
-                     for s in (tr, va, te))
+    _check_threads(args)
+    etr, eva, ete = (embed_dataset(s, params, enc_cfg) for s in (tr, va, te))
     result = train_head(list(zip(etr, tr.labels)), list(zip(eva, va.labels)),
                         args.mode, head_cfg)
     preds = predict_batch(ete, result.params, args.mode)
-    resolved = {"encoder": encoder_config_dict(enc_cfg), "mode": args.mode,
+    resolved = {"encoder": asdict(enc_cfg), "mode": args.mode,
                 "seed": seed, "epochs": head_cfg.epochs, "lr": head_cfg.lr,
                 "weight_decay": head_cfg.weight_decay,
                 "batch": head_cfg.batch, "num_heads": head_cfg.num_heads}
@@ -375,7 +384,8 @@ def _materialize_suite(kind: str, per_class: int, seed: int, out_dir: Path):
 
 def cmd_bench(args) -> int:
     out_dir = Path(args.out)
-    splits = _materialize_suite(args.suite, args.per_class, args.seed, out_dir)
+    seed = 0 if args.seed is None else args.seed
+    splits = _materialize_suite(args.suite, args.per_class, seed, out_dir)
     tr, va, te = splits
 
     def feats(ds):
@@ -389,9 +399,9 @@ def cmd_bench(args) -> int:
     baseline = balanced_accuracy(te.labels, preds, len(tr.class_names))
     fp = _fingerprint("bench", {"suite": args.suite,
                                 "per_class": args.per_class,
-                                "seed": args.seed})
+                                "seed": seed})
     report = make_report(f"suite-{args.suite}", te.labels, preds,
-                         len(tr.class_names), fp, args.seed,
+                         len(tr.class_names), fp, seed,
                          class_names=tr.class_names,
                          extra={"note": "mean-color nearest-centroid "
                                         "baseline on the held-out third"})
@@ -416,18 +426,21 @@ def cmd_ablate(args) -> int:
     _reject_unknown(flat, _ABLATE_KEYS)
     cfg = _DESK
     if "seeds" in flat:
-        cfg = replace(cfg, seeds=tuple(int(s) for s in flat["seeds"]))
+        if not isinstance(flat["seeds"], list):
+            raise ConfigError(f"seeds must be a list, got {flat['seeds']!r}")
+        cfg = replace(cfg, seeds=tuple(_integer("seeds", s)
+                                       for s in flat["seeds"]))
     for key in ("pretrain_steps", "batch_size"):
         if key in flat:
-            cfg = replace(cfg, **{key: int(flat[key])})
+            cfg = replace(cfg, **{key: _integer(key, flat[key])})
     if "ssl_lr" in flat:
         cfg = replace(cfg, ssl_lr=float(flat["ssl_lr"]))
     if "head_epochs" in flat:
-        cfg = replace(cfg, head=replace(cfg.head,
-                                        epochs=int(flat["head_epochs"])))
-    cfg = replace(cfg, threads=_threads(args))
-    suite_seed = int(flat.get("suite_seed", 2024))
-    per_class = int(flat.get("suite_per_class", 60))
+        cfg = replace(cfg, head=replace(
+            cfg.head, epochs=_integer("head_epochs", flat["head_epochs"])))
+    _check_threads(args)
+    suite_seed = _integer("suite_seed", flat.get("suite_seed", 2024))
+    per_class = _integer("suite_per_class", flat.get("suite_per_class", 60))
     suites = acceptance_suites(RngStream(seed=suite_seed, stream_id=5),
                                per_class)
     report = run_ablation(suites, cfg)
@@ -525,8 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="run seed (default 0 or the config file value)")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker pool cap; TOKENHIER_THREADS is the "
-                             "fallback, then 1")
+                        help="accepted and checked (>= 1) for "
+                             "compatibility; no command runs a worker pool. "
+                             "TOKENHIER_THREADS is the fallback, then 1")
     common.add_argument("--log-level", choices=("quiet", "info"),
                         default="info")
     common.add_argument("--config", default=None,
@@ -548,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--space", choices=("lab", "hsv", "both"), default=None)
-    p.set_defaults(func=cmd_augment, seed=0)
+    p.set_defaults(func=cmd_augment)
 
     for name, fn in (("pretrain", cmd_pretrain), ("posttrain", cmd_posttrain)):
         p = sub.add_parser(name, parents=[common],
@@ -591,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--per-class", type=int, default=30)
-    p.set_defaults(func=cmd_bench, seed=0)
+    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("ablate", parents=[common],
                        help="three-row augmentation/head grid with report "

@@ -7,17 +7,16 @@ the output sequence.  Masked variants swap selected patch projections
 for a learned mask token before positions are added.
 
 Everything is batched as (B, S, D) float64 arrays with S = N + 1 and
-the class token at row 0.  ``forward_batch`` returns a cache that
-``backward_batch`` consumes to produce parameter gradients; both are
-pure functions of their inputs, so batch items can be computed in any
-order or split across workers with identical results.
+the class token at row 0: ``patchify`` one raster per item, stack,
+``tokenize_batch``, then ``forward_batch``.  That is the only path, for
+training and for frozen embeddings alike.  ``forward_batch`` returns a
+cache that ``backward_batch`` consumes to produce parameter gradients;
+both are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,16 +77,10 @@ class EncoderConfig:
         return int(round(self.embed_dim * self.mlp_ratio))
 
 
-def config_hash(cfg: EncoderConfig) -> str:
-    payload = json.dumps(asdict(cfg), sort_keys=True).encode("ascii")
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 @dataclass
 class TokenSequence:
     cls: np.ndarray        # (D,)
     patches: np.ndarray    # (N, D)
-    config_hash: str
 
 
 def init_params(cfg: EncoderConfig, rng: RngStream) -> dict:
@@ -120,13 +113,6 @@ def init_params(cfg: EncoderConfig, rng: RngStream) -> dict:
     return p
 
 
-def param_count(cfg: EncoderConfig) -> int:
-    d, hm = cfg.embed_dim, cfg.mlp_hidden
-    per_layer = 2 * d + 4 * d * d + 4 * d + 2 * d + d * hm + hm + hm * d + d
-    return (cfg.patch_dim * d + d + cfg.seq_len * d + d + d
-            + cfg.depth * per_layer + 2 * d)
-
-
 def patchify(raster, cfg: EncoderConfig) -> np.ndarray:
     """(N, t*t*3) rows in [0,1], patches scanned row-major."""
     r = as_raster(raster)
@@ -156,17 +142,6 @@ def tokenize_batch(patches: np.ndarray, params: dict, masks=None) -> np.ndarray:
     z0[:, 1:] = proj
     z0 += params["pos"]
     return z0
-
-
-def tokenize(raster, cfg: EncoderConfig, params: dict, mask=None) -> np.ndarray:
-    """Initial sequence of one raster, (S, D); see :func:`tokenize_batch`."""
-    masks = None
-    if mask is not None:
-        masks = np.asarray(mask, dtype=bool)[None]
-        if masks.shape != (1, cfg.num_patches):
-            raise ShapeError(f"mask must have shape ({cfg.num_patches},), "
-                             f"got {masks.shape[1:]}")
-    return tokenize_batch(patchify(raster, cfg)[None], params, masks)[0]
 
 
 def _split_heads(x, cfg: EncoderConfig):
@@ -296,18 +271,6 @@ def token_gradients(dz0: np.ndarray, patch_mats, masks, params: dict,
         grads["embed.W"] += patch_mats[i][live].T @ dpatch[live]
         grads["embed.b"] += dpatch[live].sum(axis=0)
     return grads
-
-
-def forward(raster, cfg: EncoderConfig, params: dict) -> TokenSequence:
-    """Single-image forward pass to the final token sequence."""
-    z0 = tokenize(raster, cfg, params)
-    out, _ = forward_batch(z0[None, :, :], cfg, params)
-    return TokenSequence(cls=out[0, 0].copy(), patches=out[0, 1:].copy(),
-                         config_hash=config_hash(cfg))
-
-
-def encoder_config_dict(cfg: EncoderConfig) -> dict:
-    return asdict(cfg)
 
 
 def encoder_config_from_dict(d: dict) -> EncoderConfig:

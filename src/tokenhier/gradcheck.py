@@ -20,7 +20,7 @@ import numpy as np
 
 from .encoder import (EncoderConfig, TokenSequence, backward_batch,
                       forward_batch, init_params, patchify, token_gradients,
-                      tokenize)
+                      tokenize_batch)
 from .errors import ParameterError
 from .heads import (ATTNPOOL, LINEAR, AttnPoolParams, ProbeParams,
                     head_gradients)
@@ -117,7 +117,8 @@ def _encoder_embedding():
         cfg.seq_len, cfg.embed_dim)
 
     def loss():
-        return float((w * tokenize(raster, cfg, params, mask=mask)).sum())
+        z0 = tokenize_batch(patchify(raster, cfg)[None], params, mask[None])
+        return float((w * z0[0]).sum())
 
     grads = token_gradients(w[None, :, :], [patchify(raster, cfg)], [mask],
                             params, cfg)
@@ -148,8 +149,8 @@ def _head_batch(rng, d, n, count=4):
     for i in range(count):
         r = rng.derive(i)
         items.append((TokenSequence(r.derive(0).gaussian(d),
-                                    r.derive(1).gaussian(n * d).reshape(n, d),
-                                    "gc"), i % 2))
+                                    r.derive(1).gaussian(n * d).reshape(n, d)),
+                      i % 2))
     return items
 
 

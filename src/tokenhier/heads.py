@@ -11,10 +11,8 @@ accuracy.
 Everything runs on batches: ``probs_batch`` is the one forward pass of
 both heads and ``predict_batch`` its argmax.  ``attention_pool`` gives
 one sequence's pooled vector and per-head weights for inspection.
-
-Projections are learnable by default.  The projection-free literal
-variant (query = class token, keys = values = raw patch tokens, no
-output map) is available via ``identity_projections`` for ablation.
+Every pooling projection (per-head query, key and value maps and the
+output map) is learned.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ class AttnPoolParams:
     Wo: np.ndarray         # (D, D)
     W_attn: np.ndarray     # (C, D)
     b: np.ndarray          # (C,)
-    identity_projections: bool = False
 
     def __post_init__(self):
         h, dh, d = self.Wq.shape
@@ -96,8 +93,7 @@ def make_probe_params(embed_dim: int, num_classes: int) -> ProbeParams:
 
 
 def make_attnpool_params(embed_dim: int, num_classes: int, num_heads: int,
-                         rng: RngStream,
-                         identity_projections: bool = False) -> AttnPoolParams:
+                         rng: RngStream) -> AttnPoolParams:
     if num_classes < 2:
         raise ParameterError("need at least 2 classes")
     if embed_dim % num_heads:
@@ -111,7 +107,6 @@ def make_attnpool_params(embed_dim: int, num_classes: int, num_heads: int,
         Wo=np.eye(embed_dim),   # starts as a pass-through
         W_attn=np.zeros((num_classes, embed_dim)),
         b=np.zeros(num_classes),
-        identity_projections=identity_projections,
     )
 
 
@@ -121,14 +116,6 @@ def _pool_batch(cls, patches, p: AttnPoolParams, want_cache: bool = False):
     bsz, n, d = patches.shape
     if n == 0:
         raise ParameterError("no patch tokens to pool over")
-    if p.identity_projections:
-        # literal form: one head over raw tokens, no projections
-        logits = np.einsum("bd,bnd->bn", cls, patches) / np.sqrt(d)
-        a = softmax_rows(logits)
-        h = np.einsum("bn,bnd->bd", a, patches)
-        weights = a[:, None, :]
-        cache = dict(a=a) if want_cache else None
-        return h, weights, cache
     dh = p.Wq.shape[1]
     q = np.einsum("hpd,bd->bhp", p.Wq, cls)
     k = np.einsum("hpd,bnd->bhnp", p.Wk, patches)
@@ -186,9 +173,6 @@ def head_gradients(batch, params, mode):
     h, cache = extra
     grads = {"W_attn": dlogits.T @ h, "b": dlogits.sum(axis=0)}
     dh = dlogits @ params.W_attn
-    if params.identity_projections:
-        # only the classifier is trainable in the literal form
-        return grads, loss
     dhc = dh @ params.Wo
     grads["Wo"] = dh.T @ cache["hc"]
     nh, dhd = params.Wq.shape[0], params.Wq.shape[1]
@@ -207,11 +191,8 @@ def head_gradients(batch, params, mode):
 def _params_dict(params, mode):
     if mode == LINEAR:
         return {"W_lp": params.W_lp, "b": params.b}
-    d = {"W_attn": params.W_attn, "b": params.b}
-    if not params.identity_projections:
-        d.update({"Wq": params.Wq, "Wk": params.Wk, "Wv": params.Wv,
-                  "Wo": params.Wo})
-    return d
+    return {"W_attn": params.W_attn, "b": params.b, "Wq": params.Wq,
+            "Wk": params.Wk, "Wv": params.Wv, "Wo": params.Wo}
 
 
 def predict_batch(items, params, mode):
@@ -229,8 +210,8 @@ class HeadTrainResult:
     best_val_bacc: float = 0.0
 
 
-def train_head(train_items, val_items, mode, cfg: HeadTrainConfig,
-               identity_projections: bool = False) -> HeadTrainResult:
+def train_head(train_items, val_items, mode,
+               cfg: HeadTrainConfig) -> HeadTrainResult:
     """Mini-batch Adam on mean cross-entropy; the returned params are
     the epoch snapshot with the best validation balanced accuracy."""
     from .bench import balanced_accuracy  # deferred: bench builds on this module
@@ -249,8 +230,7 @@ def train_head(train_items, val_items, mode, cfg: HeadTrainConfig,
         params = make_probe_params(d, c)
     else:
         params = make_attnpool_params(
-            d, c, cfg.num_heads, RngStream(seed=cfg.seed, stream_id=77),
-            identity_projections=identity_projections)
+            d, c, cfg.num_heads, RngStream(seed=cfg.seed, stream_id=77))
     adam_cfg = AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay)
     pdict = _params_dict(params, mode)
     opt = adam_init(pdict)

@@ -32,7 +32,6 @@ from .color import StainAugConfig, stain_augment
 from .encoder import (
     EncoderConfig,
     backward_batch,
-    encoder_config_dict,
     encoder_config_from_dict,
     forward_batch,
     init_params,
@@ -466,8 +465,8 @@ def save_train_state(path, state: TrainState, enc_cfg: EncoderConfig,
     if state.gram_teacher is not None:
         tensors.update(_prefixed(state.gram_teacher, "gram."))
     config = {
-        "encoder": encoder_config_dict(enc_cfg),
-        "ssl": ssl_config_dict(ssl_cfg),
+        "encoder": asdict(enc_cfg),
+        "ssl": asdict(ssl_cfg),
         "step": int(state.step),
         "adam_t": int(state.adam["t"]),
         "has_gram_teacher": state.gram_teacher is not None,
@@ -502,10 +501,6 @@ def load_train_state(path):
     enc_cfg = encoder_config_from_dict(config.get("encoder", {}))
     ssl_cfg = ssl_config_from_dict(config.get("ssl", {}))
     return state, enc_cfg, ssl_cfg, extra
-
-
-def ssl_config_dict(cfg: SslConfig) -> dict:
-    return asdict(cfg)
 
 
 def ssl_config_from_dict(d: dict) -> SslConfig:

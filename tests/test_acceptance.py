@@ -134,7 +134,7 @@ def test_c2_oracle_equivalence():
     p = AttnPoolParams(Wq=eye[None], Wk=eye[None], Wv=eye[None], Wo=eye,
                        W_attn=np.zeros((2, 2)), b=np.zeros(2))
     seq = TokenSequence(np.array([1.0, 0.0]),
-                        np.array([[2.0, 0.0], [0.0, 2.0]]), "t")
+                        np.array([[2.0, 0.0], [0.0, 2.0]]))
     a1 = 1.0 / (1.0 + math.exp(-math.sqrt(2.0)))
     h_pool, w_pool = attention_pool(seq, p)
     pool_err = max(abs(h_pool[0] - 2.0 * a1), abs(h_pool[1] - 2.0 * (1 - a1)),

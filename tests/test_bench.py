@@ -1,13 +1,14 @@
+import hashlib
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from tokenhier.bench import (GLOBAL, LOCAL, SHIFTED, TEST, TRAIN, VAL,
-                             AblationConfig, LabeledDataset, SuiteSpec,
-                             ablation_config_dict, apply_protocol_shift,
+from tokenhier.bench import (GLOBAL, LOCAL, SHIFTED, SUITE_SPECS, TEST,
+                             TRAIN, VAL, AblationConfig, LabeledDataset,
+                             SuiteSpec, apply_protocol_shift,
                              balanced_accuracy, class_recalls, embed_dataset,
                              ingest_directory, load_embeddings, make_report,
                              make_pretrain_corpus, make_synthetic_suite,
@@ -321,6 +322,31 @@ class TestSplitDataset:
             split_dataset(self.make_ds(4), seed=0)
 
 
+EMBED_ENCODERS = {"desk": AblationConfig().encoder, "default": EncoderConfig()}
+
+GOLDEN_EMBED_SHA256 = {
+    "desk": "9d7a921ab3ff29c2f4073ef31fc305b29875ee4cc2f0ebe987fefbd2e5f60b0a",
+    "default": "cd9231cd708d5f0a4c7bf68e8f7649c87c36473919e528ee0a003db385a0300a",
+}
+
+
+def local_rasters():
+    """The 20 rasters of the seed-0 shipped LOCAL suite at 10 per class,
+    train then val then test."""
+    spec = SuiteSpec(per_class=10, **SUITE_SPECS[LOCAL])
+    splits = make_synthetic_suite(RngStream(seed=0, stream_id=5), spec)
+    return [r for ds in splits for r in ds.rasters]
+
+
+def embedding_digest(seqs) -> str:
+    """sha256 over the stacked class tokens, then the stacked patches."""
+    h = hashlib.sha256()
+    for arr in (np.stack([s.cls for s in seqs]),
+                np.stack([s.patches for s in seqs])):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 class TestEmbedDataset:
     def setup_method(self):
         self.suite = small_suite(GLOBAL, per_class=12)
@@ -333,14 +359,25 @@ class TestEmbedDataset:
         assert seqs[0].cls.shape == (16,)
         assert seqs[0].patches.shape == (4, 16)
 
-    def test_thread_count_invariant(self):
-        """Chunked embedding is byte-identical for 1 and 4 threads."""
-        tr = self.suite[0]
-        one = embed_dataset(tr, self.params, SMALL_ENC, threads=1)
-        four = embed_dataset(tr, self.params, SMALL_ENC, threads=4)
-        for a, b in zip(one, four):
-            assert np.array_equal(a.cls, b.cls)
-            assert np.array_equal(a.patches, b.patches)
+    @pytest.mark.parametrize("name", sorted(EMBED_ENCODERS))
+    def test_golden_digest(self, name):
+        """Embedding bytes on the seed-0 LOCAL suite, pinned from the
+        batch-1 forward so the batched path must reproduce them."""
+        cfg = EMBED_ENCODERS[name]
+        params = init_params(cfg, RngStream(seed=0, stream_id=11))
+        seqs = embed_dataset(local_rasters(), params, cfg)
+        assert len(seqs) == 20
+        assert embedding_digest(seqs) == GOLDEN_EMBED_SHA256[name]
+
+    def test_chunk_split_invariant(self):
+        """17 items in one call (a full chunk plus one) give the same
+        bytes as 17 one-item calls, for both pinned encoders."""
+        rasters = local_rasters()[:17]
+        for cfg in EMBED_ENCODERS.values():
+            params = init_params(cfg, RngStream(seed=0, stream_id=11))
+            whole = embed_dataset(rasters, params, cfg)
+            single = [embed_dataset([r], params, cfg)[0] for r in rasters]
+            assert embedding_digest(whole) == embedding_digest(single)
 
     def test_save_load_round_trip(self, tmp_path):
         tr = self.suite[0]
@@ -375,6 +412,46 @@ class TestEmbedDataset:
                      "labels": np.zeros(1)})
         with pytest.raises(DataError, match="bad encoder config"):
             load_embeddings(path)
+
+
+    def write_tensors(self, path, **tensors):
+        """An embeddings file for SMALL_ENC (D=16, 4 patches) holding
+        exactly the given tensors."""
+        from tokenhier.checkpoint import save_params
+
+        save_params(path, "embeddings", asdict(SMALL_ENC), tensors)
+
+    def good_tensors(self, n=3):
+        return {"cls": np.zeros((n, 16)), "patches": np.zeros((n, 4, 16)),
+                "labels": np.zeros(n)}
+
+    @pytest.mark.parametrize("name", ["cls", "patches", "labels"])
+    def test_load_rejects_missing_tensor(self, tmp_path, name):
+        tensors = self.good_tensors()
+        del tensors[name]
+        self.write_tensors(tmp_path / "e", **tensors)
+        with pytest.raises(DataError, match=f"no '{name}' tensor"):
+            load_embeddings(tmp_path / "e")
+
+    @pytest.mark.parametrize("name,bad", [
+        ("cls", np.zeros(16)), ("patches", np.zeros((3, 64))),
+        ("labels", np.zeros((3, 1))), ("labels", np.zeros(())),
+        ("cls", np.zeros((3, 8))), ("patches", np.zeros((3, 4, 8)))])
+    def test_load_rejects_wrong_shape(self, tmp_path, name, bad):
+        """Wrong ranks, and token widths other than the header's
+        embed_dim (16 here)."""
+        tensors = dict(self.good_tensors(), **{name: bad})
+        self.write_tensors(tmp_path / "e", **tensors)
+        with pytest.raises(DataError, match="header's encoder"):
+            load_embeddings(tmp_path / "e")
+
+    def test_load_rejects_row_count_mismatch(self, tmp_path):
+        """2 class tokens, 1 patch stack and 3 labels must not load as
+        one sequence with three labels, as pairing them up would."""
+        self.write_tensors(tmp_path / "e", cls=np.zeros((2, 16)),
+                           patches=np.zeros((1, 4, 16)), labels=np.zeros(3))
+        with pytest.raises(DataError, match="item count"):
+            load_embeddings(tmp_path / "e")
 
 
 class TestReports:
@@ -455,7 +532,7 @@ class TestAblation:
             head=HeadTrainConfig(epochs=4, lr=1e-2, batch=16, num_heads=2))
 
     def test_config_dict_round_trip_fingerprintable(self):
-        d = ablation_config_dict(AblationConfig())
+        d = asdict(AblationConfig())
         json.dumps(d, sort_keys=True)
         assert d["pretrain_steps"] == 400
 

@@ -1,11 +1,11 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tokenhier.bench import (AblationConfig, ablation_config_dict,
-                             load_embeddings, validate_report)
+from tokenhier.bench import AblationConfig, load_embeddings, validate_report
 from tokenhier.checkpoint import config_fingerprint, save_params
 from tokenhier.cli import main
 from tokenhier.color import write_ppm
@@ -92,6 +92,62 @@ class TestArgumentHandling:
         assert run_cli("pretrain", "--steps", "-3",
                        "--out", tmp_path / "c.ckpt") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("config", [
+        {"depth": 1.5}, {"embed_dim": 32.0}, {"prototype_count": True},
+        {"steps": 2.7}, {"batch_size": 4.0}, {"seed": False}])
+    def test_training_integer_keys_reject_non_integers(self, tmp_path,
+                                                       capsys, config):
+        """Floats and booleans in integer keys are usage errors, not a
+        traceback or a silently truncated value."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("pretrain", "--config", cfg,
+                       "--out", tmp_path / "c.ckpt") == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "c.ckpt").exists()
+
+    def test_config_seed_is_read(self, tmp_path, capsys):
+        """A config-file seed acts like --seed; it used to be masked by
+        a flag default leaking in from other subcommands."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"seed": 5}')
+        outs = {}
+        for name, extra in (("file", ["--config", cfg]),
+                            ("flag", ["--seed", "5"]), ("none", [])):
+            out = tmp_path / f"{name}.ckpt"
+            assert run_cli("pretrain", "--steps", "0", "--out", out,
+                           "--log-level", "quiet", *extra) == 0
+            outs[name] = out.read_bytes()
+        assert outs["file"] == outs["flag"] != outs["none"]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("config", [
+        {"seeds": [0.5]}, {"seeds": [True]}, {"pretrain_steps": 1.5},
+        {"batch_size": True}, {"head_epochs": 2.0}, {"suite_seed": 1.5},
+        {"suite_per_class": 10.0}])
+    def test_ablate_integer_keys_reject_non_integers(self, tmp_path,
+                                                     capsys, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("ablate", "--config", cfg,
+                       "--out", tmp_path / "a.json") == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_ablate_seeds_must_be_a_list(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"seeds": 3}')
+        assert run_cli("ablate", "--config", cfg,
+                       "--out", tmp_path / "a.json") == 2
+        assert "seeds must be a list" in capsys.readouterr().err
+
+    def test_probe_integer_keys_reject_non_integers(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"epochs": 2.5}')
+        assert run_cli("probe", "--config", cfg, "--ckpt", tmp_path / "x",
+                       "--data", tmp_path, "--mode", "linear",
+                       "--report", tmp_path / "r.json") == 2
+        assert "epochs must be an integer" in capsys.readouterr().err
 
     def test_bad_thread_count(self, work, tmp_path, capsys):
         assert run_cli("embed", "--ckpt", work / "enc.ckpt",
@@ -597,6 +653,6 @@ class TestConfigFingerprints:
                       "41fa34a99298e98a"],
             "shifted": ["6c314a619ac8586d", "af6e17a59c4766f1",
                         "db48e84f4f845296"]}
-        assert (config_fingerprint(ablation_config_dict(AblationConfig()))
+        assert (config_fingerprint(asdict(AblationConfig()))
                 == "f9c13e8df7b8fb64")
         capsys.readouterr()

@@ -1,6 +1,7 @@
 """Token sequence construction, block stack, and hand-written gradients."""
 
 import hashlib
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,15 +11,11 @@ from tokenhier.encoder import (
     EncoderConfig,
     TokenSequence,
     backward_batch,
-    config_hash,
-    encoder_config_dict,
-    forward,
     forward_batch,
     init_params,
-    param_count,
     patchify,
     token_gradients,
-    tokenize,
+    tokenize_batch,
 )
 from tokenhier.errors import ConfigError, NumericError, ShapeError
 from tokenhier.numkernel import RngStream
@@ -36,6 +33,20 @@ def rand_raster(seed, size):
     return rng.integers(0, 256, size=(size, size, 3)).astype(np.uint8)
 
 
+def tokenize(raster, cfg, params, mask=None):
+    """Initial sequence (S, D) of one raster, through the batch path."""
+    masks = None if mask is None else np.asarray(mask, dtype=bool)[None]
+    return tokenize_batch(patchify(raster, cfg)[None], params, masks)[0]
+
+
+def forward(raster, cfg, params, mask=None):
+    """One (optionally masked) raster through the batch path, as
+    training and frozen embedding run it."""
+    out, _ = forward_batch(tokenize(raster, cfg, params, mask)[None],
+                           cfg, params)
+    return TokenSequence(out[0, 0], out[0, 1:])
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = EncoderConfig()
@@ -51,15 +62,6 @@ class TestConfig:
             EncoderConfig(embed_dim=30, num_heads=4)
         with pytest.raises(ConfigError):
             EncoderConfig(mlp_ratio=0.0)
-
-    def test_hash_stable_and_distinct(self):
-        assert config_hash(EncoderConfig()) == config_hash(EncoderConfig())
-        assert config_hash(EncoderConfig()) != config_hash(small_cfg())
-
-    def test_param_count_matches_shapes(self):
-        for cfg in (EncoderConfig(), small_cfg()):
-            p = init_params(cfg, RngStream(seed=0))
-            assert param_count(cfg) == sum(v.size for v in p.values())
 
 
 class TestTokenize:
@@ -88,10 +90,8 @@ class TestTokenize:
         np.testing.assert_allclose(z0[0], p["cls"], atol=1e-15)
 
     def test_size_mismatch(self):
-        cfg = small_cfg()
-        p = init_params(cfg, RngStream(seed=4))
         with pytest.raises(ShapeError):
-            tokenize(rand_raster(2, 48), cfg, p)
+            patchify(rand_raster(2, 48), small_cfg())
 
     def test_patchify_layout(self):
         """Patch k = row-major grid cell, flattened row-major with channels."""
@@ -119,13 +119,14 @@ class TestForward:
         np.testing.assert_allclose(seq.cls, expect[0], atol=1e-12)
 
     def test_shapes_and_hash_field(self):
+        """A sequence is its two token arrays; the write-only config
+        hash field is gone."""
         cfg = small_cfg()
         p = init_params(cfg, RngStream(seed=6))
         seq = forward(rand_raster(4, 32), cfg, p)
-        assert isinstance(seq, TokenSequence)
+        assert [f.name for f in fields(TokenSequence)] == ["cls", "patches"]
         assert seq.cls.shape == (16,)
         assert seq.patches.shape == (4, 16)
-        assert seq.config_hash == config_hash(cfg)
 
     def test_permutation_equivariance_without_positions(self):
         cfg = small_cfg()
@@ -173,20 +174,13 @@ class TestForward:
 GOLDEN_FORWARD_SHA256 = "371187bbaabc1824863119ab6fd2ef13340466c0049d7eca9887447f4358f585"
 
 
-def forward_masked(raster, mask, cfg, params):
-    """One masked image through the batch path, as training runs it."""
-    out, _ = forward_batch(tokenize(raster, cfg, params, mask=mask)[None],
-                           cfg, params)
-    return TokenSequence(out[0, 0], out[0, 1:], config_hash(cfg))
-
-
 class TestForwardMasked:
     def test_all_false_equals_forward(self):
         cfg = small_cfg()
         p = init_params(cfg, RngStream(seed=10))
         r = rand_raster(8, 32)
         a = forward(r, cfg, p)
-        b = forward_masked(r, np.zeros(4, dtype=bool), cfg, p)
+        b = forward(r, cfg, p, np.zeros(4, dtype=bool))
         np.testing.assert_array_equal(a.cls, b.cls)
         np.testing.assert_array_equal(a.patches, b.patches)
 
@@ -194,8 +188,8 @@ class TestForwardMasked:
         cfg = small_cfg()
         p = init_params(cfg, RngStream(seed=11))
         m = np.ones(4, dtype=bool)
-        a = forward_masked(rand_raster(9, 32), m, cfg, p)
-        b = forward_masked(rand_raster(10, 32), m, cfg, p)
+        a = forward(rand_raster(9, 32), cfg, p, m)
+        b = forward(rand_raster(10, 32), cfg, p, m)
         np.testing.assert_array_equal(a.patches, b.patches)
         np.testing.assert_array_equal(a.cls, b.cls)
 
@@ -205,16 +199,10 @@ class TestForwardMasked:
         r = rand_raster(11, 32)
         m = np.array([False, True, False, False])
         a = forward(r, cfg, p)
-        b = forward_masked(r, m, cfg, p)
+        b = forward(r, cfg, p, m)
         # attention mixes: every token should move, not just the masked one
         assert np.abs(a.patches[0] - b.patches[0]).max() > 0
         assert np.abs(a.cls - b.cls).max() > 0
-
-    def test_wrong_length(self):
-        cfg = small_cfg()
-        p = init_params(cfg, RngStream(seed=13))
-        with pytest.raises(ShapeError):
-            forward_masked(rand_raster(12, 32), np.zeros(7, dtype=bool), cfg, p)
 
 
 def rel_err(a, n):
@@ -281,11 +269,11 @@ class TestCheckpointRoundTrip:
         cfg = small_cfg()
         p = init_params(cfg, RngStream(seed=30))
         path = tmp_path / "enc.ckpt"
-        save_params(path, "encoder", encoder_config_dict(cfg), p,
+        save_params(path, "encoder", asdict(cfg), p,
                     extra={"step": 7})
         kind, cdict, loaded, extra = load_params(path)
         assert kind == "encoder"
-        assert cdict == encoder_config_dict(cfg)
+        assert cdict == asdict(cfg)
         assert extra == {"step": 7}
         assert set(loaded) == set(p)
         for k in p:

@@ -27,16 +27,15 @@ def attnpool_forward(seq, p):
 
 def make_seq(rng, d=8, n=5):
     return TokenSequence(rng.derive(0).gaussian(d),
-                         rng.derive(1).gaussian(n * d).reshape(n, d), "t")
+                         rng.derive(1).gaussian(n * d).reshape(n, d))
 
 
-def rand_attn_params(rng, d=8, c=3, heads=2, identity=False):
+def rand_attn_params(rng, d=8, c=3, heads=2):
     dh = d // heads
     g = lambda shape, k: rng.derive(k).gaussian(int(np.prod(shape)), 0.0, 0.3).reshape(shape)
     return AttnPoolParams(Wq=g((heads, dh, d), 10), Wk=g((heads, dh, d), 11),
                           Wv=g((heads, dh, d), 12), Wo=g((d, d), 13),
-                          W_attn=g((c, d), 14), b=g((c,), 15),
-                          identity_projections=identity)
+                          W_attn=g((c, d), 14), b=g((c,), 15))
 
 
 class TestConfig:
@@ -110,19 +109,10 @@ class TestAttentionPool:
         assert h.shape == (8,)
 
     def test_no_patches(self):
-        seq = TokenSequence(np.zeros(8), np.zeros((0, 8)), "t")
+        seq = TokenSequence(np.zeros(8), np.zeros((0, 8)))
         p = rand_attn_params(RngStream(seed=4, stream_id=3))
         with pytest.raises(ParameterError):
             attention_pool(seq, p)
-
-    def test_single_token_identity_mode(self):
-        """With one patch and literal projections the pool returns it."""
-        rng = RngStream(seed=4, stream_id=4)
-        seq = make_seq(rng.derive(0), n=1)
-        p = rand_attn_params(rng.derive(1), identity=True)
-        h, w = attention_pool(seq, p)
-        assert np.array_equal(h, seq.patches[0])
-        assert w.shape == (1, 1) and w[0, 0] == 1.0
 
     def test_identical_tokens_collapse(self):
         """Equal keys give a convex combination of equal values: the
@@ -133,7 +123,7 @@ class TestAttentionPool:
         expected = None
         for k in (2, 3):
             seq = TokenSequence(rng.derive(k).gaussian(8),
-                                np.tile(tok, (6, 1)), "t")
+                                np.tile(tok, (6, 1)))
             h, _ = attention_pool(seq, p)
             vout = np.concatenate([p.Wv[i] @ tok for i in range(2)])
             ref = p.Wo @ vout
@@ -148,7 +138,7 @@ class TestAttentionPool:
         p = AttnPoolParams(Wq=eye[None], Wk=eye[None], Wv=eye[None],
                            Wo=eye, W_attn=np.zeros((2, 2)), b=np.zeros(2))
         seq = TokenSequence(np.array([1.0, 0.0]),
-                            np.array([[2.0, 0.0], [0.0, 2.0]]), "t")
+                            np.array([[2.0, 0.0], [0.0, 2.0]]))
         # logits = (2, 0)/sqrt(2); a1 = 1/(1+exp(-sqrt(2)))
         a1 = 1.0 / (1.0 + np.exp(-np.sqrt(2.0)))
         expect_h = np.array([2.0 * a1, 2.0 * (1.0 - a1)])
@@ -163,7 +153,7 @@ class TestAttentionPool:
         p = rand_attn_params(rng.derive(1))
         h0, _ = attention_pool(seq, p)
         perm = rng.derive(2).permutation(7)
-        seq2 = TokenSequence(seq.cls, seq.patches[perm], "t")
+        seq2 = TokenSequence(seq.cls, seq.patches[perm])
         h1, _ = attention_pool(seq2, p)
         assert np.max(np.abs(h0 - h1)) < 1e-12
 
@@ -240,13 +230,6 @@ class TestGradients:
         worst = fd_check(batch, p, ATTNPOOL, pdict)
         assert worst <= 1e-4
 
-    def test_identity_mode_fd(self):
-        rng = RngStream(seed=6, stream_id=3)
-        batch = [(make_seq(rng.derive(i), d=8, n=4), i % 2) for i in range(3)]
-        p = rand_attn_params(rng.derive(9), d=8, c=2, heads=1, identity=True)
-        worst = fd_check(batch, p, ATTNPOOL, {"W_attn": p.W_attn, "b": p.b})
-        assert worst <= 1e-4
-
     def test_stationary_at_perfect_fit(self):
         """Saturated correct predictions leave nothing to move."""
         rng = RngStream(seed=6, stream_id=4)
@@ -273,7 +256,7 @@ class TestGradients:
         p = ProbeParams(rng.derive(9).gaussian(16).reshape(2, 8),
                         np.zeros(2))
         probs = linear_probe_forward(seq.cls, p)
-        mangled = TokenSequence(seq.cls, np.zeros((4, 8)), "t")
+        mangled = TokenSequence(seq.cls, np.zeros((4, 8)))
         assert np.array_equal(probs, linear_probe_forward(mangled.cls, p))
         assert (predict_batch([seq], p, LINEAR)
                 == predict_batch([mangled], p, LINEAR)).all()
@@ -286,7 +269,8 @@ def separable_items(rng, n_per_class, d=16, margin=5.0):
             r = rng.derive(c, j)
             cls_tok = r.gaussian(d)
             cls_tok[0] += margin if c == 0 else -margin
-            items.append((TokenSequence(cls_tok, r.derive(1).gaussian(3 * d).reshape(3, d), "t"), c))
+            patches = r.derive(1).gaussian(3 * d).reshape(3, d)
+            items.append((TokenSequence(cls_tok, patches), c))
     return items
 
 

@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports, and every module-private
+top-level name it defines, is used in that module.
 
-Deleting code tends to leave its imports behind; this catches them with
-the standard-library parser, no linter needed.  A name counts as used
-when it is read anywhere in the module or listed in ``__all__``.
+Deleting code tends to leave its imports and private helpers behind;
+this catches them with the standard-library parser, no linter needed.
+An imported name counts as used when it is read anywhere in the module
+or listed in ``__all__``; a private name when it is read anywhere in
+the module.
 """
 
 import ast
@@ -40,3 +43,32 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert not unused, f"{path.name} imports but never uses: {unused}"
+
+
+def private_definitions(tree):
+    """``_``-prefixed functions, classes and constants at module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def read_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = {name for name in private_definitions(tree)
+               if name.startswith("_") and not name.startswith("__")}
+    unread = sorted(private - read_names(tree))
+    assert not unread, f"{path.name} defines but never reads: {unread}"

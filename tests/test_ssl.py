@@ -3,6 +3,7 @@ plus the student/teacher loop."""
 
 import hashlib
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import mpmath
@@ -30,7 +31,6 @@ from tokenhier.ssl import (
     koleo_loss_grad,
     make_head_params,
     run_training,
-    ssl_config_dict,
     ssl_config_from_dict,
     train_step,
 )
@@ -97,7 +97,7 @@ class TestSslConfig:
 
     def test_round_trip_dict(self):
         cfg = cfg_small(mask_fraction=0.25)
-        assert ssl_config_from_dict(ssl_config_dict(cfg)) == cfg
+        assert ssl_config_from_dict(asdict(cfg)) == cfg
 
 
 class TestDinoLoss:
