@@ -27,10 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import config_fingerprint, load_params, save_params
+from .checkpoint import (config_fingerprint, load_params, read_config,
+                         save_params)
 from .color import StainAugConfig, lab_to_rgb, read_ppm, rgb_to_lab
-from .encoder import (EncoderConfig, TokenSequence, encoder_config_from_dict,
-                      forward_batch, patchify, tokenize_batch)
+from .encoder import (EncoderConfig, TokenSequence, forward_batch, patchify,
+                      tokenize_batch)
 from .errors import ConfigError, DataError, ParameterError
 from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, predict_batch,
                     train_head)
@@ -422,7 +423,10 @@ def load_embeddings(path):
     kind, cfgdict, tensors, extra = load_params(path)
     if kind != "embeddings":
         raise DataError(f"{path}: not an embeddings file (kind {kind!r})")
-    cfg = encoder_config_from_dict(cfgdict)
+    try:
+        cfg = read_config(EncoderConfig, cfgdict)
+    except ConfigError as e:
+        raise DataError(f"{path}: bad encoder config: {e}") from None
     shapes = {"cls": (cfg.embed_dim,),
               "patches": (cfg.num_patches, cfg.embed_dim), "labels": ()}
     for name, row_shape in shapes.items():
@@ -557,7 +561,7 @@ FULL_SCALE_CONTEXT = {
 
 @dataclass(frozen=True)
 class AblationConfig:
-    seeds: tuple = (0, 1, 2, 3, 4)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     pretrain_steps: int = 400
     batch_size: int = 8
     ssl_lr: float = 3e-3

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
+from dataclasses import is_dataclass
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import ConfigError, DataError, ParameterError
 
 FORMAT_VERSION = 1
 
@@ -23,6 +25,47 @@ def config_fingerprint(obj) -> str:
     """Stable 16-hex-digit hash of a JSON-serializable config."""
     payload = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string"}
+
+
+def check_value(key: str, hint, value):
+    """``value`` if its JSON type fits the annotation ``hint``, else a
+    ``ConfigError`` naming ``key``: a float also takes an integer, a bool
+    is never a number, ``tuple[X, ...]`` takes a list of X and a nested
+    config an object.  Only lists change (to tuples): fingerprints hold."""
+    if is_dataclass(hint):
+        return read_config(hint, value)
+    args = typing.get_args(hint)
+    if value is None and type(None) in args:
+        return value
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(check_value(key, args[0], v) for v in value)
+    kind = args[0] if args else hint
+    allowed = (int, float) if kind is float else kind
+    if (not isinstance(value, allowed)
+            or isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def read_config(cls, obj):
+    """Inverse of ``asdict``, for header configs and config files alike:
+    the ``cls`` config from a JSON object whose values pass
+    ``check_value``, absent fields taking their defaults.  Failures are
+    ``ConfigError``; artifact loaders report them as damaged data."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{cls.__name__} must be an object, got {obj!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(obj) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    return cls(**{key: check_value(key, hints[key], value)
+                  for key, value in obj.items()})
 
 
 def save_params(path, kind: str, config: dict, params: dict, extra: dict = None) -> None:
@@ -47,10 +90,13 @@ def save_params(path, kind: str, config: dict, params: dict, extra: dict = None)
 
 def load_params(path):
     """Returns (kind, config, params, extra); shape/size mismatches are
-    data errors, not crashes."""
-    with open(path, "rb") as fh:
-        head_line = fh.readline()
-        blob = fh.read()
+    data errors, not crashes; so is a path that cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            head_line, blob = fh.readline(), fh.read()
+    except OSError as e:
+        raise DataError(f"{path}: cannot read checkpoint: "
+                        f"{e.strerror or e}") from None
     try:
         header = json.loads(head_line)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:

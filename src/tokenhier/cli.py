@@ -8,8 +8,8 @@ Conventions shared by every command:
   - exit codes: 0 success, 1 verification failure, 2 usage/config
     error, 3 data error
   - configs come from an optional JSON file (flat, module-mirrored
-    field names) with command-line flags overriding file values;
-    integer keys take JSON integers only
+    field names) with command-line flags overriding file values; every
+    key's JSON type is checked, and integer keys take integers only
   - every primary output records a fingerprint of the resolved config
   - --threads (fallback TOKENHIER_THREADS) is validated but no command
     runs a worker pool, so outputs are byte-identical for any value and
@@ -26,7 +26,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .bench import (AblationConfig, SuiteSpec, acceptance_suites,
                     make_report, make_pretrain_corpus, make_synthetic_suite,
                     render_ablation_table, run_ablation, save_embeddings,
                     split_dataset, write_bacc_svg, write_report)
-from .checkpoint import config_fingerprint
+from .checkpoint import check_value, config_fingerprint, read_config
 from .color import StainAugConfig, read_ppm, stain_augment, write_ppm
 from .encoder import EncoderConfig
 from .errors import (ConfigError, DataError, NumericError, ParameterError,
@@ -46,7 +46,7 @@ from .gradcheck import component_names, run_all
 from .heads import ATTNPOOL, LINEAR, HeadTrainConfig, predict_batch, train_head
 from .numkernel import RngStream
 from .optim import AdamConfig
-from .ssl import (POSTTRAIN, SslConfig, init_train_state, load_train_state,
+from .ssl import (POSTTRAIN, init_train_state, load_train_state,
                   run_training, save_train_state, student_encoder_params)
 from .tiler import TileManifest, extract_tiles, merge_manifests, write_manifest
 
@@ -72,24 +72,17 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _integer(key: str, value):
-    """A config value that must be a JSON integer (not a float or bool)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _read_over(base, flat: dict):
+    """``base`` with the flat config keys naming its fields read over it."""
+    return read_config(type(base), {k: flat.get(k, v)
+                                    for k, v in asdict(base).items()})
 
 
-def _build(dc_type, base, flat: dict):
-    """Dataclass instance from flat config keys matching its fields."""
-    names = {f.name for f in fields(dc_type)}
-    picked = {k: v for k, v in flat.items() if k in names}
-    for f in fields(dc_type):
-        if f.name in picked and f.type in (int, "int"):
-            _integer(f.name, picked[f.name])
-    try:
-        return replace(base, **picked) if base is not None else dc_type(**picked)
-    except TypeError as e:
-        raise ConfigError(f"bad {dc_type.__name__} config: {e}") from None
+def _file_value(flat: dict, key: str, kind, default, flag=None):
+    """A config-file key outside the config dataclasses, type-checked
+    even when ``flag`` (a command-line value) overrides it."""
+    value = check_value(key, kind, flat.get(key, default))
+    return value if flag is None else flag
 
 
 def _reject_unknown(flat: dict, known):
@@ -115,8 +108,12 @@ def _say(args, message: str) -> None:
 
 
 def _check_threads(args) -> None:
-    value = (args.threads if args.threads is not None
-             else int(os.environ.get("TOKENHIER_THREADS", "1")))
+    value = args.threads
+    if value is None:
+        try:
+            value = int(os.environ.get("TOKENHIER_THREADS", "1"))
+        except ValueError as e:
+            raise ConfigError(f"TOKENHIER_THREADS: {e}") from None
     if value < 1:
         raise ConfigError(f"--threads must be >= 1, got {value}")
 
@@ -175,9 +172,7 @@ def cmd_tile(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    flat = _load_config_file(args.config)
-    _reject_unknown(flat, [f.name for f in fields(StainAugConfig)])
-    aug = _build(StainAugConfig, StainAugConfig(), flat)
+    aug = read_config(StainAugConfig, _load_config_file(args.config))
     if args.space is not None:
         aug = replace(aug, space=args.space)
     files = _ppm_files(args.input)
@@ -186,11 +181,8 @@ def cmd_augment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = 0 if args.seed is None else args.seed
-    resolved = {"seed": seed, "space": aug.space,
-                "lab_mean_sigma": aug.lab_mean_sigma,
-                "lab_std_sigma": aug.lab_std_sigma,
-                "hsv_mean_sigma": aug.hsv_mean_sigma,
-                "hsv_std_sigma": aug.hsv_std_sigma}
+    resolved = {"seed": seed, **asdict(aug)}
+    del resolved["enabled"]         # not part of the augment fingerprint
     fp = _fingerprint("augment", resolved)
     root = RngStream(seed=seed, stream_id=71)
     for i, f in enumerate(files):
@@ -210,27 +202,17 @@ def cmd_augment(args) -> int:
 # pretrain / posttrain
 
 
-_TRAIN_SCALARS = ("steps", "batch_size", "lr", "seed")
-
-
 def _training_configs(args):
     flat = _load_config_file(args.config)
-    known = ([f.name for f in fields(EncoderConfig)]
-             + [f.name for f in fields(SslConfig)]
-             + [f.name for f in fields(StainAugConfig)]
-             + list(_TRAIN_SCALARS))
-    _reject_unknown(flat, known)
-    enc = _build(EncoderConfig, _DESK.encoder, flat)
-    ssl = _build(SslConfig, _DESK.ssl, flat)
-    aug = _build(StainAugConfig, _DESK.aug, flat)
-    steps = (args.steps if args.steps is not None
-             else _integer("steps", flat.get("steps", 200)))
-    batch = (args.batch_size if args.batch_size is not None
-             else _integer("batch_size",
-                           flat.get("batch_size", _DESK.batch_size)))
-    lr = float(flat.get("lr", _DESK.ssl_lr))
-    seed = (args.seed if args.seed is not None
-            else _integer("seed", flat.get("seed", 0)))
+    bases = (_DESK.encoder, _DESK.ssl, _DESK.aug)
+    _reject_unknown(flat, [k for base in bases for k in asdict(base)]
+                    + ["steps", "batch_size", "lr", "seed"])
+    enc, ssl, aug = (_read_over(base, flat) for base in bases)
+    steps = _file_value(flat, "steps", int, 200, args.steps)
+    batch = _file_value(flat, "batch_size", int, _DESK.batch_size,
+                        args.batch_size)
+    lr = float(_file_value(flat, "lr", float, _DESK.ssl_lr))
+    seed = _file_value(flat, "seed", int, 0, args.seed)
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
     resolved = {"encoder": asdict(enc), "ssl": asdict(ssl), "aug": asdict(aug),
@@ -332,30 +314,26 @@ def cmd_embed(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    flat = _load_config_file(args.config)
-    _reject_unknown(flat, [f.name for f in fields(HeadTrainConfig)])
-    head_cfg = _build(HeadTrainConfig, _DESK.head, flat)
-    seed = args.seed if args.seed is not None else head_cfg.seed
-    head_cfg = replace(head_cfg, seed=seed)
+    head_cfg = read_config(HeadTrainConfig, {
+        **asdict(_DESK.head), **_load_config_file(args.config)})
+    if args.seed is not None:
+        head_cfg = replace(head_cfg, seed=args.seed)
     params, enc_cfg = _encoder_from_checkpoint(args.ckpt)
     ds = ingest_directory(args.data)
     if len(ds.class_names) < 2:
         raise ParameterError(
             f"{args.data}: found {len(ds.class_names)} class directories; "
             "probing needs at least 2")
-    tr, va, te = split_dataset(ds, seed)
+    tr, va, te = split_dataset(ds, head_cfg.seed)
     _check_threads(args)
     etr, eva, ete = (embed_dataset(s, params, enc_cfg) for s in (tr, va, te))
     result = train_head(list(zip(etr, tr.labels)), list(zip(eva, va.labels)),
                         args.mode, head_cfg)
     preds = predict_batch(ete, result.params, args.mode)
-    resolved = {"encoder": asdict(enc_cfg), "mode": args.mode,
-                "seed": seed, "epochs": head_cfg.epochs, "lr": head_cfg.lr,
-                "weight_decay": head_cfg.weight_decay,
-                "batch": head_cfg.batch, "num_heads": head_cfg.num_heads}
-    fp = _fingerprint("probe", resolved)
+    fp = _fingerprint("probe", {"encoder": asdict(enc_cfg),
+                                "mode": args.mode, **asdict(head_cfg)})
     report = make_report(Path(args.data).name, te.labels, preds,
-                         len(ds.class_names), fp, seed,
+                         len(ds.class_names), fp, head_cfg.seed,
                          class_names=ds.class_names,
                          extra={"head_mode": args.mode,
                                 "val_bacc": result.best_val_bacc})
@@ -424,23 +402,13 @@ _ABLATE_KEYS = ("seeds", "pretrain_steps", "batch_size", "ssl_lr",
 def cmd_ablate(args) -> int:
     flat = _load_config_file(args.config)
     _reject_unknown(flat, _ABLATE_KEYS)
-    cfg = _DESK
-    if "seeds" in flat:
-        if not isinstance(flat["seeds"], list):
-            raise ConfigError(f"seeds must be a list, got {flat['seeds']!r}")
-        cfg = replace(cfg, seeds=tuple(_integer("seeds", s)
-                                       for s in flat["seeds"]))
-    for key in ("pretrain_steps", "batch_size"):
-        if key in flat:
-            cfg = replace(cfg, **{key: _integer(key, flat[key])})
-    if "ssl_lr" in flat:
-        cfg = replace(cfg, ssl_lr=float(flat["ssl_lr"]))
-    if "head_epochs" in flat:
-        cfg = replace(cfg, head=replace(
-            cfg.head, epochs=_integer("head_epochs", flat["head_epochs"])))
+    cfg = _read_over(_DESK, flat)
+    epochs = _file_value(flat, "head_epochs", int, cfg.head.epochs)
+    cfg = replace(cfg, ssl_lr=float(cfg.ssl_lr),
+                  head=replace(cfg.head, epochs=epochs))
     _check_threads(args)
-    suite_seed = _integer("suite_seed", flat.get("suite_seed", 2024))
-    per_class = _integer("suite_per_class", flat.get("suite_per_class", 60))
+    suite_seed = _file_value(flat, "suite_seed", int, 2024)
+    per_class = _file_value(flat, "suite_per_class", int, 60)
     suites = acceptance_suites(RngStream(seed=suite_seed, stream_id=5),
                                per_class)
     report = run_ablation(suites, cfg)

@@ -15,6 +15,7 @@ the additive offset (mod 360) and is never spread-scaled.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,10 +167,10 @@ class StainAugConfig:
     """
 
     space: str = "both"
-    lab_mean_sigma: tuple = (2.0, 1.5, 1.5)
-    lab_std_sigma: tuple = (0.08, 0.08, 0.08)
-    hsv_mean_sigma: tuple = (4.0, 0.03, 0.03)
-    hsv_std_sigma: tuple = (0.05, 0.05, 0.05)
+    lab_mean_sigma: tuple[float, ...] = (2.0, 1.5, 1.5)
+    lab_std_sigma: tuple[float, ...] = (0.08, 0.08, 0.08)
+    hsv_mean_sigma: tuple[float, ...] = (4.0, 0.03, 0.03)
+    hsv_std_sigma: tuple[float, ...] = (0.05, 0.05, 0.05)
     enabled: bool = True
 
     def __post_init__(self):
@@ -177,14 +178,11 @@ class StainAugConfig:
             raise ConfigError(f"space must be one of {_SPACES}, got {self.space!r}")
         for name in ("lab_mean_sigma", "lab_std_sigma",
                      "hsv_mean_sigma", "hsv_std_sigma"):
-            # tuples whatever the source (JSON gives lists), so configs
-            # compare and hash alike; JSON renders them back as lists
-            trip = tuple(getattr(self, name))
-            object.__setattr__(self, name, trip)
+            trip = getattr(self, name)
             if len(trip) != 3:
                 raise ConfigError(f"{name} must have 3 entries, got {len(trip)}")
             for v in trip:
-                if not np.isfinite(v) or v < 0:
+                if not 0 <= v <= sys.float_info.max:
                     raise ConfigError(f"{name} entries must be finite and >= 0")
 
 

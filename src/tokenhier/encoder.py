@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .color import as_raster
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .numkernel import (RngStream, gelu, gelu_grad, layer_norm,
                         layer_norm_backward, softmax_backward, softmax_rows,
                         trunc_normal)
@@ -271,12 +271,3 @@ def token_gradients(dz0: np.ndarray, patch_mats, masks, params: dict,
         grads["embed.W"] += patch_mats[i][live].T @ dpatch[live]
         grads["embed.b"] += dpatch[live].sum(axis=0)
     return grads
-
-
-def encoder_config_from_dict(d: dict) -> EncoderConfig:
-    """The config stored in an artifact header; one that is not an
-    object or not a valid config means the artifact is damaged."""
-    try:
-        return EncoderConfig(**d)
-    except (TypeError, ConfigError) as e:
-        raise DataError(f"bad encoder config: {e}") from None

@@ -27,12 +27,11 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .checkpoint import load_params, save_params
+from .checkpoint import check_value, load_params, read_config, save_params
 from .color import StainAugConfig, stain_augment
 from .encoder import (
     EncoderConfig,
     backward_batch,
-    encoder_config_from_dict,
     forward_batch,
     init_params,
     patchify,
@@ -66,7 +65,7 @@ class SslConfig:
     mask_fraction: float = 0.3
     koleo_weight: float = 0.1
     gram_weight: float = 1.0
-    gram_teacher_checkpoint: str = None
+    gram_teacher_checkpoint: str | None = None
 
     def __post_init__(self):
         if self.prototype_count < 2:
@@ -483,9 +482,12 @@ def load_train_state(path):
         if name not in tensors:
             raise DataError(f"{path}: training checkpoint lacks {name!r}")
     try:
-        step, adam_t = int(config.get("step", 0)), int(config.get("adam_t", 0))
-    except (TypeError, ValueError):
-        raise DataError(f"{path}: training counters are not integers") from None
+        step, adam_t = (check_value(k, int, config.get(k, 0))
+                        for k in ("step", "adam_t"))
+        enc_cfg = read_config(EncoderConfig, config.get("encoder", {}))
+        ssl_cfg = read_config(SslConfig, config.get("ssl", {}))
+    except ConfigError as e:
+        raise DataError(f"{path}: bad header config: {e}") from None
     state = TrainState(
         student=_sub(tensors, "student."),
         teacher=_sub(tensors, "teacher."),
@@ -498,15 +500,4 @@ def load_train_state(path):
         gram_teacher=(_sub(tensors, "gram.")
                       if config.get("has_gram_teacher") else None),
     )
-    enc_cfg = encoder_config_from_dict(config.get("encoder", {}))
-    ssl_cfg = ssl_config_from_dict(config.get("ssl", {}))
     return state, enc_cfg, ssl_cfg, extra
-
-
-def ssl_config_from_dict(d: dict) -> SslConfig:
-    """The config stored in an artifact header; one that is not an
-    object or not a valid config means the artifact is damaged."""
-    try:
-        return SslConfig(**d)
-    except (TypeError, ConfigError) as e:
-        raise DataError(f"bad ssl config: {e}") from None

@@ -17,6 +17,18 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+# What a config key of a non-integer type must hold, as the error says it.
+MUST_BE = {"lr": "a number", "ssl_lr": "a number", "mlp_ratio": "a number",
+           "koleo_weight": "a number", "lab_mean_sigma": "a number",
+           "enabled": "true or false"}
+
+
+def type_error(config):
+    """The message a one-key config file of the wrong type must print."""
+    key = next(iter(config))
+    return f"{key} must be {MUST_BE.get(key, 'an integer')}"
+
+
 def noisy_raster(seed, size=512):
     """Half-dark structured image that tiles into foreground everywhere."""
     rng = RngStream(seed=seed, stream_id=88)
@@ -95,16 +107,20 @@ class TestArgumentHandling:
 
     @pytest.mark.parametrize("config", [
         {"depth": 1.5}, {"embed_dim": 32.0}, {"prototype_count": True},
-        {"steps": 2.7}, {"batch_size": 4.0}, {"seed": False}])
+        {"steps": 2.7}, {"batch_size": 4.0}, {"seed": False},
+        {"lr": "x"}, {"lr": True}, {"enabled": "false"}, {"mlp_ratio": True},
+        {"koleo_weight": True}, {"lab_mean_sigma": [True, 1, 2]}])
     def test_training_integer_keys_reject_non_integers(self, tmp_path,
                                                        capsys, config):
-        """Floats and booleans in integer keys are usage errors, not a
-        traceback or a silently truncated value."""
+        """A value of the wrong JSON type is a usage error naming its
+        key, not a traceback or a silently converted value: floats and
+        booleans in integer keys, strings and booleans in number keys,
+        a string in a boolean key."""
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         assert run_cli("pretrain", "--config", cfg,
                        "--out", tmp_path / "c.ckpt") == 2
-        assert "must be an integer" in capsys.readouterr().err
+        assert type_error(config) in capsys.readouterr().err
         assert not (tmp_path / "c.ckpt").exists()
 
     def test_config_seed_is_read(self, tmp_path, capsys):
@@ -125,14 +141,14 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("config", [
         {"seeds": [0.5]}, {"seeds": [True]}, {"pretrain_steps": 1.5},
         {"batch_size": True}, {"head_epochs": 2.0}, {"suite_seed": 1.5},
-        {"suite_per_class": 10.0}])
+        {"suite_per_class": 10.0}, {"ssl_lr": "x"}])
     def test_ablate_integer_keys_reject_non_integers(self, tmp_path,
                                                      capsys, config):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
         assert run_cli("ablate", "--config", cfg,
                        "--out", tmp_path / "a.json") == 2
-        assert "must be an integer" in capsys.readouterr().err
+        assert type_error(config) in capsys.readouterr().err
 
     def test_ablate_seeds_must_be_a_list(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -163,10 +179,12 @@ class TestArgumentHandling:
         assert run_cli("embed", "--ckpt", work / "enc.ckpt",
                        "--data", work / "sg", "--out", tmp_path / "e",
                        "--log-level", "quiet") == 0
-        monkeypatch.setenv("TOKENHIER_THREADS", "-1")
-        assert run_cli("embed", "--ckpt", work / "enc.ckpt",
-                       "--data", work / "sg", "--out", tmp_path / "e2") == 2
-        capsys.readouterr()
+        for bad in ("-1", "abc"):
+            monkeypatch.setenv("TOKENHIER_THREADS", bad)
+            assert run_cli("embed", "--ckpt", work / "enc.ckpt",
+                           "--data", work / "sg",
+                           "--out", tmp_path / "e2") == 2
+            assert "threads" in capsys.readouterr().err.lower()
 
 
 class TestTile:
@@ -382,16 +400,40 @@ class TestMalformedCheckpoint:
 
     @pytest.mark.parametrize("config", [
         {"encoder": 5}, {"encoder": {"embed_dim": -3}},
-        {"ssl": [1]}, {"ssl": {"prototype_count": 1}}])
+        {"ssl": [1]}, {"ssl": {"prototype_count": 1}},
+        {"encoder": {"depth": 1.5}}, {"ssl": {"koleo_weight": "x"}}])
     def test_damaged_config(self, tmp_path, config, capsys):
-        """A header config that is not an object, or not a valid config,
-        is damaged data, not a usage error."""
+        """A header config that is not an object, not a valid config or
+        holds a value of the wrong type is damaged data, not a usage
+        error; the message names the field (an empty --data exits 3
+        too)."""
         ck = tmp_path / "bad.ckpt"
         save_params(ck, "train_state", config,
                     {"cls_center": np.zeros(2), "patch_center": np.zeros(2)})
         assert run_cli("embed", "--ckpt", ck, "--data", tmp_path,
                        "--out", tmp_path / "e.emb") == 3
-        assert "bad" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad" in err
+        section, value = next(iter(config.items()))
+        field = next(iter(value)) if isinstance(value, dict) else section
+        assert field in err.lower()
+
+    @pytest.mark.parametrize("flag", ["embed --ckpt", "probe --ckpt",
+                                      "posttrain --gram-teacher",
+                                      "posttrain --init"])
+    def test_missing_checkpoint(self, work, tmp_path, flag, capsys):
+        """A checkpoint path that cannot be read is a data error."""
+        command, option = flag.split()
+        argv = {"embed": ["--data", work / "sg", "--out", tmp_path / "e"],
+                "probe": ["--data", work / "sg", "--mode", "linear",
+                          "--report", tmp_path / "r.json"],
+                "posttrain": ["--steps", "0", "--out", tmp_path / "p.ckpt"]}
+        if option == "--init":
+            argv["posttrain"] += ["--gram-teacher", work / "init.ckpt"]
+        assert run_cli(command, option, tmp_path / "nothing",
+                       *argv[command]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "cannot read checkpoint" in err
 
 
 class TestEmbed:
@@ -655,4 +697,24 @@ class TestConfigFingerprints:
                         "db48e84f4f845296"]}
         assert (config_fingerprint(asdict(AblationConfig()))
                 == "f9c13e8df7b8fb64")
+        capsys.readouterr()
+
+    def test_embed_and_probe(self, work, tmp_path, capsys):
+        emb = tmp_path / "g.emb"
+        assert run_cli("embed", "--ckpt", work / "init.ckpt",
+                       "--data", work / "sg", "--out", emb,
+                       "--log-level", "quiet") == 0
+        fp = load_embeddings(emb)[2]["config_fingerprint"]
+        assert fp == "c33c682a5568b231"
+        cfg = tmp_path / "head.json"
+        cfg.write_text('{"epochs": 2, "lr": 0.05, "batch": 8, "seed": 3}')
+        for mode, seed, pin in (
+                ("linear", [], "c14a066645c14909"),
+                ("attnpool", ["--seed", "7"], "640bb5e800e865ce")):
+            rep = tmp_path / f"{mode}.json"
+            assert run_cli("probe", "--ckpt", work / "init.ckpt",
+                           "--data", work / "sg", "--mode", mode,
+                           "--config", cfg, "--report", rep,
+                           "--log-level", "quiet", *seed) == 0
+            assert json.loads(rep.read_text())["config_fingerprint"] == pin
         capsys.readouterr()

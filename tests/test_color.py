@@ -306,6 +306,8 @@ class TestStainAugment:
             StainAugConfig(lab_mean_sigma=(1.0, -0.5, 0.0))
         with pytest.raises(ConfigError):
             StainAugConfig(hsv_std_sigma=(0.1, 0.1))
+        with pytest.raises(ConfigError):     # a JSON integer past float64
+            StainAugConfig(lab_std_sigma=(10**400, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

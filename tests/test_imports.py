@@ -72,3 +72,29 @@ def test_no_unread_private_names(path):
                if name.startswith("_") and not name.startswith("__")}
     unread = sorted(private - read_names(tree))
     assert not unread, f"{path.name} defines but never reads: {unread}"
+
+
+def starred_calls(tree):
+    """Calls that pass ``**`` of a mapping, outside ``read_config``."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "read_config":
+            skip.update(map(id, ast.walk(node)))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and id(node) not in skip
+                and any(k.arg is None for k in node.keywords)):
+            yield node
+
+
+def test_one_config_reader():
+    """``checkpoint.read_config`` is the one place that builds a config
+    dataclass from ``**`` of a dict, so its type rules cannot split into
+    partial copies again.  ``SuiteSpec`` (a synthetic-suite recipe, not
+    a run config) is built from the suite table the same way."""
+    found = []
+    for path in MODULES:
+        for call in starred_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            callee = ast.unparse(call.func)
+            if callee != "SuiteSpec":
+                found.append(f"{path.name}:{call.lineno} {callee}(**...)")
+    assert not found, f"config built outside read_config: {found}"

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from tokenhier.checkpoint import read_config
 from tokenhier.color import StainAugConfig
 from tokenhier.encoder import EncoderConfig
 from tokenhier.errors import ConfigError, ParameterError, ShapeError
@@ -31,7 +32,6 @@ from tokenhier.ssl import (
     koleo_loss_grad,
     make_head_params,
     run_training,
-    ssl_config_from_dict,
     train_step,
 )
 
@@ -97,7 +97,7 @@ class TestSslConfig:
 
     def test_round_trip_dict(self):
         cfg = cfg_small(mask_fraction=0.25)
-        assert ssl_config_from_dict(asdict(cfg)) == cfg
+        assert read_config(SslConfig, asdict(cfg)) == cfg
 
 
 class TestDinoLoss:
