@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (config_fingerprint, load_params, read_config,
-                         save_params)
+from .checkpoint import config_fingerprint, save_params
 from .color import StainAugConfig, lab_to_rgb, read_ppm, rgb_to_lab
 from .encoder import (EncoderConfig, TokenSequence, forward_batch, patchify,
                       tokenize_batch)
@@ -294,34 +293,6 @@ def make_pretrain_corpus(rng: RngStream, count: int = 64,
     return out
 
 
-def make_token_suite(rng: RngStream, embed_dim: int = 64,
-                     patch_count: int = 16, per_class_train: int = 128,
-                     per_class_val: int = 512, signal_index: int = 3,
-                     amplitude: float = 20.0, beacon: float = 10.0):
-    """Token-level local-signal benchmark, isolating head behavior from
-    the encoder: the class token is pure noise, and the label lives in
-    one fixed patch token (a class-independent beacon on dim 0 plus a
-    signed class component on dim 1).  A class-token probe can only hit
-    chance; pooling over patch tokens can recover the label."""
-    if not 0 <= signal_index < patch_count:
-        raise ParameterError("signal_index outside the token range")
-
-    def build(n_per_class, tag):
-        items = []
-        for c in (0, 1):
-            for j in range(n_per_class):
-                r = rng.derive(tag, c, j)
-                cls_tok = r.gaussian(embed_dim)
-                patches = r.gaussian(patch_count * embed_dim).reshape(
-                    patch_count, embed_dim)
-                patches[signal_index, 0] += beacon
-                patches[signal_index, 1] += amplitude if c == 0 else -amplitude
-                items.append((TokenSequence(cls_tok, patches), c))
-        return items
-
-    return build(per_class_train, 0), build(per_class_val, 1)
-
-
 # ---------------------------------------------------------------------------
 # directory ingestion
 
@@ -347,7 +318,7 @@ def ingest_directory(root) -> LabeledDataset:
             try:
                 items.append((read_ppm(f), cid))
                 source_ids.append(f"{d.name}/{f.name}")
-            except (DataError, OSError) as e:
+            except DataError as e:
                 failures.append(f"  {f}: {e}")
     if failures:
         raise DataError("unreadable raster files:\n" + "\n".join(failures))
@@ -419,31 +390,6 @@ def save_embeddings(path, seqs: list, labels, cfg: EncoderConfig,
                 extra=extra or {})
 
 
-def load_embeddings(path):
-    kind, cfgdict, tensors, extra = load_params(path)
-    if kind != "embeddings":
-        raise DataError(f"{path}: not an embeddings file (kind {kind!r})")
-    try:
-        cfg = read_config(EncoderConfig, cfgdict)
-    except ConfigError as e:
-        raise DataError(f"{path}: bad encoder config: {e}") from None
-    shapes = {"cls": (cfg.embed_dim,),
-              "patches": (cfg.num_patches, cfg.embed_dim), "labels": ()}
-    for name, row_shape in shapes.items():
-        if name not in tensors:
-            raise DataError(f"{path}: no {name!r} tensor")
-        shape = tensors[name].shape
-        if not shape or shape[1:] != row_shape:
-            raise DataError(f"{path}: {name!r} has shape {shape}; the "
-                            f"header's encoder gives rows of {row_shape}")
-    if len({tensors[name].shape[0] for name in shapes}) != 1:
-        raise DataError(f"{path}: cls, patches and labels disagree on the "
-                        "item count")
-    seqs = [TokenSequence(c, p)
-            for c, p in zip(tensors["cls"], tensors["patches"])]
-    return seqs, tensors["labels"].astype(np.int64), extra
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -476,7 +422,7 @@ def write_report(report: dict, path) -> None:
 
 def make_report(task: str, y_true, y_pred, num_classes: int,
                 fingerprint: str, seed: int, class_names=None,
-                ablation_rows=None, extra: dict = None) -> dict:
+                extra: dict = None) -> dict:
     recalls, support = class_recalls(y_true, y_pred, num_classes)
     live = support > 0
     report = {
@@ -491,8 +437,6 @@ def make_report(task: str, y_true, y_pred, num_classes: int,
     }
     if class_names is not None:
         report["class_names"] = list(class_names)
-    if ablation_rows is not None:
-        report["ablation_rows"] = ablation_rows
     if extra:
         report.update(extra)
     return report
@@ -518,10 +462,9 @@ def render_ablation_table(report: dict) -> str:
 
 def write_bacc_svg(report: dict, path) -> None:
     """Deterministic bar chart of per-row BACC (no external assets)."""
-    rows = report.get("ablation_rows") or [
-        {"staining_aug": False, "head_mode": "single", "bacc": report["bacc"]}]
+    rows = report["ablation_rows"]
     width, height, pad = 420, 240, 36
-    bar_w = (width - 2 * pad) // max(1, len(rows)) - 18
+    bar_w = (width - 2 * pad) // len(rows) - 18
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="#ffffff"/>',

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 import typing
 from dataclasses import is_dataclass
 
@@ -33,9 +35,10 @@ _KINDS = {int: "an integer", float: "a number", bool: "true or false",
 
 def check_value(key: str, hint, value):
     """``value`` if its JSON type fits the annotation ``hint``, else a
-    ``ConfigError`` naming ``key``: a float also takes an integer, a bool
-    is never a number, ``tuple[X, ...]`` takes a list of X and a nested
-    config an object.  Only lists change (to tuples): fingerprints hold."""
+    ``ConfigError`` naming ``key``: a float also takes an integer but
+    nothing non-finite, a bool is never a number, ``tuple[X, ...]`` takes
+    a list of X and a nested config an object.  Only lists change (to
+    tuples): fingerprints hold."""
     if is_dataclass(hint):
         return read_config(hint, value)
     args = typing.get_args(hint)
@@ -50,6 +53,12 @@ def check_value(key: str, hint, value):
     if (not isinstance(value, allowed)
             or isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    # NaN and the infinities (which Python's json reads) slip past every
+    # domain check written as a comparison; so would an integer too
+    # large for a float
+    big = sys.float_info.max
+    if kind is float and not -big <= value <= big:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 
 
@@ -99,7 +108,8 @@ def load_params(path):
                         f"{e.strerror or e}") from None
     try:
         header = json.loads(head_line)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as e:
         raise DataError(f"{path}: bad checkpoint header: {e}") from None
     if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint format")
@@ -114,21 +124,25 @@ def load_params(path):
     params = {}
     off = 0
     for entry in entries:
-        try:
-            name = entry["name"]
-            shape = tuple(int(s) for s in entry["shape"])
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"{path}: bad tensor entry {entry!r}") from None
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(s) is int for s in entry["shape"])):
+            raise DataError(f"{path}: bad tensor entry {entry!r}")
+        name, shape = entry["name"], entry["shape"]
+        if name in params:
+            raise DataError(f"{path}: tensor {name!r} listed twice")
         if any(s < 0 for s in shape):
             raise DataError(f"{path}: tensor {name!r} has a negative dimension")
-        count = 1
-        for s in shape:
-            count *= s
-        nbytes = 8 * count
+        nbytes = 8 * math.prod(shape)
         chunk = blob[off:off + nbytes]
         if len(chunk) != nbytes:
             raise DataError(f"{path}: tensor {name!r} truncated")
-        params[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        try:
+            tensor = np.frombuffer(chunk, dtype="<f8").reshape(shape)
+        except (ValueError, OverflowError):
+            raise DataError(f"{path}: tensor {name!r} has shape {shape}, "
+                            "too large for an array") from None
+        params[name] = tensor.copy()
         off += nbytes
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes after tensors")

@@ -37,17 +37,17 @@ _WHITE = _RGB2XYZ.sum(axis=1)
 _DELTA = 6.0 / 29.0
 
 
-def as_raster(a, name: str = "raster") -> Raster:
+def as_raster(a) -> Raster:
     r = np.asarray(a)
     if r.ndim != 3 or r.shape[2] != 3:
-        raise ShapeError(f"{name} must have shape (H, W, 3), got {r.shape}")
+        raise ShapeError(f"raster must have shape (H, W, 3), got {r.shape}")
     if r.shape[0] == 0 or r.shape[1] == 0:
-        raise ParameterError(f"{name} has no pixels")
+        raise ParameterError("raster has no pixels")
     if r.dtype != np.uint8:
         if not np.issubdtype(r.dtype, np.integer):
-            raise ParameterError(f"{name} must be 8-bit integer, got {r.dtype}")
+            raise ParameterError(f"raster must be 8-bit integer, got {r.dtype}")
         if r.min() < 0 or r.max() > 255:
-            raise ParameterError(f"{name} values outside [0, 255]")
+            raise ParameterError("raster values outside [0, 255]")
         r = r.astype(np.uint8)
     return r
 
@@ -266,8 +266,13 @@ def _ppm_token(buf: bytes, pos: int):
 
 
 def read_ppm(path) -> Raster:
-    with open(path, "rb") as fh:
-        buf = fh.read()
+    """A binary PPM as a raster; a file that cannot be read or parsed
+    is a ``DataError``."""
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except OSError as e:
+        raise DataError(f"cannot read PPM: {e}") from None
     magic, pos = _ppm_token(buf, 0)
     if magic != b"P6":
         raise DataError(f"not a binary PPM (magic {magic!r})")

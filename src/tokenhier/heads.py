@@ -9,8 +9,8 @@ stays untouched; model selection is by best validation balanced
 accuracy.
 
 Everything runs on batches: ``probs_batch`` is the one forward pass of
-both heads and ``predict_batch`` its argmax.  ``attention_pool`` gives
-one sequence's pooled vector and per-head weights for inspection.
+both heads and ``predict_batch`` its argmax; for the pooling head it
+also returns the pooled vectors and the per-head attention weights.
 Every pooling projection (per-head query, key and value maps and the
 output map) is learned.
 """
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import TokenSequence
 from .errors import ConfigError, ParameterError, ShapeError
 from .numkernel import RngStream, softmax_backward, softmax_rows, trunc_normal
 from .optim import AdamConfig, adam_init, adam_step
@@ -110,9 +109,10 @@ def make_attnpool_params(embed_dim: int, num_classes: int, num_heads: int,
     )
 
 
-def _pool_batch(cls, patches, p: AttnPoolParams, want_cache: bool = False):
-    """Vectorized pooling: cls (B,D), patches (B,N,D) -> h (B,D),
-    weights (B,H,N)."""
+def _pool_batch(cls, patches, p: AttnPoolParams):
+    """Vectorized pooling: cls (B,D), patches (B,N,D) -> h (B,D) and
+    the cache of the backward pass, whose ``a`` holds the per-head
+    attention weights (B,H,N)."""
     bsz, n, d = patches.shape
     if n == 0:
         raise ParameterError("no patch tokens to pool over")
@@ -125,14 +125,7 @@ def _pool_batch(cls, patches, p: AttnPoolParams, want_cache: bool = False):
     hh = np.einsum("bhn,bhnp->bhp", a, v)
     hc = hh.reshape(bsz, d)
     h = hc @ p.Wo.T
-    cache = dict(q=q, k=k, v=v, a=a, hc=hc) if want_cache else None
-    return h, a, cache
-
-
-def attention_pool(seq: TokenSequence, p: AttnPoolParams):
-    """Pooled vector h and the per-head attention weights (H, N)."""
-    h, w, _ = _pool_batch(seq.cls[None, :], seq.patches[None, :, :], p)
-    return h[0], w[0]
+    return h, dict(q=q, k=k, v=v, a=a, hc=hc)
 
 
 def _stack(items):
@@ -152,7 +145,7 @@ def probs_batch(cls, patches, params, mode):
             f"class tokens have dim {cls.shape[1]}, head expects {width}")
     if mode == LINEAR:
         return softmax_rows(cls @ params.W_lp.T + params.b), None
-    h, _, cache = _pool_batch(cls, patches, params, want_cache=True)
+    h, cache = _pool_batch(cls, patches, params)
     return softmax_rows(h @ params.W_attn.T + params.b), (h, cache)
 
 
@@ -186,13 +179,6 @@ def head_gradients(batch, params, mode):
     grads["Wk"] = np.einsum("bhnp,bnd->hpd", dk, patches)
     grads["Wv"] = np.einsum("bhnp,bnd->hpd", dv, patches)
     return grads, loss
-
-
-def _params_dict(params, mode):
-    if mode == LINEAR:
-        return {"W_lp": params.W_lp, "b": params.b}
-    return {"W_attn": params.W_attn, "b": params.b, "Wq": params.Wq,
-            "Wk": params.Wk, "Wv": params.Wv, "Wo": params.Wo}
 
 
 def predict_batch(items, params, mode):
@@ -232,7 +218,7 @@ def train_head(train_items, val_items, mode,
         params = make_attnpool_params(
             d, c, cfg.num_heads, RngStream(seed=cfg.seed, stream_id=77))
     adam_cfg = AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    pdict = _params_dict(params, mode)
+    pdict = vars(params)
     opt = adam_init(pdict)
     order_rng = RngStream(seed=cfg.seed, stream_id=78)
     n = len(train_items)

@@ -87,9 +87,11 @@ def layer_norm_backward(dy: Mat, gain: np.ndarray, stats):
     return dx, dg, db
 
 
-def trunc_normal(rng: RngStream, shape, sigma: float = 0.02) -> np.ndarray:
-    """Normal draws clipped to two sigma, in one ``gaussian`` call so
-    the draw order is the row-major order of ``shape``."""
+def trunc_normal(rng: RngStream, shape) -> np.ndarray:
+    """Normal draws at sigma 0.02 clipped to two sigma, in one
+    ``gaussian`` call so the draw order is the row-major order of
+    ``shape``."""
+    sigma = 0.02
     v = rng.gaussian(int(np.prod(shape)), 0.0, sigma)
     return np.clip(v, -2 * sigma, 2 * sigma).reshape(shape)
 

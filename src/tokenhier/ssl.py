@@ -126,12 +126,9 @@ def dino_loss_grad(student_cls_logits, teacher_cls_logits, center,
                    cfg: SslConfig):
     """Image-level term: mean centered cross-entropy over (student,
     teacher) logit rows, and its student gradient."""
-    s = np.atleast_2d(student_cls_logits)
-    rows, ds = _centered_ce(s, np.atleast_2d(teacher_cls_logits), center, cfg)
-    grad = ds / rows.size
-    if np.asarray(student_cls_logits).ndim == 1:
-        grad = grad[0]
-    return float(rows.mean()), grad
+    rows, ds = _centered_ce(student_cls_logits, teacher_cls_logits, center,
+                            cfg)
+    return float(rows.mean()), ds / rows.size
 
 
 def ibot_loss_grad(student_masked_patch_logits, teacher_patch_logits, center,
@@ -257,8 +254,7 @@ class TrainState:
 
 
 def init_train_state(enc_cfg: EncoderConfig, ssl_cfg: SslConfig,
-                     rng: RngStream,
-                     adam_cfg: AdamConfig = AdamConfig()) -> TrainState:
+                     rng: RngStream) -> TrainState:
     d, k = enc_cfg.embed_dim, ssl_cfg.prototype_count
     student = {}
     student.update(_prefixed(init_params(enc_cfg, rng.derive(0)), "enc."))

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .color import Raster, as_raster
-from .errors import DataError, DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, ParameterError
 
 _LUMA = np.array([0.299, 0.587, 0.114])
 
@@ -70,24 +70,6 @@ def _gray(raster: Raster) -> np.ndarray:
     # BT.601 luma, rounded to 8-bit levels
     g = np.rint(raster.astype(np.float64) @ _LUMA)
     return np.clip(g, 0, 255).astype(np.int64)
-
-
-def _threshold_and_mask(raster: Raster, invert: bool):
-    gray = _gray(raster)
-    hist = np.bincount(gray.ravel(), minlength=256)
-    t = otsu_threshold(hist)
-    mask = gray >= t if invert else gray < t
-    return t, mask
-
-
-def tissue_mask(r: Raster, invert: bool = False) -> np.ndarray:
-    """Boolean (H, W) mask of tissue pixels.
-
-    Grayscale is BT.601 luma; tissue is strictly below the threshold
-    (or its complement when inverted).  A single-valued image has no
-    threshold and raises a degenerate-input error ("no tissue").
-    """
-    return _threshold_and_mask(as_raster(r), invert)[1]
 
 
 @dataclass(frozen=True)
@@ -142,10 +124,13 @@ def extract_tiles(r: Raster, source_id: str, tile_size: int = 256,
             f"min_tissue_fraction must be in [0,1], got {min_tissue_fraction}")
     raster = as_raster(r)
     h, w = raster.shape[:2]
+    gray = _gray(raster)
     try:
-        t, mask = _threshold_and_mask(raster, invert)
+        t = otsu_threshold(np.bincount(gray.ravel(), minlength=256))
     except DegenerateInputError:
         return TileManifest([], tile_size, 0, min_tissue_fraction)
+    # tissue is strictly below the threshold, or at or above it inverted
+    mask = gray >= t if invert else gray < t
     records = []
     for y in range(0, h - tile_size + 1, tile_size):
         for x in range(0, w - tile_size + 1, tile_size):
@@ -156,8 +141,9 @@ def extract_tiles(r: Raster, source_id: str, tile_size: int = 256,
 
 
 def merge_manifests(manifests) -> TileManifest:
-    """Combine per-source manifests into one, records ordered by
-    (source_id, y, x); threshold_used becomes a per-source map."""
+    """Combine single-source manifests, as ``extract_tiles`` gives them,
+    into one, records ordered by (source_id, y, x); threshold_used
+    becomes a per-source map."""
     manifests = list(manifests)
     if not manifests:
         raise ParameterError("nothing to merge")
@@ -169,18 +155,10 @@ def merge_manifests(manifests) -> TileManifest:
     records = []
     for m in manifests:
         for rec in m.records:
-            thresholds.setdefault(rec.source_id, _scalar_threshold(m, rec.source_id))
+            thresholds.setdefault(rec.source_id, m.threshold_used)
             records.append(rec)
-        if isinstance(m.threshold_used, dict):
-            thresholds.update(m.threshold_used)
     records.sort(key=lambda rec: (rec.source_id, rec.y, rec.x))
     return TileManifest(records, sizes.pop(), thresholds, floors.pop())
-
-
-def _scalar_threshold(manifest: TileManifest, source_id: str):
-    if isinstance(manifest.threshold_used, dict):
-        return manifest.threshold_used.get(source_id, 0)
-    return manifest.threshold_used
 
 
 def write_manifest(manifest: TileManifest, path, extra_header: dict = None) -> None:
@@ -205,32 +183,3 @@ def write_manifest(manifest: TileManifest, path, extra_header: dict = None) -> N
                 "tissue_fraction": rec.tissue_fraction,
                 "label": rec.label,
             }, sort_keys=True) + "\n")
-
-
-def read_manifest(path) -> TileManifest:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty manifest file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: bad manifest header: {e}") from None
-    if not isinstance(header, dict) or "tile_size" not in header:
-        raise DataError(f"{path}: manifest header missing tile_size")
-    records = []
-    for i, ln in enumerate(lines[1:], start=2):
-        try:
-            obj = json.loads(ln)
-            records.append(TileRecord(
-                source_id=obj["source_id"], x=obj["x"], y=obj["y"],
-                size=obj["size"], tissue_fraction=obj["tissue_fraction"],
-                label=obj.get("label")))
-        except (json.JSONDecodeError, KeyError, TypeError, ParameterError) as e:
-            raise DataError(f"{path}:{i}: bad tile record: {e}") from None
-    try:
-        return TileManifest(records, header["tile_size"],
-                            header.get("threshold_used", 0),
-                            header.get("min_tissue_fraction", 0.0))
-    except ParameterError as e:
-        raise DataError(f"{path}: {e}") from None

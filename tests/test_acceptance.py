@@ -19,15 +19,15 @@ import pytest
 
 from tokenhier.bench import (AblationConfig, acceptance_suites,
                              balanced_accuracy, ingest_directory,
-                             make_pretrain_corpus, make_token_suite,
-                             render_ablation_table, run_ablation)
+                             make_pretrain_corpus, render_ablation_table,
+                             run_ablation)
 from tokenhier.cli import main as cli_main
 from tokenhier.color import (hsv_to_rgb, lab_to_rgb, rgb_to_hsv, rgb_to_lab,
                              write_ppm)
 from tokenhier.encoder import TokenSequence
 from tokenhier.gradcheck import run_all
 from tokenhier.heads import (ATTNPOOL, LINEAR, AttnPoolParams,
-                             HeadTrainConfig, attention_pool, predict_batch,
+                             HeadTrainConfig, predict_batch, probs_batch,
                              train_head)
 from tokenhier.numkernel import RngStream
 from tokenhier.optim import AdamConfig
@@ -35,6 +35,8 @@ from tokenhier.ssl import (POSTTRAIN, gram_loss_grad, init_train_state,
                            koleo_loss_grad, run_training,
                            student_encoder_params)
 from tokenhier.tiler import otsu_threshold
+
+from token_suite import make_token_suite
 
 
 def report(number: int, label: str, ok: bool, detail: str) -> None:
@@ -136,7 +138,9 @@ def test_c2_oracle_equivalence():
     seq = TokenSequence(np.array([1.0, 0.0]),
                         np.array([[2.0, 0.0], [0.0, 2.0]]))
     a1 = 1.0 / (1.0 + math.exp(-math.sqrt(2.0)))
-    h_pool, w_pool = attention_pool(seq, p)
+    _, (h_pool, cache) = probs_batch(seq.cls[None], seq.patches[None], p,
+                                     ATTNPOOL)
+    h_pool, w_pool = h_pool[0], cache["a"][0]
     pool_err = max(abs(h_pool[0] - 2.0 * a1), abs(h_pool[1] - 2.0 * (1 - a1)),
                    abs(w_pool[0, 0] - a1))
 

@@ -10,18 +10,21 @@ from tokenhier.bench import (GLOBAL, LOCAL, SHIFTED, SUITE_SPECS, TEST,
                              TRAIN, VAL, AblationConfig, LabeledDataset,
                              SuiteSpec, apply_protocol_shift,
                              balanced_accuracy, class_recalls, embed_dataset,
-                             ingest_directory, load_embeddings, make_report,
+                             ingest_directory, make_report,
                              make_pretrain_corpus, make_synthetic_suite,
-                             make_token_suite, render_ablation_table,
+                             render_ablation_table,
                              run_ablation, save_embeddings, split_dataset,
                              split_hash, validate_report, write_bacc_svg,
                              write_report)
+from tokenhier.checkpoint import load_params
 from tokenhier.color import rgb_to_lab, write_ppm
 from tokenhier.encoder import EncoderConfig, init_params
 from tokenhier.errors import ConfigError, DataError, ParameterError
 from tokenhier.heads import HeadTrainConfig
 from tokenhier.numkernel import RngStream
 from tokenhier.ssl import SslConfig
+
+from token_suite import make_token_suite
 
 
 SMALL_ENC = EncoderConfig(image_size=32, token_size=16, embed_dim=16,
@@ -385,73 +388,12 @@ class TestEmbedDataset:
         path = tmp_path / "emb.npz"
         save_embeddings(path, seqs, tr.labels, SMALL_ENC,
                         extra={"config_fingerprint": "ab" * 8})
-        loaded, labels, extra = load_embeddings(path)
-        assert np.array_equal(labels, tr.labels)
+        kind, config, tensors, extra = load_params(path)
+        assert kind == "embeddings" and config == asdict(SMALL_ENC)
+        assert np.array_equal(tensors["labels"], tr.labels)
         assert extra["config_fingerprint"] == "ab" * 8
-        for a, b in zip(seqs, loaded):
-            assert np.array_equal(a.cls, b.cls)
-            assert np.array_equal(a.patches, b.patches)
-
-    def test_load_rejects_other_kinds(self, tmp_path):
-        from tokenhier.checkpoint import save_params
-
-        path = tmp_path / "x.npz"
-        save_params(path, "linear_head", {}, {"W": np.zeros((2, 2))})
-        with pytest.raises(DataError):
-            load_embeddings(path)
-
-    @pytest.mark.parametrize("config", [{"embed_dim": -3}, {"depth": "x"},
-                                        {"warp": 9}])
-    def test_load_rejects_damaged_config(self, tmp_path, config):
-        """An invalid encoder config in the header is damaged data."""
-        from tokenhier.checkpoint import save_params
-
-        path = tmp_path / "x.emb"
-        save_params(path, "embeddings", config,
-                    {"cls": np.zeros((1, 4)), "patches": np.zeros((1, 2, 4)),
-                     "labels": np.zeros(1)})
-        with pytest.raises(DataError, match="bad encoder config"):
-            load_embeddings(path)
-
-
-    def write_tensors(self, path, **tensors):
-        """An embeddings file for SMALL_ENC (D=16, 4 patches) holding
-        exactly the given tensors."""
-        from tokenhier.checkpoint import save_params
-
-        save_params(path, "embeddings", asdict(SMALL_ENC), tensors)
-
-    def good_tensors(self, n=3):
-        return {"cls": np.zeros((n, 16)), "patches": np.zeros((n, 4, 16)),
-                "labels": np.zeros(n)}
-
-    @pytest.mark.parametrize("name", ["cls", "patches", "labels"])
-    def test_load_rejects_missing_tensor(self, tmp_path, name):
-        tensors = self.good_tensors()
-        del tensors[name]
-        self.write_tensors(tmp_path / "e", **tensors)
-        with pytest.raises(DataError, match=f"no '{name}' tensor"):
-            load_embeddings(tmp_path / "e")
-
-    @pytest.mark.parametrize("name,bad", [
-        ("cls", np.zeros(16)), ("patches", np.zeros((3, 64))),
-        ("labels", np.zeros((3, 1))), ("labels", np.zeros(())),
-        ("cls", np.zeros((3, 8))), ("patches", np.zeros((3, 4, 8)))])
-    def test_load_rejects_wrong_shape(self, tmp_path, name, bad):
-        """Wrong ranks, and token widths other than the header's
-        embed_dim (16 here)."""
-        tensors = dict(self.good_tensors(), **{name: bad})
-        self.write_tensors(tmp_path / "e", **tensors)
-        with pytest.raises(DataError, match="header's encoder"):
-            load_embeddings(tmp_path / "e")
-
-    def test_load_rejects_row_count_mismatch(self, tmp_path):
-        """2 class tokens, 1 patch stack and 3 labels must not load as
-        one sequence with three labels, as pairing them up would."""
-        self.write_tensors(tmp_path / "e", cls=np.zeros((2, 16)),
-                           patches=np.zeros((1, 4, 16)), labels=np.zeros(3))
-        with pytest.raises(DataError, match="item count"):
-            load_embeddings(tmp_path / "e")
+        assert np.array_equal(tensors["cls"], [s.cls for s in seqs])
+        assert np.array_equal(tensors["patches"], [s.patches for s in seqs])
 
 
 class TestReports:

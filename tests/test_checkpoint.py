@@ -1,9 +1,12 @@
 """The one config reader: ``read_config`` is the inverse of ``asdict``
 for every config dataclass, ``check_value`` holds the type rules, and
 a value of any JSON type in any field comes out as a ``ConfigError``
-from a config file or a ``DataError`` from an artifact header."""
+from a config file or a ``DataError`` from an artifact header.  Any
+damage to a checkpoint file comes out of ``load_params`` as a
+``DataError``."""
 
 import json
+import math
 import tempfile
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
@@ -13,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenhier.bench import AblationConfig, load_embeddings
-from tokenhier.checkpoint import check_value, read_config, save_params
+from tokenhier.bench import AblationConfig
+from tokenhier.checkpoint import (check_value, load_params, read_config,
+                                  save_params)
 from tokenhier.color import StainAugConfig
 from tokenhier.encoder import EncoderConfig
 from tokenhier.errors import ConfigError, DataError
@@ -25,8 +29,12 @@ CONFIGS = (EncoderConfig, SslConfig, StainAugConfig, HeadTrainConfig,
            AblationConfig)
 FIELDS = [(cls, f.name) for cls in CONFIGS for f in fields(cls)]
 
+# Python's json reads NaN, Infinity and -Infinity, so a file can hold them
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | non_finite
+    | st.text(),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=8)
@@ -76,7 +84,10 @@ class TestTypeRules:
         (int, 1.5), (int, 2.0), (int, True), (int, "3"), (float, True),
         (float, "x"), (float, None), (bool, 1), (bool, "false"), (str, None),
         (str, 5), (tuple[int, ...], 3), (tuple[int, ...], [0.5]),
-        (tuple[float, ...], [True, 1, 2]), (tuple[float, ...], "abc")])
+        (tuple[float, ...], [True, 1, 2]), (tuple[float, ...], "abc"),
+        (float, math.nan), (float, math.inf), (float, -math.inf),
+        pytest.param(float, 10 ** 400, id="float-10**400"),
+        (tuple[float, ...], [1.0, math.nan])])
     def test_rejects_naming_the_key(self, hint, value):
         with pytest.raises(ConfigError, match="^k must be"):
             check_value("k", hint, value)
@@ -129,11 +140,84 @@ class TestAnyValueInAnyField:
         assert load_error(load_train_state, "train_state", config,
                           centers) in (None, DataError)
 
-    @settings(max_examples=100, deadline=None)
-    @given(name=st.sampled_from([f.name for f in fields(EncoderConfig)]),
-           value=json_values)
-    def test_embeddings_header_raises_data_error_only(self, name, value):
-        tensors = {"cls": np.zeros((1, 64)), "patches": np.zeros((1, 16, 64)),
-                   "labels": np.zeros(1)}
-        assert load_error(load_embeddings, "embeddings", {name: value},
-                          tensors) in (None, DataError)
+
+def checkpoint_bytes():
+    """A valid two-tensor checkpoint, as bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x"
+        save_params(path, "train_state", {"step": 1},
+                    {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(1)},
+                    extra={"note": "x"})
+        return path.read_bytes()
+
+
+VALID = checkpoint_bytes()
+HEADER, _, BLOB = VALID.partition(b"\n")
+
+dims = st.integers(-2, 4) | st.sampled_from([2 ** 31, 2 ** 62, 2 ** 64])
+
+
+@st.composite
+def byte_mutations(draw):
+    """The valid file with a few bytes overwritten, dropped or added."""
+    data = bytearray(VALID)
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(data) - 1))
+        op = draw(st.sampled_from(["set", "drop", "insert"]))
+        byte = draw(st.integers(0, 255))
+        if op == "set":
+            data[i] = byte
+        elif op == "drop":
+            del data[i]
+        else:
+            data.insert(i, byte)
+    return bytes(data)
+
+
+@st.composite
+def header_mutations(draw):
+    """The valid file with one header value, or one field of one tensor
+    entry, replaced by any JSON value (or a list of dimensions), and
+    the tensor bytes mostly kept, else cut or padded by one float."""
+    header = json.loads(HEADER)
+    entries = header["tensors"]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(header)))
+        header[key] = draw(json_values)
+    else:
+        entry = entries[draw(st.integers(0, len(entries) - 1))]
+        key = draw(st.sampled_from(["name", "shape"]))
+        entry[key] = draw(json_values | st.lists(dims, max_size=3)
+                          | st.sampled_from([e["name"] for e in entries]))
+    blob = draw(st.sampled_from([BLOB, BLOB, BLOB[:-8], BLOB + bytes(8)]))
+    return json.dumps(header).encode("ascii") + b"\n" + blob
+
+
+class TestDamagedCheckpointFile:
+    def raised(self, data: bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x"
+            path.write_bytes(data)
+            try:
+                load_params(path)
+            except Exception as e:  # noqa: BLE001 - the class is the result
+                return type(e)
+        return None
+
+    def test_valid_file_loads(self):
+        assert self.raised(VALID) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=200) | byte_mutations())
+    def test_damaged_bytes_raise_only_data_error(self, data):
+        assert self.raised(data) in (None, DataError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=header_mutations())
+    def test_damaged_header_raises_only_data_error(self, data):
+        assert self.raised(data) in (None, DataError)
+
+    @pytest.mark.parametrize("data", [b"[" * 100000 + b"\n", b"\xff\n"],
+                             ids=["deeply_nested", "not_utf8"])
+    def test_unparsable_header(self, data):
+        assert self.raised(data) is DataError

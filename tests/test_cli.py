@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenhier.bench import AblationConfig, load_embeddings, validate_report
-from tokenhier.checkpoint import config_fingerprint, save_params
+from tokenhier.bench import AblationConfig, validate_report
+from tokenhier.checkpoint import config_fingerprint, load_params, save_params
 from tokenhier.cli import main
 from tokenhier.color import write_ppm
 from tokenhier.numkernel import RngStream
@@ -121,6 +121,25 @@ class TestArgumentHandling:
         assert run_cli("pretrain", "--config", cfg,
                        "--out", tmp_path / "c.ckpt") == 2
         assert type_error(config) in capsys.readouterr().err
+        assert not (tmp_path / "c.ckpt").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"mlp_ratio": NaN}', '{"lr": Infinity}', '{"koleo_weight": NaN}',
+        '{"lab_std_sigma": [0.1, -Infinity, 0.1]}', '{"lr": 1e400}',
+        '{"lr": %d}' % 10 ** 400], ids=[
+        "mlp_ratio-nan", "lr-inf", "koleo_weight-nan", "lab_std_sigma--inf",
+        "lr-1e400", "lr-10**400"])
+    def test_non_finite_numbers_are_usage_errors(self, tmp_path, capsys,
+                                                 text):
+        """NaN, the infinities and integers past float range (which
+        Python's json reads) are refused by name, not passed on to
+        domain checks that cannot see them."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert run_cli("pretrain", "--config", cfg, "--steps", "0",
+                       "--out", tmp_path / "c.ckpt") == 2
+        key = next(iter(json.loads(text)))
+        assert f"{key} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "c.ckpt").exists()
 
     def test_config_seed_is_read(self, tmp_path, capsys):
@@ -254,6 +273,15 @@ class TestTile:
         assert run_cli("tile", "--input", src,
                        "--out", tmp_path / "m") == 2
         assert "broken.ppm" in capsys.readouterr().err
+
+    def test_unreadable_raster_is_usage_error(self, tmp_path, capsys):
+        """``tile`` reports an input it cannot open as it reports one it
+        cannot parse."""
+        src = tmp_path / "in"
+        (src / "x.ppm").mkdir(parents=True)
+        assert run_cli("tile", "--input", src,
+                       "--out", tmp_path / "m") == 2
+        assert "x.ppm" in capsys.readouterr().err
 
 
 class TestTraining:
@@ -398,6 +426,22 @@ class TestMalformedCheckpoint:
         assert self.embed_exit(tmp_path, _header()) == 3
         assert "cls_center" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table,message", [
+        ('[{"name": ["a"], "shape": [1]}]', "bad tensor entry"),
+        ('[{"name": "a", "shape": [1e400]}]', "bad tensor entry"),
+        ('[{"name": "a", "shape": [0, 4611686018427387904]}]', "too large"),
+        ('[{"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}]',
+         "listed twice")], ids=["list_name", "float_dim", "huge_dim",
+                                "repeated_name"])
+    def test_bad_tensor_table(self, tmp_path, table, message, capsys):
+        """A tensor table with a non-string name, a dimension that is
+        not an integer or too large for numpy, or a name listed twice
+        is a data error."""
+        head = _header().replace(b'"tensors": []',
+                                 b'"tensors": ' + table.encode("ascii"))
+        assert self.embed_exit(tmp_path, head + bytes(16)) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("config", [
         {"encoder": 5}, {"encoder": {"embed_dim": -3}},
         {"ssl": [1]}, {"ssl": {"prototype_count": 1}},
@@ -442,11 +486,12 @@ class TestEmbed:
         assert run_cli("embed", "--ckpt", work / "enc.ckpt",
                        "--data", work / "sg", "--out", out,
                        "--log-level", "quiet") == 0
-        seqs, labels, extra = load_embeddings(out)
-        assert len(seqs) == 40
+        kind, _, tensors, extra = load_params(out)
+        assert kind == "embeddings" and tensors["cls"].shape[0] == 40
+        assert tensors["patches"].shape[0] == 40
         assert extra["class_names"] == ["class0", "class1"]
         assert len(extra["config_fingerprint"]) == 16
-        assert sorted(set(labels.tolist())) == [0, 1]
+        assert sorted(set(tensors["labels"].tolist())) == [0, 1]
         capsys.readouterr()
 
     def test_no_class_directories_is_data_error(self, work, tmp_path,
@@ -632,6 +677,19 @@ class TestAugment:
                        "--out", tmp_path / "aug") == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["augment", "pretrain"])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys,
+                                            command):
+        """A directory named like a raster cannot be read: exit 3 for
+        ``augment`` and ``pretrain --input``, not a traceback."""
+        src = tmp_path / "in"
+        (src / "x.ppm").mkdir(parents=True)
+        argv = {"augment": ["--out", tmp_path / "aug"],
+                "pretrain": ["--steps", "0", "--out", tmp_path / "c.ckpt"]}
+        assert run_cli(command, "--input", src, *argv[command]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "x.ppm" in err
+
 
 class TestDemo:
     def test_end_to_end(self, tmp_path, capsys):
@@ -704,7 +762,7 @@ class TestConfigFingerprints:
         assert run_cli("embed", "--ckpt", work / "init.ckpt",
                        "--data", work / "sg", "--out", emb,
                        "--log-level", "quiet") == 0
-        fp = load_embeddings(emb)[2]["config_fingerprint"]
+        fp = load_params(emb)[3]["config_fingerprint"]
         assert fp == "c33c682a5568b231"
         cfg = tmp_path / "head.json"
         cfg.write_text('{"epochs": 2, "lr": 0.05, "batch": 8, "seed": 3}')

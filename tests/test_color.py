@@ -3,7 +3,9 @@
 import colorsys
 import hashlib
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -489,6 +491,20 @@ class TestSinglePassKernels:
                               (0.1, 0.1, 0.1))
 
 
+# a 3x2 binary PPM with a header comment
+VALID_PPM = b"P6\n# c\n3 2\n255\n" + bytes(range(18))
+
+
+@st.composite
+def damaged_ppms(draw):
+    """``VALID_PPM`` with a span of up to 4 bytes replaced by 1 to 4
+    others."""
+    i = draw(st.integers(0, len(VALID_PPM) - 1))
+    cut = draw(st.integers(0, 4))
+    return (VALID_PPM[:i] + draw(st.binary(min_size=1, max_size=4))
+            + VALID_PPM[i + cut:])
+
+
 class TestPpm:
     def test_round_trip_bit_exact(self, tmp_path):
         r = np.random.default_rng(5).integers(0, 256, size=(17, 23, 3)).astype(np.uint8)
@@ -519,3 +535,25 @@ class TestPpm:
         p.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(DataError):
             read_ppm(p)
+
+    def test_unreadable_path(self, tmp_path):
+        """A missing file, or a directory named like one, is damaged
+        input, not an OSError."""
+        (tmp_path / "dir.ppm").mkdir()
+        for p in (tmp_path / "missing.ppm", tmp_path / "dir.ppm"):
+            with pytest.raises(DataError, match="cannot read PPM"):
+                read_ppm(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=64) | damaged_ppms())
+    def test_damaged_bytes_raise_only_data_error(self, data):
+        """Random bytes, and a valid PPM with a span replaced, either
+        read as a raster or raise DataError."""
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "x.ppm"
+            p.write_bytes(data)
+            try:
+                r = read_ppm(p)
+            except DataError:
+                return
+        assert r.dtype == np.uint8 and r.ndim == 3 and r.shape[2] == 3

@@ -3,15 +3,15 @@ import copy
 import numpy as np
 import pytest
 
-from tokenhier.bench import make_token_suite
 from tokenhier.encoder import TokenSequence
 from tokenhier.errors import ConfigError, ParameterError, ShapeError
 from tokenhier.heads import (ATTNPOOL, LINEAR, AttnPoolParams,
-                             HeadTrainConfig, ProbeParams, attention_pool,
-                             head_gradients, make_attnpool_params,
-                             make_probe_params, predict_batch, probs_batch,
-                             train_head)
+                             HeadTrainConfig, ProbeParams, head_gradients,
+                             make_attnpool_params, make_probe_params,
+                             predict_batch, probs_batch, train_head)
 from tokenhier.numkernel import RngStream
+
+from token_suite import make_token_suite
 
 
 def linear_probe_forward(cls_token, p):
@@ -23,6 +23,13 @@ def linear_probe_forward(cls_token, p):
 def attnpool_forward(seq, p):
     """Pooling-head probabilities for one sequence, through the batch path."""
     return probs_batch(seq.cls[None], seq.patches[None], p, ATTNPOOL)[0][0]
+
+
+def attention_pool(seq, p):
+    """Pooled vector (D,) and per-head attention weights (H, N) of one
+    sequence, read from the pooling cache that the batch path returns."""
+    _, (h, cache) = probs_batch(seq.cls[None], seq.patches[None], p, ATTNPOOL)
+    return h[0], cache["a"][0]
 
 
 def make_seq(rng, d=8, n=5):

@@ -1,14 +1,19 @@
 """Every name a package module imports, and every module-private
-top-level name it defines, is used in that module.
+top-level name it defines, is used in that module; every public
+top-level name is read somewhere in the package; every parameter is
+read by its function.
 
-Deleting code tends to leave its imports and private helpers behind;
+Deleting code tends to leave its imports, helpers and knobs behind;
 this catches them with the standard-library parser, no linter needed.
 An imported name counts as used when it is read anywhere in the module
 or listed in ``__all__``; a private name when it is read anywhere in
-the module.
+the module; a public name when any package module reads it, as a name
+or an attribute, outside its own definition, or lists it in
+``__all__``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,14 +33,18 @@ def imported_names(tree):
                 yield alias.asname or alias.name
 
 
-def used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def exported_names(tree):
+    """The entries of a module's ``__all__``."""
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
-    return used
+            yield from ast.literal_eval(node.value)
+
+
+def used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | set(exported_names(tree))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -98,3 +107,68 @@ def test_one_config_reader():
             if callee != "SuiteSpec":
                 found.append(f"{path.name}:{call.lineno} {callee}(**...)")
     assert not found, f"config built outside read_config: {found}"
+
+
+
+
+def loaded_names(tree):
+    """Names read in ``tree``, as a name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+
+def test_public_names_are_read_in_src():
+    """Every public top-level def or class in ``src/tokenhier`` is read
+    somewhere in ``src`` outside its own definition: a name that only
+    tests reach belongs in the tests, or nowhere."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    reads = Counter(name for tree in trees.values()
+                    for name in loaded_names(tree))
+    exported = {name for tree in trees.values()
+                for name in exported_names(tree)}
+    unread = [f"{module}.{node.name}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in exported
+              and reads[node.name] == Counter(loaded_names(node))[node.name]]
+    assert not unread, f"public names no src code reads: {unread}"
+
+# (module, function, parameter) triples exempt from the rule below.
+UNREAD_PARAMETERS = {
+    # perfbench/workloads.py passes threads=; the parameter goes when the
+    # benchmark stops passing it (ROADMAP item 1)
+    ("bench", "embed_dataset", "threads"),
+}
+
+
+def parameter_names(func):
+    args = func.args
+    for arg in (args.posonlyargs + args.args + args.kwonlyargs
+                + [a for a in (args.vararg, args.kwarg) if a]):
+        yield arg.arg
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    """Every parameter of every function (methods, nested functions and
+    lambdas included) is read in its body, so a knob no code honours
+    cannot stay in a signature."""
+    unread = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {name for stmt in body for name in read_names(stmt)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.stem}.{name}: {arg}"
+                       for arg in parameter_names(node)
+                       if arg not in read
+                       and (path.stem, name, arg) not in UNREAD_PARAMETERS]
+    assert not unread, f"parameters never read: {unread}"

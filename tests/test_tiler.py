@@ -1,19 +1,19 @@
-"""Threshold search, masks, and tiling against brute-force oracles."""
+"""Threshold search, tissue fractions, and tiling against brute-force
+oracles."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tokenhier.errors import DataError, DegenerateInputError, ParameterError
+from tokenhier.errors import DegenerateInputError, ParameterError
 from tokenhier.tiler import (
     TileManifest,
     TileRecord,
     extract_tiles,
     merge_manifests,
     otsu_threshold,
-    read_manifest,
-    tissue_mask,
     write_manifest,
 )
 
@@ -123,41 +123,59 @@ def two_tone_square(bg=255, fg=40, ring=60, size=64, lo=16, hi=48):
     return img
 
 
+def oracle_mask(img, invert=False):
+    """Per-pixel BT.601 luma against the oracle threshold: tissue is
+    strictly below it, or at or above it when inverted."""
+    h, w = img.shape[:2]
+    gray = np.zeros((h, w), dtype=int)
+    for i in range(h):
+        for j in range(w):
+            r, g, b = (int(v) for v in img[i, j])
+            gray[i, j] = round(0.299 * r + 0.587 * g + 0.114 * b)
+    t = oracle_otsu(np.bincount(gray.ravel(), minlength=256))
+    return gray >= t if invert else gray < t
+
+
+def tile_fractions(img, tile, invert=False):
+    """{(y, x): tissue fraction} of every tile, through extract_tiles."""
+    m = extract_tiles(img, "s", tile, 0.0, invert=invert)
+    return {(r.y, r.x): r.tissue_fraction for r in m.records}
+
+
 class TestTissueMask:
     def test_dark_square(self):
-        """Mask covers the square, with at most the 1px ring as slack."""
-        img = two_tone_square()
-        mask = tissue_mask(img)
-        assert mask[16:48, 16:48].all()
-        outside = mask.copy()
-        outside[15:49, 15:49] = False
-        assert not outside.any()
+        """Tiles inside the square are all tissue; outside it, at most
+        the 1px ring counts."""
+        fracs = tile_fractions(two_tone_square(), 16)
+        inner = [(y, x) for y in (16, 32) for x in (16, 32)]
+        assert len(fracs) == 16 and all(fracs[k] == 1.0 for k in inner)
+        outside = sum(f for k, f in fracs.items() if k not in inner)
+        assert outside * 16 * 16 <= 34 * 34 - 32 * 32
 
     def test_all_white_degenerate(self):
+        """A single-valued image has no threshold, so no tissue: no tile
+        is kept even with a zero floor."""
         img = np.full((32, 32, 3), 255, dtype=np.uint8)
-        with pytest.raises(DegenerateInputError):
-            tissue_mask(img)
+        m = extract_tiles(img, "s", 16, 0.0)
+        assert m.records == [] and m.threshold_used == 0
 
     def test_invert_flag_complements(self):
         img = two_tone_square()
-        a = tissue_mask(img)
-        b = tissue_mask(img, invert=True)
-        np.testing.assert_array_equal(a, ~b)
+        a = tile_fractions(img, 16)
+        b = tile_fractions(img, 16, invert=True)
+        assert a.keys() == b.keys()
+        assert all(b[k] == 1.0 - a[k] for k in a)
 
     def test_fraction_matches_pixel_count_oracle(self):
-        """Mask mean equals a per-pixel loop using the oracle threshold."""
+        """Each tile's fraction equals a per-pixel count under the
+        oracle threshold, inverted or not."""
         rng = np.random.default_rng(1)
         img = rng.integers(0, 256, size=(32, 32, 3)).astype(np.uint8)
-        mask = tissue_mask(img)
-        gray = np.zeros((32, 32), dtype=int)
-        for i in range(32):
-            for j in range(32):
-                r, g, b = (int(v) for v in img[i, j])
-                gray[i, j] = round(0.299 * r + 0.587 * g + 0.114 * b)
-        hist = np.bincount(gray.ravel(), minlength=256)
-        t = oracle_otsu(hist)
-        count = sum(1 for v in gray.ravel() if v < t)
-        assert float(mask.mean()) == count / gray.size
+        for invert in (False, True):
+            mask = oracle_mask(img, invert)
+            expected = {(y, x): float(mask[y:y + 16, x:x + 16].mean())
+                        for y in (0, 16) for x in (0, 16)}
+            assert tile_fractions(img, 16, invert) == expected
 
 
 def noisy_image(seed, h, w, lo=0, hi=256):
@@ -191,7 +209,7 @@ class TestExtractTiles:
         rng = np.random.default_rng(3)
         img[:64, :64] = rng.integers(20, 70, size=(64, 64, 3))
         m = extract_tiles(img, "q", 32, 0.5)
-        mask = tissue_mask(img)
+        mask = oracle_mask(img)
         expected = []
         for y in range(0, 128, 32):
             for x in range(0, 128, 32):
@@ -240,48 +258,28 @@ class TestManifestIo:
         m = self.make()
         p = tmp_path / "tiles.jsonl"
         write_manifest(m, p)
-        back = read_manifest(p)
-        assert back.tile_size == m.tile_size
-        assert back.threshold_used == m.threshold_used
-        assert back.min_tissue_fraction == m.min_tissue_fraction
-        assert back.records == m.records
+        header, *lines = map(json.loads, p.read_text().splitlines())
+        assert header == {"tile_size": m.tile_size,
+                          "threshold_used": m.threshold_used,
+                          "min_tissue_fraction": m.min_tissue_fraction}
+        assert [TileRecord(**obj) for obj in lines] == m.records
 
     def test_header_is_first_line(self, tmp_path):
         p = tmp_path / "tiles.jsonl"
         write_manifest(self.make(), p)
-        import json
         first = json.loads(p.read_text().splitlines()[0])
         assert set(first) == {"tile_size", "threshold_used", "min_tissue_fraction"}
 
     def test_record_field_names(self, tmp_path):
         p = tmp_path / "tiles.jsonl"
         write_manifest(self.make(), p)
-        import json
         rec = json.loads(p.read_text().splitlines()[1])
         assert set(rec) == {"source_id", "x", "y", "size",
                             "tissue_fraction", "label"}
 
-    def test_bad_header(self, tmp_path):
-        p = tmp_path / "bad.jsonl"
-        p.write_text('{"nope": 1}\n')
-        with pytest.raises(DataError):
-            read_manifest(p)
-
-    def test_bad_record_line(self, tmp_path):
-        p = tmp_path / "bad.jsonl"
-        p.write_text('{"tile_size": 256, "threshold_used": 1, '
-                     '"min_tissue_fraction": 0.5}\n{"x": 1}\n')
-        with pytest.raises(DataError):
-            read_manifest(p)
-
-    def test_misaligned_record_rejected(self, tmp_path):
-        p = tmp_path / "bad.jsonl"
-        p.write_text('{"tile_size": 256, "threshold_used": 1, '
-                     '"min_tissue_fraction": 0.5}\n'
-                     '{"source_id": "a", "x": 10, "y": 0, "size": 256, '
-                     '"tissue_fraction": 0.5, "label": null}\n')
-        with pytest.raises(DataError):
-            read_manifest(p)
+    def test_misaligned_record_rejected(self):
+        with pytest.raises(ParameterError):
+            TileRecord("a", 10, 0, 256, 0.5)
 
     def test_duplicate_records_rejected(self):
         rec = TileRecord("a", 0, 0, 256, 0.5)
