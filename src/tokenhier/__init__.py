@@ -1,7 +1,8 @@
 """tokenhier: desk-scale stain-aware self-supervised ViT pipeline.
 
-Subpackages are imported lazily by the CLI; importing :mod:`tokenhier`
-itself pulls in nothing heavier than numpy.
+Importing :mod:`tokenhier` itself loads only the exception classes;
+each module imports what it uses, and :mod:`tokenhier.cli` imports
+every module at the top.
 """
 
 __version__ = "0.1.0"

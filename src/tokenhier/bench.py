@@ -93,7 +93,6 @@ def balanced_accuracy(y_true, y_pred, num_classes: int = None) -> float:
 class LabeledDataset:
     items: list                 # (raster uint8 (H,W,3), class id)
     class_names: list
-    split: str
     source_ids: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -269,7 +268,7 @@ def make_synthetic_suite(rng: RngStream, spec: SuiteSpec):
             per_split_ids[split].append(sid)
     names = [f"class{c}" for c in range(spec.num_classes)]
     return tuple(
-        LabeledDataset(per_split[sp], names, sp, per_split_ids[sp])
+        LabeledDataset(per_split[sp], names, per_split_ids[sp])
         for sp in (TRAIN, VAL, TEST))
 
 
@@ -322,7 +321,7 @@ def ingest_directory(root) -> LabeledDataset:
                 failures.append(f"  {f}: {e}")
     if failures:
         raise DataError("unreadable raster files:\n" + "\n".join(failures))
-    return LabeledDataset(items, names, "all", source_ids)
+    return LabeledDataset(items, names, source_ids)
 
 
 def split_dataset(ds: LabeledDataset, seed: int):
@@ -352,7 +351,7 @@ def split_dataset(ds: LabeledDataset, seed: int):
     for sp in (TRAIN, VAL, TEST):
         chosen = sorted(per_split[sp])
         out.append(LabeledDataset(
-            [ds.items[i] for i in chosen], list(ds.class_names), sp,
+            [ds.items[i] for i in chosen], list(ds.class_names),
             [ds.source_ids[i] for i in chosen] if ds.source_ids else []))
     return tuple(out)
 

@@ -41,23 +41,20 @@ def check_value(key: str, hint, value):
     tuples): fingerprints hold."""
     if is_dataclass(hint):
         return read_config(hint, value)
-    args = typing.get_args(hint)
-    if value is None and type(None) in args:
-        return value
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list, got {value!r}")
-        return tuple(check_value(key, args[0], v) for v in value)
-    kind = args[0] if args else hint
-    allowed = (int, float) if kind is float else kind
+        return tuple(check_value(key, typing.get_args(hint)[0], v)
+                     for v in value)
+    allowed = (int, float) if hint is float else hint
     if (not isinstance(value, allowed)
-            or isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+            or isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{key} must be {_KINDS[hint]}, got {value!r}")
     # NaN and the infinities (which Python's json reads) slip past every
     # domain check written as a comparison; so would an integer too
     # large for a float
     big = sys.float_info.max
-    if kind is float and not -big <= value <= big:
+    if hint is float and not -big <= value <= big:
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 

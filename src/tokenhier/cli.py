@@ -7,13 +7,18 @@ them end to end on synthetic data.
 Conventions shared by every command:
   - exit codes: 0 success, 1 verification failure, 2 usage/config
     error, 3 data error
-  - configs come from an optional JSON file (flat, module-mirrored
-    field names) with command-line flags overriding file values; every
-    key's JSON type is checked, and integer keys take integers only
+  - augment, pretrain, posttrain, probe and ablate read an optional
+    JSON config file (--config; flat, module-mirrored field names) with
+    command-line flags overriding file values; every key's JSON type is
+    checked, and integer keys take integers only
+  - augment, bench and demo take --seed (default 0), and so do
+    pretrain, posttrain and probe (default: the config file's seed,
+    then 0); ablate reads its seeds from its config file
   - every primary output records a fingerprint of the resolved config
-  - --threads (fallback TOKENHIER_THREADS) is validated but no command
-    runs a worker pool, so outputs are byte-identical for any value and
-    the thread count stays out of every fingerprint
+  - --threads (fallback TOKENHIER_THREADS) is checked before any
+    command runs, but no command runs a worker pool, so outputs are
+    byte-identical for any value and the thread count stays out of
+    every fingerprint
   - timestamps appear only in ``<output>.log`` sidecars, never in
     primary outputs
 """
@@ -65,7 +70,7 @@ def _load_config_file(path) -> dict:
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -103,7 +108,7 @@ def _note(primary_path, message: str) -> None:
 
 
 def _say(args, message: str) -> None:
-    if getattr(args, "log_level", "info") != "quiet":
+    if args.log_level != "quiet":
         print(message)
 
 
@@ -143,7 +148,7 @@ def cmd_tile(args) -> int:
     if not files:
         print(f"warning: no .ppm files under {args.input}", file=sys.stderr)
         write_manifest(TileManifest([], args.tile_size, 0, args.min_tissue),
-                       args.out, extra_header={"config_fingerprint": fp})
+                       args.out, fp)
         _note(args.out, "tile: empty input directory")
         _say(args, "tiled 0 sources -> 0 tiles")
         return 0
@@ -160,8 +165,7 @@ def cmd_tile(args) -> int:
     merged = merge_manifests(manifests)
     if not merged.records and degenerate == len(files):
         raise DataError("every input image is single-valued; nothing tiled")
-    write_manifest(merged, args.out,
-                   extra_header={"config_fingerprint": fp})
+    write_manifest(merged, args.out, fp)
     _note(args.out, f"tile: {len(files)} sources")
     _say(args, f"tiled {len(files)} sources -> {len(merged.records)} tiles")
     return 0
@@ -180,11 +184,8 @@ def cmd_augment(args) -> int:
         raise DataError(f"no .ppm files under {args.input}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = 0 if args.seed is None else args.seed
-    resolved = {"seed": seed, **asdict(aug)}
-    del resolved["enabled"]         # not part of the augment fingerprint
-    fp = _fingerprint("augment", resolved)
-    root = RngStream(seed=seed, stream_id=71)
+    fp = _fingerprint("augment", {"seed": args.seed, **asdict(aug)})
+    root = RngStream(seed=args.seed, stream_id=71)
     for i, f in enumerate(files):
         write_ppm(out_dir / f.name, stain_augment(read_ppm(f), aug,
                                                   root.derive(i)))
@@ -298,7 +299,6 @@ def cmd_embed(args) -> int:
         raise DataError(f"{args.data}: no class subdirectory holds a .ppm file")
     fp = _fingerprint("embed", {"encoder": asdict(enc_cfg),
                                 "data": sorted(ds.source_ids)})
-    _check_threads(args)
     seqs = embed_dataset(ds, params, enc_cfg)
     _ensure_parent(args.out)
     save_embeddings(args.out, seqs, ds.labels, enc_cfg,
@@ -325,7 +325,6 @@ def cmd_probe(args) -> int:
             f"{args.data}: found {len(ds.class_names)} class directories; "
             "probing needs at least 2")
     tr, va, te = split_dataset(ds, head_cfg.seed)
-    _check_threads(args)
     etr, eva, ete = (embed_dataset(s, params, enc_cfg) for s in (tr, va, te))
     result = train_head(list(zip(etr, tr.labels)), list(zip(eva, va.labels)),
                         args.mode, head_cfg)
@@ -362,8 +361,8 @@ def _materialize_suite(kind: str, per_class: int, seed: int, out_dir: Path):
 
 def cmd_bench(args) -> int:
     out_dir = Path(args.out)
-    seed = 0 if args.seed is None else args.seed
-    splits = _materialize_suite(args.suite, args.per_class, seed, out_dir)
+    splits = _materialize_suite(args.suite, args.per_class, args.seed,
+                                out_dir)
     tr, va, te = splits
 
     def feats(ds):
@@ -377,9 +376,9 @@ def cmd_bench(args) -> int:
     baseline = balanced_accuracy(te.labels, preds, len(tr.class_names))
     fp = _fingerprint("bench", {"suite": args.suite,
                                 "per_class": args.per_class,
-                                "seed": seed})
+                                "seed": args.seed})
     report = make_report(f"suite-{args.suite}", te.labels, preds,
-                         len(tr.class_names), fp, seed,
+                         len(tr.class_names), fp, args.seed,
                          class_names=tr.class_names,
                          extra={"note": "mean-color nearest-centroid "
                                         "baseline on the held-out third"})
@@ -406,7 +405,6 @@ def cmd_ablate(args) -> int:
     epochs = _file_value(flat, "head_epochs", int, cfg.head.epochs)
     cfg = replace(cfg, ssl_lr=float(cfg.ssl_lr),
                   head=replace(cfg.head, epochs=epochs))
-    _check_threads(args)
     suite_seed = _file_value(flat, "suite_seed", int, 2024)
     per_class = _file_value(flat, "suite_per_class", int, 60)
     suites = acceptance_suites(RngStream(seed=suite_seed, stream_id=5),
@@ -446,7 +444,6 @@ def cmd_gradcheck(args) -> int:
 def cmd_demo(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 0
     passthrough = ["--log-level", args.log_level]
     if args.threads is not None:
         passthrough += ["--threads", str(args.threads)]
@@ -458,18 +455,18 @@ def cmd_demo(args) -> int:
 
     _say(args, "[1/6] synthetic suites")
     run(["bench", "--suite", "global", "--out", str(out / "suite-global"),
-         "--per-class", "20", "--seed", str(seed)])
+         "--per-class", "20", "--seed", str(args.seed)])
     run(["bench", "--suite", "local", "--out", str(out / "suite-local"),
-         "--per-class", "60", "--seed", str(seed)])
+         "--per-class", "60", "--seed", str(args.seed)])
     _say(args, "[2/6] tiling + augmentation")
     run(["tile", "--input", str(out / "suite-global" / "class0"),
          "--out", str(out / "tiles.jsonl"), "--tile-size", "16",
          "--min-tissue", "0.0"])
     run(["augment", "--input", str(out / "suite-global" / "class0"),
-         "--out", str(out / "augmented"), "--seed", str(seed)])
+         "--out", str(out / "augmented"), "--seed", str(args.seed)])
     _say(args, "[3/6] self-supervised pretraining (100 steps)")
     run(["pretrain", "--steps", "100", "--out", str(out / "encoder.ckpt"),
-         "--seed", str(seed)])
+         "--seed", str(args.seed)])
     _say(args, "[4/6] frozen embeddings")
     run(["embed", "--ckpt", str(out / "encoder.ckpt"),
          "--data", str(out / "suite-global"),
@@ -479,7 +476,7 @@ def cmd_demo(args) -> int:
                         ("local", ATTNPOOL)):
         run(["probe", "--ckpt", str(out / "encoder.ckpt"),
              "--data", str(out / f"suite-{suite}"), "--mode", mode,
-             "--seed", str(seed),
+             "--seed", str(args.seed),
              "--report", str(out / f"probe-{suite}-{mode}.json")])
     _say(args, "[6/6] gradient checks")
     run(["gradcheck"])
@@ -502,16 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="tiling, stain augmentation, self-supervised encoder "
                     "training, token probes, and benchmark harness")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="run seed (default 0 or the config file value)")
     common.add_argument("--threads", type=int, default=None,
-                        help="accepted and checked (>= 1) for "
-                             "compatibility; no command runs a worker pool. "
-                             "TOKENHIER_THREADS is the fallback, then 1")
+                        help="checked (>= 1) before any command runs; no "
+                             "command runs a worker pool, so outputs do not "
+                             "depend on it. TOKENHIER_THREADS is the "
+                             "fallback, then 1")
     common.add_argument("--log-level", choices=("quiet", "info"),
                         default="info")
-    common.add_argument("--config", default=None,
-                        help="JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tile", parents=[common],
@@ -594,6 +588,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="end-to-end run on synthetic data")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_demo)
+
+    # one action per subparser: a default set on an action shared through
+    # a parent parser would leak into every subcommand
+    for name in ("augment", "pretrain", "posttrain", "probe", "ablate"):
+        sub.choices[name].add_argument(
+            "--config", default=None,
+            help="JSON config file; flags override its values")
+    for name in ("augment", "bench", "demo"):
+        sub.choices[name].add_argument("--seed", type=int, default=0,
+                                       help="run seed (default 0)")
+    for name in ("pretrain", "posttrain", "probe"):
+        sub.choices[name].add_argument(
+            "--seed", type=int, default=None,
+            help="run seed (default: the config file's seed, then 0)")
     return parser
 
 
@@ -604,6 +612,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        _check_threads(args)
         return args.func(args)
     except (ConfigError, ParameterError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -192,7 +192,6 @@ def predict_batch(items, params, mode):
 class HeadTrainResult:
     params: object
     curve: list = field(default_factory=list)
-    best_epoch: int = 0
     best_val_bacc: float = 0.0
 
 
@@ -225,7 +224,7 @@ def train_head(train_items, val_items, mode,
     val_y = np.array([lab for _, lab in val_items], dtype=np.int64)
     val_seqs = [seq for seq, _ in val_items]
 
-    best = HeadTrainResult(copy.deepcopy(params), [], 0, -1.0)
+    best = HeadTrainResult(copy.deepcopy(params), [], -1.0)
     for epoch in range(cfg.epochs):
         perm = order_rng.permutation(n)
         losses = []
@@ -241,6 +240,5 @@ def train_head(train_items, val_items, mode,
                            "val_bacc": float(bacc)})
         if bacc > best.best_val_bacc:
             best.best_val_bacc = float(bacc)
-            best.best_epoch = epoch
             best.params = copy.deepcopy(params)
     return best

@@ -14,22 +14,19 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class AdamConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self):
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be > 0")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
 
@@ -47,8 +44,8 @@ def adam_step(params: dict, grads: dict, state: dict, cfg: AdamConfig,
     """One update over every key in grads; params mutate in place."""
     state["t"] += 1
     t = state["t"]
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, g in grads.items():
         if name not in params:
             raise ParameterError(f"gradient for unknown parameter {name!r}")
@@ -59,11 +56,11 @@ def adam_step(params: dict, grads: dict, state: dict, cfg: AdamConfig,
                 f"{params[name].shape} for {name!r}")
         m = state["m"][name]
         v = state["v"][name]
-        m *= cfg.beta1
-        m += (1 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1 - cfg.beta2) * g * g
-        step = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
+        step = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         if cfg.weight_decay and name not in no_decay:
             step = step + cfg.weight_decay * params[name]
         params[name] -= cfg.lr * step

@@ -65,7 +65,6 @@ class SslConfig:
     mask_fraction: float = 0.3
     koleo_weight: float = 0.1
     gram_weight: float = 1.0
-    gram_teacher_checkpoint: str | None = None
 
     def __post_init__(self):
         if self.prototype_count < 2:
@@ -481,7 +480,10 @@ def load_train_state(path):
         step, adam_t = (check_value(k, int, config.get(k, 0))
                         for k in ("step", "adam_t"))
         enc_cfg = read_config(EncoderConfig, config.get("encoder", {}))
-        ssl_cfg = read_config(SslConfig, config.get("ssl", {}))
+        ssl = config.get("ssl", {})
+        if isinstance(ssl, dict):   # a dropped field older headers hold
+            ssl.pop("gram_teacher_checkpoint", None)
+        ssl_cfg = read_config(SslConfig, ssl)
     except ConfigError as e:
         raise DataError(f"{path}: bad header config: {e}") from None
     state = TrainState(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -79,7 +78,6 @@ class TileRecord:
     y: int
     size: int
     tissue_fraction: float
-    label: Optional[object] = None
 
     def __post_init__(self):
         if self.size <= 0:
@@ -161,18 +159,14 @@ def merge_manifests(manifests) -> TileManifest:
     return TileManifest(records, sizes.pop(), thresholds, floors.pop())
 
 
-def write_manifest(manifest: TileManifest, path, extra_header: dict = None) -> None:
+def write_manifest(manifest: TileManifest, path, fingerprint: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
         header = {
             "tile_size": manifest.tile_size,
             "threshold_used": manifest.threshold_used,
             "min_tissue_fraction": manifest.min_tissue_fraction,
+            "config_fingerprint": fingerprint,
         }
-        if extra_header:
-            for key in extra_header:
-                if key in header:
-                    raise ParameterError(f"extra header key {key!r} collides")
-            header.update(extra_header)
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for rec in manifest.records:
             fh.write(json.dumps({
@@ -181,5 +175,4 @@ def write_manifest(manifest: TileManifest, path, extra_header: dict = None) -> N
                 "y": rec.y,
                 "size": rec.size,
                 "tissue_fraction": rec.tissue_fraction,
-                "label": rec.label,
             }, sort_keys=True) + "\n")

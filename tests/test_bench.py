@@ -6,8 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from tokenhier.bench import (GLOBAL, LOCAL, SHIFTED, SUITE_SPECS, TEST,
-                             TRAIN, VAL, AblationConfig, LabeledDataset,
+from tokenhier.bench import (GLOBAL, LOCAL, SHIFTED, SUITE_SPECS,
+                             AblationConfig, LabeledDataset,
                              SuiteSpec, apply_protocol_shift,
                              balanced_accuracy, class_recalls, embed_dataset,
                              ingest_directory, make_report,
@@ -103,18 +103,17 @@ class TestBalancedAccuracy:
 class TestLabeledDataset:
     def test_label_range_checked(self):
         with pytest.raises(ParameterError):
-            LabeledDataset([(np.zeros((2, 2, 3), np.uint8), 2)], ["a", "b"],
-                           TRAIN)
+            LabeledDataset([(np.zeros((2, 2, 3), np.uint8), 2)], ["a", "b"])
 
     def test_source_id_length_checked(self):
         with pytest.raises(ParameterError):
             LabeledDataset([(np.zeros((2, 2, 3), np.uint8), 0)], ["a"],
-                           TRAIN, ["x", "y"])
+                           ["x", "y"])
 
     def test_split_hash_order_free(self):
         r = np.zeros((2, 2, 3), np.uint8)
-        a = LabeledDataset([(r, 0), (r, 0)], ["a"], TRAIN, ["s1", "s2"])
-        b = LabeledDataset([(r, 0), (r, 0)], ["a"], TRAIN, ["s2", "s1"])
+        a = LabeledDataset([(r, 0), (r, 0)], ["a"], ["s1", "s2"])
+        b = LabeledDataset([(r, 0), (r, 0)], ["a"], ["s2", "s1"])
         assert split_hash(a) == split_hash(b)
         assert len(split_hash(a)) == 16
 
@@ -160,7 +159,7 @@ class TestSyntheticSuites:
         it stays within the chance band even in sample."""
         tr, va, te = small_suite(LOCAL, per_class=100, seed=1)
         pooled = LabeledDataset(tr.items + va.items + te.items,
-                                tr.class_names, "all")
+                                tr.class_names)
         preds = mean_color_nearest_centroid(tr, pooled)
         assert abs(balanced_accuracy(pooled.labels, preds, 2) - 0.5) <= 0.07
 
@@ -303,7 +302,7 @@ class TestSplitDataset:
             for j in range(per_class):
                 items.append((r, c))
                 ids.append(f"c{c}-{j}")
-        return LabeledDataset(items, ["a", "b"], "all", ids)
+        return LabeledDataset(items, ["a", "b"], ids)
 
     def test_sizes_and_stratification(self):
         tr, va, te = split_dataset(self.make_ds(10), seed=0)

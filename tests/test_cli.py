@@ -1,13 +1,18 @@
+import argparse
+import ast
 import json
+import re
+import shlex
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tokenhier import cli
 from tokenhier.bench import AblationConfig, validate_report
 from tokenhier.checkpoint import config_fingerprint, load_params, save_params
-from tokenhier.cli import main
+from tokenhier.cli import build_parser, main
 from tokenhier.color import write_ppm
 from tokenhier.numkernel import RngStream
 from tokenhier.ssl import init_train_state, load_train_state
@@ -36,6 +41,22 @@ def noisy_raster(seed, size=512):
     img = np.clip(img, 0, 255).astype(np.uint8)
     img[: size // 2] //= 3
     return img
+
+
+# What each subcommand needs to get past argument parsing.
+MINIMAL_ARGV = {
+    "tile": ["--input", "in", "--out", "o"],
+    "augment": ["--input", "in", "--out", "o"],
+    "pretrain": ["--out", "o"],
+    "posttrain": ["--out", "o"],
+    "embed": ["--ckpt", "c", "--data", "d", "--out", "o"],
+    "probe": ["--ckpt", "c", "--data", "d", "--mode", "linear",
+              "--report", "r"],
+    "bench": ["--suite", "global", "--out", "o"],
+    "ablate": ["--out", "o"],
+    "gradcheck": [],
+    "demo": ["--out", "o"],
+}
 
 
 @pytest.fixture(scope="session")
@@ -85,6 +106,16 @@ class TestArgumentHandling:
         assert run_cli("pretrain", "--config", cfg, "--steps", "1",
                        "--out", tmp_path / "c.ckpt") == 2
         assert "JSON" in capsys.readouterr().err
+
+    def test_config_file_nested_too_deep(self, tmp_path, capsys):
+        """Nesting past the recursion limit is a bad config file (exit
+        2), not a RecursionError traceback."""
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000)
+        assert run_cli("pretrain", "--config", cfg, "--steps", "0",
+                       "--out", tmp_path / "c.ckpt") == 2
+        assert "not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "c.ckpt").exists()
 
     def test_config_file_not_object(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
@@ -189,6 +220,36 @@ class TestArgumentHandling:
                        "--data", work / "sg", "--out", tmp_path / "e",
                        "--threads", "0") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_threads_checked_on_every_command(self, tmp_path, monkeypatch,
+                                              capsys, command):
+        """--threads and its TOKENHIER_THREADS fallback are checked
+        before any subcommand does work."""
+        monkeypatch.chdir(tmp_path)
+        argv = [command, *MINIMAL_ARGV[command]]
+        assert run_cli(*argv, "--threads", "0") == 2
+        monkeypatch.setenv("TOKENHIER_THREADS", "abc")
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "--threads must be >= 1" in err and "TOKENHIER_THREADS" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["tile", "--config", "/nonexistent"], ["tile", "--seed", "1"],
+        ["embed", "--config", "c.json"], ["embed", "--seed", "1"],
+        ["bench", "--config", "c.json"], ["ablate", "--seed", "5"],
+        ["gradcheck", "--config", "/nonexistent"],
+        ["gradcheck", "--seed", "9"], ["demo", "--config", "c.json"]],
+        ids=" ".join)
+    def test_unread_options_are_refused(self, tmp_path, monkeypatch,
+                                        capsys, argv):
+        """A subcommand refuses an option it would not read (exit 2)
+        instead of running without it."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv[0], *MINIMAL_ARGV[argv[0]], *argv[1:]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_threads_env_fallback(self, work, tmp_path, monkeypatch,
                                   capsys):
@@ -336,6 +397,34 @@ class TestTraining:
         assert extra["phase"] == "posttrain"
         capsys.readouterr()
 
+    @pytest.mark.parametrize("legacy", [None, "anchor.ckpt"])
+    def test_legacy_ssl_key_still_loads(self, work, tmp_path, capsys,
+                                        legacy):
+        """Checkpoints written while ``SslConfig`` had a
+        ``gram_teacher_checkpoint`` field hold the key in their header;
+        they still embed and anchor post-training.  In a config file
+        the key is unknown."""
+        kind, config, params, extra = load_params(work / "enc.ckpt")
+        config["ssl"]["gram_teacher_checkpoint"] = legacy
+        old = tmp_path / "old.ckpt"
+        save_params(old, kind, config, params, extra)
+        embs = []
+        for ck in (old, work / "enc.ckpt"):
+            emb = tmp_path / f"{ck.stem}.emb"
+            assert run_cli("embed", "--ckpt", ck, "--data", work / "sg",
+                           "--out", emb, "--log-level", "quiet") == 0
+            embs.append(emb.read_bytes())
+        assert embs[0] == embs[1]
+        assert run_cli("posttrain", "--steps", "1", "--gram-teacher", old,
+                       "--out", tmp_path / "p.ckpt",
+                       "--log-level", "quiet") == 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"gram_teacher_checkpoint": legacy}))
+        assert run_cli("pretrain", "--config", cfg, "--steps", "0",
+                       "--out", tmp_path / "c.ckpt") == 2
+        assert ("unknown config keys: gram_teacher_checkpoint"
+                in capsys.readouterr().err)
+
     def test_config_file_steps_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"steps": 3}')
@@ -478,6 +567,55 @@ class TestMalformedCheckpoint:
                        *argv[command]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "cannot read checkpoint" in err
+
+
+class TestDegenerateConfigs:
+    """Configs at the edge of their domain, each handled on purpose."""
+
+    @pytest.mark.parametrize("config", [
+        # rounds to no masked token; the mask is clamped to one
+        {"mask_fraction": 0.001},
+        # two views of one raster still give KoLeo its two rows
+        {"prototype_count": 2, "batch_size": 1}])
+    def test_pretrain_trains(self, tmp_path, capsys, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        ck = tmp_path / "c.ckpt"
+        assert run_cli("pretrain", "--config", cfg, "--steps", "2",
+                       "--out", ck, "--log-level", "quiet") == 0
+        log = Path(f"{ck}.losses.jsonl").read_text().splitlines()[1:]
+        assert len(log) == 2
+        assert all(np.isfinite(json.loads(line)["ibot"]) for line in log)
+        capsys.readouterr()
+
+    def test_head_batch_past_train_set_is_full_batch(self, work, tmp_path,
+                                                      capsys):
+        """Any batch size past the train set fits the same head: one
+        full batch per epoch."""
+        reports = []
+        for batch in (10_000, 1_000):
+            cfg = tmp_path / "head.json"
+            cfg.write_text(json.dumps({"batch": batch, "epochs": 3}))
+            rep = tmp_path / f"{batch}.json"
+            assert run_cli("probe", "--ckpt", work / "enc.ckpt",
+                           "--data", work / "sg", "--mode", "linear",
+                           "--config", cfg, "--report", rep,
+                           "--log-level", "quiet") == 0
+            report = json.loads(rep.read_text())
+            del report["config_fingerprint"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        capsys.readouterr()
+
+    def test_attnpool_heads_must_divide_width(self, work, tmp_path, capsys):
+        cfg = tmp_path / "head.json"
+        cfg.write_text('{"num_heads": 3, "epochs": 1}')
+        assert run_cli("probe", "--ckpt", work / "enc.ckpt",
+                       "--data", work / "sg", "--mode", "attnpool",
+                       "--config", cfg, "--report", tmp_path / "r.json") == 2
+        assert ("embed_dim 32 not divisible by num_heads 3"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestEmbed:
@@ -706,15 +844,18 @@ class TestDemo:
 
 
 class TestConfigFingerprints:
-    """Fingerprints of the resolved configs, pinned at the first build
-    that wrote them: refactoring the config plumbing must not move a
-    fingerprint, or artifacts written before and after stop matching."""
+    """Fingerprints of the resolved configs: refactoring the config
+    plumbing must not move a fingerprint, or artifacts written before
+    and after stop matching.  A pin moves only when what a config holds
+    changes on purpose, as when ``enabled`` joined the augment
+    fingerprint and ``gram_teacher_checkpoint`` left the SSL config."""
 
     PINS = {
-        ("augment", "default"): "4aad746661aedb22",
-        ("augment", "file"): "e5583dcbfb355ec8",
-        ("pretrain", "default"): "40e9a4111c0b6783",
-        ("pretrain", "file"): "4534cfe0147c9f3e",
+        ("augment", "default"): "daee191f7fda3fe2",
+        ("augment", "file"): "9817cf56427bbd0e",
+        ("augment", "disabled"): "98dd8452f5ccd346",
+        ("pretrain", "default"): "3e6cc5fc1ab10a2a",
+        ("pretrain", "file"): "5011aa50e9144047",
     }
 
     @pytest.mark.parametrize("source", ["default", "file"])
@@ -740,6 +881,23 @@ class TestConfigFingerprints:
         assert fp == self.PINS["pretrain", source]
         capsys.readouterr()
 
+    def test_augment_covers_enabled(self, tmp_path, capsys):
+        """Unjittered copies never share the default run's fingerprint."""
+        src = tmp_path / "in"
+        src.mkdir()
+        write_ppm(src / "a.ppm", np.full((8, 8, 3), 100, np.uint8))
+        cfg = tmp_path / "off.json"
+        cfg.write_text('{"enabled": false}')
+        assert run_cli("augment", "--input", src, "--out", tmp_path / "aug",
+                       "--config", cfg, "--log-level", "quiet") == 0
+        summary = json.loads(
+            (tmp_path / "aug" / "augment_summary.json").read_text())
+        assert summary["config_fingerprint"] == self.PINS["augment",
+                                                          "disabled"]
+        assert (tmp_path / "aug" / "a.ppm").read_bytes() == (
+            src / "a.ppm").read_bytes()
+        capsys.readouterr()
+
     def test_ablate(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(TINY_ABLATE)
@@ -747,14 +905,14 @@ class TestConfigFingerprints:
         assert run_cli("ablate", "--config", cfg, "--out", out,
                        "--log-level", "quiet") == 0
         report = json.loads(out.read_text())
-        assert report["config_fingerprint"] == "532ec6c31a0ccbf7"
+        assert report["config_fingerprint"] == "08938a7cd85cec21"
         assert report["ablation_rows"][0]["split_hashes"] == {
             "local": ["4054f80f8341fecf", "05afc50473976086",
                       "41fa34a99298e98a"],
             "shifted": ["6c314a619ac8586d", "af6e17a59c4766f1",
                         "db48e84f4f845296"]}
         assert (config_fingerprint(asdict(AblationConfig()))
-                == "f9c13e8df7b8fb64")
+                == "87a4c75afa26a847")
         capsys.readouterr()
 
     def test_embed_and_probe(self, work, tmp_path, capsys):
@@ -776,3 +934,61 @@ class TestConfigFingerprints:
                            "--log-level", "quiet", *seed) == 0
             assert json.loads(rep.read_text())["config_fingerprint"] == pin
         capsys.readouterr()
+
+
+def args_reads(functions, name):
+    """The ``args.<dest>`` names that ``cli`` function ``name`` reads,
+    itself or through the ``cli`` functions it passes ``args`` to."""
+    reads, seen, todo = set(), set(), [name]
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(functions[fn]):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func,
+                                                           ast.Name):
+                passed = [ast.unparse(a) for a in node.args]
+                if node.func.id == "getattr" and passed[0] == "args":
+                    reads.add(node.args[1].value)
+                elif node.func.id in functions and "args" in passed:
+                    todo.append(node.func.id)
+    return reads
+
+
+def test_every_option_is_read():
+    """Every option a subcommand accepts is read as ``args.<dest>`` by
+    its handler, a ``cli`` helper the handler passes ``args`` to, or
+    ``main``: an option no code reads is silently ignored."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    in_main = args_reads(functions, "main")
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    unread = []
+    for command, sub in commands.items():
+        reads = in_main | args_reads(functions,
+                                     sub.get_default("func").__name__)
+        unread += [f"{command} {action.option_strings[0]}"
+                   for action in sub._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   and action.dest not in reads]
+    assert not unread, f"options no code reads: {unread}"
+
+
+def test_readme_commands_parse():
+    """Every ``tokenhier`` line in README's code blocks parses, so the
+    docs cannot name an option a subcommand does not take."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```\n(.*?)```", readme.read_text(encoding="utf-8"),
+                        flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("tokenhier ")]
+    assert len(lines) >= len(MINIMAL_ARGV)
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -351,4 +351,3 @@ class TestTrainHead:
         val = separable_items(rng.derive(1), 6)
         res = train_head(train, val, LINEAR, HeadTrainConfig(epochs=6))
         assert res.best_val_bacc == max(pt["val_bacc"] for pt in res.curve)
-        assert res.curve[res.best_epoch]["val_bacc"] == res.best_val_bacc

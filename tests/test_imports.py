@@ -1,7 +1,7 @@
 """Every name a package module imports, and every module-private
 top-level name it defines, is used in that module; every public
 top-level name is read somewhere in the package; every parameter is
-read by its function.
+read by its function; every dataclass field is read as an attribute.
 
 Deleting code tends to leave its imports, helpers and knobs behind;
 this catches them with the standard-library parser, no linter needed.
@@ -172,3 +172,29 @@ def test_every_parameter_is_read(path):
                        if arg not in read
                        and (path.stem, name, arg) not in UNREAD_PARAMETERS]
     assert not unread, f"parameters never read: {unread}"
+
+
+def dataclass_fields(tree):
+    """(class, field) for every annotated field of every dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    yield node.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of every ``src`` dataclass is read as an attribute
+    somewhere in ``src``: a field only written, or only carried into a
+    fingerprint by ``asdict``, is a setting no code honours."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}.{cls}.{name}"
+              for module, tree in trees.items()
+              for cls, name in dataclass_fields(tree) if name not in attrs]
+    assert not unread, f"dataclass fields no src code reads: {unread}"

@@ -57,7 +57,7 @@ class TestAdam:
         with pytest.raises(ConfigError):
             AdamConfig(lr=-1)
         with pytest.raises(ConfigError):
-            AdamConfig(beta1=1.0)
+            AdamConfig(weight_decay=-1)
 
     def test_deterministic(self):
         runs = []

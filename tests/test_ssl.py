@@ -22,6 +22,7 @@ from tokenhier.ssl import (
     PRETRAIN,
     SslConfig,
     TrainState,
+    _draw_mask,
     _sub,
     dino_loss_grad,
     gram_loss_grad,
@@ -437,6 +438,15 @@ def tiny_setup(seed=0, k=32):
 
 
 class TestTrainStep:
+    @pytest.mark.parametrize("fraction, masked",
+                             [(0.001, 1), (0.3, 5), (0.999, 15)])
+    def test_mask_count_is_clamped(self, fraction, masked):
+        """A fraction that rounds to no masked token masks one; one
+        that rounds to every token leaves one unmasked."""
+        for seed in range(3):
+            mask = _draw_mask(RngStream(seed=seed), 16, fraction)
+            assert mask.sum() == masked
+
     def test_pretrain_gram_exactly_zero(self):
         enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=1))

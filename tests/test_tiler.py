@@ -249,33 +249,34 @@ class TestExtractTiles:
 
 class TestManifestIo:
     def make(self):
-        recs = [TileRecord("a", 0, 0, 256, 0.75, 1),
-                TileRecord("a", 256, 0, 256, 1.0, None),
-                TileRecord("b", 0, 256, 256, 0.503217892341, "x")]
+        recs = [TileRecord("a", 0, 0, 256, 0.75),
+                TileRecord("a", 256, 0, 256, 1.0),
+                TileRecord("b", 0, 256, 256, 0.503217892341)]
         return TileManifest(recs, 256, 143, 0.5)
 
     def test_round_trip_lossless(self, tmp_path):
         m = self.make()
         p = tmp_path / "tiles.jsonl"
-        write_manifest(m, p)
+        write_manifest(m, p, "0123456789abcdef")
         header, *lines = map(json.loads, p.read_text().splitlines())
         assert header == {"tile_size": m.tile_size,
                           "threshold_used": m.threshold_used,
-                          "min_tissue_fraction": m.min_tissue_fraction}
+                          "min_tissue_fraction": m.min_tissue_fraction,
+                          "config_fingerprint": "0123456789abcdef"}
         assert [TileRecord(**obj) for obj in lines] == m.records
 
     def test_header_is_first_line(self, tmp_path):
         p = tmp_path / "tiles.jsonl"
-        write_manifest(self.make(), p)
+        write_manifest(self.make(), p, "0123456789abcdef")
         first = json.loads(p.read_text().splitlines()[0])
-        assert set(first) == {"tile_size", "threshold_used", "min_tissue_fraction"}
+        assert set(first) == {"tile_size", "threshold_used",
+                              "min_tissue_fraction", "config_fingerprint"}
 
     def test_record_field_names(self, tmp_path):
         p = tmp_path / "tiles.jsonl"
-        write_manifest(self.make(), p)
+        write_manifest(self.make(), p, "0123456789abcdef")
         rec = json.loads(p.read_text().splitlines()[1])
-        assert set(rec) == {"source_id", "x", "y", "size",
-                            "tissue_fraction", "label"}
+        assert set(rec) == {"source_id", "x", "y", "size", "tissue_fraction"}
 
     def test_misaligned_record_rejected(self):
         with pytest.raises(ParameterError):
