@@ -238,27 +238,26 @@ def _make_raster(spec: SuiteSpec, label: int, item_rng: RngStream) -> np.ndarray
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
 
+def _split_of(rank: int, n: int) -> str:
+    """Split of the item at ``rank`` in a class of ``n`` shuffled items,
+    60/20/20.  With n >= 5 every split gets at least one item."""
+    n_tr = round(0.6 * n)
+    return (TRAIN if rank < n_tr
+            else VAL if rank < n_tr + round(0.2 * n) else TEST)
+
+
 def make_synthetic_suite(rng: RngStream, spec: SuiteSpec):
     """Reproducible (train, val, test) triple; splits are stratified per
     class over disjoint source ids, 60/20/20."""
     per_split = {TRAIN: [], VAL: [], TEST: []}
     per_split_ids = {TRAIN: [], VAL: [], TEST: []}
-    n_tr = max(1, int(round(0.6 * spec.per_class)))
-    n_val = max(1, int(round(0.2 * spec.per_class)))
-    if n_tr + n_val >= spec.per_class:
-        raise ParameterError("per_class too small for a 60/20/20 split")
     for c in range(spec.num_classes):
         order = rng.derive(888, c).permutation(spec.per_class)
         for rank, j in enumerate(order):
             j = int(j)
             raster = _make_raster(spec, c, rng.derive(c, j))
             sid = f"{spec.kind}-c{c}-{j:03d}"
-            if rank < n_tr:
-                split = TRAIN
-            elif rank < n_tr + n_val:
-                split = VAL
-            else:
-                split = TEST
+            split = _split_of(rank, spec.per_class)
             if spec.kind == SHIFTED and split == TEST:
                 mag = 0.6 + 0.8 * float(rng.derive(c, j, 7).uniform(1)[0])
                 raster = apply_protocol_shift(
@@ -338,15 +337,8 @@ def split_dataset(ds: LabeledDataset, seed: int):
                 f"class {ds.class_names[c]!r} has {len(idxs)} items; "
                 "need at least 5 to split")
         order = rng.derive(c).permutation(len(idxs))
-        n_tr = max(1, int(round(0.6 * len(idxs))))
-        n_val = max(1, int(round(0.2 * len(idxs))))
-        if n_tr + n_val >= len(idxs):
-            n_tr = len(idxs) - n_val - 1
         for rank, k in enumerate(order):
-            idx = idxs[int(k)]
-            split = (TRAIN if rank < n_tr
-                     else VAL if rank < n_tr + n_val else TEST)
-            per_split[split].append(idx)
+            per_split[_split_of(rank, len(idxs))].append(idxs[int(k)])
     out = []
     for sp in (TRAIN, VAL, TEST):
         chosen = sorted(per_split[sp])

@@ -53,7 +53,7 @@ from .numkernel import RngStream
 from .optim import AdamConfig
 from .ssl import (POSTTRAIN, init_train_state, load_train_state,
                   run_training, save_train_state, student_encoder_params)
-from .tiler import TileManifest, extract_tiles, merge_manifests, write_manifest
+from .tiler import tile_sources, write_manifest
 
 _DESK = AblationConfig()   # desk-scale defaults shared with the ablation grid
 
@@ -135,6 +135,14 @@ def _ppm_files(directory) -> list:
     return sorted(d.glob("*.ppm"))
 
 
+def _read_input(path):
+    """A raster ``tile`` cannot read is a usage error (exit 2)."""
+    try:
+        return read_ppm(path)
+    except DataError as e:
+        raise ConfigError(f"unreadable input {path}: {e}") from None
+
+
 # ---------------------------------------------------------------------------
 # tile
 
@@ -144,30 +152,19 @@ def cmd_tile(args) -> int:
     resolved = {"tile_size": args.tile_size, "min_tissue": args.min_tissue,
                 "invert": bool(args.invert)}
     fp = _fingerprint("tile", resolved)
-    _ensure_parent(args.out)
+    levels, records = tile_sources(((f.stem, _read_input(f)) for f in files),
+                                   args.tile_size, args.min_tissue,
+                                   args.invert)
     if not files:
         print(f"warning: no .ppm files under {args.input}", file=sys.stderr)
-        write_manifest(TileManifest([], args.tile_size, 0, args.min_tissue),
-                       args.out, fp)
-        _note(args.out, "tile: empty input directory")
-        _say(args, "tiled 0 sources -> 0 tiles")
-        return 0
-    manifests, degenerate = [], 0
-    for f in files:
-        try:
-            raster = read_ppm(f)
-        except DataError as e:
-            raise ConfigError(f"unreadable input {f}: {e}") from None
-        if np.all(raster == raster.reshape(-1)[0]):
-            degenerate += 1
-        manifests.append(extract_tiles(raster, f.stem, args.tile_size,
-                                       args.min_tissue, invert=args.invert))
-    merged = merge_manifests(manifests)
-    if not merged.records and degenerate == len(files):
-        raise DataError("every input image is single-valued; nothing tiled")
-    write_manifest(merged, args.out, fp)
+    elif all(t is None for t in levels.values()):
+        raise DataError("every input image has a single gray level; "
+                        "nothing tiled")
+    _ensure_parent(args.out)
+    write_manifest(args.out, levels, records, args.tile_size,
+                   args.min_tissue, fp)
     _note(args.out, f"tile: {len(files)} sources")
-    _say(args, f"tiled {len(files)} sources -> {len(merged.records)} tiles")
+    _say(args, f"tiled {len(files)} sources -> {len(records)} tiles")
     return 0
 
 
@@ -493,6 +490,17 @@ def cmd_demo(args) -> int:
 # parser
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Refuses arguments the subcommand does not take under its own
+    usage; argparse would hand them up to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tokenhier",
@@ -506,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "fallback, then 1")
     common.add_argument("--log-level", choices=("quiet", "info"),
                         default="info")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
 
     p = sub.add_parser("tile", parents=[common],
                        help="grid-tile rasters into a JSON-lines manifest")

@@ -243,14 +243,12 @@ def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
     return grads
 
 
-def token_gradients(dz0: np.ndarray, patch_mats, masks, params: dict,
-                    cfg: EncoderConfig) -> dict:
+def token_gradients(dz0: np.ndarray, patch_mats, masks, params: dict) -> dict:
     """Fold d/d(Z_0) into embedding-level parameter gradients.
 
     patch_mats: per-item (N, patch_dim) matrices (pre-projection), such
     as the stack given to :func:`tokenize_batch`.
-    masks: per-item boolean mask or None, aligned with how the item was
-    tokenized.
+    masks: the (B, N) booleans the batch was tokenized with.
     """
     b = dz0.shape[0]
     grads = {
@@ -262,12 +260,8 @@ def token_gradients(dz0: np.ndarray, patch_mats, masks, params: dict,
     }
     for i in range(b):
         dpatch = dz0[i, 1:, :]
-        m = masks[i] if masks is not None else None
-        if m is None:
-            live = np.ones(cfg.num_patches, dtype=bool)
-        else:
-            live = ~np.asarray(m, dtype=bool)
-            grads["mask_token"] += dpatch[~live].sum(axis=0)
+        live = ~masks[i]
+        grads["mask_token"] += dpatch[masks[i]].sum(axis=0)
         grads["embed.W"] += patch_mats[i][live].T @ dpatch[live]
         grads["embed.b"] += dpatch[live].sum(axis=0)
     return grads

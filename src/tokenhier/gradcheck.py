@@ -119,8 +119,8 @@ def _encoder_embedding():
         z0 = tokenize_batch(patchify(raster, cfg)[None], params, mask[None])
         return float((w * z0[0]).sum())
 
-    grads = token_gradients(w[None, :, :], [patchify(raster, cfg)], [mask],
-                            params, cfg)
+    grads = token_gradients(w[None, :, :], patchify(raster, cfg)[None],
+                            mask[None], params)
     return loss, grads, params, _crc_streams(rng, 3, grads)
 
 

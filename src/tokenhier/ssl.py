@@ -389,7 +389,7 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
 
     enc_grads = backward_batch(dout, cache_s, enc_s)
     enc_grads.update(token_gradients(enc_grads.pop("z0"), patches, masks,
-                                     enc_s, enc_cfg))
+                                     enc_s))
 
     grads = {}
     grads.update(_prefixed(enc_grads, "enc."))

@@ -7,14 +7,15 @@ default (hematoxylin/eosin stains darker than glass); pass
 ``invert=True`` for bright-on-dark material.
 
 Tile grids are anchored at (0,0) with no overlap; partial tiles at the
-right/bottom edges are dropped.  Manifests persist as JSON lines: one
-header object, then one record object per line.
+right/bottom edges are dropped.  :func:`tile_sources` tiles a whole set
+of sources in one call, under one tile size, tissue floor and polarity,
+and :func:`write_manifest` persists its result as JSON lines: one
+header object, then one record object per kept tile.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,108 +72,57 @@ def _gray(raster: Raster) -> np.ndarray:
     return np.clip(g, 0, 255).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class TileRecord:
-    source_id: str
-    x: int
-    y: int
-    size: int
-    tissue_fraction: float
-
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ParameterError(f"tile size must be positive, got {self.size}")
-        if self.x % self.size or self.y % self.size:
-            raise ParameterError(
-                f"tile offset ({self.x},{self.y}) not aligned to size {self.size}")
-        if not (0.0 <= self.tissue_fraction <= 1.0):
-            raise ParameterError(
-                f"tissue_fraction {self.tissue_fraction} outside [0,1]")
-
-
-@dataclass
-class TileManifest:
-    records: list = field(default_factory=list)
-    tile_size: int = 256
-    # scalar for a single source; {source_id: level} after a merge
-    threshold_used: object = 0
-    min_tissue_fraction: float = 0.5
-
-    def __post_init__(self):
-        seen = set()
-        for rec in self.records:
-            key = (rec.source_id, rec.x, rec.y)
-            if key in seen:
-                raise ParameterError(f"duplicate tile {key}")
-            seen.add(key)
-
-
-def extract_tiles(r: Raster, source_id: str, tile_size: int = 256,
-                  min_tissue_fraction: float = 0.5,
-                  invert: bool = False) -> TileManifest:
-    """Grid-aligned tiles whose tissue fraction clears the floor.
-
-    Images smaller than one tile give an empty manifest, as do
-    single-valued images (no threshold exists, so no tissue).
+def tile_sources(sources, tile_size: int = 256,
+                 min_tissue_fraction: float = 0.5, invert: bool = False):
+    """Tile ``(source_id, raster)`` pairs; the parameters are checked
+    before any source is read.  Returns ``(levels, records)``: each
+    source's Otsu level, or None for a single gray level (no tissue),
+    and one ``(source_id, x, y, tissue_fraction)`` per tile that clears
+    the floor, ordered by (source_id, y, x).
     """
     if tile_size < 16:
         raise ParameterError(f"tile_size must be >= 16, got {tile_size}")
     if not (0.0 <= min_tissue_fraction <= 1.0):
         raise ParameterError(
             f"min_tissue_fraction must be in [0,1], got {min_tissue_fraction}")
-    raster = as_raster(r)
-    h, w = raster.shape[:2]
-    gray = _gray(raster)
-    try:
-        t = otsu_threshold(np.bincount(gray.ravel(), minlength=256))
-    except DegenerateInputError:
-        return TileManifest([], tile_size, 0, min_tissue_fraction)
-    # tissue is strictly below the threshold, or at or above it inverted
-    mask = gray >= t if invert else gray < t
-    records = []
-    for y in range(0, h - tile_size + 1, tile_size):
-        for x in range(0, w - tile_size + 1, tile_size):
-            frac = float(mask[y:y + tile_size, x:x + tile_size].mean())
-            if frac >= min_tissue_fraction:
-                records.append(TileRecord(source_id, x, y, tile_size, frac))
-    return TileManifest(records, tile_size, t, min_tissue_fraction)
+    levels, records = {}, []
+    for source_id, r in sources:
+        raster = as_raster(r)
+        h, w = raster.shape[:2]
+        gray = _gray(raster)
+        try:
+            t = otsu_threshold(np.bincount(gray.ravel(), minlength=256))
+        except DegenerateInputError:
+            levels[source_id] = None
+            continue
+        levels[source_id] = t
+        # tissue is strictly below the threshold, or at or above it inverted
+        mask = gray >= t if invert else gray < t
+        for y in range(0, h - tile_size + 1, tile_size):
+            for x in range(0, w - tile_size + 1, tile_size):
+                frac = float(mask[y:y + tile_size, x:x + tile_size].mean())
+                if frac >= min_tissue_fraction:
+                    records.append((source_id, x, y, frac))
+    records.sort(key=lambda rec: (rec[0], rec[2], rec[1]))
+    return levels, records
 
 
-def merge_manifests(manifests) -> TileManifest:
-    """Combine single-source manifests, as ``extract_tiles`` gives them,
-    into one, records ordered by (source_id, y, x); threshold_used
-    becomes a per-source map."""
-    manifests = list(manifests)
-    if not manifests:
-        raise ParameterError("nothing to merge")
-    sizes = {m.tile_size for m in manifests}
-    floors = {m.min_tissue_fraction for m in manifests}
-    if len(sizes) != 1 or len(floors) != 1:
-        raise ParameterError("manifests disagree on tile_size or tissue floor")
-    thresholds = {}
-    records = []
-    for m in manifests:
-        for rec in m.records:
-            thresholds.setdefault(rec.source_id, m.threshold_used)
-            records.append(rec)
-    records.sort(key=lambda rec: (rec.source_id, rec.y, rec.x))
-    return TileManifest(records, sizes.pop(), thresholds, floors.pop())
-
-
-def write_manifest(manifest: TileManifest, path, fingerprint: str) -> None:
+def write_manifest(path, levels: dict, records, tile_size: int,
+                   min_tissue_fraction: float, fingerprint: str) -> None:
+    """Header, then one line per record of :func:`tile_sources`.  The
+    header maps each source that kept a tile to its level (0 for no
+    sources at all)."""
+    tiled = {rec[0] for rec in records}
     with open(path, "w", encoding="ascii") as fh:
         header = {
-            "tile_size": manifest.tile_size,
-            "threshold_used": manifest.threshold_used,
-            "min_tissue_fraction": manifest.min_tissue_fraction,
+            "tile_size": tile_size,
+            "threshold_used": ({sid: t for sid, t in levels.items()
+                                if sid in tiled} if levels else 0),
+            "min_tissue_fraction": min_tissue_fraction,
             "config_fingerprint": fingerprint,
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in manifest.records:
-            fh.write(json.dumps({
-                "source_id": rec.source_id,
-                "x": rec.x,
-                "y": rec.y,
-                "size": rec.size,
-                "tissue_fraction": rec.tissue_fraction,
-            }, sort_keys=True) + "\n")
+        for source_id, x, y, frac in records:
+            fh.write(json.dumps({"source_id": source_id, "x": x, "y": y,
+                                 "size": tile_size, "tissue_fraction": frac},
+                                sort_keys=True) + "\n")

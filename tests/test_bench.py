@@ -130,7 +130,32 @@ class TestSuiteSpec:
             SuiteSpec(**kw)
 
 
+def ordered_ids_digest(splits) -> str:
+    """sha256 over every split's source ids in order, splits in order."""
+    payload = "\n\n".join("\n".join(ds.source_ids) for ds in splits)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# Source-id order of each split, pinned before the 60/20/20 rule moved
+# into one helper.
+SPLIT_ORDER_SHA256 = {
+    LOCAL:
+        "6b952cf93c78c87b3c8219a1b997dafa1be9733c082febb966597508f0c0d3cb",
+    SHIFTED:
+        "6a625c2e02dc02b0f2d1e24e6569d3e00c9d712cd5a03874a89b26c83ef8279a",
+    "ingested":
+        "2041fe820cca49663c25725f3a7473befa47930e5355e635b36eaab1bff56489",
+}
+
+
 class TestSyntheticSuites:
+    @pytest.mark.parametrize("kind,per_class,sizes", [
+        (LOCAL, 13, [16, 6, 4]), (SHIFTED, 7, [8, 2, 4])])
+    def test_split_order_pinned(self, kind, per_class, sizes):
+        splits = small_suite(kind, per_class=per_class)
+        assert [len(ds.items) for ds in splits] == sizes
+        assert ordered_ids_digest(splits) == SPLIT_ORDER_SHA256[kind]
+
     def test_reproducible(self):
         """Same seed, same spec, byte-identical rasters in every split."""
         a = small_suite(LOCAL, seed=7)
@@ -322,6 +347,12 @@ class TestSplitDataset:
     def test_too_small_class_rejected(self):
         with pytest.raises(ParameterError, match="at least 5"):
             split_dataset(self.make_ds(4), seed=0)
+
+    def test_ingested_split_order_pinned(self, tmp_path):
+        write_tree(tmp_path, {"aa": 6, "bb": 9, "cc": 11})
+        splits = split_dataset(ingest_directory(tmp_path), seed=3)
+        assert [len(ds.items) for ds in splits] == [16, 5, 5]
+        assert ordered_ids_digest(splits) == SPLIT_ORDER_SHA256["ingested"]
 
 
 EMBED_ENCODERS = {"desk": AblationConfig().encoder, "default": EncoderConfig()}

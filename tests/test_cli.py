@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import json
 import re
 import shlex
@@ -245,10 +246,13 @@ class TestArgumentHandling:
     def test_unread_options_are_refused(self, tmp_path, monkeypatch,
                                         capsys, argv):
         """A subcommand refuses an option it would not read (exit 2)
-        instead of running without it."""
+        instead of running without it, and shows its own usage, which
+        lists what it does take."""
         monkeypatch.chdir(tmp_path)
         assert run_cli(argv[0], *MINIMAL_ARGV[argv[0]], *argv[1:]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tokenhier {argv[0]} [-h]")
+        assert f"tokenhier {argv[0]}: error: unrecognized arguments" in err
         assert not any(tmp_path.iterdir())
 
     def test_threads_env_fallback(self, work, tmp_path, monkeypatch,
@@ -267,7 +271,84 @@ class TestArgumentHandling:
             assert "threads" in capsys.readouterr().err.lower()
 
 
+def tile_input(root, tree):
+    """An input directory: "empty" holds no raster; "tree" holds mixed
+    sizes, a flat raster, a raster smaller than a tile, and ids ("a" <
+    "a-b") whose order differs from their paths' ("a-b.ppm" < "a.ppm")."""
+    root.mkdir()
+    if tree == "tree":
+        write_ppm(root / "a.ppm", noisy_raster(0, size=64))
+        write_ppm(root / "a-b.ppm", noisy_raster(1, size=48))
+        write_ppm(root / "flat.ppm", np.full((32, 48, 3), 77, np.uint8))
+        write_ppm(root / "tiny.ppm", noisy_raster(2, size=8))
+        write_ppm(root / "wide.ppm", noisy_raster(3, size=96)[:40])
+    return root
+
+
+def one_gray_level(h, w):
+    """Three colours of BT.601 luma 100: one gray level, many colours."""
+    colours = np.array([(100, 100, 100), (0, 170, 0), (255, 0, 208)],
+                       np.uint8)
+    return colours[(np.arange(h)[:, None] + np.arange(w)) % 3]
+
+
+# Manifest sha256s for tile_input's directories, written before tiling
+# moved into one tiler call.
+TILE_MANIFEST_SHA256 = {
+    ("tree", "--tile-size 16 --min-tissue 0.5"):
+        "e28c28959e0ce3e307b7d958f5da00a2f7c81778bd276c04d4715a966b07fdf0",
+    ("tree", "--tile-size 16 --min-tissue 0.0"):
+        "f195dc208eecb5d45cf4544cec30412f1e20551dc478c8c8fb2759b0193d7b8a",
+    ("tree", "--tile-size 32 --min-tissue 0.2 --invert"):
+        "a426b5c1b31a75197425d88de95a43d827d678c32218dd3269ff91fa92c3eb18",
+    ("tree", "--tile-size 256"):
+        "caa1a0650c6cb8dc89c12bf97e7d7debe7f66b5353cac84110b44cba069f3772",
+    ("empty", "--tile-size 16 --min-tissue 0.5"):
+        "2f4f0d8bc01de4be09cd1d10eb30dd8493298df69a9dac5e7a3da5f98bddf753",
+    ("empty", ""):
+        "d6ba73fac42e42bd9cbed1000610b195e534bdedcb4cd87fac881f05568edce3",
+}
+
+
 class TestTile:
+    @pytest.mark.parametrize("tree,flags", sorted(TILE_MANIFEST_SHA256))
+    def test_manifest_bytes_pinned(self, tmp_path, capsys, tree, flags):
+        src = tile_input(tmp_path / "in", tree)
+        out = tmp_path / "m.jsonl"
+        assert run_cli("tile", "--input", src, "--out", out,
+                       *flags.split()) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == TILE_MANIFEST_SHA256[tree, flags]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [["--tile-size", "0"],
+                                       ["--tile-size", "8"],
+                                       ["--min-tissue", "7"],
+                                       ["--min-tissue", "-0.5"]],
+                             ids=" ".join)
+    @pytest.mark.parametrize("tree", ["empty", "tree"])
+    def test_bad_flags_write_nothing(self, tmp_path, capsys, tree, flags):
+        """Out-of-range flags exit 2 whether or not the directory holds
+        rasters, and leave neither a manifest nor its sidecar."""
+        src = tile_input(tmp_path / "in", tree)
+        out = tmp_path / "out" / "m.jsonl"
+        assert run_cli("tile", "--input", src, "--out", out, *flags) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_one_gray_level_everywhere_is_data_error(self, tmp_path, capsys):
+        """Rasters of several colours but a single gray level have no
+        Otsu level, so nothing is tiled: exit 3, as for flat rasters."""
+        src = tmp_path / "in"
+        src.mkdir()
+        write_ppm(src / "m.ppm", one_gray_level(32, 32))
+        write_ppm(src / "n.ppm", one_gray_level(40, 20))
+        out = tmp_path / "m.jsonl"
+        assert run_cli("tile", "--input", src, "--out", out,
+                       "--tile-size", "16", "--min-tissue", "0.0") == 3
+        assert "single gray level" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_arithmetic(self, tmp_path, capsys):
         """A 512x512 raster at tile size 256 with no tissue floor gives
         exactly the 4 grid tiles."""

@@ -216,7 +216,8 @@ class TestGradients:
         self.cfg = small_cfg()  # D=16, L=2, N=4
         self.params = init_params(self.cfg, RngStream(seed=20))
         self.rasters = [rand_raster(20, 32), rand_raster(21, 32)]
-        self.masks = [None, np.array([True, False, False, True])]
+        self.masks = np.array([[False, False, False, False],
+                               [True, False, False, True]])
         rng = np.random.default_rng(22)
         self.R = rng.normal(size=(2, self.cfg.seq_len, self.cfg.embed_dim))
 
@@ -233,7 +234,7 @@ class TestGradients:
         grads = backward_batch(self.R, cache, self.params)
         mats = [patchify(r, self.cfg) for r in self.rasters]
         grads.update(token_gradients(grads.pop("z0"), mats, self.masks,
-                                     self.params, self.cfg))
+                                     self.params))
         return grads
 
     def test_matches_finite_differences(self):

@@ -8,14 +8,7 @@ import numpy as np
 import pytest
 
 from tokenhier.errors import DegenerateInputError, ParameterError
-from tokenhier.tiler import (
-    TileManifest,
-    TileRecord,
-    extract_tiles,
-    merge_manifests,
-    otsu_threshold,
-    write_manifest,
-)
+from tokenhier.tiler import otsu_threshold, tile_sources, write_manifest
 
 
 def oracle_otsu(hist):
@@ -136,10 +129,16 @@ def oracle_mask(img, invert=False):
     return gray >= t if invert else gray < t
 
 
+def tile_one(img, tile, floor=0.0, invert=False):
+    """(Otsu level, records) of one image tiled as source "s"."""
+    levels, records = tile_sources([("s", img)], tile, floor, invert)
+    return levels["s"], records
+
+
 def tile_fractions(img, tile, invert=False):
-    """{(y, x): tissue fraction} of every tile, through extract_tiles."""
-    m = extract_tiles(img, "s", tile, 0.0, invert=invert)
-    return {(r.y, r.x): r.tissue_fraction for r in m.records}
+    """{(y, x): tissue fraction} of every tile, through tile_sources."""
+    _, records = tile_one(img, tile, invert=invert)
+    return {(y, x): frac for _, x, y, frac in records}
 
 
 class TestTissueMask:
@@ -156,8 +155,7 @@ class TestTissueMask:
         """A single-valued image has no threshold, so no tissue: no tile
         is kept even with a zero floor."""
         img = np.full((32, 32, 3), 255, dtype=np.uint8)
-        m = extract_tiles(img, "s", 16, 0.0)
-        assert m.records == [] and m.threshold_used == 0
+        assert tile_one(img, 16) == (None, [])
 
     def test_invert_flag_complements(self):
         img = two_tone_square()
@@ -183,32 +181,33 @@ def noisy_image(seed, h, w, lo=0, hi=256):
     return rng.integers(lo, hi, size=(h, w, 3)).astype(np.uint8)
 
 
+def grid(records):
+    return [(y, x) for _, x, y, _ in records]
+
+
 class TestExtractTiles:
     def test_512_grid(self):
-        m = extract_tiles(noisy_image(0, 512, 512), "s0", 256, 0.0)
-        assert len(m.records) == 4
-        assert [(r.y, r.x) for r in m.records] == [(0, 0), (0, 256),
-                                                   (256, 0), (256, 256)]
+        _, records = tile_one(noisy_image(0, 512, 512), 256)
+        assert grid(records) == [(0, 0), (0, 256), (256, 0), (256, 256)]
 
     def test_600_drops_remainder(self):
-        m = extract_tiles(noisy_image(1, 600, 600), "s0", 256, 0.0)
-        assert len(m.records) == 4
+        _, records = tile_one(noisy_image(1, 600, 600), 256)
+        assert len(records) == 4
 
     def test_smaller_than_tile_empty(self):
-        m = extract_tiles(noisy_image(2, 100, 100), "s0", 256, 0.0)
-        assert m.records == []
+        _, records = tile_one(noisy_image(2, 100, 100), 256)
+        assert records == []
 
     def test_uniform_image_empty(self):
         img = np.full((512, 512, 3), 200, dtype=np.uint8)
-        m = extract_tiles(img, "s0", 256, 0.5)
-        assert m.records == []
+        assert tile_one(img, 256, 0.5) == (None, [])
 
     def test_quadrant_matches_brute_force(self):
         """Retained set equals a per-tile mask-count loop."""
         img = np.full((128, 128, 3), 230, dtype=np.uint8)
         rng = np.random.default_rng(3)
         img[:64, :64] = rng.integers(20, 70, size=(64, 64, 3))
-        m = extract_tiles(img, "q", 32, 0.5)
+        _, records = tile_one(img, 32, 0.5)
         mask = oracle_mask(img)
         expected = []
         for y in range(0, 128, 32):
@@ -219,92 +218,89 @@ class TestExtractTiles:
                         cnt += bool(mask[y + i, x + j])
                 if cnt / (32 * 32) >= 0.5:
                     expected.append((y, x))
-        assert [(r.y, r.x) for r in m.records] == expected
-        for rec in m.records:
-            assert rec.tissue_fraction >= 0.5
+        assert grid(records) == expected
+        for _, _, _, frac in records:
+            assert frac >= 0.5
 
     def test_alignment_invariant(self):
         for seed, ts in [(4, 16), (5, 32), (6, 48)]:
-            m = extract_tiles(noisy_image(seed, 200, 170), "s", ts, 0.0)
-            for rec in m.records:
-                assert rec.x % ts == 0 and rec.y % ts == 0
-            keys = [(rec.source_id, rec.x, rec.y) for rec in m.records]
+            _, records = tile_one(noisy_image(seed, 200, 170), ts)
+            for _, x, y, _ in records:
+                assert x % ts == 0 and y % ts == 0
+            keys = [rec[:3] for rec in records]
             assert len(keys) == len(set(keys))
 
     def test_parameter_validation(self):
         img = noisy_image(7, 64, 64)
         with pytest.raises(ParameterError):
-            extract_tiles(img, "s", 8, 0.5)
+            tile_one(img, 8, 0.5)
         with pytest.raises(ParameterError):
-            extract_tiles(img, "s", 32, 1.5)
+            tile_one(img, 32, 1.5)
 
     def test_threshold_recorded(self):
         img = two_tone_square(size=64)
-        m = extract_tiles(img, "s", 16, 0.0)
+        level, _ = tile_one(img, 16)
         gray_hist = np.bincount(
             np.rint(img.astype(float) @ [0.299, 0.587, 0.114]).astype(int).ravel(),
             minlength=256)
-        assert m.threshold_used == oracle_otsu(gray_hist)
+        assert level == oracle_otsu(gray_hist)
+
+
+class TestTileSources:
+    def test_sources_ordered_by_id_then_y_x(self):
+        """Records come ordered by (source_id, y, x) whatever order the
+        sources arrive in, and each source keeps its own level."""
+        a, b = noisy_image(8, 512, 512), noisy_image(9, 512, 256)
+        levels, records = tile_sources([("b", b), ("a", a)], 256, 0.0)
+        assert len(records) == 6
+        keys = [(sid, y, x) for sid, x, y, _ in records]
+        assert keys == sorted(keys)
+        assert levels == {"a": tile_one(a, 256)[0], "b": tile_one(b, 256)[0]}
+
+    def test_no_sources_still_checks_parameters(self):
+        """The parameters are checked before any source is read, so an
+        empty source list is checked too."""
+        def unread():
+            raise AssertionError("source read before the parameter check")
+            yield
+        assert tile_sources([], 16, 0.5) == ({}, [])
+        with pytest.raises(ParameterError):
+            tile_sources([], 0, 0.5)
+        with pytest.raises(ParameterError):
+            tile_sources(unread(), 16, 7.0)
 
 
 class TestManifestIo:
-    def make(self):
-        recs = [TileRecord("a", 0, 0, 256, 0.75),
-                TileRecord("a", 256, 0, 256, 1.0),
-                TileRecord("b", 0, 256, 256, 0.503217892341)]
-        return TileManifest(recs, 256, 143, 0.5)
+    LEVELS = {"a": 143, "b": 120, "flat": None}
+    RECORDS = [("a", 0, 0, 0.75), ("a", 256, 0, 1.0),
+               ("b", 0, 256, 0.503217892341)]
+
+    def write(self, path):
+        write_manifest(path, self.LEVELS, self.RECORDS, 256, 0.5,
+                       "0123456789abcdef")
 
     def test_round_trip_lossless(self, tmp_path):
-        m = self.make()
+        """The header maps each source that kept a tile to its level."""
         p = tmp_path / "tiles.jsonl"
-        write_manifest(m, p, "0123456789abcdef")
+        self.write(p)
         header, *lines = map(json.loads, p.read_text().splitlines())
-        assert header == {"tile_size": m.tile_size,
-                          "threshold_used": m.threshold_used,
-                          "min_tissue_fraction": m.min_tissue_fraction,
+        assert header == {"tile_size": 256,
+                          "threshold_used": {"a": 143, "b": 120},
+                          "min_tissue_fraction": 0.5,
                           "config_fingerprint": "0123456789abcdef"}
-        assert [TileRecord(**obj) for obj in lines] == m.records
+        assert [(obj["source_id"], obj["x"], obj["y"], obj["tissue_fraction"])
+                for obj in lines] == self.RECORDS
+        assert all(obj["size"] == 256 for obj in lines)
 
     def test_header_is_first_line(self, tmp_path):
         p = tmp_path / "tiles.jsonl"
-        write_manifest(self.make(), p, "0123456789abcdef")
+        self.write(p)
         first = json.loads(p.read_text().splitlines()[0])
         assert set(first) == {"tile_size", "threshold_used",
                               "min_tissue_fraction", "config_fingerprint"}
 
     def test_record_field_names(self, tmp_path):
         p = tmp_path / "tiles.jsonl"
-        write_manifest(self.make(), p, "0123456789abcdef")
+        self.write(p)
         rec = json.loads(p.read_text().splitlines()[1])
         assert set(rec) == {"source_id", "x", "y", "size", "tissue_fraction"}
-
-    def test_misaligned_record_rejected(self):
-        with pytest.raises(ParameterError):
-            TileRecord("a", 10, 0, 256, 0.5)
-
-    def test_duplicate_records_rejected(self):
-        rec = TileRecord("a", 0, 0, 256, 0.5)
-        with pytest.raises(ParameterError):
-            TileManifest([rec, rec], 256, 0, 0.5)
-
-
-class TestMerge:
-    def test_merge_two_sources(self):
-        ma = extract_tiles(noisy_image(8, 512, 512), "a", 256, 0.0)
-        mb = extract_tiles(noisy_image(9, 512, 256), "b", 256, 0.0)
-        merged = merge_manifests([ma, mb])
-        assert len(merged.records) == 6
-        keys = [(r.source_id, r.y, r.x) for r in merged.records]
-        assert keys == sorted(keys)
-        assert merged.threshold_used == {"a": ma.threshold_used,
-                                         "b": mb.threshold_used}
-
-    def test_merge_disagreeing_sizes(self):
-        ma = extract_tiles(noisy_image(10, 128, 128), "a", 32, 0.0)
-        mb = extract_tiles(noisy_image(11, 128, 128), "b", 64, 0.0)
-        with pytest.raises(ParameterError):
-            merge_manifests([ma, mb])
-
-    def test_merge_nothing(self):
-        with pytest.raises(ParameterError):
-            merge_manifests([])
