@@ -1,4 +1,4 @@
-"""Datasets, the balanced-accuracy metric, and the ablation harness.
+"""Datasets, reports, and the ablation harness.
 
 Three synthetic suite families probe specific failure modes at desk
 scale: GLOBAL plants the label in whole-image mean color (any sane
@@ -32,9 +32,10 @@ from .color import StainAugConfig, lab_to_rgb, read_ppm, rgb_to_lab
 from .encoder import (EncoderConfig, TokenSequence, forward_batch, patchify,
                       tokenize_batch)
 from .errors import ConfigError, DataError, ParameterError
-from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, predict_batch,
-                    train_head)
+from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, balanced_accuracy,
+                    class_recalls, predict_batch, train_head)
 from .numkernel import RngStream
+from .optim import AdamConfig
 from .ssl import (SslConfig, init_train_state, run_training,
                   student_encoder_params)
 
@@ -53,39 +54,6 @@ _EMBED_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
-# metric
-
-
-def class_recalls(y_true, y_pred, num_classes: int = None):
-    """Per-class recall and support; recall is NaN where support is 0."""
-    yt = np.asarray(y_true, dtype=np.int64).ravel()
-    yp = np.asarray(y_pred, dtype=np.int64).ravel()
-    if yt.size == 0:
-        raise ParameterError("empty label arrays")
-    if yt.shape != yp.shape:
-        raise ParameterError("label arrays differ in length")
-    c = int(num_classes) if num_classes is not None else int(max(yt.max(), yp.max())) + 1
-    if yt.min() < 0 or yp.min() < 0 or yt.max() >= c or yp.max() >= c:
-        raise ParameterError(f"labels outside [0, {c})")
-    recalls = np.full(c, np.nan)
-    support = np.zeros(c, dtype=np.int64)
-    for cls in range(c):
-        mask = yt == cls
-        support[cls] = mask.sum()
-        if support[cls]:
-            recalls[cls] = np.mean(yp[mask] == cls)
-    return recalls, support
-
-
-def balanced_accuracy(y_true, y_pred, num_classes: int = None) -> float:
-    """Unweighted mean of per-class recalls; zero-support classes are
-    left out of the mean (callers can report them via class_recalls)."""
-    recalls, support = class_recalls(y_true, y_pred, num_classes)
-    live = support > 0
-    return float(np.mean(recalls[live]))
-
-
-# ---------------------------------------------------------------------------
 # datasets
 
 
@@ -94,14 +62,6 @@ class LabeledDataset:
     items: list                 # (raster uint8 (H,W,3), class id)
     class_names: list
     source_ids: list = field(default_factory=list)
-
-    def __post_init__(self):
-        c = len(self.class_names)
-        for _, label in self.items:
-            if not 0 <= int(label) < c:
-                raise ParameterError(f"class id {label} outside [0, {c})")
-        if self.source_ids and len(self.source_ids) != len(self.items):
-            raise ParameterError("source_ids length mismatch")
 
     @property
     def labels(self):
@@ -412,11 +372,11 @@ def write_report(report: dict, path) -> None:
 
 
 def make_report(task: str, y_true, y_pred, num_classes: int,
-                fingerprint: str, seed: int, class_names=None,
-                extra: dict = None) -> dict:
+                fingerprint: str, seed: int, class_names,
+                extra: dict) -> dict:
     recalls, support = class_recalls(y_true, y_pred, num_classes)
     live = support > 0
-    report = {
+    return {
         "format_version": 1,
         "task": task,
         "bacc": float(np.mean(recalls[live])),
@@ -425,12 +385,9 @@ def make_report(task: str, y_true, y_pred, num_classes: int,
         "zero_support_classes": [int(c) for c in np.nonzero(~live)[0]],
         "config_fingerprint": fingerprint,
         "seed": int(seed),
+        "class_names": list(class_names),
+        **extra,
     }
-    if class_names is not None:
-        report["class_names"] = list(class_names)
-    if extra:
-        report.update(extra)
-    return report
 
 
 def _fmt_delta(delta: float) -> str:
@@ -439,15 +396,12 @@ def _fmt_delta(delta: float) -> str:
 
 
 def render_ablation_table(report: dict) -> str:
-    """Three-row grid as text, deltas as percent points with arrows."""
+    """Three-row grid as text, each row with its stored rendered delta."""
     lines = [f"{'stain aug':<11}{'head':<10}{'BACC':>7}  delta"]
-    prev = None
     for row in report["ablation_rows"]:
-        delta = "" if prev is None else _fmt_delta(row["bacc"] - prev)
         flag = "yes" if row["staining_aug"] else "no"
-        lines.append(
-            f"{flag:<11}{row['head_mode']:<10}{row['bacc'] * 100:>6.1f}  {delta}")
-        prev = row["bacc"]
+        lines.append(f"{flag:<11}{row['head_mode']:<10}{row['bacc'] * 100:>6.1f}"
+                     f"  {row.get('delta_rendered', '')}")
     return "\n".join(lines)
 
 
@@ -524,8 +478,6 @@ class AblationConfig:
 
 def _pretrain_encoder(corpus, cfg: AblationConfig, seed: int,
                       augmented: bool):
-    from .optim import AdamConfig
-
     aug = cfg.aug if augmented else replace(cfg.aug, enabled=False)
     state = init_train_state(cfg.encoder, cfg.ssl,
                              RngStream(seed=seed, stream_id=11))
@@ -609,8 +561,6 @@ def run_ablation(datasets: dict, cfg: AblationConfig) -> dict:
     for i in (1, 2):
         rows[i]["delta_vs_previous"] = rows[i]["bacc"] - rows[i - 1]["bacc"]
         rows[i]["delta_rendered"] = _fmt_delta(rows[i]["delta_vs_previous"])
-    if any(r["split_hashes"] != rows[0]["split_hashes"] for r in rows):
-        raise DataError("ablation rows saw different splits")
     fingerprint = config_fingerprint(asdict(cfg))
     report = {
         "format_version": 1,

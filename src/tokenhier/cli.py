@@ -38,8 +38,8 @@ import numpy as np
 
 from . import bench as B
 from .bench import (AblationConfig, SuiteSpec, acceptance_suites,
-                    balanced_accuracy, embed_dataset, ingest_directory,
-                    make_report, make_pretrain_corpus, make_synthetic_suite,
+                    embed_dataset, ingest_directory, make_report,
+                    make_pretrain_corpus, make_synthetic_suite,
                     render_ablation_table, run_ablation, save_embeddings,
                     split_dataset, write_bacc_svg, write_report)
 from .checkpoint import check_value, config_fingerprint, read_config
@@ -48,11 +48,13 @@ from .encoder import EncoderConfig
 from .errors import (ConfigError, DataError, NumericError, ParameterError,
                      TokenhierError)
 from .gradcheck import TOLERANCE, component_names, run_all
-from .heads import ATTNPOOL, LINEAR, HeadTrainConfig, predict_batch, train_head
+from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, balanced_accuracy,
+                    predict_batch, train_head)
 from .numkernel import RngStream
 from .optim import AdamConfig
 from .ssl import (POSTTRAIN, init_train_state, load_train_state,
-                  run_training, save_train_state, student_encoder_params)
+                  run_training, save_train_state, student_encoder_params,
+                  train_state_mismatch)
 from .tiler import tile_sources, write_manifest
 
 _DESK = AblationConfig()   # desk-scale defaults shared with the ablation grid
@@ -213,6 +215,8 @@ def _training_configs(args):
     seed = _file_value(flat, "seed", int, 0, args.seed)
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
+    if batch < 1:
+        raise ConfigError(f"--batch-size must be >= 1, got {batch}")
     resolved = {"encoder": asdict(enc), "ssl": asdict(ssl), "aug": asdict(aug),
                 "steps": steps, "batch_size": batch, "lr": lr, "seed": seed}
     return enc, ssl, aug, steps, batch, lr, seed, resolved
@@ -248,6 +252,10 @@ def _run_ssl(args, phase: str) -> int:
                                   "from the requested config")
         else:
             state = copy.deepcopy(anchor_state)
+        mismatch = train_state_mismatch(state, enc, ssl)
+        if mismatch:
+            raise ConfigError(f"{args.init or args.gram_teacher}: checkpoint "
+                              f"{mismatch} under the requested config")
         state.gram_teacher = gram_params
     else:
         state = init_train_state(enc, ssl, RngStream(seed=seed, stream_id=11))

@@ -22,9 +22,8 @@ import numpy as np
 
 from .color import as_raster
 from .errors import ConfigError, NumericError, ShapeError
-from .numkernel import (RngStream, gelu, gelu_grad, layer_norm,
-                        layer_norm_backward, softmax_backward, softmax_rows,
-                        trunc_normal)
+from .numkernel import (RngStream, gelu, gelu_grad, init_tensors, layer_norm,
+                        layer_norm_backward, softmax_backward, softmax_rows)
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,10 @@ class EncoderConfig:
                 f"num_heads {self.num_heads}")
         if self.mlp_ratio <= 0:
             raise ConfigError("mlp_ratio must be positive")
+        try:
+            self.mlp_hidden
+        except OverflowError:
+            raise ConfigError("embed_dim * mlp_ratio is too large") from None
 
     @property
     def grid(self) -> int:
@@ -83,34 +86,37 @@ class TokenSequence:
     patches: np.ndarray    # (N, D)
 
 
-def init_params(cfg: EncoderConfig, rng: RngStream) -> dict:
-    """Fresh parameter dict. Weights are clipped normal (sigma 0.02),
-    biases and the class token start at zero, norm gains at one."""
-    d = cfg.embed_dim
-    p = {
-        "embed.W": trunc_normal(rng, (cfg.patch_dim, d)),
-        "embed.b": np.zeros(d),
-        "pos": trunc_normal(rng, (cfg.seq_len, d)),
-        "cls": np.zeros(d),
-        "mask_token": trunc_normal(rng, (d,)),
-    }
+def param_layout(cfg: EncoderConfig):
+    """(name, shape, init) of every parameter in draw order, lazily, so
+    a layout can be compared with stored tensors without building it."""
+    d, h = cfg.embed_dim, cfg.mlp_hidden
+    yield "embed.W", (cfg.patch_dim, d), "normal"
+    yield "embed.b", (d,), "zeros"
+    yield "pos", (cfg.seq_len, d), "normal"
+    yield "cls", (d,), "zeros"
+    yield "mask_token", (d,), "normal"
     for i in range(cfg.depth):
         pre = f"layer{i}."
-        p[pre + "ln1.g"] = np.ones(d)
-        p[pre + "ln1.b"] = np.zeros(d)
+        yield pre + "ln1.g", (d,), "ones"
+        yield pre + "ln1.b", (d,), "zeros"
         for w in ("Wq", "Wk", "Wv", "Wo"):
-            p[pre + "attn." + w] = trunc_normal(rng, (d, d))
+            yield pre + "attn." + w, (d, d), "normal"
         for b in ("bq", "bk", "bv", "bo"):
-            p[pre + "attn." + b] = np.zeros(d)
-        p[pre + "ln2.g"] = np.ones(d)
-        p[pre + "ln2.b"] = np.zeros(d)
-        p[pre + "mlp.W1"] = trunc_normal(rng, (d, cfg.mlp_hidden))
-        p[pre + "mlp.b1"] = np.zeros(cfg.mlp_hidden)
-        p[pre + "mlp.W2"] = trunc_normal(rng, (cfg.mlp_hidden, d))
-        p[pre + "mlp.b2"] = np.zeros(d)
-    p["final_ln.g"] = np.ones(d)
-    p["final_ln.b"] = np.zeros(d)
-    return p
+            yield pre + "attn." + b, (d,), "zeros"
+        yield pre + "ln2.g", (d,), "ones"
+        yield pre + "ln2.b", (d,), "zeros"
+        yield pre + "mlp.W1", (d, h), "normal"
+        yield pre + "mlp.b1", (h,), "zeros"
+        yield pre + "mlp.W2", (h, d), "normal"
+        yield pre + "mlp.b2", (d,), "zeros"
+    yield "final_ln.g", (d,), "ones"
+    yield "final_ln.b", (d,), "zeros"
+
+
+def init_params(cfg: EncoderConfig, rng: RngStream) -> dict:
+    """Fresh parameters: clipped-normal weights (sigma 0.02), zero
+    biases and class token, unit norm gains."""
+    return init_tensors(param_layout(cfg), rng)
 
 
 def patchify(raster, cfg: EncoderConfig) -> np.ndarray:
@@ -163,9 +169,6 @@ def forward_batch(z0: np.ndarray, cfg: EncoderConfig, params: dict,
     activations abort with the offending layer named.
     """
     x = np.asarray(z0, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] != cfg.seq_len or x.shape[2] != cfg.embed_dim:
-        raise ShapeError(
-            f"batch must be (B, {cfg.seq_len}, {cfg.embed_dim}), got {x.shape}")
     scale = 1.0 / np.sqrt(cfg.head_dim)
     layers = []
     for i in range(cfg.depth):

@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .heads import (ATTNPOOL, LINEAR, AttnPoolParams, ProbeParams,
                     head_gradients)
 from .numkernel import RngStream
-from .ssl import (SslConfig, dino_loss_grad, gram_loss_grad, ibot_loss_grad,
+from .ssl import (SslConfig, centered_ce_loss_grad, gram_loss_grad,
                   koleo_loss_grad)
 
 TOLERANCE = 1e-4
@@ -137,10 +137,11 @@ def _loss_term(seed, loss_grad, draws):
     return build
 
 
-def _centered_term(seed, loss_grad, rows):
+def _centered_term(seed, rows):
     cfg = SslConfig(prototype_count=8)
-    return _loss_term(seed, lambda s, t, c: loss_grad(s, t, c, cfg),
-                      [((rows, 8), 1.0), ((rows, 8), 1.0), ((8,), 0.1)])
+    return _loss_term(
+        seed, lambda s, t, c: centered_ce_loss_grad(s, t, c, cfg),
+        [((rows, 8), 1.0), ((rows, 8), 1.0), ((8,), 0.1)])
 
 
 def _head_batch(rng, d, n):
@@ -187,8 +188,8 @@ def _attnpool_head():
 _COMPONENTS = {
     "encoder.embedding": _encoder_embedding,
     "encoder.blocks": _encoder_blocks,
-    "ssl.dino": _centered_term(103, dino_loss_grad, 4),
-    "ssl.ibot": _centered_term(104, ibot_loss_grad, 6),
+    "ssl.dino": _centered_term(103, 4),
+    "ssl.ibot": _centered_term(104, 6),
     "ssl.koleo": _loss_term(105, koleo_loss_grad, [((8, 16), 1.0)]),
     "ssl.gram": _loss_term(106, gram_loss_grad,
                            [((8, 16), 1.0), ((8, 16), 1.0)]),

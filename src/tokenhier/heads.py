@@ -6,7 +6,7 @@ over the patch tokens, concatenates the per-head summaries through an
 output projection, and classifies the pooled vector.  Both heads train
 with Adam on mean cross-entropy (``head_gradients``) while the encoder
 stays untouched; model selection is by best validation balanced
-accuracy.
+accuracy (``balanced_accuracy``, the metric every report uses).
 
 Everything runs on batches: ``probs_batch`` is the one forward pass of
 both heads and ``predict_batch`` its argmax; for the pooling head it
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, ShapeError
+from .errors import ConfigError, ParameterError
 from .numkernel import RngStream, softmax_backward, softmax_rows, trunc_normal
 from .optim import AdamConfig, adam_init, adam_step
 
@@ -35,12 +35,6 @@ class ProbeParams:
     W_lp: np.ndarray       # (C, D)
     b: np.ndarray          # (C,)
 
-    def __post_init__(self):
-        if self.W_lp.ndim != 2 or self.W_lp.shape[0] < 2:
-            raise ParameterError("probe needs a (C>=2, D) weight matrix")
-        if self.b.shape != (self.W_lp.shape[0],):
-            raise ShapeError("probe bias length must equal class count")
-
 
 @dataclass
 class AttnPoolParams:
@@ -50,19 +44,6 @@ class AttnPoolParams:
     Wo: np.ndarray         # (D, D)
     W_attn: np.ndarray     # (C, D)
     b: np.ndarray          # (C,)
-
-    def __post_init__(self):
-        h, dh, d = self.Wq.shape
-        if h * dh != d:
-            raise ParameterError(
-                f"head layout ({h} x {dh}) must tile the embed dim {d}")
-        for name in ("Wk", "Wv"):
-            if getattr(self, name).shape != (h, dh, d):
-                raise ShapeError(f"{name} shape mismatch")
-        if self.Wo.shape != (d, d):
-            raise ShapeError("output projection must be (D, D)")
-        if self.W_attn.ndim != 2 or self.W_attn.shape[0] < 2:
-            raise ParameterError("classifier needs C >= 2 rows")
 
 
 @dataclass(frozen=True)
@@ -84,17 +65,37 @@ class HeadTrainConfig:
             raise ConfigError("batch and num_heads must be >= 1")
 
 
-def make_probe_params(embed_dim: int, num_classes: int) -> ProbeParams:
-    if num_classes < 2:
-        raise ParameterError("need at least 2 classes")
-    return ProbeParams(np.zeros((num_classes, embed_dim)),
-                       np.zeros(num_classes))
+def class_recalls(y_true, y_pred, num_classes: int = None):
+    """Per-class recall and support; recall is NaN where support is 0."""
+    yt = np.asarray(y_true, dtype=np.int64).ravel()
+    yp = np.asarray(y_pred, dtype=np.int64).ravel()
+    if yt.size == 0:
+        raise ParameterError("empty label arrays")
+    if yt.shape != yp.shape:
+        raise ParameterError("label arrays differ in length")
+    c = int(num_classes) if num_classes is not None else int(max(yt.max(), yp.max())) + 1
+    if yt.min() < 0 or yp.min() < 0 or yt.max() >= c or yp.max() >= c:
+        raise ParameterError(f"labels outside [0, {c})")
+    recalls = np.full(c, np.nan)
+    support = np.zeros(c, dtype=np.int64)
+    for cls in range(c):
+        mask = yt == cls
+        support[cls] = mask.sum()
+        if support[cls]:
+            recalls[cls] = np.mean(yp[mask] == cls)
+    return recalls, support
+
+
+def balanced_accuracy(y_true, y_pred, num_classes: int = None) -> float:
+    """Unweighted mean of per-class recalls; zero-support classes are
+    left out of the mean (callers can report them via class_recalls)."""
+    recalls, support = class_recalls(y_true, y_pred, num_classes)
+    live = support > 0
+    return float(np.mean(recalls[live]))
 
 
 def make_attnpool_params(embed_dim: int, num_classes: int, num_heads: int,
                          rng: RngStream) -> AttnPoolParams:
-    if num_classes < 2:
-        raise ParameterError("need at least 2 classes")
     if embed_dim % num_heads:
         raise ParameterError(
             f"embed_dim {embed_dim} not divisible by num_heads {num_heads}")
@@ -113,9 +114,7 @@ def _pool_batch(cls, patches, p: AttnPoolParams):
     """Vectorized pooling: cls (B,D), patches (B,N,D) -> h (B,D) and
     the cache of the backward pass, whose ``a`` holds the per-head
     attention weights (B,H,N)."""
-    bsz, n, d = patches.shape
-    if n == 0:
-        raise ParameterError("no patch tokens to pool over")
+    bsz, _, d = patches.shape
     dh = p.Wq.shape[1]
     q = np.einsum("hpd,bd->bhp", p.Wq, cls)
     k = np.einsum("hpd,bnd->bhnp", p.Wk, patches)
@@ -139,10 +138,6 @@ def probs_batch(cls, patches, params, mode):
     """Class probabilities (B, C) from class tokens (B, D) and patch
     tokens (B, N, D), plus what :func:`head_gradients` needs of the
     pooling forward (None for the linear probe)."""
-    width = (params.W_lp if mode == LINEAR else params.W_attn).shape[1]
-    if cls.shape[1] != width:
-        raise ShapeError(
-            f"class tokens have dim {cls.shape[1]}, head expects {width}")
     if mode == LINEAR:
         return softmax_rows(cls @ params.W_lp.T + params.b), None
     h, cache = _pool_batch(cls, patches, params)
@@ -199,8 +194,6 @@ def train_head(train_items, val_items, mode,
                cfg: HeadTrainConfig) -> HeadTrainResult:
     """Mini-batch Adam on mean cross-entropy; the returned params are
     the epoch snapshot with the best validation balanced accuracy."""
-    from .bench import balanced_accuracy  # deferred: bench builds on this module
-
     if mode not in (LINEAR, ATTNPOOL):
         raise ParameterError(f"unknown head mode {mode!r}")
     if not train_items or not val_items:
@@ -212,7 +205,7 @@ def train_head(train_items, val_items, mode,
     c = max(all_labels) + 1
     d = train_items[0][0].cls.shape[0]
     if mode == LINEAR:
-        params = make_probe_params(d, c)
+        params = ProbeParams(np.zeros((c, d)), np.zeros(c))
     else:
         params = make_attnpool_params(
             d, c, cfg.num_heads, RngStream(seed=cfg.seed, stream_id=77))

@@ -96,6 +96,14 @@ def trunc_normal(rng: RngStream, shape) -> np.ndarray:
     return np.clip(v, -2 * sigma, 2 * sigma).reshape(shape)
 
 
+def init_tensors(layout, rng: RngStream) -> dict:
+    """{name: tensor} for (name, shape, init) triples, in layout order:
+    "normal" draws :func:`trunc_normal` from ``rng``, else "ones"/"zeros"."""
+    return {name: trunc_normal(rng, shape) if init == "normal"
+            else np.full(shape, 1.0 if init == "ones" else 0.0)
+            for name, shape, init in layout}
+
+
 def gelu(x: np.ndarray) -> np.ndarray:
     """Exact (erf-based) GELU."""
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -47,13 +47,7 @@ def adam_step(params: dict, grads: dict, state: dict, cfg: AdamConfig,
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     for name, g in grads.items():
-        if name not in params:
-            raise ParameterError(f"gradient for unknown parameter {name!r}")
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != params[name].shape:
-            raise ParameterError(
-                f"gradient shape {g.shape} != param shape "
-                f"{params[name].shape} for {name!r}")
         m = state["m"][name]
         v = state["v"][name]
         m *= BETA1

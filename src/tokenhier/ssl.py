@@ -3,9 +3,10 @@
 Four terms over prototype logits and token embeddings:
 
 - image-level: cross-entropy between the teacher's centered, sharpened
-  class-token distribution and the student's (``dino_loss_grad``),
+  class-token distribution and the student's,
 - patch-level: the same cross-entropy at masked positions, student
-  masked / teacher unmasked (``ibot_loss_grad``),
+  masked / teacher unmasked; one function, ``centered_ce_loss_grad``,
+  serves both terms,
 - spread: negative mean log nearest-neighbor distance of normalized
   features (``koleo_loss_grad``),
 - anchoring: Frobenius gap between normalized patch Gram matrices
@@ -33,19 +34,14 @@ from .encoder import (
     EncoderConfig,
     backward_batch,
     forward_batch,
-    init_params,
+    param_layout,
     patchify,
     token_gradients,
     tokenize_batch,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    NumericError,
-    ParameterError,
-    ShapeError,
-)
-from .numkernel import RngStream, gelu, gelu_grad, softmax_rows, trunc_normal
+from .errors import ConfigError, DataError, NumericError, ParameterError
+from .numkernel import (RngStream, gelu, gelu_grad, init_tensors,
+                        softmax_rows)
 from .optim import AdamConfig, adam_init, adam_step
 
 _LOG_EPS = 1e-12
@@ -100,8 +96,11 @@ class LossBreakdown:
                    float(total))
 
 
-def _centered_ce(student_logits, teacher_logits, center, cfg: SslConfig):
-    """Row-wise cross-entropy and its exact student gradient.
+def centered_ce_loss_grad(student_logits, teacher_logits, center,
+                          cfg: SslConfig):
+    """Mean row-wise cross-entropy of the student against the centered
+    teacher and its exact student gradient: the image-level term on
+    class-token rows, the patch-level term on masked positions.
 
     Teacher rows are centered and sharpened at teacher_temp with no
     gradient; the log is stabilized by a 1e-12 floor, and the gradient
@@ -109,8 +108,6 @@ def _centered_ce(student_logits, teacher_logits, center, cfg: SslConfig):
     """
     s = np.asarray(student_logits, dtype=np.float64)
     t = np.asarray(teacher_logits, dtype=np.float64)
-    if s.shape != t.shape:
-        raise ShapeError(f"student/teacher logit shapes differ: {s.shape} vs {t.shape}")
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
         raise NumericError("non-finite logits in cross-entropy term")
     pt = softmax_rows((t - center) / cfg.teacher_temp)
@@ -118,27 +115,7 @@ def _centered_ce(student_logits, teacher_logits, center, cfg: SslConfig):
     rows = -(pt * np.log(q + _LOG_EPS)).sum(axis=-1)
     w = pt * q / (q + _LOG_EPS)
     ds = (q * w.sum(axis=-1, keepdims=True) - w) / cfg.student_temp
-    return rows, ds
-
-
-def dino_loss_grad(student_cls_logits, teacher_cls_logits, center,
-                   cfg: SslConfig):
-    """Image-level term: mean centered cross-entropy over (student,
-    teacher) logit rows, and its student gradient."""
-    rows, ds = _centered_ce(student_cls_logits, teacher_cls_logits, center,
-                            cfg)
     return float(rows.mean()), ds / rows.size
-
-
-def ibot_loss_grad(student_masked_patch_logits, teacher_patch_logits, center,
-                   cfg: SslConfig):
-    """Mean centered cross-entropy over masked patch positions, and its
-    student gradient."""
-    s = np.asarray(student_masked_patch_logits, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] == 0:
-        raise ParameterError("need at least one masked position")
-    rows, ds = _centered_ce(s, teacher_patch_logits, center, cfg)
-    return float(rows.mean()), ds / s.shape[0]
 
 
 def _normalize_rows(x):
@@ -150,8 +127,6 @@ def koleo_loss_grad(features):
     """Negative mean log nearest-neighbor distance of normalized rows,
     and its gradient."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ParameterError("need at least 2 feature rows")
     n = x.shape[0]
     z, norms = _normalize_rows(x)
     diff = z[:, None, :] - z[None, :, :]
@@ -180,9 +155,6 @@ def gram_loss_grad(student_patches, gram_teacher_patches):
     gradient."""
     xs = np.asarray(student_patches, dtype=np.float64)
     xg = np.asarray(gram_teacher_patches, dtype=np.float64)
-    if xs.ndim != 2 or xg.ndim != 2 or xs.shape[0] != xg.shape[0]:
-        raise ShapeError(
-            f"patch row counts differ: {xs.shape} vs {xg.shape}")
     n = xs.shape[0]
     zs, norms = _normalize_rows(xs)
     zg, _ = _normalize_rows(xg)
@@ -194,16 +166,14 @@ def gram_loss_grad(student_patches, gram_teacher_patches):
     return loss, dxs
 
 
-def make_head_params(embed_dim: int, prototype_count: int,
-                     rng: RngStream) -> dict:
-    """2-layer GELU MLP head: D -> 2D -> K prototype logits."""
+def head_layout(embed_dim: int, prototype_count: int):
+    """(name, shape, init) of the 2-layer GELU MLP head, D -> 2D -> K
+    prototype logits, in draw order."""
     hidden = 2 * embed_dim
-    return {
-        "W1": trunc_normal(rng, (embed_dim, hidden)),
-        "b1": np.zeros(hidden),
-        "W2": trunc_normal(rng, (hidden, prototype_count)),
-        "b2": np.zeros(prototype_count),
-    }
+    yield "W1", (embed_dim, hidden), "normal"
+    yield "b1", (hidden,), "zeros"
+    yield "W2", (hidden, prototype_count), "normal"
+    yield "b2", (prototype_count,), "zeros"
 
 
 def head_forward(x, hp: dict, want_cache: bool = False):
@@ -252,13 +222,19 @@ class TrainState:
     gram_teacher: dict = None   # enc params only, frozen
 
 
+def _model_layout(enc_cfg: EncoderConfig, k: int) -> list:
+    """(prefix, layout) of the student's parts, in draw order."""
+    d = enc_cfg.embed_dim
+    return [("enc.", param_layout(enc_cfg)), ("cls_head.", head_layout(d, k)),
+            ("patch_head.", head_layout(d, k))]
+
+
 def init_train_state(enc_cfg: EncoderConfig, ssl_cfg: SslConfig,
                      rng: RngStream) -> TrainState:
-    d, k = enc_cfg.embed_dim, ssl_cfg.prototype_count
+    k = ssl_cfg.prototype_count
     student = {}
-    student.update(_prefixed(init_params(enc_cfg, rng.derive(0)), "enc."))
-    student.update(_prefixed(make_head_params(d, k, rng.derive(1)), "cls_head."))
-    student.update(_prefixed(make_head_params(d, k, rng.derive(2)), "patch_head."))
+    for i, (prefix, layout) in enumerate(_model_layout(enc_cfg, k)):
+        student.update(_prefixed(init_tensors(layout, rng.derive(i)), prefix))
     teacher = copy.deepcopy(student)
     return TrainState(
         student=student,
@@ -267,6 +243,42 @@ def init_train_state(enc_cfg: EncoderConfig, ssl_cfg: SslConfig,
         patch_center=np.zeros(k),
         adam=adam_init(student),
     )
+
+
+def _table(state: TrainState) -> dict:
+    """The flat name -> tensor table a checkpoint of ``state`` holds."""
+    groups = (("student.", state.student), ("teacher.", state.teacher),
+              ("adam.m.", state.adam["m"]), ("adam.v.", state.adam["v"]),
+              ("gram.", state.gram_teacher or {}))
+    return {"cls_center": state.cls_center, "patch_center": state.patch_center,
+            **{p + name: v for p, g in groups for name, v in g.items()}}
+
+
+def train_state_mismatch(state: TrainState, enc_cfg: EncoderConfig,
+                         ssl_cfg: SslConfig):
+    """How ``state``'s tensors disagree with the configs, or None.  The
+    layout is walked lazily with dict lookups up to the first missing
+    or misshapen tensor, so configs asking for a huge model allocate
+    and loop nothing."""
+    k = ssl_cfg.prototype_count
+    parts = [("", [("cls_center", (k,), "zeros"),
+                   ("patch_center", (k,), "zeros")])]
+    parts += [(group + prefix, layout)
+              for group in ("student.", "teacher.", "adam.m.", "adam.v.")
+              for prefix, layout in _model_layout(enc_cfg, k)]
+    if state.gram_teacher is not None:   # an encoder alone
+        parts.append(("gram.", param_layout(enc_cfg)))
+    table, names = _table(state), set()
+    for prefix, layout in parts:
+        for name, shape, _ in layout:
+            tensor = table.get(prefix + name)
+            if tensor is None:
+                return f"lacks tensor {prefix + name!r}"
+            if tensor.shape != shape:
+                return f"holds {prefix + name!r} at {tensor.shape}, not {shape}"
+            names.add(prefix + name)
+    extra = sorted(set(table) - names)
+    return f"holds tensor {extra[0]!r}, which has no place" if extra else None
 
 
 def _draw_mask(rng: RngStream, n: int, fraction: float) -> np.ndarray:
@@ -345,8 +357,8 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
 
     # image-level: cross-view pairs (teacher a -> student b and vice versa)
     swap = np.arange(2 * b).reshape(b, 2)[:, ::-1].reshape(-1)
-    dino, d_logits_s = dino_loss_grad(logits_s, logits_t[swap],
-                                      state.cls_center, ssl_cfg)
+    dino, d_logits_s = centered_ce_loss_grad(logits_s, logits_t[swap],
+                                             state.cls_center, ssl_cfg)
     _guard(dino, "dino", state.step)
 
     # patch-level at masked positions, stacked across views
@@ -355,8 +367,8 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
     p_logits_s, patch_cache = head_forward(masked_rows_s, patch_head_s,
                                            want_cache=True)
     p_logits_t, _ = head_forward(masked_rows_t, patch_head_t)
-    ibot, d_plogits = ibot_loss_grad(p_logits_s, p_logits_t,
-                                     state.patch_center, ssl_cfg)
+    ibot, d_plogits = centered_ce_loss_grad(p_logits_s, p_logits_t,
+                                            state.patch_center, ssl_cfg)
     _guard(ibot, "ibot", state.step)
 
     koleo, d_cls_koleo = koleo_loss_grad(cls_s)
@@ -449,15 +461,6 @@ def save_train_state(path, state: TrainState, enc_cfg: EncoderConfig,
     """Full training snapshot in the shared tensor container: both model
     copies, the optimizer moments, the centers, and the frozen Gram
     teacher when one is attached."""
-    tensors = {}
-    tensors.update(_prefixed(state.student, "student."))
-    tensors.update(_prefixed(state.teacher, "teacher."))
-    tensors.update(_prefixed(state.adam["m"], "adam.m."))
-    tensors.update(_prefixed(state.adam["v"], "adam.v."))
-    tensors["cls_center"] = state.cls_center
-    tensors["patch_center"] = state.patch_center
-    if state.gram_teacher is not None:
-        tensors.update(_prefixed(state.gram_teacher, "gram."))
     config = {
         "encoder": asdict(enc_cfg),
         "ssl": asdict(ssl_cfg),
@@ -465,17 +468,16 @@ def save_train_state(path, state: TrainState, enc_cfg: EncoderConfig,
         "adam_t": int(state.adam["t"]),
         "has_gram_teacher": state.gram_teacher is not None,
     }
-    save_params(path, "train_state", config, tensors, extra=extra or {})
+    save_params(path, "train_state", config, _table(state),
+                extra=extra or {})
 
 
 def load_train_state(path):
-    """Inverse of save_train_state: (state, enc_cfg, ssl_cfg, extra)."""
+    """Inverse of save_train_state: (state, enc_cfg, ssl_cfg, extra);
+    tensors that disagree with the header configs are a ``DataError``."""
     kind, config, tensors, extra = load_params(path)
     if kind != "train_state":
         raise DataError(f"{path}: not a training checkpoint (kind {kind!r})")
-    for name in ("cls_center", "patch_center"):
-        if name not in tensors:
-            raise DataError(f"{path}: training checkpoint lacks {name!r}")
     try:
         step, adam_t = (check_value(k, int, config.get(k, 0))
                         for k in ("step", "adam_t"))
@@ -489,8 +491,8 @@ def load_train_state(path):
     state = TrainState(
         student=_sub(tensors, "student."),
         teacher=_sub(tensors, "teacher."),
-        cls_center=tensors["cls_center"],
-        patch_center=tensors["patch_center"],
+        cls_center=tensors.get("cls_center"),
+        patch_center=tensors.get("patch_center"),
         adam={"t": adam_t,
               "m": _sub(tensors, "adam.m."),
               "v": _sub(tensors, "adam.v.")},
@@ -498,4 +500,8 @@ def load_train_state(path):
         gram_teacher=(_sub(tensors, "gram.")
                       if config.get("has_gram_teacher") else None),
     )
+    mismatch = train_state_mismatch(state, enc_cfg, ssl_cfg)
+    if mismatch:
+        raise DataError(f"{path}: training checkpoint {mismatch} "
+                        "under its header config")
     return state, enc_cfg, ssl_cfg, extra

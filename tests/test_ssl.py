@@ -13,8 +13,8 @@ import pytest
 from tokenhier.checkpoint import read_config
 from tokenhier.color import StainAugConfig
 from tokenhier.encoder import EncoderConfig
-from tokenhier.errors import ConfigError, ParameterError, ShapeError
-from tokenhier.numkernel import RngStream
+from tokenhier.errors import ConfigError, ParameterError
+from tokenhier.numkernel import RngStream, init_tensors
 from tokenhier.optim import AdamConfig
 from tokenhier.ssl import (
     LossBreakdown,
@@ -24,14 +24,13 @@ from tokenhier.ssl import (
     TrainState,
     _draw_mask,
     _sub,
-    dino_loss_grad,
+    centered_ce_loss_grad,
     gram_loss_grad,
     head_backward,
     head_forward,
-    ibot_loss_grad,
+    head_layout,
     init_train_state,
     koleo_loss_grad,
-    make_head_params,
     run_training,
     train_step,
 )
@@ -42,8 +41,9 @@ def value_of(loss_grad):
     return lambda *args: loss_grad(*args)[0]
 
 
-dino_loss = value_of(dino_loss_grad)
-ibot_loss = value_of(ibot_loss_grad)
+# one centered cross-entropy serves the image-level (DINO) and the
+# masked-patch (iBOT) terms
+dino_loss = ibot_loss = value_of(centered_ce_loss_grad)
 koleo_loss = value_of(koleo_loss_grad)
 gram_loss = value_of(gram_loss_grad)
 
@@ -161,7 +161,7 @@ class TestDinoLoss:
         s = rng.normal(size=5)
         t = rng.normal(size=5)
         c = rng.normal(size=5) * 0.1
-        _, grad = dino_loss_grad(s, t, c, cfg)
+        _, grad = centered_ce_loss_grad(s, t, c, cfg)
         h = 1e-5
         for j in range(5):
             sp = s.copy(); sp[j] += h
@@ -205,18 +205,13 @@ class TestIbotLoss:
             ents.append(entropy(p))
         assert abs(loss - np.mean(ents)) < 1e-9
 
-    def test_empty_mask_rejected(self):
-        cfg = cfg_small()
-        with pytest.raises(ParameterError):
-            ibot_loss(np.zeros((0, 8)), np.zeros((0, 8)), np.zeros(8), cfg)
-
     def test_gradient_matches_fd(self):
         cfg = cfg_small(prototype_count=4)
         rng = np.random.default_rng(8)
         s = rng.normal(size=(3, 4))
         t = rng.normal(size=(3, 4))
         c = rng.normal(size=4) * 0.1
-        _, grad = ibot_loss_grad(s, t, c, cfg)
+        _, grad = centered_ce_loss_grad(s, t, c, cfg)
         h = 1e-5
         worst = 0.0
         for i in range(3):
@@ -274,10 +269,6 @@ class TestKoleoLoss:
         for n in (2, 3, 5, 17, 33, 64):
             x = rng.normal(size=(n, 5))
             assert abs(koleo_loss(x) - oracle_koleo(x)) < 1e-12
-
-    def test_too_few_rows(self):
-        with pytest.raises(ParameterError):
-            koleo_loss(np.ones((1, 4)))
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(11)
@@ -346,10 +337,6 @@ class TestGramLoss:
         rotated = gram_loss(xs @ q, xg @ q)
         assert abs(base - rotated) < 1e-10
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            gram_loss(np.ones((3, 4)), np.ones((5, 4)))
-
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(15)
         xs = rng.normal(size=(5, 3))
@@ -369,13 +356,13 @@ class TestGramLoss:
 
 class TestHeads:
     def test_shapes(self):
-        hp = make_head_params(16, 32, RngStream(seed=0))
+        hp = init_tensors(head_layout(16, 32), RngStream(seed=0))
         x = np.random.default_rng(16).normal(size=(5, 16))
         logits, _ = head_forward(x, hp)
         assert logits.shape == (5, 32)
 
     def test_gradients_match_fd(self):
-        hp = make_head_params(6, 9, RngStream(seed=1))
+        hp = init_tensors(head_layout(6, 9), RngStream(seed=1))
         rng = np.random.default_rng(17)
         x = rng.normal(size=(4, 6))
         r = rng.normal(size=(4, 9))
