@@ -217,6 +217,11 @@ def _training_configs(args):
         raise ConfigError(f"--steps must be >= 0, got {steps}")
     if batch < 1:
         raise ConfigError(f"--batch-size must be >= 1, got {batch}")
+    if enc.num_patches < 2:
+        raise ConfigError(
+            f"num_patches must be >= 2 so a masked view keeps an unmasked "
+            f"token, got {enc.num_patches} (image_size {enc.image_size}, "
+            f"token_size {enc.token_size})")
     resolved = {"encoder": asdict(enc), "ssl": asdict(ssl), "aug": asdict(aug),
                 "steps": steps, "batch_size": batch, "lr": lr, "seed": seed}
     return enc, ssl, aug, steps, batch, lr, seed, resolved

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import (EncoderConfig, TokenSequence, backward_batch,
-                      forward_batch, init_params, patchify, token_gradients,
-                      tokenize_batch)
+from .encoder import (EncoderConfig, backward_batch, forward_batch,
+                      init_params, patchify, token_gradients, tokenize_batch)
 from .errors import ParameterError
 from .heads import (ATTNPOOL, LINEAR, AttnPoolParams, ProbeParams,
                     head_gradients)
@@ -145,13 +144,11 @@ def _centered_term(seed, rows):
 
 
 def _head_batch(rng, d, n):
-    items = []
-    for i in range(4):
-        r = rng.derive(i)
-        items.append((TokenSequence(r.derive(0).gaussian(d),
-                                    r.derive(1).gaussian(n * d).reshape(n, d)),
-                      i % 2))
-    return items
+    """Class tokens (4, D), patch tokens (4, N, D) and labels 0101."""
+    rs = [rng.derive(i) for i in range(4)]
+    return (np.stack([r.derive(0).gaussian(d) for r in rs]),
+            np.stack([r.derive(1).gaussian(n * d).reshape(n, d) for r in rs]),
+            np.arange(4) % 2)
 
 
 def _linear_head():
@@ -160,8 +157,8 @@ def _linear_head():
     batch = _head_batch(rng.derive(0), d, 4)
     p = ProbeParams(rng.derive(1).gaussian(2 * d, 0.0, 0.3).reshape(2, d),
                     rng.derive(2).gaussian(2, 0.0, 0.3))
-    grads, _ = head_gradients(batch, p, LINEAR)
-    return (lambda: head_gradients(batch, p, LINEAR)[1], grads,
+    grads, _ = head_gradients(*batch, p, LINEAR)
+    return (lambda: head_gradients(*batch, p, LINEAR)[1], grads,
             {"W_lp": p.W_lp, "b": p.b},
             {"W_lp": rng.derive(3), "b": rng.derive(4)})
 
@@ -176,8 +173,8 @@ def _attnpool_head():
     p = AttnPoolParams(Wq=g((heads, dh, d), 0), Wk=g((heads, dh, d), 1),
                        Wv=g((heads, dh, d), 2), Wo=g((d, d), 3),
                        W_attn=g((2, d), 4), b=g((2,), 5))
-    grads, _ = head_gradients(batch, p, ATTNPOOL)
-    return (lambda: head_gradients(batch, p, ATTNPOOL)[1], grads,
+    grads, _ = head_gradients(*batch, p, ATTNPOOL)
+    return (lambda: head_gradients(*batch, p, ATTNPOOL)[1], grads,
             {name: getattr(p, name) for name in grads},
             _crc_streams(rng, 2, grads))
 

@@ -144,13 +144,13 @@ def probs_batch(cls, patches, params, mode):
     return softmax_rows(h @ params.W_attn.T + params.b), (h, cache)
 
 
-def head_gradients(batch, params, mode):
-    """Mean cross-entropy gradients for one batch of (sequence, label).
+def head_gradients(cls, patches, y, params, mode):
+    """Mean cross-entropy gradients for one batch of class tokens
+    (B, D), patch tokens (B, N, D) and labels (B,).
 
     Returns (grads dict keyed like the param dataclass fields, loss).
     """
-    cls, patches, y = _stack(batch)
-    bsz = len(batch)
+    bsz = len(y)
     probs, extra = probs_batch(cls, patches, params, mode)
     loss = float(-np.mean(np.log(probs[np.arange(bsz), y] + 1e-12)))
     dlogits = probs.copy()
@@ -214,20 +214,21 @@ def train_head(train_items, val_items, mode,
     opt = adam_init(pdict)
     order_rng = RngStream(seed=cfg.seed, stream_id=78)
     n = len(train_items)
-    val_y = np.array([lab for _, lab in val_items], dtype=np.int64)
-    val_seqs = [seq for seq, _ in val_items]
+    cls, patches, y = _stack(train_items)
+    val_cls, val_patches, val_y = _stack(val_items)
 
     best = HeadTrainResult(copy.deepcopy(params), [], -1.0)
     for epoch in range(cfg.epochs):
         perm = order_rng.permutation(n)
         losses = []
         for start in range(0, n, cfg.batch):
-            batch = [train_items[int(i)] for i in perm[start:start + cfg.batch]]
-            grads, loss = head_gradients(batch, params, mode)
+            idx = perm[start:start + cfg.batch]
+            grads, loss = head_gradients(cls[idx], patches[idx], y[idx],
+                                         params, mode)
             adam_step(pdict, grads, opt, adam_cfg, no_decay=("b",))
             losses.append(loss)
-        preds = predict_batch(val_seqs, params, mode)
-        bacc = balanced_accuracy(val_y, preds)
+        probs, _ = probs_batch(val_cls, val_patches, params, mode)
+        bacc = balanced_accuracy(val_y, probs.argmax(axis=1))
         best.curve.append({"epoch": epoch,
                            "train_loss": float(np.mean(losses)),
                            "val_bacc": float(bacc)})

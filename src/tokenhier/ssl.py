@@ -17,7 +17,9 @@ Each term is one function returning (value, gradient); the gradient is
 verified against central differences.  The training step builds two
 augmented views per image, runs the student on masked tokens and the
 teacher unmasked, applies one Adam step to the student, and moves the
-teacher and the logit centers by momentum.
+teacher and the logit centers by momentum.  With augmentation off the
+two views of an image are equal, so the unmasked encoders (teacher and
+Gram teacher) run once per image, not once per view.
 """
 
 from __future__ import annotations
@@ -305,6 +307,8 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
     Two augmented views per raster; when augmentation is enabled each
     view independently picks LAB or HSV jitter (coin from its own
     stream).  The student sees masked tokens, the teacher never does.
+    When augmentation is off, the teacher and the Gram teacher run once
+    per raster and their outputs stand for both views, byte for byte.
     Gradients flow only into the student; the teacher follows by EMA
     and the centers by momentum on batch-mean teacher logits.
     """
@@ -322,27 +326,37 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
             f"token, got {n} (image_size {enc_cfg.image_size}, token_size "
             f"{enc_cfg.token_size})")
 
-    # view v = 2 i + vi of item i, patchified once for every encoder
+    # view v = 2 i + vi of item i, patchified once for every encoder.
+    # Unaugmented, both views of an item are the item itself: it is
+    # patchified once, and the unmasked encoders run once per item and
+    # repeat each row for both views (a row of forward_batch depends on
+    # its own input row alone, so no byte differs from running both).
+    stride = 1 if aug_cfg.enabled else 2
     patches = np.empty((2 * b, n, enc_cfg.patch_dim))
     masks = np.empty((2 * b, n), dtype=bool)
     for i in range(b):
         item_rng = rng.derive(state.step, i)
         for vi in range(2):
-            view_rng = item_rng.derive(vi)
-            view = rasters[i]
             if aug_cfg.enabled:
+                view_rng = item_rng.derive(vi)
                 pick = "lab" if view_rng.uniform(1)[0] < 0.5 else "hsv"
-                view = stain_augment(view, replace(aug_cfg, space=pick),
-                                     view_rng)
-            patches[2 * i + vi] = patchify(view, enc_cfg)
+                view = stain_augment(rasters[i],
+                                     replace(aug_cfg, space=pick), view_rng)
+                patches[2 * i + vi] = patchify(view, enc_cfg)
+            elif vi == 0:
+                patches[2 * i:2 * i + 2] = patchify(rasters[i], enc_cfg)
             masks[2 * i + vi] = _draw_mask(item_rng.derive(2 + vi), n,
                                            ssl_cfg.mask_fraction)
 
+    def unmasked(params):
+        out, _ = forward_batch(tokenize_batch(patches[::stride], params),
+                               enc_cfg, params)
+        return np.repeat(out, stride, axis=0)
+
     enc_s = _sub(state.student, "enc.")
-    enc_t = _sub(state.teacher, "enc.")
     out_s, cache_s = forward_batch(tokenize_batch(patches, enc_s, masks),
                                    enc_cfg, enc_s, want_cache=True)
-    out_t, _ = forward_batch(tokenize_batch(patches, enc_t), enc_cfg, enc_t)
+    out_t = unmasked(_sub(state.teacher, "enc."))
 
     cls_s = out_s[:, 0, :]
     cls_t = out_t[:, 0, :]
@@ -377,9 +391,7 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
     gram = 0.0
     d_patches_gram = None
     if phase == POSTTRAIN:
-        gram_out, _ = forward_batch(
-            tokenize_batch(patches, state.gram_teacher), enc_cfg,
-            state.gram_teacher)
+        gram_out = unmasked(state.gram_teacher)
         gterms = []
         d_patches_gram = np.zeros_like(out_s[:, 1:, :])
         for v in range(2 * b):

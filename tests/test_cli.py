@@ -578,6 +578,22 @@ class TestTraining:
                        "--out", tmp_path / "c.ckpt") == 2
         assert "num_patches" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pretrain", "posttrain"])
+    def test_single_patch_writes_nothing(self, work, tmp_path, command,
+                                         capsys):
+        """A one-patch geometry is refused with the schedule checks,
+        before the loss log or the checkpoint is opened."""
+        cfg = tmp_path / "one_patch.json"
+        cfg.write_text(json.dumps({"image_size": 16, "token_size": 16}))
+        out = tmp_path / "out"
+        argv = [command, "--steps", "1", "--config", cfg,
+                "--out", out / "c.ckpt"]
+        if command == "posttrain":
+            argv += ["--gram-teacher", work / "init.ckpt"]
+        assert run_cli(*argv) == 2
+        assert "num_patches" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _header(**fields):
     head = {"format_version": 1, "kind": "train_state", "config": {},

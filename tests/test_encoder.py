@@ -5,6 +5,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenhier.checkpoint import load_params, save_params
 from tokenhier.encoder import (
@@ -169,6 +171,23 @@ class TestForward:
         payload = np.round(np.concatenate([seq.cls[None, :], seq.patches]), 12)
         digest = hashlib.sha256(payload.tobytes()).hexdigest()
         assert digest == GOLDEN_FORWARD_SHA256
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 2),
+           st.sampled_from([(12, 3), (16, 2), (16, 4), (32, 4), (64, 4)]),
+           st.integers(0, 2**32 - 1))
+    def test_rows_independent_of_batch(self, b, depth, dims, seed):
+        """Each output row depends on its own input row alone, byte for
+        byte: training runs the unmasked encoders once per item and
+        repeats the rows for the item's two equal views."""
+        cfg = small_cfg(depth=depth, embed_dim=dims[0], num_heads=dims[1])
+        rng = RngStream(seed=seed)
+        p = init_params(cfg, rng.derive(0))
+        z0 = rng.derive(1).gaussian(b * cfg.seq_len * cfg.embed_dim).reshape(
+            b, cfg.seq_len, cfg.embed_dim)
+        twice, _ = forward_batch(np.repeat(z0, 2, axis=0), cfg, p)
+        once, _ = forward_batch(z0, cfg, p)
+        assert twice.tobytes() == np.repeat(once, 2, axis=0).tobytes()
 
     def test_nonfinite_guard_names_layer(self):
         cfg = small_cfg()

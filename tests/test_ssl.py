@@ -12,7 +12,8 @@ import pytest
 
 from tokenhier.checkpoint import read_config
 from tokenhier.color import StainAugConfig
-from tokenhier.encoder import EncoderConfig
+from tokenhier import ssl as ssl_module
+from tokenhier.encoder import EncoderConfig, forward_batch
 from tokenhier.errors import ConfigError, ParameterError
 from tokenhier.numkernel import RngStream, init_tensors
 from tokenhier.optim import AdamConfig
@@ -555,6 +556,19 @@ def state_sha256(state) -> str:
     return h.hexdigest()
 
 
+def trained_state(phase, aug_cfg, batch_size):
+    """tiny_setup's state after three steps; post-training anchors to
+    the initial student encoder."""
+    enc_cfg, ssl_cfg, _, corpus = tiny_setup()
+    state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=23))
+    if phase == POSTTRAIN:
+        state.gram_teacher = {k: v.copy()
+                              for k, v in _sub(state.student, "enc.").items()}
+    run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=24),
+                 steps=3, batch_size=batch_size, phase=phase)
+    return state
+
+
 # Final-state digests from the per-view tokenize path, so that batching
 # the step cannot change a byte of training.
 TRAIN_PINS = {
@@ -562,17 +576,49 @@ TRAIN_PINS = {
     POSTTRAIN: "248411fd3c9e0be98b9aba0e39d0214a54e599f4cf1fbd8b0648ef65750cc63a",
 }
 
+# Unaugmented final-state digests, taken while the teacher and the Gram
+# teacher still ran on every view, so running them once per item cannot
+# change a byte; batch 1 and an odd batch included.
+PLAIN_TRAIN_PINS = {
+    (PRETRAIN, 1): "a6f2153bd2c990cdf322138af508b0d1a7396b789b63875c90e4df89924706c6",
+    (PRETRAIN, 3): "fb257d047ffa9be6abd7cbcb529bb1756c9f23cd0457d645fccc7b6cda6e7ca6",
+    (POSTTRAIN, 1): "d219982f239de80795de9b4f7b0a4d0e6dfcda95aaed29f2d03e14cb13ea2489",
+    (POSTTRAIN, 3): "926596dfc1f11fbba177a25f9a470b754f8c2a216337138509c38b63050d7377",
+}
+
 
 @pytest.mark.parametrize("phase", [PRETRAIN, POSTTRAIN])
 def test_train_state_golden(phase):
-    enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
-    state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=23))
-    if phase == POSTTRAIN:
-        state.gram_teacher = {k: v.copy()
-                              for k, v in _sub(state.student, "enc.").items()}
-    run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=24),
-                 steps=3, batch_size=4, phase=phase)
+    state = trained_state(phase, StainAugConfig(), batch_size=4)
     assert state_sha256(state) == TRAIN_PINS[phase]
+
+
+@pytest.mark.parametrize("phase, batch_size", sorted(PLAIN_TRAIN_PINS))
+def test_plain_train_state_golden(phase, batch_size):
+    state = trained_state(phase, StainAugConfig(enabled=False), batch_size)
+    assert state_sha256(state) == PLAIN_TRAIN_PINS[phase, batch_size]
+
+
+@pytest.mark.parametrize("enabled, rows", [(False, [6, 3, 3]),
+                                           (True, [6, 6, 6])])
+def test_forward_rows_per_step(monkeypatch, enabled, rows):
+    """One post-training step over 3 items: the masked student runs
+    every view; the teacher and the Gram teacher run once per item when
+    the two views of an item are equal, once per view otherwise."""
+    seen = []
+
+    def counting(z0, *args, **kw):
+        seen.append(len(z0))
+        return forward_batch(z0, *args, **kw)
+
+    enc_cfg, ssl_cfg, _, corpus = tiny_setup()
+    state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=27))
+    state.gram_teacher = _sub(state.student, "enc.")
+    monkeypatch.setattr(ssl_module, "forward_batch", counting)
+    train_step(corpus[:3], state, ssl_cfg, enc_cfg,
+               StainAugConfig(enabled=enabled), RngStream(seed=28),
+               phase=POSTTRAIN)
+    assert seen == rows
 
 
 class TestSmokeTraining:
