@@ -345,27 +345,9 @@ def save_embeddings(path, seqs: list, labels, cfg: EncoderConfig,
 # reports
 
 
-_SCHEMA_CACHE = {}
-
-
-def _report_schema() -> dict:
-    if "schema" not in _SCHEMA_CACHE:
-        schema_path = Path(__file__).with_name("bench_report.schema.json")
-        _SCHEMA_CACHE["schema"] = json.loads(schema_path.read_text("ascii"))
-    return _SCHEMA_CACHE["schema"]
-
-
-def validate_report(report: dict) -> None:
-    import jsonschema
-
-    try:
-        jsonschema.validate(report, _report_schema())
-    except jsonschema.ValidationError as e:
-        raise DataError(f"report schema violation: {e.message}") from None
-
-
 def write_report(report: dict, path) -> None:
-    validate_report(report)
+    """One JSON object, ASCII, sorted keys, one-space indent and a
+    trailing newline: the byte layout of every report and summary."""
     with open(path, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -522,7 +504,7 @@ def run_ablation(datasets: dict, cfg: AblationConfig) -> dict:
 
     Every row of one seed shares the pretrain corpus, the splits, and
     the head-training seed; only the encoder's augmentation flag and
-    the head mode differ.  Returns a schema-valid report dict.
+    the head mode differ.  Returns the report dict.
     """
     if not datasets:
         raise ConfigError("no datasets given")
@@ -562,7 +544,7 @@ def run_ablation(datasets: dict, cfg: AblationConfig) -> dict:
         rows[i]["delta_vs_previous"] = rows[i]["bacc"] - rows[i - 1]["bacc"]
         rows[i]["delta_rendered"] = _fmt_delta(rows[i]["delta_vs_previous"])
     fingerprint = config_fingerprint(asdict(cfg))
-    report = {
+    return {
         "format_version": 1,
         "task": "+".join(names),
         "bacc": rows[-1]["bacc"],
@@ -576,5 +558,3 @@ def run_ablation(datasets: dict, cfg: AblationConfig) -> dict:
         "note": "desk-scale run; row ordering, not absolute level, is the "
                 "meaningful signal",
     }
-    validate_report(report)
-    return report

@@ -46,7 +46,7 @@ from .checkpoint import check_value, config_fingerprint, read_config
 from .color import StainAugConfig, read_ppm, stain_augment, write_ppm
 from .encoder import EncoderConfig
 from .errors import (ConfigError, DataError, NumericError, ParameterError,
-                     TokenhierError)
+                     ShapeError, TokenhierError)
 from .gradcheck import TOLERANCE, component_names, run_all
 from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, balanced_accuracy,
                     predict_batch, train_head)
@@ -188,11 +188,8 @@ def cmd_augment(args) -> int:
     for i, f in enumerate(files):
         write_ppm(out_dir / f.name, stain_augment(read_ppm(f), aug,
                                                   root.derive(i)))
-    summary = {"config_fingerprint": fp, "count": len(files),
-               "space": aug.space}
-    with open(out_dir / "augment_summary.json", "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_report({"config_fingerprint": fp, "count": len(files),
+                  "space": aug.space}, out_dir / "augment_summary.json")
     _note(out_dir / "augment_summary.json", f"augment: {len(files)} rasters")
     _say(args, f"augmented {len(files)} rasters -> {out_dir}")
     return 0
@@ -232,7 +229,12 @@ def _load_corpus(args, enc: EncoderConfig, seed: int) -> list:
         files = _ppm_files(args.input)
         if not files:
             raise DataError(f"no .ppm files under {args.input}")
-        return [read_ppm(f) for f in files]
+        corpus = [read_ppm(f) for f in files]
+        for f, raster in zip(files, corpus):
+            if raster.shape[:2] != (enc.image_size, enc.image_size):
+                raise ShapeError(f"{f}: raster {raster.shape[:2]} does not "
+                                 f"match image_size {enc.image_size}")
+        return corpus
     return make_pretrain_corpus(RngStream(seed=seed, stream_id=10),
                                 count=64, image_size=enc.image_size)
 
@@ -341,7 +343,8 @@ def cmd_probe(args) -> int:
     preds = predict_batch(ete, result.params, args.mode)
     fp = _fingerprint("probe", {"encoder": asdict(enc_cfg),
                                 "mode": args.mode, **asdict(head_cfg)})
-    report = make_report(Path(args.data).name, te.labels, preds,
+    data = Path(args.data).absolute()   # not resolve(): keeps link names
+    report = make_report(data.name or str(data), te.labels, preds,
                          len(ds.class_names), fp, head_cfg.seed,
                          class_names=ds.class_names,
                          extra={"head_mode": args.mode,
@@ -645,7 +648,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"verification error: {e}", file=sys.stderr)
         return 1
-    except TokenhierError as e:                 # ShapeError etc.
+    except (TokenhierError, OSError) as e:      # ShapeError, unwritable --out
         print(f"error: {e}", file=sys.stderr)
         return 2
 

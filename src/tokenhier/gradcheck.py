@@ -157,8 +157,8 @@ def _linear_head():
     batch = _head_batch(rng.derive(0), d, 4)
     p = ProbeParams(rng.derive(1).gaussian(2 * d, 0.0, 0.3).reshape(2, d),
                     rng.derive(2).gaussian(2, 0.0, 0.3))
-    grads, _ = head_gradients(*batch, p, LINEAR)
-    return (lambda: head_gradients(*batch, p, LINEAR)[1], grads,
+    _, grads = head_gradients(*batch, p, LINEAR)
+    return (lambda: head_gradients(*batch, p, LINEAR)[0], grads,
             {"W_lp": p.W_lp, "b": p.b},
             {"W_lp": rng.derive(3), "b": rng.derive(4)})
 
@@ -173,8 +173,8 @@ def _attnpool_head():
     p = AttnPoolParams(Wq=g((heads, dh, d), 0), Wk=g((heads, dh, d), 1),
                        Wv=g((heads, dh, d), 2), Wo=g((d, d), 3),
                        W_attn=g((2, d), 4), b=g((2,), 5))
-    grads, _ = head_gradients(*batch, p, ATTNPOOL)
-    return (lambda: head_gradients(*batch, p, ATTNPOOL)[1], grads,
+    _, grads = head_gradients(*batch, p, ATTNPOOL)
+    return (lambda: head_gradients(*batch, p, ATTNPOOL)[0], grads,
             {name: getattr(p, name) for name in grads},
             _crc_streams(rng, 2, grads))
 

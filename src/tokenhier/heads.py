@@ -148,7 +148,8 @@ def head_gradients(cls, patches, y, params, mode):
     """Mean cross-entropy gradients for one batch of class tokens
     (B, D), patch tokens (B, N, D) and labels (B,).
 
-    Returns (grads dict keyed like the param dataclass fields, loss).
+    Returns (loss, grads dict keyed like the param dataclass fields),
+    the ``(value, grad)`` order of every loss in the package.
     """
     bsz = len(y)
     probs, extra = probs_batch(cls, patches, params, mode)
@@ -157,7 +158,7 @@ def head_gradients(cls, patches, y, params, mode):
     dlogits[np.arange(bsz), y] -= 1.0
     dlogits /= bsz
     if mode == LINEAR:
-        return {"W_lp": dlogits.T @ cls, "b": dlogits.sum(axis=0)}, loss
+        return loss, {"W_lp": dlogits.T @ cls, "b": dlogits.sum(axis=0)}
     h, cache = extra
     grads = {"W_attn": dlogits.T @ h, "b": dlogits.sum(axis=0)}
     dh = dlogits @ params.W_attn
@@ -173,7 +174,7 @@ def head_gradients(cls, patches, y, params, mode):
     grads["Wq"] = np.einsum("bhp,bd->hpd", dq, cls)
     grads["Wk"] = np.einsum("bhnp,bnd->hpd", dk, patches)
     grads["Wv"] = np.einsum("bhnp,bnd->hpd", dv, patches)
-    return grads, loss
+    return loss, grads
 
 
 def predict_batch(items, params, mode):
@@ -223,7 +224,7 @@ def train_head(train_items, val_items, mode,
         losses = []
         for start in range(0, n, cfg.batch):
             idx = perm[start:start + cfg.batch]
-            grads, loss = head_gradients(cls[idx], patches[idx], y[idx],
+            loss, grads = head_gradients(cls[idx], patches[idx], y[idx],
                                          params, mode)
             adam_step(pdict, grads, opt, adam_cfg, no_decay=("b",))
             losses.append(loss)

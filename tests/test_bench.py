@@ -3,6 +3,7 @@ import json
 import warnings
 from dataclasses import asdict
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -13,8 +14,7 @@ from tokenhier.bench import (GLOBAL, LOCAL, SHIFTED, SUITE_SPECS,
                              make_pretrain_corpus, make_synthetic_suite,
                              render_ablation_table,
                              run_ablation, save_embeddings, split_dataset,
-                             split_hash, validate_report, write_bacc_svg,
-                             write_report)
+                             split_hash, write_bacc_svg, write_report)
 from tokenhier.checkpoint import load_params
 from tokenhier.color import rgb_to_lab, write_ppm
 from tokenhier.encoder import EncoderConfig, init_params
@@ -23,6 +23,7 @@ from tokenhier.heads import HeadTrainConfig, balanced_accuracy, class_recalls
 from tokenhier.numkernel import RngStream
 from tokenhier.ssl import SslConfig
 
+from report_schema import validate_report
 from token_suite import make_token_suite
 
 
@@ -443,7 +444,7 @@ class TestReports:
     def test_validation_rejects(self, patch):
         rep = self.make()
         rep.update(patch)
-        with pytest.raises(DataError):
+        with pytest.raises(jsonschema.ValidationError):
             validate_report(rep)
 
     def test_write_report_round_trip(self, tmp_path):

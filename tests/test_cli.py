@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shlex
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -11,12 +12,14 @@ import numpy as np
 import pytest
 
 from tokenhier import cli
-from tokenhier.bench import AblationConfig, validate_report
+from tokenhier.bench import AblationConfig
 from tokenhier.checkpoint import config_fingerprint, load_params, save_params
 from tokenhier.cli import build_parser, main
 from tokenhier.color import write_ppm
 from tokenhier.numkernel import RngStream
 from tokenhier.ssl import init_train_state, load_train_state
+
+from report_schema import validate_report
 
 
 def run_cli(*argv):
@@ -254,6 +257,26 @@ class TestArgumentHandling:
         assert err.startswith(f"usage: tokenhier {argv[0]} [-h]")
         assert f"tokenhier {argv[0]}: error: unrecognized arguments" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,target", [
+        (["pretrain", "--steps", "0"], "file/x"),
+        (["tile", "--input", "in", "--tile-size", "16"], "file/x"),
+        (["bench", "--suite", "global", "--per-class", "5"], "file/x"),
+        (["augment", "--input", "in"], "file/x"),
+        (["pretrain", "--steps", "0"], "dir")],
+        ids=["pretrain-under-file", "tile-under-file", "bench-under-file",
+             "augment-under-file", "pretrain-onto-dir"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, monkeypatch,
+                                              capsys, argv, target):
+        """An --out under a regular file, or naming a directory, is a
+        usage error (exit 2, an ``error:`` line), not a traceback."""
+        monkeypatch.chdir(tmp_path)
+        tile_input(tmp_path / "in", "tree")
+        Path("file").write_text("")
+        Path("dir").mkdir()
+        assert run_cli(*argv, "--out", target, "--log-level", "quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_threads_env_fallback(self, work, tmp_path, monkeypatch,
                                   capsys):
@@ -594,6 +617,26 @@ class TestTraining:
         assert "num_patches" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "posttrain"])
+    def test_corpus_size_mismatch_writes_nothing(self, work, tmp_path,
+                                                 command, capsys):
+        """An --input raster whose size is not the config's image_size
+        is refused with the file named (exit 2, as ``embed`` and
+        ``probe`` do), before the loss log or the checkpoint is opened."""
+        src = tmp_path / "corpus"
+        src.mkdir()
+        write_ppm(src / "a.ppm", noisy_raster(0, size=64))
+        write_ppm(src / "small.ppm", noisy_raster(1, size=32))
+        out = tmp_path / "out"
+        argv = [command, "--steps", "1", "--input", src,
+                "--out", out / "c.ckpt"]
+        if command == "posttrain":
+            argv += ["--gram-teacher", work / "init.ckpt"]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "small.ppm" in err and "does not match image_size 64" in err
+        assert not out.exists()
+
 
 def _header(**fields):
     head = {"format_version": 1, "kind": "train_state", "config": {},
@@ -864,6 +907,23 @@ class TestProbe:
         assert baccs["attnpool"] - baccs["linear"] >= 0.3
         capsys.readouterr()
 
+    def test_data_dot_names_the_directory(self, work, tmp_path,
+                                          monkeypatch, capsys):
+        """``--data .`` reports the task under the directory's own
+        name, not the empty name of ``.``; a symlinked tree keeps its
+        link name."""
+        (tmp_path / "link").symlink_to(work / "sg")
+        for cwd, data, task in ((work / "sg", ".", "sg"),
+                                (tmp_path, "link", "link")):
+            rep = tmp_path / f"{task}.json"
+            monkeypatch.chdir(cwd)
+            assert run_cli("probe", "--ckpt", work / "init.ckpt",
+                           "--data", data, "--mode", "linear",
+                           "--report", rep, "--log-level", "quiet") == 0
+            report = json.loads(rep.read_text())
+            validate_report(report)
+            assert report["task"] == task
+
     def test_single_class_rejected(self, work, tmp_path, capsys):
         solo = tmp_path / "solo"
         (solo / "only").mkdir(parents=True)
@@ -942,6 +1002,23 @@ class TestAblate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         capsys.readouterr()
+
+
+def test_reports_need_no_jsonschema(work, tmp_path, monkeypatch, capsys):
+    """Every report writer runs with ``jsonschema`` unimportable: the
+    format is checked by the tests, not at run time."""
+    monkeypatch.setitem(sys.modules, "jsonschema", None)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(TINY_ABLATE)
+    assert run_cli("bench", "--suite", "global", "--per-class", "5",
+                   "--out", tmp_path / "suite", "--log-level", "quiet") == 0
+    assert run_cli("probe", "--ckpt", work / "init.ckpt",
+                   "--data", work / "sg", "--mode", "linear",
+                   "--report", tmp_path / "r.json",
+                   "--log-level", "quiet") == 0
+    assert run_cli("ablate", "--config", cfg, "--out", tmp_path / "a.json",
+                   "--log-level", "quiet") == 0
+    capsys.readouterr()
 
 
 class TestGradcheckCommand:

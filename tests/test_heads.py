@@ -184,7 +184,7 @@ class TestAttnPoolForward:
 
 def fd_check(items, params, mode, pdict, h=1e-5):
     batch = _stack(items)
-    grads, _ = head_gradients(*batch, params, mode)
+    _, grads = head_gradients(*batch, params, mode)
     worst = 0.0
     for name, arr in pdict.items():
         flat = arr.ravel()
@@ -194,9 +194,9 @@ def fd_check(items, params, mode, pdict, h=1e-5):
         for k in idx:
             orig = flat[k]
             flat[k] = orig + h
-            _, lp = head_gradients(*batch, params, mode)
+            lp, _ = head_gradients(*batch, params, mode)
             flat[k] = orig - h
-            _, lm = head_gradients(*batch, params, mode)
+            lm, _ = head_gradients(*batch, params, mode)
             flat[k] = orig
             num = (lp - lm) / (2 * h)
             rel = abs(gflat[k] - num) / max(1e-6, abs(gflat[k]), abs(num))
@@ -229,7 +229,7 @@ class TestGradients:
         rng = RngStream(seed=6, stream_id=4)
         batch = [(make_seq(rng.derive(i), d=8, n=4), 0) for i in range(3)]
         p = ProbeParams(np.zeros((2, 8)), np.array([50.0, -50.0]))
-        grads, loss = head_gradients(*_stack(batch), p, LINEAR)
+        loss, grads = head_gradients(*_stack(batch), p, LINEAR)
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert loss < 1e-8 and norm <= 1e-8
 
@@ -237,8 +237,8 @@ class TestGradients:
         rng = RngStream(seed=6, stream_id=5)
         item = (make_seq(rng.derive(0), d=8, n=4), 1)
         p = rand_attn_params(rng.derive(9), d=8, c=2, heads=2)
-        g1, l1 = head_gradients(*_stack([item]), p, ATTNPOOL)
-        g2, l2 = head_gradients(*_stack([item, item]), p, ATTNPOOL)
+        l1, g1 = head_gradients(*_stack([item]), p, ATTNPOOL)
+        l2, g2 = head_gradients(*_stack([item, item]), p, ATTNPOOL)
         assert abs(l1 - l2) < 1e-12
         for k in g1:
             assert np.max(np.abs(g1[k] - g2[k])) < 1e-12

@@ -14,6 +14,7 @@ or an attribute, outside its own definition, or lists it in
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -97,9 +98,9 @@ def package_import(node) -> bool:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_deferred_package_imports(path):
     """Package modules import each other at module level: an import
-    inside a function hides a cycle between modules.  Deferred
-    third-party imports stay allowed (``jsonschema`` in
-    ``validate_report`` keeps it off the import path)."""
+    inside a function hides a cycle between modules.  Deferred imports
+    of other modules stay allowed; which ones ``src`` may import at all
+    is ``test_runtime_needs_numpy_and_scipy_only``'s rule."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     deferred = sorted({f"{path.name}:{node.lineno}"
                        for func in ast.walk(tree)
@@ -107,6 +108,36 @@ def test_no_deferred_package_imports(path):
                                             ast.AsyncFunctionDef))
                        for node in ast.walk(func) if package_import(node)})
     assert not deferred, f"package imports inside functions: {deferred}"
+
+
+# Third-party packages ``src`` may import: the runtime ``dependencies`` of
+# pyproject.toml.  scipy (``scipy.special.erf`` in GELU) leaves with the
+# byte-moving half of ROADMAP item 8.
+RUNTIME_PACKAGES = {"numpy", "scipy"}
+
+
+def absolute_imports(tree):
+    """(line, top-level module) of every absolute import, module level
+    or inside a function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_runtime_needs_numpy_and_scipy_only(path):
+    """``src`` imports nothing outside the standard library, numpy and
+    scipy, so a tool used only to check outputs (a schema validator, a
+    test framework) stays a test dependency."""
+    allowed = sys.stdlib_module_names | RUNTIME_PACKAGES
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    outside = sorted(f"{path.name}:{line} {module}"
+                     for line, module in absolute_imports(tree)
+                     if module not in allowed)
+    assert not outside, f"imports outside the runtime: {outside}"
 
 
 def starred_calls(tree):
