@@ -7,23 +7,12 @@ every module at the top.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateInputError,
-    NumericError,
-    ParameterError,
-    ShapeError,
-    TokenhierError,
-)
+from .errors import ConfigError, DataError, NumericError, TokenhierError
 
 __all__ = [
     "ConfigError",
     "DataError",
-    "DegenerateInputError",
     "NumericError",
-    "ParameterError",
-    "ShapeError",
     "TokenhierError",
     "__version__",
 ]

@@ -31,7 +31,7 @@ from .checkpoint import config_fingerprint, save_params
 from .color import StainAugConfig, lab_to_rgb, read_ppm, rgb_to_lab
 from .encoder import (EncoderConfig, TokenSequence, forward_batch, patchify,
                       tokenize_batch)
-from .errors import ConfigError, DataError, ParameterError
+from .errors import ConfigError, DataError
 from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, balanced_accuracy,
                     class_recalls, predict_batch, train_head)
 from .numkernel import RngStream
@@ -111,26 +111,26 @@ class SuiteSpec:
 
     def __post_init__(self):
         if self.kind not in (GLOBAL, LOCAL, SHIFTED):
-            raise ParameterError(f"unknown suite kind {self.kind!r}")
+            raise ConfigError(f"unknown suite kind {self.kind!r}")
         if not 2 <= self.num_classes <= 4:
-            raise ParameterError("suites support 2 to 4 classes")
+            raise ConfigError("suites support 2 to 4 classes")
         if self.per_class < 5:
-            raise ParameterError("need at least 5 items per class to split")
+            raise ConfigError("need at least 5 items per class to split")
         if self.image_size < self.tile or self.image_size % self.tile:
-            raise ParameterError("image_size must be a multiple of tile")
+            raise ConfigError("image_size must be a multiple of tile")
         grid = self.image_size // self.tile
         gy, gx = self.signal_tile
         if not (0 <= gy < grid and 0 <= gx < grid):
-            raise ParameterError("signal_tile outside the tile grid")
+            raise ConfigError("signal_tile outside the tile grid")
         if self.noise_sigma <= 0 or self.color_step <= 0 or self.texture_amp <= 0:
-            raise ParameterError("amplitudes must be positive")
+            raise ConfigError("amplitudes must be positive")
         if self.color_jitter < 0 or self.structure_amp < 0 \
                 or self.gradient_amp < 0:
-            raise ParameterError("jitter amplitudes must be >= 0")
+            raise ConfigError("jitter amplitudes must be >= 0")
         if len(self.shift_offset) != 3 or len(self.shift_scale) != 3:
-            raise ParameterError("shift parameters are per-channel triples")
+            raise ConfigError("shift parameters are per-channel triples")
         if any(s <= 0 for s in self.shift_scale):
-            raise ParameterError("shift scales must be positive")
+            raise ConfigError("shift scales must be positive")
 
 
 def _texture(kind_index: int, t: int, amp: float) -> np.ndarray:
@@ -260,7 +260,7 @@ def ingest_directory(root) -> LabeledDataset:
     subdirectory order defines the dense class ids."""
     root = Path(root)
     if not root.is_dir():
-        raise ParameterError(f"{root}: not a directory")
+        raise ConfigError(f"{root}: not a directory")
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     names, kept_dirs = [], []
     for d in class_dirs:
@@ -293,7 +293,7 @@ def split_dataset(ds: LabeledDataset, seed: int):
     for c in sorted(by_class):
         idxs = by_class[c]
         if len(idxs) < 5:
-            raise ParameterError(
+            raise ConfigError(
                 f"class {ds.class_names[c]!r} has {len(idxs)} items; "
                 "need at least 5 to split")
         order = rng.derive(c).permutation(len(idxs))

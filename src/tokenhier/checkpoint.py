@@ -18,7 +18,7 @@ from dataclasses import is_dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParameterError
+from .errors import ConfigError, DataError
 
 FORMAT_VERSION = 1
 
@@ -79,7 +79,7 @@ def save_params(path, kind: str, config: dict, params: dict, extra: dict = None)
     for name in names:
         arr = np.asarray(params[name])
         if not np.all(np.isfinite(arr)):
-            raise ParameterError(f"tensor {name!r} has non-finite entries")
+            raise ConfigError(f"tensor {name!r} has non-finite entries")
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,

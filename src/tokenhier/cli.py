@@ -5,8 +5,11 @@ embed, probe, bench, ablate, gradcheck, plus a demo driver that chains
 them end to end on synthetic data.
 
 Conventions shared by every command:
-  - exit codes: 0 success, 1 verification failure, 2 usage/config
-    error, 3 data error
+  - exit codes, carried by the classes in :mod:`tokenhier.errors`: 0
+    success, 1 verification failure, 2 usage/config error, 3 data
+    error; ``demo`` exits with a failing step's code
+  - outputs are checked before any work: one under a non-directory,
+    or a file output naming a directory, exits 2 and writes nothing
   - augment, pretrain, posttrain, probe and ablate read an optional
     JSON config file (--config; flat, module-mirrored field names) with
     command-line flags overriding file values; every key's JSON type is
@@ -45,8 +48,7 @@ from .bench import (AblationConfig, SuiteSpec, acceptance_suites,
 from .checkpoint import check_value, config_fingerprint, read_config
 from .color import StainAugConfig, read_ppm, stain_augment, write_ppm
 from .encoder import EncoderConfig
-from .errors import (ConfigError, DataError, NumericError, ParameterError,
-                     ShapeError, TokenhierError)
+from .errors import ConfigError, DataError, TokenhierError
 from .gradcheck import TOLERANCE, component_names, run_all
 from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, balanced_accuracy,
                     predict_batch, train_head)
@@ -123,6 +125,28 @@ def _check_threads(args) -> None:
             raise ConfigError(f"TOKENHIER_THREADS: {e}") from None
     if value < 1:
         raise ConfigError(f"--threads must be >= 1, got {value}")
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work and writing nothing, an output path that
+    lies under an existing non-directory, and a file output that is an
+    existing directory.  The --out of augment, bench and demo is a
+    directory."""
+    outputs = (("--out", getattr(args, "out", None),
+                args.command in ("augment", "bench", "demo")),
+               ("--report", getattr(args, "report", None), False),
+               ("--log", getattr(args, "log", None), False),
+               ("--svg", getattr(args, "svg", None), False))
+    for flag, path, is_dir in outputs:
+        if path is None:
+            continue
+        target = Path(path).absolute()
+        start = target if is_dir else target.parent
+        nearest = next(p for p in (start, *start.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"{flag} {path}: {nearest} is not a directory")
+        if not is_dir and target.is_dir():
+            raise ConfigError(f"{flag} {path} is a directory")
 
 
 def _ensure_parent(path) -> None:
@@ -219,9 +243,10 @@ def _training_configs(args):
             f"num_patches must be >= 2 so a masked view keeps an unmasked "
             f"token, got {enc.num_patches} (image_size {enc.image_size}, "
             f"token_size {enc.token_size})")
+    adam = AdamConfig(lr=lr)   # checks lr before anything is written
     resolved = {"encoder": asdict(enc), "ssl": asdict(ssl), "aug": asdict(aug),
                 "steps": steps, "batch_size": batch, "lr": lr, "seed": seed}
-    return enc, ssl, aug, steps, batch, lr, seed, resolved
+    return enc, ssl, aug, steps, batch, adam, seed, resolved
 
 
 def _load_corpus(args, enc: EncoderConfig, seed: int) -> list:
@@ -232,15 +257,15 @@ def _load_corpus(args, enc: EncoderConfig, seed: int) -> list:
         corpus = [read_ppm(f) for f in files]
         for f, raster in zip(files, corpus):
             if raster.shape[:2] != (enc.image_size, enc.image_size):
-                raise ShapeError(f"{f}: raster {raster.shape[:2]} does not "
-                                 f"match image_size {enc.image_size}")
+                raise ConfigError(f"{f}: raster {raster.shape[:2]} does not "
+                                  f"match image_size {enc.image_size}")
         return corpus
     return make_pretrain_corpus(RngStream(seed=seed, stream_id=10),
                                 count=64, image_size=enc.image_size)
 
 
 def _run_ssl(args, phase: str) -> int:
-    enc, ssl, aug, steps, batch, lr, seed, resolved = _training_configs(args)
+    enc, ssl, aug, steps, batch, adam, seed, resolved = _training_configs(args)
     resolved["phase"] = phase
     fp = _fingerprint(phase, resolved)
     corpus = _load_corpus(args, enc, seed)
@@ -275,7 +300,7 @@ def _run_ssl(args, phase: str) -> int:
     history = run_training(corpus, state, ssl, enc, aug,
                            RngStream(seed=seed, stream_id=12),
                            steps=steps, batch_size=batch, phase=phase,
-                           adam_cfg=AdamConfig(lr=lr), log_path=log_path)
+                           adam_cfg=adam, log_path=log_path)
     save_train_state(args.out, state, enc, ssl,
                      extra={"config_fingerprint": fp, "phase": phase})
     _note(args.out, f"{phase}: {steps} steps on {len(corpus)} rasters")
@@ -333,7 +358,7 @@ def cmd_probe(args) -> int:
     params, enc_cfg = _encoder_from_checkpoint(args.ckpt)
     ds = ingest_directory(args.data)
     if len(ds.class_names) < 2:
-        raise ParameterError(
+        raise ConfigError(
             f"{args.data}: found {len(ds.class_names)} class directories; "
             "probing needs at least 2")
     tr, va, te = split_dataset(ds, head_cfg.seed)
@@ -460,42 +485,43 @@ def cmd_demo(args) -> int:
     passthrough = ["--log-level", args.log_level]
     if args.threads is not None:
         passthrough += ["--threads", str(args.threads)]
-
-    def run(argv):
-        code = main(argv + passthrough)
-        if code:
-            raise ConfigError(f"demo step {argv[0]} exited {code}")
-
-    _say(args, "[1/6] synthetic suites")
-    run(["bench", "--suite", "global", "--out", str(out / "suite-global"),
-         "--per-class", "20", "--seed", str(args.seed)])
-    run(["bench", "--suite", "local", "--out", str(out / "suite-local"),
-         "--per-class", "60", "--seed", str(args.seed)])
-    _say(args, "[2/6] tiling + augmentation")
-    run(["tile", "--input", str(out / "suite-global" / "class0"),
-         "--out", str(out / "tiles.jsonl"), "--tile-size", "16",
-         "--min-tissue", "0.0"])
-    run(["augment", "--input", str(out / "suite-global" / "class0"),
-         "--out", str(out / "augmented"), "--seed", str(args.seed)])
-    _say(args, "[3/6] self-supervised pretraining (100 steps)")
-    run(["pretrain", "--steps", "100", "--out", str(out / "encoder.ckpt"),
-         "--seed", str(args.seed)])
-    _say(args, "[4/6] frozen embeddings")
-    run(["embed", "--ckpt", str(out / "encoder.ckpt"),
-         "--data", str(out / "suite-global"),
-         "--out", str(out / "global.emb")])
-    _say(args, "[5/6] probes")
-    for suite, mode in (("global", LINEAR), ("local", LINEAR),
-                        ("local", ATTNPOOL)):
-        run(["probe", "--ckpt", str(out / "encoder.ckpt"),
+    probes = (("global", LINEAR), ("local", LINEAR), ("local", ATTNPOOL))
+    phases = [
+        ("[1/6] synthetic suites", [
+            ["bench", "--suite", "global", "--out", str(out / "suite-global"),
+             "--per-class", "20", "--seed", str(args.seed)],
+            ["bench", "--suite", "local", "--out", str(out / "suite-local"),
+             "--per-class", "60", "--seed", str(args.seed)]]),
+        ("[2/6] tiling + augmentation", [
+            ["tile", "--input", str(out / "suite-global" / "class0"),
+             "--out", str(out / "tiles.jsonl"), "--tile-size", "16",
+             "--min-tissue", "0.0"],
+            ["augment", "--input", str(out / "suite-global" / "class0"),
+             "--out", str(out / "augmented"), "--seed", str(args.seed)]]),
+        ("[3/6] self-supervised pretraining (100 steps)", [
+            ["pretrain", "--steps", "100", "--out", str(out / "encoder.ckpt"),
+             "--seed", str(args.seed)]]),
+        ("[4/6] frozen embeddings", [
+            ["embed", "--ckpt", str(out / "encoder.ckpt"),
+             "--data", str(out / "suite-global"),
+             "--out", str(out / "global.emb")]]),
+        ("[5/6] probes", [
+            ["probe", "--ckpt", str(out / "encoder.ckpt"),
              "--data", str(out / f"suite-{suite}"), "--mode", mode,
              "--seed", str(args.seed),
-             "--report", str(out / f"probe-{suite}-{mode}.json")])
-    _say(args, "[6/6] gradient checks")
-    run(["gradcheck"])
+             "--report", str(out / f"probe-{suite}-{mode}.json")]
+            for suite, mode in probes]),
+        ("[6/6] gradient checks", [["gradcheck"]]),
+    ]
+    for progress, steps in phases:
+        _say(args, progress)
+        for argv in steps:
+            code = main(argv + passthrough)
+            if code:   # demo exits with the failing step's code
+                print(f"demo step {argv[0]} exited {code}", file=sys.stderr)
+                return code
     lines = ["demo reports:"]
-    for suite, mode in (("global", LINEAR), ("local", LINEAR),
-                        ("local", ATTNPOOL)):
+    for suite, mode in probes:
         rep = json.loads((out / f"probe-{suite}-{mode}.json").read_text())
         lines.append(f"  {suite:<7} {mode:<9} test bacc {rep['bacc']:.4f}")
     _say(args, "\n".join(lines))
@@ -638,17 +664,12 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         _check_threads(args)
+        _check_outputs(args)
         return args.func(args)
-    except (ConfigError, ParameterError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"verification error: {e}", file=sys.stderr)
-        return 1
-    except (TokenhierError, OSError) as e:      # ShapeError, unwritable --out
+    except TokenhierError as e:
+        print(f"{e.label}: {e}", file=sys.stderr)
+        return e.code
+    except OSError as e:          # a write the OS refuses (permissions, space)
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParameterError, ShapeError
+from .errors import ConfigError, DataError
 from .numkernel import RngStream
 
 Raster = np.ndarray
@@ -40,14 +40,14 @@ _DELTA = 6.0 / 29.0
 def as_raster(a) -> Raster:
     r = np.asarray(a)
     if r.ndim != 3 or r.shape[2] != 3:
-        raise ShapeError(f"raster must have shape (H, W, 3), got {r.shape}")
+        raise ConfigError(f"raster must have shape (H, W, 3), got {r.shape}")
     if r.shape[0] == 0 or r.shape[1] == 0:
-        raise ParameterError("raster has no pixels")
+        raise ConfigError("raster has no pixels")
     if r.dtype != np.uint8:
         if not np.issubdtype(r.dtype, np.integer):
-            raise ParameterError(f"raster must be 8-bit integer, got {r.dtype}")
+            raise ConfigError(f"raster must be 8-bit integer, got {r.dtype}")
         if r.min() < 0 or r.max() > 255:
-            raise ParameterError("raster values outside [0, 255]")
+            raise ConfigError("raster values outside [0, 255]")
         r = r.astype(np.uint8)
     return r
 
@@ -91,7 +91,7 @@ def lab_to_rgb(img) -> Raster:
     """Inverse of :func:`rgb_to_lab`; out-of-gamut values clamp to [0,255]."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
-        raise ShapeError(f"lab image must have shape (H, W, 3), got {img.shape}")
+        raise ConfigError(f"lab image must have shape (H, W, 3), got {img.shape}")
     fy = (img[..., 0] + 16.0) / 116.0
     fx = fy + img[..., 1] / 500.0
     fz = fy - img[..., 2] / 200.0
@@ -137,7 +137,7 @@ def hsv_to_rgb(img) -> Raster:
     """Inverse hexcone transform; S,V clamp to [0,1], H wraps mod 360."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
-        raise ShapeError(f"hsv image must have shape (H, W, 3), got {img.shape}")
+        raise ConfigError(f"hsv image must have shape (H, W, 3), got {img.shape}")
     h = _mod(img[..., 0], 360.0) / 60.0
     s = np.clip(img[..., 1], 0.0, 1.0)
     v = np.clip(img[..., 2], 0.0, 1.0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .color import as_raster
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .numkernel import (RngStream, gelu, gelu_grad, init_tensors, layer_norm,
                         layer_norm_backward, softmax_backward, softmax_rows)
 
@@ -123,7 +123,7 @@ def patchify(raster, cfg: EncoderConfig) -> np.ndarray:
     """(N, t*t*3) rows in [0,1], patches scanned row-major."""
     r = as_raster(raster)
     if r.shape[0] != cfg.image_size or r.shape[1] != cfg.image_size:
-        raise ShapeError(
+        raise ConfigError(
             f"raster {r.shape[:2]} does not match image_size {cfg.image_size}")
     g, t = cfg.grid, cfg.token_size
     x = r.astype(np.float64) / 255.0

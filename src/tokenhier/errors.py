@@ -1,7 +1,6 @@
-"""Exception taxonomy shared by all tokenhier modules.
-
-The CLI maps these onto stable exit codes: usage/config problems exit 2,
-verification failures exit 1, data problems exit 3.
+"""Exception taxonomy shared by all tokenhier modules, and the CLI's
+exit-code table: each leaf carries the code :func:`tokenhier.cli.main`
+exits with and the label that starts its stderr line.
 """
 
 
@@ -9,27 +8,18 @@ class TokenhierError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ShapeError(TokenhierError, ValueError):
-    """Operands have incompatible or invalid dimensions."""
+class ConfigError(TokenhierError, ValueError):
+    """A flag, config value or argument is outside its domain, or a run
+    configuration is inconsistent or incomplete."""
+    code, label = 2, "error"
 
 
-class ParameterError(TokenhierError, ValueError):
-    """An argument value is outside its documented domain."""
-
-
-class DegenerateInputError(TokenhierError, ValueError):
-    """Input is structurally valid but carries no usable information
-    (e.g. a single-valued histogram presented for thresholding)."""
+class DataError(TokenhierError, RuntimeError):
+    """Input data could not be read or violates the dataset layout."""
+    code, label = 3, "data error"
 
 
 class NumericError(TokenhierError, ArithmeticError):
     """A computation produced non-finite values; the message names the
     component that failed."""
-
-
-class ConfigError(TokenhierError, ValueError):
-    """A run configuration is inconsistent or incomplete."""
-
-
-class DataError(TokenhierError, RuntimeError):
-    """Input data could not be read or violates the dataset layout."""
+    code, label = 1, "verification error"

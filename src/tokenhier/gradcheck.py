@@ -20,7 +20,7 @@ import numpy as np
 
 from .encoder import (EncoderConfig, backward_batch, forward_batch,
                       init_params, patchify, token_gradients, tokenize_batch)
-from .errors import ParameterError
+from .errors import ConfigError
 from .heads import (ATTNPOOL, LINEAR, AttnPoolParams, ProbeParams,
                     head_gradients)
 from .numkernel import RngStream
@@ -214,7 +214,7 @@ def component_names():
 def run_all(inject_fault: str = None):
     """Every component's worst sampled relative error, in a fixed order."""
     if inject_fault is not None and inject_fault not in _COMPONENTS:
-        raise ParameterError(
+        raise ConfigError(
             f"unknown component {inject_fault!r}; "
             f"expected one of {component_names()}")
     return [ComponentResult(name, float(_worst(build, name == inject_fault)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .numkernel import RngStream, softmax_backward, softmax_rows, trunc_normal
 from .optim import AdamConfig, adam_init, adam_step
 
@@ -70,12 +70,12 @@ def class_recalls(y_true, y_pred, num_classes: int = None):
     yt = np.asarray(y_true, dtype=np.int64).ravel()
     yp = np.asarray(y_pred, dtype=np.int64).ravel()
     if yt.size == 0:
-        raise ParameterError("empty label arrays")
+        raise ConfigError("empty label arrays")
     if yt.shape != yp.shape:
-        raise ParameterError("label arrays differ in length")
+        raise ConfigError("label arrays differ in length")
     c = int(num_classes) if num_classes is not None else int(max(yt.max(), yp.max())) + 1
     if yt.min() < 0 or yp.min() < 0 or yt.max() >= c or yp.max() >= c:
-        raise ParameterError(f"labels outside [0, {c})")
+        raise ConfigError(f"labels outside [0, {c})")
     recalls = np.full(c, np.nan)
     support = np.zeros(c, dtype=np.int64)
     for cls in range(c):
@@ -97,7 +97,7 @@ def balanced_accuracy(y_true, y_pred, num_classes: int = None) -> float:
 def make_attnpool_params(embed_dim: int, num_classes: int, num_heads: int,
                          rng: RngStream) -> AttnPoolParams:
     if embed_dim % num_heads:
-        raise ParameterError(
+        raise ConfigError(
             f"embed_dim {embed_dim} not divisible by num_heads {num_heads}")
     shape = (num_heads, embed_dim // num_heads, embed_dim)
     return AttnPoolParams(
@@ -196,12 +196,12 @@ def train_head(train_items, val_items, mode,
     """Mini-batch Adam on mean cross-entropy; the returned params are
     the epoch snapshot with the best validation balanced accuracy."""
     if mode not in (LINEAR, ATTNPOOL):
-        raise ParameterError(f"unknown head mode {mode!r}")
+        raise ConfigError(f"unknown head mode {mode!r}")
     if not train_items or not val_items:
-        raise ParameterError("need non-empty train and validation sets")
+        raise ConfigError("need non-empty train and validation sets")
     labels = sorted({int(lab) for _, lab in train_items})
     if len(labels) < 2:
-        raise ParameterError("training set has a single class")
+        raise ConfigError("training set has a single class")
     all_labels = labels + [int(lab) for _, lab in val_items]
     c = max(all_labels) + 1
     d = train_items[0][0].cls.shape[0]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .errors import ParameterError
+from .errors import ConfigError
 
 Mat = np.ndarray
 
@@ -185,7 +185,7 @@ class RngStream:
         2k and u2 at 2k+1, keeping only the cosine branch.
         """
         if sigma < 0:
-            raise ParameterError(f"gaussian: sigma must be >= 0, got {sigma}")
+            raise ConfigError(f"gaussian: sigma must be >= 0, got {sigma}")
         m = (n + 1) // 2
         raw = self._raw(2 * m)
         r, theta = _box_muller(raw[:m], raw[m:])
@@ -199,7 +199,7 @@ class RngStream:
         mu = np.asarray(mu, dtype=np.float64)
         sigma = np.asarray(sigma, dtype=np.float64)
         if np.any(sigma < 0):
-            raise ParameterError(f"gaussian: sigma must be >= 0, got {sigma}")
+            raise ConfigError(f"gaussian: sigma must be >= 0, got {sigma}")
         raw = self._raw(2 * mu.size)
         r, theta = _box_muller(raw[0::2], raw[1::2])
         return mu + sigma * (r * np.cos(theta))
@@ -208,7 +208,7 @@ class RngStream:
         """n integers uniform over [0, bound). Modulo bias is negligible
         for the small bounds used here (bound << 2^64)."""
         if bound <= 0:
-            raise ParameterError("integers: bound must be positive")
+            raise ConfigError("integers: bound must be positive")
         return (self._raw(n) % np.uint64(bound)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:

@@ -41,7 +41,7 @@ from .encoder import (
     token_gradients,
     tokenize_batch,
 )
-from .errors import ConfigError, DataError, NumericError, ParameterError
+from .errors import ConfigError, DataError, NumericError
 from .numkernel import (RngStream, gelu, gelu_grad, init_tensors,
                         softmax_rows)
 from .optim import AdamConfig, adam_init, adam_step
@@ -313,15 +313,15 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
     and the centers by momentum on batch-mean teacher logits.
     """
     if phase not in (PRETRAIN, POSTTRAIN):
-        raise ParameterError(f"unknown phase {phase!r}")
+        raise ConfigError(f"unknown phase {phase!r}")
     if phase == POSTTRAIN and state.gram_teacher is None:
-        raise ParameterError("post-training requires a gram teacher checkpoint")
+        raise ConfigError("post-training requires a gram teacher checkpoint")
     b = len(rasters)
     if b < 1:
-        raise ParameterError("empty batch")
+        raise ConfigError("empty batch")
     n = enc_cfg.num_patches
     if n < 2:
-        raise ParameterError(
+        raise ConfigError(
             f"num_patches must be >= 2 so a masked view keeps an unmasked "
             f"token, got {n} (image_size {enc_cfg.image_size}, token_size "
             f"{enc_cfg.token_size})")
@@ -445,9 +445,9 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
     as a JSON line to log_path.
     """
     if batch_size < 1 or steps < 0:
-        raise ParameterError("need batch_size >= 1 and steps >= 0")
+        raise ConfigError("need batch_size >= 1 and steps >= 0")
     if len(corpus) < 1:
-        raise ParameterError("empty corpus")
+        raise ConfigError("empty corpus")
     history = []
     log_fh = open(log_path, "a", encoding="ascii") if log_path else None
     try:
@@ -458,10 +458,8 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
                             phase=phase, adam_cfg=adam_cfg)
             history.append(lb)
             if log_fh:
-                log_fh.write(json.dumps({
-                    "step": state.step, "dino": lb.dino, "ibot": lb.ibot,
-                    "koleo": lb.koleo, "gram": lb.gram, "total": lb.total,
-                }, sort_keys=True) + "\n")
+                log_fh.write(json.dumps({"step": state.step, **asdict(lb)},
+                                        sort_keys=True) + "\n")
     finally:
         if log_fh:
             log_fh.close()

@@ -20,14 +20,15 @@ import json
 import numpy as np
 
 from .color import Raster, as_raster
-from .errors import DegenerateInputError, ParameterError
+from .errors import ConfigError
 
 _LUMA = np.array([0.299, 0.587, 0.114])
 
 
-def otsu_threshold(gray_histogram) -> int:
+def otsu_threshold(gray_histogram):
     """Level t in [0,255] maximizing w0*w1*(mu0-mu1)^2 for the split
-    {<= t} vs {> t}; ties break toward the smallest t.
+    {<= t} vs {> t}; ties break toward the smallest t.  None when fewer
+    than 2 levels are populated: there is no tissue boundary.
 
     Comparisons use exact integers: with W0,S0 the count and index-sum
     at or below t, the between-class variance is proportional to
@@ -35,8 +36,7 @@ def otsu_threshold(gray_histogram) -> int:
     """
     h = np.asarray(gray_histogram)
     if int(np.count_nonzero(h)) < 2:
-        raise DegenerateInputError(
-            "histogram has fewer than 2 populated levels; no tissue boundary")
+        return None
     counts = [int(v) for v in h]
     n = sum(counts)
     s = sum(i * c for i, c in enumerate(counts))
@@ -74,21 +74,19 @@ def tile_sources(sources, tile_size: int = 256,
     the floor, ordered by (source_id, y, x).
     """
     if tile_size < 16:
-        raise ParameterError(f"tile_size must be >= 16, got {tile_size}")
+        raise ConfigError(f"tile_size must be >= 16, got {tile_size}")
     if not (0.0 <= min_tissue_fraction <= 1.0):
-        raise ParameterError(
+        raise ConfigError(
             f"min_tissue_fraction must be in [0,1], got {min_tissue_fraction}")
     levels, records = {}, []
     for source_id, r in sources:
         raster = as_raster(r)
         h, w = raster.shape[:2]
         gray = _gray(raster)
-        try:
-            t = otsu_threshold(np.bincount(gray.ravel(), minlength=256))
-        except DegenerateInputError:
-            levels[source_id] = None
+        t = levels[source_id] = otsu_threshold(
+            np.bincount(gray.ravel(), minlength=256))
+        if t is None:
             continue
-        levels[source_id] = t
         # tissue is strictly below the threshold, or at or above it inverted
         mask = gray >= t if invert else gray < t
         for y in range(0, h - tile_size + 1, tile_size):

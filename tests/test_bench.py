@@ -18,7 +18,7 @@ from tokenhier.bench import (GLOBAL, LOCAL, SHIFTED, SUITE_SPECS,
 from tokenhier.checkpoint import load_params
 from tokenhier.color import rgb_to_lab, write_ppm
 from tokenhier.encoder import EncoderConfig, init_params
-from tokenhier.errors import ConfigError, DataError, ParameterError
+from tokenhier.errors import ConfigError, DataError
 from tokenhier.heads import HeadTrainConfig, balanced_accuracy, class_recalls
 from tokenhier.numkernel import RngStream
 from tokenhier.ssl import SslConfig
@@ -90,13 +90,13 @@ class TestBalancedAccuracy:
         assert support[2] == 0 and np.isnan(recalls[2])
 
     def test_rejects(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             balanced_accuracy([], [])
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             balanced_accuracy([0, 1], [0])
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             balanced_accuracy([0, 5], [0, 1], num_classes=2)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             balanced_accuracy([0, -1], [0, 1])
 
 
@@ -117,7 +117,7 @@ class TestSuiteSpec:
         dict(gradient_amp=-2.0), dict(shift_scale=(1.0, 0.0, 1.0)),
         dict(shift_offset=(1.0, 2.0))])
     def test_rejects(self, kw):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             SuiteSpec(**kw)
 
 
@@ -257,7 +257,7 @@ class TestTokenSuite:
         assert cls_gap.max() < 1.0
 
     def test_signal_index_checked(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             make_token_suite(RngStream(seed=0, stream_id=0), patch_count=4,
                              signal_index=4)
 
@@ -297,7 +297,7 @@ class TestIngestDirectory:
             ingest_directory(tmp_path)
 
     def test_not_a_directory(self, tmp_path):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             ingest_directory(tmp_path / "missing")
 
     def test_renaming_changes_ids(self, tmp_path):
@@ -336,7 +336,7 @@ class TestSplitDataset:
         assert [x.source_ids for x in a1] != [x.source_ids for x in b]
 
     def test_too_small_class_rejected(self):
-        with pytest.raises(ParameterError, match="at least 5"):
+        with pytest.raises(ConfigError, match="at least 5"):
             split_dataset(self.make_ds(4), seed=0)
 
     def test_ingested_split_order_pinned(self, tmp_path):

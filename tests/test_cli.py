@@ -1,15 +1,20 @@
 import argparse
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shlex
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenhier import cli
 from tokenhier.bench import AblationConfig
@@ -292,6 +297,51 @@ class TestArgumentHandling:
                            "--data", work / "sg",
                            "--out", tmp_path / "e2") == 2
             assert "threads" in capsys.readouterr().err.lower()
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("the command did its work before its outputs "
+                         "were checked")
+
+
+class TestOutputsCheckedFirst:
+    """An output that cannot be written is refused (exit 2) before the
+    command does any work, and nothing is written: ``file`` is a regular
+    file, ``dir`` a directory, and ``stub`` the function that does the
+    command's work, which must not run."""
+
+    @pytest.mark.parametrize("stub,argv", [
+        ("run_ablation", "ablate --config {tmp}/one-seed.json "
+                         "--out {tmp}/file/a.json"),
+        ("run_training", "pretrain --steps 30 --out {tmp}/dir"),
+        ("embed_dataset", "probe --ckpt {work}/enc.ckpt --data {work}/sg "
+                          "--mode linear --report {tmp}/dir"),
+        ("embed_dataset", "embed --ckpt {work}/enc.ckpt --data {work}/sg "
+                          "--out {tmp}/dir"),
+        ("tile_sources", "tile --input {tmp}/in --out {tmp}/dir"),
+        ("run_training", "pretrain --steps 30 --out {tmp}/c.ckpt "
+                         "--log {tmp}/file/l.jsonl"),
+        ("run_ablation", "ablate --config {tmp}/one-seed.json "
+                         "--out {tmp}/a.json --svg {tmp}/dir"),
+        ("write_ppm", "bench --suite global --out {tmp}/file/suite")],
+        ids=["ablate-out-under-file", "pretrain-out-is-dir",
+             "probe-report-is-dir", "embed-out-is-dir", "tile-out-is-dir",
+             "pretrain-log-under-file", "ablate-svg-is-dir",
+             "bench-out-under-file"])
+    def test_refused_before_work(self, work, tmp_path, monkeypatch, capsys,
+                                 stub, argv):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "one-seed.json").write_text(
+            json.dumps({"seeds": [0], "pretrain_steps": 20}))
+        tile_input(tmp_path / "in", "tree")
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.setattr(cli, stub, refuse_work)
+        assert run_cli(*(a.format(tmp=tmp_path, work=work)
+                         for a in argv.split())) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and "directory" in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def tile_input(root, tree):
@@ -841,6 +891,86 @@ class TestDegenerateConfigs:
         assert not (tmp_path / "r.json").exists()
 
 
+# Values of the wrong JSON type for any key (True and 1.5 are right for
+# some).
+WRONG_TYPES = st.sampled_from([None, "8", [8], {"v": 8}, True, 1.5])
+
+
+def field(inside, outside):
+    """A flat config key's values: inside its domain (drawn twice as
+    often), outside it, and of the wrong JSON type."""
+    return st.one_of(inside, inside, st.sampled_from(outside), WRONG_TYPES)
+
+
+def triples(low, high):
+    return st.lists(st.floats(low, high), min_size=3, max_size=3)
+
+
+NAN, INF = float("nan"), float("inf")
+SIGMA = field(triples(0, 20) | triples(0, 1e300),
+              [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [-1.0, 0.0, 0.0],
+               ["a", "b", "c"], [NAN, 0.0, 0.0]])
+
+# Every key a flat pretrain config file takes, with sizes kept small.
+PRETRAIN_KEYS = {
+    "image_size": field(st.sampled_from([16, 32, 64]), [0, -16]),
+    "token_size": field(st.sampled_from([4, 8, 16]), [0, -8, 5, 128]),
+    "embed_dim": field(st.integers(1, 64), [0, -8]),
+    "depth": field(st.integers(0, 2), [-1]),
+    "num_heads": field(st.sampled_from([1, 2, 4]), [0, -2, 3]),
+    "mlp_ratio": field(st.floats(0.01, 4.0), [0.0, -1.0, NAN, INF]),
+    "prototype_count": field(st.integers(2, 256), [1, 0, -5]),
+    "student_temp": field(st.floats(0.02, 1.0), [0.0, -0.1, 0.001]),
+    "teacher_temp": field(st.floats(0.001, 0.09), [0.0, -0.04, 2.0]),
+    "center_momentum": field(st.floats(0.01, 0.99), [0.0, 1.0, 1.5]),
+    "ema_momentum": field(st.floats(0.01, 1.0), [0.0, 1.01]),
+    "mask_fraction": field(st.floats(0.001, 0.999), [0.0, 1.0]),
+    "koleo_weight": field(st.floats(0.0, 10.0), [-0.1, NAN]),
+    "gram_weight": field(st.floats(0.0, 10.0), [-0.1, INF]),
+    "space": field(st.sampled_from(["lab", "hsv", "both"]), ["rgb", ""]),
+    "lab_mean_sigma": SIGMA,
+    "lab_std_sigma": SIGMA,
+    "hsv_mean_sigma": SIGMA,
+    "hsv_std_sigma": SIGMA,
+    "enabled": field(st.booleans(), [0, 1]),
+    "steps": field(st.integers(0, 1000), [-1]),
+    "batch_size": field(st.integers(1, 8), [0, -1]),
+    "lr": field(st.floats(0.0, 0.1) | st.just(1e300), [-1e-3, NAN]),
+    "seed": field(st.integers(0, 2**63), [-1, 2**80]),
+}
+
+
+@st.composite
+def pretrain_configs(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(PRETRAIN_KEYS)),
+                         max_size=3, unique=True))
+    return {key: draw(PRETRAIN_KEYS[key]) for key in keys}
+
+
+class TestConfigSearch:
+    @settings(max_examples=50, deadline=None)
+    @given(config=pretrain_configs())
+    def test_pretrain_exits_by_the_contract(self, config):
+        """Any flat config file gives exit 0 with a checkpoint, exit 1
+        with a verification error, or exit 2 having written nothing;
+        never a traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "c.json", Path(tmp) / "out"
+            cfg.write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli("pretrain", "--config", cfg, "--steps", "1",
+                               "--batch-size", "1", "--out", out / "c.ckpt",
+                               "--log-level", "quiet")
+            if code == 0:
+                assert (out / "c.ckpt").is_file()
+            elif code == 1:
+                assert err.getvalue().startswith("verification error: ")
+            else:
+                assert code == 2 and err.getvalue().startswith("error: ")
+                assert not out.exists()
+
+
 class TestEmbed:
     def test_embeddings_round_trip(self, work, tmp_path, capsys):
         out = tmp_path / "g.emb"
@@ -1098,6 +1228,19 @@ class TestDemo:
                      "probe-local-attnpool"):
             report = json.loads((out / f"{stem}.json").read_text())
             validate_report(report)
+
+
+    @pytest.mark.parametrize("code", [1, 3])
+    def test_failing_step_code_passes_through(self, tmp_path, monkeypatch,
+                                              capsys, code):
+        """demo exits with a failing step's own code: a verification
+        failure stays 1 and a data error 3."""
+        def first_step_fails(argv):
+            return code if argv[0] == "bench" else main(argv)
+
+        monkeypatch.setattr(cli, "main", first_step_fails)
+        assert run_cli("demo", "--out", tmp_path / "demo") == code
+        assert f"demo step bench exited {code}" in capsys.readouterr().err
 
 
 class TestConfigFingerprints:

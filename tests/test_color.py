@@ -27,7 +27,7 @@ from tokenhier.color import (
     stain_augment,
     write_ppm,
 )
-from tokenhier.errors import ConfigError, DataError, ParameterError, ShapeError
+from tokenhier.errors import ConfigError, DataError
 from tokenhier.numkernel import RngStream
 
 
@@ -152,15 +152,15 @@ class TestHsv:
 
 class TestRasterValidation:
     def test_wrong_shape(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             as_raster(np.zeros((4, 4), dtype=np.uint8))
 
     def test_empty(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             as_raster(np.zeros((0, 4, 3), dtype=np.uint8))
 
     def test_float_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             as_raster(np.zeros((2, 2, 3)))
 
     def test_wide_int_in_range_ok(self):
@@ -297,7 +297,7 @@ class TestStainAugment:
         assert np.abs(delta).max() < 2.0
 
     def test_empty_raster_raises(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             stain_augment(np.zeros((0, 3, 3), dtype=np.uint8),
                           StainAugConfig(), RngStream(seed=0))
 
@@ -486,7 +486,7 @@ class TestSinglePassKernels:
         assert np.array_equal(a.uniform(2), b.uniform(2))
 
     def test_jitter_draw_rejects_negative_sigma(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             draw_stain_jitter(RngStream(seed=0), (1.0, -0.1, 1.0),
                               (0.1, 0.1, 0.1))
 

@@ -19,7 +19,7 @@ from tokenhier.encoder import (
     token_gradients,
     tokenize_batch,
 )
-from tokenhier.errors import ConfigError, NumericError, ShapeError
+from tokenhier.errors import ConfigError, NumericError
 from tokenhier.numkernel import RngStream
 
 
@@ -100,7 +100,7 @@ class TestTokenize:
         np.testing.assert_allclose(z0[0], p["cls"], atol=1e-15)
 
     def test_size_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             patchify(rand_raster(2, 48), small_cfg())
 
     def test_patchify_layout(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tokenhier.encoder import TokenSequence
-from tokenhier.errors import ConfigError, ParameterError
+from tokenhier.errors import ConfigError
 from tokenhier.heads import (ATTNPOOL, LINEAR, AttnPoolParams,
                              HeadTrainConfig, ProbeParams, _stack,
                              head_gradients, make_attnpool_params,
@@ -307,17 +307,17 @@ class TestTrainHead:
     def test_single_class_rejected(self):
         rng = RngStream(seed=7, stream_id=4)
         items = [(make_seq(rng.derive(i)), 0) for i in range(6)]
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             train_head(items, items, LINEAR, HeadTrainConfig(epochs=1))
 
     def test_empty_sets_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             train_head([], [], LINEAR, HeadTrainConfig())
 
     def test_unknown_mode(self):
         rng = RngStream(seed=7, stream_id=5)
         items = separable_items(rng, 4)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             train_head(items, items, "mlp", HeadTrainConfig())
 
     def test_bit_reproducible(self):

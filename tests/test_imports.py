@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 
 import tokenhier
+from tokenhier import cli
+from tokenhier.errors import ConfigError, DataError, NumericError
 
 MODULES = sorted(Path(tokenhier.__file__).parent.glob("*.py"))
 
@@ -197,6 +199,54 @@ def test_public_names_are_read_in_src():
               and reads[node.name] == Counter(loaded_names(node))[node.name]]
     assert not unread, f"public names no src code reads: {unread}"
 
+# The CLI contract: each exit-code class, its exit code and the label
+# that starts its stderr line.
+EXIT_CODES = {ConfigError: (2, "error"), DataError: (3, "data error"),
+              NumericError: (1, "verification error")}
+LEAVES = {cls.__name__ for cls in EXIT_CODES}
+
+
+def test_one_exception_class_per_exit_code():
+    """``errors.py`` defines the base class and one leaf per non-zero
+    exit code, nothing more."""
+    errors = Path(tokenhier.__file__).with_name("errors.py")
+    tree = ast.parse(errors.read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    assert classes == {"TokenhierError"} | LEAVES
+    assert {cls: (cls.code, cls.label) for cls in EXIT_CODES} == EXIT_CODES
+
+
+def raised_names(tree):
+    """(line, name) of what every non-bare ``raise`` raises."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield node.lineno, ast.unparse(exc)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_raise_names_an_exit_code_class(path):
+    """Every error ``src`` raises is one of the exit-code classes, so
+    ``cli.main`` maps each to its code and none ends in a traceback."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    other = [f"{path.name}:{line} {name}"
+             for line, name in raised_names(tree) if name not in LEAVES]
+    assert not other, f"raises outside the exit-code classes: {other}"
+
+
+@pytest.mark.parametrize("leaf", sorted(EXIT_CODES, key=lambda c: c.code),
+                         ids=lambda c: c.__name__)
+def test_main_exits_with_the_class_code(leaf, monkeypatch, capsys):
+    def command(args):
+        raise leaf("stub failure")
+
+    monkeypatch.setattr(cli, "cmd_gradcheck", command)
+    code, label = EXIT_CODES[leaf]
+    assert cli.main(["gradcheck"]) == code
+    assert capsys.readouterr().err == f"{label}: stub failure\n"
+
+
 # (module, function, parameter) triples exempt from the rule below.
 UNREAD_PARAMETERS = {
     # perfbench/workloads.py passes threads=; the parameter goes when the
@@ -242,10 +292,16 @@ def dataclass_fields(tree):
                     yield node.name, stmt.target.id
 
 
+# Result records, not settings: written whole to a primary output by
+# ``asdict`` (the loss log's line is ``{"step": ..., **asdict(lb)}``).
+RECORD_DATACLASSES = {("ssl", "LossBreakdown")}
+
+
 def test_every_dataclass_field_is_read():
-    """Every field of every ``src`` dataclass is read as an attribute
-    somewhere in ``src``: a field only written, or only carried into a
-    fingerprint by ``asdict``, is a setting no code honours."""
+    """Every field of every ``src`` dataclass that holds settings is read
+    as an attribute somewhere in ``src``: a field only written, or only
+    carried into a fingerprint by ``asdict``, is a setting no code
+    honours."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in MODULES}
     attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
@@ -253,5 +309,6 @@ def test_every_dataclass_field_is_read():
              and isinstance(node.ctx, ast.Load)}
     unread = [f"{module}.{cls}.{name}"
               for module, tree in trees.items()
-              for cls, name in dataclass_fields(tree) if name not in attrs]
+              for cls, name in dataclass_fields(tree)
+              if name not in attrs and (module, cls) not in RECORD_DATACLASSES]
     assert not unread, f"dataclass fields no src code reads: {unread}"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenhier.errors import ParameterError
+from tokenhier.errors import ConfigError
 from tokenhier.numkernel import (
     LN_EPS,
     RngStream,
@@ -207,7 +207,7 @@ class TestRngStream:
         np.testing.assert_array_equal(z, np.full(10, 1.25))
 
     def test_gaussian_negative_sigma_raises(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             RngStream(seed=1).gaussian(3, sigma=-0.1)
 
     def test_gaussian_counter_layout(self):
@@ -270,7 +270,7 @@ class TestRngStream:
         assert len(np.unique(v)) == 7
 
     def test_integers_bad_bound(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             RngStream(seed=3).integers(5, 0)
 
     def test_permutation_valid_and_deterministic(self):

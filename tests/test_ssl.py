@@ -14,7 +14,7 @@ from tokenhier.checkpoint import read_config
 from tokenhier.color import StainAugConfig
 from tokenhier import ssl as ssl_module
 from tokenhier.encoder import EncoderConfig, forward_batch
-from tokenhier.errors import ConfigError, ParameterError
+from tokenhier.errors import ConfigError
 from tokenhier.numkernel import RngStream, init_tensors
 from tokenhier.optim import AdamConfig
 from tokenhier.ssl import (
@@ -447,7 +447,7 @@ class TestTrainStep:
     def test_posttrain_needs_gram_teacher(self):
         enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=3))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             train_step(corpus[:4], state, ssl_cfg, enc_cfg, aug_cfg,
                        RngStream(seed=4), phase=POSTTRAIN)
 
@@ -510,7 +510,7 @@ class TestTrainStep:
     def test_empty_batch(self):
         enc_cfg, ssl_cfg, aug_cfg, _ = tiny_setup()
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=15))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             train_step([], state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=16))
 
     def test_single_patch_rejected(self):
@@ -520,14 +520,14 @@ class TestTrainStep:
         ssl_cfg = SslConfig(prototype_count=8)
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=25))
         corpus = [np.full((16, 16, 3), 100, dtype=np.uint8)] * 2
-        with pytest.raises(ParameterError, match="num_patches"):
+        with pytest.raises(ConfigError, match="num_patches"):
             train_step(corpus, state, ssl_cfg, enc_cfg, StainAugConfig(),
                        RngStream(seed=26))
 
     def test_bad_phase(self):
         enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=17))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             train_step(corpus[:2], state, ssl_cfg, enc_cfg, aug_cfg,
                        RngStream(seed=18), phase="finetune")
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tokenhier.errors import DegenerateInputError, ParameterError
+from tokenhier.errors import ConfigError
 from tokenhier.tiler import otsu_threshold, tile_sources, write_manifest
 
 
@@ -88,12 +88,10 @@ class TestOtsu:
     def test_degenerate_single_level(self):
         h = np.zeros(256, dtype=int)
         h[40] = 1000
-        with pytest.raises(DegenerateInputError):
-            otsu_threshold(h)
+        assert otsu_threshold(h) is None
 
     def test_all_zero(self):
-        with pytest.raises(DegenerateInputError):
-            otsu_threshold(np.zeros(256, dtype=int))
+        assert otsu_threshold(np.zeros(256, dtype=int)) is None
 
 
 def two_tone_square(bg=255, fg=40, ring=60, size=64, lo=16, hi=48):
@@ -220,9 +218,9 @@ class TestExtractTiles:
 
     def test_parameter_validation(self):
         img = noisy_image(7, 64, 64)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             tile_one(img, 8, 0.5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             tile_one(img, 32, 1.5)
 
     def test_threshold_recorded(self):
@@ -252,9 +250,9 @@ class TestTileSources:
             raise AssertionError("source read before the parameter check")
             yield
         assert tile_sources([], 16, 0.5) == ({}, [])
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             tile_sources([], 0, 0.5)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             tile_sources(unread(), 16, 7.0)
 
 

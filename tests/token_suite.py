@@ -6,7 +6,7 @@ puts this directory on ``sys.path``.
 """
 
 from tokenhier.encoder import TokenSequence
-from tokenhier.errors import ParameterError
+from tokenhier.errors import ConfigError
 from tokenhier.numkernel import RngStream
 
 
@@ -20,7 +20,7 @@ def make_token_suite(rng: RngStream, embed_dim: int = 64,
     signed class component on dim 1).  A class-token probe can only hit
     chance; pooling over patch tokens can recover the label."""
     if not 0 <= signal_index < patch_count:
-        raise ParameterError("signal_index outside the token range")
+        raise ConfigError("signal_index outside the token range")
 
     def build(n_per_class, tag):
         items = []
