@@ -104,10 +104,11 @@ def _fingerprint(command: str, resolved: dict) -> str:
     return config_fingerprint({"command": command, **resolved})
 
 
-def _note(primary_path, message: str) -> None:
-    """Timestamped sidecar line; the only place wall-clock time goes."""
+def _note(args, message: str) -> None:
+    """Timestamped line in the ``args.note`` sidecar; the only place
+    wall-clock time goes."""
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
-    with open(f"{primary_path}.log", "a", encoding="utf-8") as fh:
+    with open(args.note, "a", encoding="utf-8") as fh:
         fh.write(f"{stamp} {message}\n")
 
 
@@ -127,16 +128,38 @@ def _check_threads(args) -> None:
         raise ConfigError(f"--threads must be >= 1, got {value}")
 
 
+# the file inside a directory --out whose sidecar takes the command's note
+_SUMMARY_IN_OUT = {"augment": "augment_summary.json", "bench": "report.json"}
+
+
+def _fill_default_outputs(args) -> None:
+    """The one home of the default output paths, set on ``args`` before
+    :func:`_check_outputs` sees them: the training loss log
+    (``<out>.losses.jsonl``), the ablation bar chart (``<out>.svg``)
+    and ``args.note``, the ``<primary>.log`` sidecar of :func:`_note`
+    (None for gradcheck and demo, which keep none)."""
+    command = args.command
+    if command in ("pretrain", "posttrain") and args.log is None:
+        args.log = f"{args.out}.losses.jsonl"
+    if command == "ablate" and args.svg is None:
+        args.svg = f"{args.out}.svg"
+    primary = getattr(args, "report", None) or getattr(args, "out", None)
+    if command in _SUMMARY_IN_OUT:
+        primary = Path(primary) / _SUMMARY_IN_OUT[command]
+    args.note = None if command in ("gradcheck", "demo") else f"{primary}.log"
+
+
 def _check_outputs(args) -> None:
     """Refuse, before any work and writing nothing, an output path that
     lies under an existing non-directory, and a file output that is an
-    existing directory.  The --out of augment, bench and demo is a
-    directory."""
+    existing directory; the default sidecars are checked like given
+    paths.  The --out of augment, bench and demo is a directory."""
     outputs = (("--out", getattr(args, "out", None),
                 args.command in ("augment", "bench", "demo")),
                ("--report", getattr(args, "report", None), False),
                ("--log", getattr(args, "log", None), False),
-               ("--svg", getattr(args, "svg", None), False))
+               ("--svg", getattr(args, "svg", None), False),
+               ("sidecar", args.note, False))
     for flag, path, is_dir in outputs:
         if path is None:
             continue
@@ -189,7 +212,7 @@ def cmd_tile(args) -> int:
     _ensure_parent(args.out)
     write_manifest(args.out, levels, records, args.tile_size,
                    args.min_tissue, fp)
-    _note(args.out, f"tile: {len(files)} sources")
+    _note(args, f"tile: {len(files)} sources")
     _say(args, f"tiled {len(files)} sources -> {len(records)} tiles")
     return 0
 
@@ -214,7 +237,7 @@ def cmd_augment(args) -> int:
                                                   root.derive(i)))
     write_report({"config_fingerprint": fp, "count": len(files),
                   "space": aug.space}, out_dir / "augment_summary.json")
-    _note(out_dir / "augment_summary.json", f"augment: {len(files)} rasters")
+    _note(args, f"augment: {len(files)} rasters")
     _say(args, f"augmented {len(files)} rasters -> {out_dir}")
     return 0
 
@@ -292,18 +315,17 @@ def _run_ssl(args, phase: str) -> int:
     else:
         state = init_train_state(enc, ssl, RngStream(seed=seed, stream_id=11))
     _ensure_parent(args.out)
-    log_path = args.log or f"{args.out}.losses.jsonl"
-    _ensure_parent(log_path)
-    with open(log_path, "w", encoding="ascii") as fh:
+    _ensure_parent(args.log)
+    with open(args.log, "w", encoding="ascii") as fh:
         fh.write(json.dumps({"config_fingerprint": fp, "phase": phase},
                             sort_keys=True) + "\n")
     history = run_training(corpus, state, ssl, enc, aug,
                            RngStream(seed=seed, stream_id=12),
                            steps=steps, batch_size=batch, phase=phase,
-                           adam_cfg=adam, log_path=log_path)
+                           adam_cfg=adam, log_path=args.log)
     save_train_state(args.out, state, enc, ssl,
                      extra={"config_fingerprint": fp, "phase": phase})
-    _note(args.out, f"{phase}: {steps} steps on {len(corpus)} rasters")
+    _note(args, f"{phase}: {steps} steps on {len(corpus)} rasters")
     if history:
         _say(args, f"{phase} {steps} steps: total "
                    f"{history[0].total:.4f} -> {history[-1].total:.4f}")
@@ -341,7 +363,7 @@ def cmd_embed(args) -> int:
     save_embeddings(args.out, seqs, ds.labels, enc_cfg,
                     extra={"config_fingerprint": fp,
                            "class_names": ds.class_names})
-    _note(args.out, f"embed: {len(seqs)} items from {args.data}")
+    _note(args, f"embed: {len(seqs)} items from {args.data}")
     _say(args, f"embedded {len(seqs)} items -> {args.out}")
     return 0
 
@@ -376,7 +398,7 @@ def cmd_probe(args) -> int:
                                 "val_bacc": result.best_val_bacc})
     _ensure_parent(args.report)
     write_report(report, args.report)
-    _note(args.report, f"probe: mode={args.mode}")
+    _note(args, f"probe: mode={args.mode}")
     _say(args, f"probe {args.mode} test bacc {report['bacc']:.4f}")
     return 0
 
@@ -421,7 +443,7 @@ def cmd_bench(args) -> int:
                          extra={"note": "mean-color nearest-centroid "
                                         "baseline on the held-out third"})
     write_report(report, out_dir / "report.json")
-    _note(out_dir / "report.json", f"bench: suite={args.suite}")
+    _note(args, f"bench: suite={args.suite}")
     total = sum(len(s.items) for s in splits)
     _say(args, f"wrote {args.suite} suite ({total} items) -> {out_dir}; "
                f"mean-color baseline bacc {baseline:.4f}")
@@ -450,9 +472,9 @@ def cmd_ablate(args) -> int:
     report = run_ablation(suites, cfg)
     _ensure_parent(args.out)
     write_report(report, args.out)
-    svg_path = args.svg or f"{args.out}.svg"
-    write_bacc_svg(report, svg_path)
-    _note(args.out, f"ablate: seeds={list(cfg.seeds)}")
+    _ensure_parent(args.svg)
+    write_bacc_svg(report, args.svg)
+    _note(args, f"ablate: seeds={list(cfg.seeds)}")
     _say(args, render_ablation_table(report))
     return 0
 
@@ -664,6 +686,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         _check_threads(args)
+        _fill_default_outputs(args)
         _check_outputs(args)
         return args.func(args)
     except TokenhierError as e:

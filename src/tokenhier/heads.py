@@ -12,7 +12,12 @@ Everything runs on batches: ``probs_batch`` is the one forward pass of
 both heads and ``predict_batch`` its argmax; for the pooling head it
 also returns the pooled vectors and the per-head attention weights.
 Every pooling projection (per-head query, key and value maps and the
-output map) is learned.
+output map) is learned.  The per-head query, key and value maps and
+their weight gradients run as flat 2-D contractions (``_project``,
+``_project_grad``) whose results are copied C-contiguous: that runs
+the same per-element kernel as the batched per-head einsum, so the
+bytes match it, while a strided result would make the einsums
+downstream sum in a different order.
 """
 
 from __future__ import annotations
@@ -110,15 +115,34 @@ def make_attnpool_params(embed_dim: int, num_classes: int, num_heads: int,
     )
 
 
+def _project(W, x):
+    """Per-head projection of weights W (H, dh, D) over tokens x
+    (B, N, D): a C-contiguous (B, H, N, dh)."""
+    nh, dh, d = W.shape
+    bsz, n, _ = x.shape
+    flat = np.einsum("kd,md->mk", W.reshape(nh * dh, d), x.reshape(bsz * n, d))
+    return np.ascontiguousarray(
+        flat.reshape(bsz, n, nh, dh).transpose(0, 2, 1, 3))
+
+
+def _project_grad(g, x):
+    """Weight gradient (H, dh, D) of :func:`_project` for an upstream
+    gradient g (B, H, N, dh) over tokens x (B, N, D)."""
+    bsz, nh, n, dh = g.shape
+    rows = g.transpose(0, 2, 1, 3).reshape(bsz * n, nh * dh)
+    flat = np.einsum("mk,md->kd", rows, x.reshape(bsz * n, -1))
+    return flat.reshape(nh, dh, -1)
+
+
 def _pool_batch(cls, patches, p: AttnPoolParams):
     """Vectorized pooling: cls (B,D), patches (B,N,D) -> h (B,D) and
     the cache of the backward pass, whose ``a`` holds the per-head
     attention weights (B,H,N)."""
     bsz, _, d = patches.shape
     dh = p.Wq.shape[1]
-    q = np.einsum("hpd,bd->bhp", p.Wq, cls)
-    k = np.einsum("hpd,bnd->bhnp", p.Wk, patches)
-    v = np.einsum("hpd,bnd->bhnp", p.Wv, patches)
+    q = _project(p.Wq, cls[:, None, :])[:, :, 0]
+    k = _project(p.Wk, patches)
+    v = _project(p.Wv, patches)
     logits = np.einsum("bhp,bhnp->bhn", q, k) / np.sqrt(dh)
     a = softmax_rows(logits)
     hh = np.einsum("bhn,bhnp->bhp", a, v)
@@ -171,9 +195,9 @@ def head_gradients(cls, patches, y, params, mode):
     dlog = softmax_backward(cache["a"], da) / np.sqrt(dhd)
     dq = np.einsum("bhn,bhnp->bhp", dlog, cache["k"])
     dk = np.einsum("bhn,bhp->bhnp", dlog, cache["q"])
-    grads["Wq"] = np.einsum("bhp,bd->hpd", dq, cls)
-    grads["Wk"] = np.einsum("bhnp,bnd->hpd", dk, patches)
-    grads["Wv"] = np.einsum("bhnp,bnd->hpd", dv, patches)
+    grads["Wq"] = _project_grad(dq[:, :, None], cls[:, None, :])
+    grads["Wk"] = _project_grad(dk, patches)
+    grads["Wv"] = _project_grad(dv, patches)
     return loss, grads
 
 

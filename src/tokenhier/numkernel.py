@@ -212,14 +212,14 @@ class RngStream:
         return (self._raw(n) % np.uint64(bound)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Deterministic Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
-        if n > 1:
-            js = self._raw(n - 1)
+        """Deterministic Fisher-Yates permutation of range(n), on Python
+        ints (numpy scalar arithmetic per swap costs several times more)."""
+        perm = list(range(n))
+        js = self._raw(n - 1).tolist() if n > 1 else []
         for i in range(n - 1, 0, -1):
-            j = int(js[n - 1 - i] % np.uint64(i + 1))
+            j = js[n - 1 - i] % (i + 1)
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
 
 def _box_muller(raw1: np.ndarray, raw2: np.ndarray):

@@ -330,6 +330,36 @@ class TestOutputsCheckedFirst:
              "bench-out-under-file"])
     def test_refused_before_work(self, work, tmp_path, monkeypatch, capsys,
                                  stub, argv):
+        err = self.refused(work, tmp_path, monkeypatch, capsys, stub, argv)
+        assert err.startswith("error: --") and "directory" in err
+
+    @pytest.mark.parametrize("stub,argv,sidecar", [
+        ("run_ablation", "ablate --config {tmp}/one-seed.json "
+                         "--out {tmp}/a.json", "a.json.svg"),
+        ("run_training", "pretrain --steps 1 --out {tmp}/p/c.ckpt",
+         "p/c.ckpt.losses.jsonl"),
+        ("embed_dataset", "embed --ckpt {work}/enc.ckpt --data {work}/sg "
+                          "--out {tmp}/e.emb", "e.emb.log"),
+        ("embed_dataset", "probe --ckpt {work}/enc.ckpt --data {work}/sg "
+                          "--mode linear --report {tmp}/r.json",
+         "r.json.log"),
+        ("write_ppm", "bench --suite global --out {tmp}/suite",
+         "suite/report.json.log")],
+        ids=["ablate-default-svg", "pretrain-default-log", "embed-note",
+             "probe-note", "bench-note"])
+    def test_default_sidecar_refused_before_work(self, work, tmp_path,
+                                                 monkeypatch, capsys, stub,
+                                                 argv, sidecar):
+        """The paths a command writes by default, beside the ones its
+        flags name, are checked before any work too."""
+        (tmp_path / sidecar).mkdir(parents=True)
+        err = self.refused(work, tmp_path, monkeypatch, capsys, stub, argv)
+        assert err.startswith("error: ") and f"{sidecar} is a directory" in err
+
+    @staticmethod
+    def refused(work, tmp_path, monkeypatch, capsys, stub, argv):
+        """Run argv with ``stub`` refusing work; assert exit 2 and an
+        unchanged tree, and return stderr."""
         (tmp_path / "file").write_text("")
         (tmp_path / "dir").mkdir()
         (tmp_path / "one-seed.json").write_text(
@@ -339,9 +369,8 @@ class TestOutputsCheckedFirst:
         monkeypatch.setattr(cli, stub, refuse_work)
         assert run_cli(*(a.format(tmp=tmp_path, work=work)
                          for a in argv.split())) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --") and "directory" in err
         assert sorted(tmp_path.rglob("*")) == before
+        return capsys.readouterr().err
 
 
 def tile_input(root, tree):
@@ -1119,6 +1148,18 @@ class TestAblate:
         assert len(report["ablation_rows"]) == 3
         svg = (tmp_path / "abl.json.svg").read_text()
         assert svg.startswith("<svg")
+        capsys.readouterr()
+
+    def test_svg_in_new_directory(self, tmp_path, capsys):
+        """An explicit --svg whose directory does not exist yet is
+        created, as every other output's is."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(TINY_ABLATE)
+        svg = tmp_path / "charts" / "abl.svg"
+        assert run_cli("ablate", "--config", cfg, "--out",
+                       tmp_path / "abl.json", "--svg", svg,
+                       "--log-level", "quiet") == 0
+        assert svg.read_text().startswith("<svg")
         capsys.readouterr()
 
     def test_threads_do_not_change_bytes(self, tmp_path, capsys):

@@ -280,6 +280,24 @@ class TestRngStream:
         np.testing.assert_array_equal(np.sort(p1), np.arange(50))
         assert np.any(p1 != np.arange(50))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 300), st.integers(0, 2**32), st.integers(0, 999))
+    def test_permutation_matches_numpy_scalar_loop(self, n, seed, stream_id):
+        """The Python-int shuffle reproduces the numpy-scalar Fisher-Yates
+        loop it replaced byte for byte, and leaves the counter where that
+        loop did."""
+        rng = RngStream(seed=seed, stream_id=stream_id)
+        old = RngStream(seed=seed, stream_id=stream_id)
+        want = np.arange(n)
+        if n > 1:
+            js = old._raw(n - 1)
+        for i in range(n - 1, 0, -1):
+            j = int(js[n - 1 - i] % np.uint64(i + 1))
+            want[i], want[j] = want[j], want[i]
+        got = rng.permutation(n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.counter == old.counter
+
     def test_chi_square_uniformity(self):
         """Coarse 16-bin chi-square on 32k draws stays far from pathological."""
         u = RngStream(seed=21).uniform(32_768)
