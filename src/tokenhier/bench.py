@@ -61,7 +61,7 @@ _EMBED_CHUNK = 16
 class LabeledDataset:
     items: list                 # (raster uint8 (H,W,3), class id)
     class_names: list
-    source_ids: list = field(default_factory=list)
+    source_ids: list
 
     @property
     def labels(self):
@@ -231,8 +231,7 @@ def make_synthetic_suite(rng: RngStream, spec: SuiteSpec):
         for sp in (TRAIN, VAL, TEST))
 
 
-def make_pretrain_corpus(rng: RngStream, count: int = 64,
-                         image_size: int = 64) -> list:
+def make_pretrain_corpus(rng: RngStream, count: int, image_size: int) -> list:
     """Unlabeled rasters with block structure for smoke-scale pretraining."""
     out = []
     for i in range(count):
@@ -304,7 +303,7 @@ def split_dataset(ds: LabeledDataset, seed: int):
         chosen = sorted(per_split[sp])
         out.append(LabeledDataset(
             [ds.items[i] for i in chosen], list(ds.class_names),
-            [ds.source_ids[i] for i in chosen] if ds.source_ids else []))
+            [ds.source_ids[i] for i in chosen]))
     return tuple(out)
 
 
@@ -319,7 +318,7 @@ def embed_dataset(ds: LabeledDataset, enc_params: dict, cfg: EncoderConfig,
     Each chunk of images is patchified into one stack and run through
     one ``tokenize_batch`` + ``forward_batch`` on the calling thread.
     ``threads`` is ignored; it is still accepted for existing callers."""
-    rasters = ds.rasters if isinstance(ds, LabeledDataset) else list(ds)
+    rasters = ds.rasters
     seqs = []
     for i in range(0, len(rasters), _EMBED_CHUNK):
         stack = np.stack([patchify(r, cfg)
@@ -331,14 +330,13 @@ def embed_dataset(ds: LabeledDataset, enc_params: dict, cfg: EncoderConfig,
 
 
 def save_embeddings(path, seqs: list, labels, cfg: EncoderConfig,
-                    extra: dict = None) -> None:
+                    extra: dict) -> None:
     tensors = {
         "cls": np.stack([s.cls for s in seqs]),
         "patches": np.stack([s.patches for s in seqs]),
         "labels": np.asarray(labels, dtype=np.float64),
     }
-    save_params(path, "embeddings", asdict(cfg), tensors,
-                extra=extra or {})
+    save_params(path, "embeddings", asdict(cfg), tensors, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +487,7 @@ SUITE_SPECS = {
 }
 
 
-def acceptance_suites(rng: RngStream, per_class: int = 60) -> dict:
+def acceptance_suites(rng: RngStream, per_class: int) -> dict:
     """The shipped desk-scale pair: LOCAL with distractor textures and
     SHIFTED with an out-of-protocol color change over a structural label."""
     def suite(i, kind):
@@ -506,8 +504,6 @@ def run_ablation(datasets: dict, cfg: AblationConfig) -> dict:
     the head-training seed; only the encoder's augmentation flag and
     the head mode differ.  Returns the report dict.
     """
-    if not datasets:
-        raise ConfigError("no datasets given")
     names = sorted(datasets)
     hashes = {n: [split_hash(s) for s in datasets[n]] for n in names}
     per_row_task = {i: {n: [] for n in names} for i in range(3)}

@@ -74,7 +74,7 @@ def read_config(cls, obj):
                   for key, value in obj.items()})
 
 
-def save_params(path, kind: str, config: dict, params: dict, extra: dict = None) -> None:
+def save_params(path, kind: str, config: dict, params: dict, extra: dict) -> None:
     names = sorted(params)
     for name in names:
         arr = np.asarray(params[name])
@@ -86,7 +86,7 @@ def save_params(path, kind: str, config: dict, params: dict, extra: dict = None)
         "config": config,
         "tensors": [{"name": n, "shape": list(np.asarray(params[n]).shape)}
                     for n in names],
-        "extra": extra or {},
+        "extra": extra,
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")

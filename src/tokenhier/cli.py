@@ -49,7 +49,7 @@ from .checkpoint import check_value, config_fingerprint, read_config
 from .color import StainAugConfig, read_ppm, stain_augment, write_ppm
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, TokenhierError
-from .gradcheck import TOLERANCE, component_names, run_all
+from .gradcheck import TOLERANCE, run_all
 from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, balanced_accuracy,
                     predict_batch, train_head)
 from .numkernel import RngStream
@@ -128,15 +128,16 @@ def _check_threads(args) -> None:
         raise ConfigError(f"--threads must be >= 1, got {value}")
 
 
-# the file inside a directory --out whose sidecar takes the command's note
+# the summary file a command writes inside its directory --out
 _SUMMARY_IN_OUT = {"augment": "augment_summary.json", "bench": "report.json"}
 
 
 def _fill_default_outputs(args) -> None:
     """The one home of the default output paths, set on ``args`` before
     :func:`_check_outputs` sees them: the training loss log
-    (``<out>.losses.jsonl``), the ablation bar chart (``<out>.svg``)
-    and ``args.note``, the ``<primary>.log`` sidecar of :func:`_note`
+    (``<out>.losses.jsonl``), the ablation bar chart (``<out>.svg``),
+    ``args.summary`` inside the --out of augment and bench, and
+    ``args.note``, the ``<primary>.log`` sidecar of :func:`_note`
     (None for gradcheck and demo, which keep none)."""
     command = args.command
     if command in ("pretrain", "posttrain") and args.log is None:
@@ -144,8 +145,9 @@ def _fill_default_outputs(args) -> None:
     if command == "ablate" and args.svg is None:
         args.svg = f"{args.out}.svg"
     primary = getattr(args, "report", None) or getattr(args, "out", None)
+    args.summary = None
     if command in _SUMMARY_IN_OUT:
-        primary = Path(primary) / _SUMMARY_IN_OUT[command]
+        primary = args.summary = Path(args.out) / _SUMMARY_IN_OUT[command]
     args.note = None if command in ("gradcheck", "demo") else f"{primary}.log"
 
 
@@ -159,6 +161,7 @@ def _check_outputs(args) -> None:
                ("--report", getattr(args, "report", None), False),
                ("--log", getattr(args, "log", None), False),
                ("--svg", getattr(args, "svg", None), False),
+               ("summary", args.summary, False),
                ("sidecar", args.note, False))
     for flag, path, is_dir in outputs:
         if path is None:
@@ -228,15 +231,15 @@ def cmd_augment(args) -> int:
     files = _ppm_files(args.input)
     if not files:
         raise DataError(f"no .ppm files under {args.input}")
+    rasters = [read_ppm(f) for f in files]   # all read before any write
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     fp = _fingerprint("augment", {"seed": args.seed, **asdict(aug)})
     root = RngStream(seed=args.seed, stream_id=71)
-    for i, f in enumerate(files):
-        write_ppm(out_dir / f.name, stain_augment(read_ppm(f), aug,
-                                                  root.derive(i)))
+    for i, (f, raster) in enumerate(zip(files, rasters)):
+        write_ppm(out_dir / f.name, stain_augment(raster, aug, root.derive(i)))
     write_report({"config_fingerprint": fp, "count": len(files),
-                  "space": aug.space}, out_dir / "augment_summary.json")
+                  "space": aug.space}, args.summary)
     _note(args, f"augment: {len(files)} rasters")
     _say(args, f"augmented {len(files)} rasters -> {out_dir}")
     return 0
@@ -249,7 +252,9 @@ def cmd_augment(args) -> int:
 def _training_configs(args):
     flat = _load_config_file(args.config)
     bases = (_DESK.encoder, _DESK.ssl, _DESK.aug)
-    _reject_unknown(flat, [k for base in bases for k in asdict(base)]
+    # no space key: each augmented view picks LAB or HSV by a coin
+    _reject_unknown(flat, [k for base in bases for k in asdict(base)
+                           if k != "space"]
                     + ["steps", "batch_size", "lr", "seed"])
     enc, ssl, aug = (_read_over(base, flat) for base in bases)
     steps = _file_value(flat, "steps", int, 200, args.steps)
@@ -319,10 +324,10 @@ def _run_ssl(args, phase: str) -> int:
     with open(args.log, "w", encoding="ascii") as fh:
         fh.write(json.dumps({"config_fingerprint": fp, "phase": phase},
                             sort_keys=True) + "\n")
-    history = run_training(corpus, state, ssl, enc, aug,
-                           RngStream(seed=seed, stream_id=12),
-                           steps=steps, batch_size=batch, phase=phase,
-                           adam_cfg=adam, log_path=args.log)
+        history = run_training(corpus, state, ssl, enc, aug,
+                               RngStream(seed=seed, stream_id=12),
+                               steps=steps, batch_size=batch, phase=phase,
+                               adam_cfg=adam, log_file=fh)
     save_train_state(args.out, state, enc, ssl,
                      extra={"config_fingerprint": fp, "phase": phase})
     _note(args, f"{phase}: {steps} steps on {len(corpus)} rasters")
@@ -442,7 +447,7 @@ def cmd_bench(args) -> int:
                          class_names=tr.class_names,
                          extra={"note": "mean-color nearest-centroid "
                                         "baseline on the held-out third"})
-    write_report(report, out_dir / "report.json")
+    write_report(report, args.summary)
     _note(args, f"bench: suite={args.suite}")
     total = sum(len(s.items) for s in splits)
     _say(args, f"wrote {args.suite} suite ({total} items) -> {out_dir}; "
@@ -484,7 +489,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_all(inject_fault=args.inject_fault)
+    results = run_all()
     for r in results:
         _say(args, f"{r.component:<20} {r.worst_rel_err:.3e} "
                    f"{'PASS' if r.passed else 'FAIL'}")
@@ -652,9 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference verification of every "
                             "backward pass")
-    p.add_argument("--inject-fault", choices=component_names(), default=None,
-                   help="test hook: corrupt one analytic gradient entry of "
-                        "the named component")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("demo", parents=[common],

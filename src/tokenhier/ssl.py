@@ -438,31 +438,26 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
                  enc_cfg: EncoderConfig, aug_cfg: StainAugConfig,
                  rng: RngStream, steps: int, batch_size: int,
                  phase: str = PRETRAIN, adam_cfg: AdamConfig = AdamConfig(),
-                 log_path=None):
+                 log_file=None):
     """Fixed-step loop with deterministic with-replacement batching.
 
-    Returns the list of per-step LossBreakdowns; optionally appends each
-    as a JSON line to log_path.
+    Returns the list of per-step LossBreakdowns; optionally writes each
+    as a JSON line to the open text file ``log_file``.
     """
     if batch_size < 1 or steps < 0:
         raise ConfigError("need batch_size >= 1 and steps >= 0")
     if len(corpus) < 1:
         raise ConfigError("empty corpus")
     history = []
-    log_fh = open(log_path, "a", encoding="ascii") if log_path else None
-    try:
-        for _ in range(steps):
-            pick = rng.derive(9001, state.step).integers(batch_size, len(corpus))
-            batch = [corpus[int(i)] for i in pick]
-            lb = train_step(batch, state, ssl_cfg, enc_cfg, aug_cfg, rng,
-                            phase=phase, adam_cfg=adam_cfg)
-            history.append(lb)
-            if log_fh:
-                log_fh.write(json.dumps({"step": state.step, **asdict(lb)},
-                                        sort_keys=True) + "\n")
-    finally:
-        if log_fh:
-            log_fh.close()
+    for _ in range(steps):
+        pick = rng.derive(9001, state.step).integers(batch_size, len(corpus))
+        batch = [corpus[int(i)] for i in pick]
+        lb = train_step(batch, state, ssl_cfg, enc_cfg, aug_cfg, rng,
+                        phase=phase, adam_cfg=adam_cfg)
+        history.append(lb)
+        if log_file:
+            log_file.write(json.dumps({"step": state.step, **asdict(lb)},
+                                      sort_keys=True) + "\n")
     return history
 
 

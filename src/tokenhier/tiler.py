@@ -65,8 +65,8 @@ def _gray(raster: Raster) -> np.ndarray:
     return np.clip(g, 0, 255).astype(np.int64)
 
 
-def tile_sources(sources, tile_size: int = 256,
-                 min_tissue_fraction: float = 0.5, invert: bool = False):
+def tile_sources(sources, tile_size: int, min_tissue_fraction: float,
+                 invert: bool):
     """Tile ``(source_id, raster)`` pairs; the parameters are checked
     before any source is read.  Returns ``(levels, records)``: each
     source's Otsu level, or None for a single gray level (no tissue),

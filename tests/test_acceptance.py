@@ -216,7 +216,7 @@ def test_c5_ablation_ordering():
     and attention pooling helps again, both by at least 0.02 in 5-seed
     means, with the deltas rendered in '(x.x↑)' form."""
     t0 = time.time()
-    suites = acceptance_suites(RngStream(seed=2024, stream_id=5))
+    suites = acceptance_suites(RngStream(seed=2024, stream_id=5), 60)
     rep = run_ablation(suites, AblationConfig())
     elapsed = time.time() - t0
     rows = rep["ablation_rows"]

@@ -175,7 +175,8 @@ class TestSyntheticSuites:
         it stays within the chance band even in sample."""
         tr, va, te = small_suite(LOCAL, per_class=100, seed=1)
         pooled = LabeledDataset(tr.items + va.items + te.items,
-                                tr.class_names)
+                                tr.class_names, tr.source_ids + va.source_ids
+                                + te.source_ids)
         preds = mean_color_nearest_centroid(tr, pooled)
         assert abs(balanced_accuracy(pooled.labels, preds, 2) - 0.5) <= 0.07
 
@@ -354,12 +355,14 @@ GOLDEN_EMBED_SHA256 = {
 }
 
 
-def local_rasters():
-    """The 20 rasters of the seed-0 shipped LOCAL suite at 10 per class,
-    train then val then test."""
+def local_items(count=20):
+    """The first ``count`` items of the seed-0 shipped LOCAL suite at 10
+    per class, train then val then test, as one dataset."""
     spec = SuiteSpec(per_class=10, **SUITE_SPECS[LOCAL])
     splits = make_synthetic_suite(RngStream(seed=0, stream_id=5), spec)
-    return [r for ds in splits for r in ds.rasters]
+    items = [item for ds in splits for item in ds.items]
+    ids = [sid for ds in splits for sid in ds.source_ids]
+    return LabeledDataset(items[:count], splits[0].class_names, ids[:count])
 
 
 def embedding_digest(seqs) -> str:
@@ -389,18 +392,20 @@ class TestEmbedDataset:
         batch-1 forward so the batched path must reproduce them."""
         cfg = EMBED_ENCODERS[name]
         params = init_params(cfg, RngStream(seed=0, stream_id=11))
-        seqs = embed_dataset(local_rasters(), params, cfg)
+        seqs = embed_dataset(local_items(), params, cfg)
         assert len(seqs) == 20
         assert embedding_digest(seqs) == GOLDEN_EMBED_SHA256[name]
 
     def test_chunk_split_invariant(self):
         """17 items in one call (a full chunk plus one) give the same
         bytes as 17 one-item calls, for both pinned encoders."""
-        rasters = local_rasters()[:17]
+        ds = local_items(17)
         for cfg in EMBED_ENCODERS.values():
             params = init_params(cfg, RngStream(seed=0, stream_id=11))
-            whole = embed_dataset(rasters, params, cfg)
-            single = [embed_dataset([r], params, cfg)[0] for r in rasters]
+            whole = embed_dataset(ds, params, cfg)
+            single = [embed_dataset(LabeledDataset([item], ds.class_names,
+                                                   [sid]), params, cfg)[0]
+                      for item, sid in zip(ds.items, ds.source_ids)]
             assert embedding_digest(whole) == embedding_digest(single)
 
     def test_save_load_round_trip(self, tmp_path):
@@ -525,10 +530,6 @@ class TestAblation:
                 "  " + _fmt_delta(rows[i]["bacc"] - rows[i - 1]["bacc"]))
         assert set(rows[0]["per_task_bacc"]) == {"g", "l"}
         assert rep["full_scale_context"]["rows"] == [81.3, 83.6, 86.9]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            run_ablation({}, self.tiny_cfg())
 
     def test_same_seed_reproducible(self):
         suites = {"g": small_suite(GLOBAL, per_class=10, seed=0)}

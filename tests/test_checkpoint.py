@@ -105,7 +105,7 @@ def load_error(load, kind, config, tensors):
     holds ``config``, or None."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "x"
-        save_params(path, kind, config, tensors)
+        save_params(path, kind, config, tensors, {})
         try:
             load(path)
         except Exception as e:  # noqa: BLE001 - the class is the result

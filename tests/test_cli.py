@@ -4,8 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
 from dataclasses import asdict
@@ -25,6 +27,7 @@ from tokenhier.numkernel import RngStream
 from tokenhier.ssl import init_train_state, load_train_state
 
 from report_schema import validate_report
+from test_gradcheck import inject_fault
 
 
 def run_cli(*argv):
@@ -139,6 +142,18 @@ class TestArgumentHandling:
         assert run_cli("pretrain", "--config", cfg, "--steps", "1",
                        "--out", tmp_path / "c.ckpt") == 2
         assert "warp_factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pretrain", "posttrain"])
+    def test_training_config_refuses_space(self, tmp_path, capsys, command):
+        """Each augmented view picks LAB or HSV by a coin, so a training
+        config's ``space`` would change only the fingerprint: exit 2
+        naming the key, nothing written."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"space": "lab"}')
+        assert run_cli(command, "--config", cfg, "--steps", "1",
+                       "--out", tmp_path / "out" / "c.ckpt") == 2
+        assert "unknown config keys: space" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     def test_negative_steps(self, tmp_path, capsys):
         assert run_cli("pretrain", "--steps", "-3",
@@ -344,14 +359,19 @@ class TestOutputsCheckedFirst:
                           "--mode linear --report {tmp}/r.json",
          "r.json.log"),
         ("write_ppm", "bench --suite global --out {tmp}/suite",
-         "suite/report.json.log")],
+         "suite/report.json.log"),
+        ("write_ppm", "bench --suite global --out {tmp}/suite",
+         "suite/report.json"),
+        ("write_ppm", "augment --input {tmp}/in --out {tmp}/aug",
+         "aug/augment_summary.json")],
         ids=["ablate-default-svg", "pretrain-default-log", "embed-note",
-             "probe-note", "bench-note"])
+             "probe-note", "bench-note", "bench-summary", "augment-summary"])
     def test_default_sidecar_refused_before_work(self, work, tmp_path,
                                                  monkeypatch, capsys, stub,
                                                  argv, sidecar):
         """The paths a command writes by default, beside the ones its
-        flags name, are checked before any work too."""
+        flags name, are checked before any work too; so are the summary
+        files that augment and bench write inside their --out."""
         (tmp_path / sidecar).mkdir(parents=True)
         err = self.refused(work, tmp_path, monkeypatch, capsys, stub, argv)
         assert err.startswith("error: ") and f"{sidecar} is a directory" in err
@@ -781,7 +801,8 @@ class TestMalformedCheckpoint:
         too)."""
         ck = tmp_path / "bad.ckpt"
         save_params(ck, "train_state", config,
-                    {"cls_center": np.zeros(2), "patch_center": np.zeros(2)})
+                    {"cls_center": np.zeros(2), "patch_center": np.zeros(2)},
+                    {})
         assert run_cli("embed", "--ckpt", ck, "--data", tmp_path,
                        "--out", tmp_path / "e.emb") == 3
         err = capsys.readouterr().err
@@ -956,7 +977,6 @@ PRETRAIN_KEYS = {
     "mask_fraction": field(st.floats(0.001, 0.999), [0.0, 1.0]),
     "koleo_weight": field(st.floats(0.0, 10.0), [-0.1, NAN]),
     "gram_weight": field(st.floats(0.0, 10.0), [-0.1, INF]),
-    "space": field(st.sampled_from(["lab", "hsv", "both"]), ["rgb", ""]),
     "lab_mean_sigma": SIGMA,
     "lab_std_sigma": SIGMA,
     "hsv_mean_sigma": SIGMA,
@@ -968,12 +988,19 @@ PRETRAIN_KEYS = {
     "seed": field(st.integers(0, 2**63), [-1, 2**80]),
 }
 
+# Keys a flat pretrain config refuses whatever their value: ``space``
+# (each augmented view picks LAB or HSV by a coin).
+REFUSED_KEYS = {
+    "space": field(st.sampled_from(["lab", "hsv", "both"]), ["rgb", ""]),
+}
+CONFIG_KEYS = {**PRETRAIN_KEYS, **REFUSED_KEYS}
+
 
 @st.composite
 def pretrain_configs(draw):
-    keys = draw(st.lists(st.sampled_from(sorted(PRETRAIN_KEYS)),
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_KEYS)),
                          max_size=3, unique=True))
-    return {key: draw(PRETRAIN_KEYS[key]) for key in keys}
+    return {key: draw(CONFIG_KEYS[key]) for key in keys}
 
 
 class TestConfigSearch:
@@ -991,6 +1018,8 @@ class TestConfigSearch:
                 code = run_cli("pretrain", "--config", cfg, "--steps", "1",
                                "--batch-size", "1", "--out", out / "c.ckpt",
                                "--log-level", "quiet")
+            if set(config) & set(REFUSED_KEYS):
+                assert code == 2
             if code == 0:
                 assert (out / "c.ckpt").is_file()
             elif code == 1:
@@ -1198,8 +1227,9 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 8
 
-    def test_fault_injection_names_component(self, capsys):
-        assert main(["gradcheck", "--inject-fault", "heads.linear"]) == 1
+    def test_fault_injection_names_component(self, monkeypatch, capsys):
+        inject_fault(monkeypatch, "heads.linear")
+        assert main(["gradcheck"]) == 1
         captured = capsys.readouterr()
         assert "heads.linear" in captured.err
         assert "FAIL" in captured.out
@@ -1243,6 +1273,19 @@ class TestAugment:
                        "--out", tmp_path / "aug") == 3
         capsys.readouterr()
 
+    def test_reads_every_input_before_writing(self, tmp_path, capsys):
+        """An unreadable raster among readable ones: exit 3 with no
+        jittered copy or summary left behind, --out not even made."""
+        src = tmp_path / "in"
+        src.mkdir()
+        write_ppm(src / "a.ppm", noisy_raster(0, size=16))
+        (src / "b.ppm").write_bytes(b"P6 garbage")
+        write_ppm(src / "c.ppm", noisy_raster(1, size=16))
+        assert run_cli("augment", "--input", src,
+                       "--out", tmp_path / "aug") == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not (tmp_path / "aug").exists()
+
     @pytest.mark.parametrize("command", ["augment", "pretrain"])
     def test_unreadable_input_is_data_error(self, tmp_path, capsys,
                                             command):
@@ -1255,6 +1298,56 @@ class TestAugment:
         assert run_cli(command, "--input", src, *argv[command]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and "x.ppm" in err
+
+
+# A small pipeline run in a child process: each argv runs in order in
+# the child's working directory, and the child exits with the first
+# non-zero code.
+CHILD = """
+import json, sys
+from tokenhier.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv + ["--threads", sys.argv[2], "--log-level", "quiet"])
+    if code:
+        sys.exit(code)
+"""
+PIPELINE = [
+    ["bench", "--suite", "local", "--out", "suite", "--per-class", "5"],
+    ["pretrain", "--steps", "3", "--out", "enc.ckpt"],
+    ["embed", "--ckpt", "enc.ckpt", "--data", "suite", "--out", "suite.emb"],
+    ["probe", "--ckpt", "enc.ckpt", "--data", "suite", "--mode", "attnpool",
+     "--report", "probe.json"],
+]
+
+
+class TestCrossProcessDeterminism:
+    def test_primary_outputs_match_across_processes(self, tmp_path):
+        """The determinism contract across processes: the pipeline run
+        at OpenBLAS 1 thread, hash seed 1 and --threads 1, and again at
+        2 threads, hash seed 987 and --threads 2, writes the same
+        files with the same bytes, sidecar logs aside."""
+        src = str(Path(cli.__file__).parents[1])
+        trees = []
+        for blas, hash_seed in (("1", "1"), ("2", "987")):
+            run = tmp_path / f"blas{blas}"
+            run.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       OMP_NUM_THREADS=blas, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           src, os.environ.get("PYTHONPATH")])))
+            child = subprocess.run(
+                [sys.executable, "-c", CHILD, json.dumps(PIPELINE), blas],
+                cwd=run, env=env, capture_output=True, text=True,
+                timeout=120)
+            assert child.returncode == 0, child.stderr
+            trees.append({f.relative_to(run): f.read_bytes()
+                          for f in sorted(run.rglob("*"))
+                          if f.is_file() and f.suffix != ".log"})
+        # 10 rasters and report.json, the checkpoint and its loss log,
+        # the embeddings and the probe report
+        assert len(trees[0]) == 15
+        assert trees[0].keys() == trees[1].keys()
+        assert [f for f in trees[0] if trees[0][f] != trees[1][f]] == []
 
 
 class TestDemo:

@@ -163,9 +163,9 @@ class TestRasterValidation:
         with pytest.raises(ConfigError):
             as_raster(np.zeros((2, 2, 3)))
 
-    def test_wide_int_in_range_ok(self):
-        r = as_raster(np.full((2, 2, 3), 200, dtype=np.int64))
-        assert r.dtype == np.uint8
+    def test_wide_int_rejected(self):
+        with pytest.raises(ConfigError):
+            as_raster(np.full((2, 2, 3), 200, dtype=np.int64))
 
 
 def mid_range_raster(seed, h=24, w=24):

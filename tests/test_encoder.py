@@ -311,7 +311,7 @@ class TestCheckpointRoundTrip:
         cfg = small_cfg(depth=0)
         p = init_params(cfg, RngStream(seed=31))
         path = tmp_path / "enc.ckpt"
-        save_params(path, "encoder", {}, p)
+        save_params(path, "encoder", {}, p, {})
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         from tokenhier.errors import DataError

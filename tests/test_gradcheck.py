@@ -1,10 +1,12 @@
 """Pins of the finite-difference harness: the reported numbers and the
-fault-injection path of every component."""
+failure path of every component."""
 
+import numpy as np
 import pytest
 
+from tokenhier import gradcheck
 from tokenhier.cli import main
-from tokenhier.gradcheck import component_names, run_all
+from tokenhier.gradcheck import run_all
 
 # Worst sampled relative errors at the first verified build.  Exact
 # equality: every instance is drawn from fixed RNG streams, so any
@@ -27,9 +29,26 @@ def test_worst_errors_pinned():
     assert {r.component: r.worst_rel_err for r in results} == WORST_REL_ERR
 
 
-@pytest.mark.parametrize("component", component_names())
-def test_fault_injection_names_only_that_component(component, capsys):
-    assert main(["gradcheck", "--inject-fault", component]) == 1
+def inject_fault(monkeypatch, component):
+    """Wrap the component's builder so entry 0 of its first gradient by
+    name is off by 1.0; the harness always samples entry 0."""
+    build = gradcheck._COMPONENTS[component]
+
+    def faulty():
+        loss, grads, tensors, streams = build()
+        name = sorted(grads)[0]
+        bad = np.array(grads[name], dtype=np.float64)
+        bad.reshape(-1)[0] += 1.0
+        return loss, {**grads, name: bad}, tensors, streams
+
+    monkeypatch.setitem(gradcheck._COMPONENTS, component, faulty)
+
+
+@pytest.mark.parametrize("component", list(WORST_REL_ERR))
+def test_fault_injection_names_only_that_component(component, monkeypatch,
+                                                   capsys):
+    inject_fault(monkeypatch, component)
+    assert main(["gradcheck"]) == 1
     captured = capsys.readouterr()
     assert captured.err.strip() == f"gradient check failed: {component}"
     failing = [line.split()[0] for line in captured.out.splitlines()

@@ -535,8 +535,10 @@ class TestTrainStep:
         enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=19))
         log = tmp_path / "loss.jsonl"
-        run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
-                     RngStream(seed=20), steps=3, batch_size=2, log_path=log)
+        with open(log, "w", encoding="ascii") as fh:
+            run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
+                         RngStream(seed=20), steps=3, batch_size=2,
+                         log_file=fh)
         import json
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert len(lines) == 3

@@ -237,7 +237,7 @@ class TestTileSources:
         """Records come ordered by (source_id, y, x) whatever order the
         sources arrive in, and each source keeps its own level."""
         a, b = noisy_image(8, 512, 512), noisy_image(9, 512, 256)
-        levels, records = tile_sources([("b", b), ("a", a)], 256, 0.0)
+        levels, records = tile_sources([("b", b), ("a", a)], 256, 0.0, False)
         assert len(records) == 6
         keys = [(sid, y, x) for sid, x, y, _ in records]
         assert keys == sorted(keys)
@@ -249,11 +249,11 @@ class TestTileSources:
         def unread():
             raise AssertionError("source read before the parameter check")
             yield
-        assert tile_sources([], 16, 0.5) == ({}, [])
+        assert tile_sources([], 16, 0.5, False) == ({}, [])
         with pytest.raises(ConfigError):
-            tile_sources([], 0, 0.5)
+            tile_sources([], 0, 0.5, False)
         with pytest.raises(ConfigError):
-            tile_sources(unread(), 16, 7.0)
+            tile_sources(unread(), 16, 7.0, False)
 
 
 class TestManifestIo:
