@@ -50,8 +50,8 @@ from .color import StainAugConfig, read_ppm, stain_augment, write_ppm
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, TokenhierError
 from .gradcheck import TOLERANCE, run_all
-from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, balanced_accuracy,
-                    predict_batch, train_head)
+from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, predict_batch,
+                    train_head)
 from .numkernel import RngStream
 from .optim import AdamConfig
 from .ssl import (POSTTRAIN, init_train_state, load_train_state,
@@ -192,7 +192,7 @@ def _read_input(path):
     try:
         return read_ppm(path)
     except DataError as e:
-        raise ConfigError(f"unreadable input {path}: {e}") from None
+        raise ConfigError(f"unreadable input {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +288,9 @@ def _load_corpus(args, enc: EncoderConfig, seed: int) -> list:
                 raise ConfigError(f"{f}: raster {raster.shape[:2]} does not "
                                   f"match image_size {enc.image_size}")
         return corpus
+    if enc.image_size < 9:   # its block corners lie in [0, image_size - 8)
+        raise ConfigError(f"image_size {enc.image_size} is too small for the "
+                          "bundled corpus (needs >= 9); give --input")
     return make_pretrain_corpus(RngStream(seed=seed, stream_id=10),
                                 count=64, image_size=enc.image_size)
 
@@ -438,7 +441,6 @@ def cmd_bench(args) -> int:
                       for c in range(len(tr.class_names))])
     d = ((fte[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
     preds = np.argmin(d, axis=1)
-    baseline = balanced_accuracy(te.labels, preds, len(tr.class_names))
     fp = _fingerprint("bench", {"suite": args.suite,
                                 "per_class": args.per_class,
                                 "seed": args.seed})
@@ -451,7 +453,7 @@ def cmd_bench(args) -> int:
     _note(args, f"bench: suite={args.suite}")
     total = sum(len(s.items) for s in splits)
     _say(args, f"wrote {args.suite} suite ({total} items) -> {out_dir}; "
-               f"mean-color baseline bacc {baseline:.4f}")
+               f"mean-color baseline bacc {report['bacc']:.4f}")
     return 0
 
 
@@ -474,7 +476,9 @@ def cmd_ablate(args) -> int:
     per_class = _file_value(flat, "suite_per_class", int, 60)
     suites = acceptance_suites(RngStream(seed=suite_seed, stream_id=5),
                                per_class)
-    report = run_ablation(suites, cfg)
+    fp = _fingerprint("ablate", {**asdict(cfg), "suite_seed": suite_seed,
+                                 "suite_per_class": per_class})
+    report = run_ablation(suites, cfg, fp)
     _ensure_parent(args.out)
     write_report(report, args.out)
     _ensure_parent(args.svg)

@@ -237,7 +237,7 @@ def write_ppm(path, raster: Raster) -> None:
         fh.write(r.tobytes())
 
 
-def _ppm_token(buf: bytes, pos: int):
+def _ppm_token(buf: bytes, pos: int, path):
     # skip whitespace and '#' comment lines
     n = len(buf)
     while pos < n:
@@ -253,35 +253,35 @@ def _ppm_token(buf: bytes, pos: int):
     while pos < n and not _WS.match(buf[pos:pos + 1]):
         pos += 1
     if start == pos:
-        raise DataError("truncated PPM header")
+        raise DataError(f"{path}: truncated PPM header")
     return buf[start:pos], pos
 
 
 def read_ppm(path) -> Raster:
     """A binary PPM as a raster; a file that cannot be read or parsed
-    is a ``DataError``."""
+    is a ``DataError`` that names ``path``."""
     try:
         with open(path, "rb") as fh:
             buf = fh.read()
     except OSError as e:
-        raise DataError(f"cannot read PPM: {e}") from None
-    magic, pos = _ppm_token(buf, 0)
+        raise DataError(f"{path}: cannot read PPM: {e.strerror or e}") from None
+    magic, pos = _ppm_token(buf, 0, path)
     if magic != b"P6":
-        raise DataError(f"not a binary PPM (magic {magic!r})")
+        raise DataError(f"{path}: not a binary PPM (magic {magic!r})")
     fields = []
     for _ in range(3):
-        tok, pos = _ppm_token(buf, pos)
+        tok, pos = _ppm_token(buf, pos, path)
         try:
             fields.append(int(tok))
         except ValueError:
-            raise DataError(f"bad PPM header token {tok!r}") from None
+            raise DataError(f"{path}: bad PPM header token {tok!r}") from None
     w, h, maxval = fields
     if maxval != 255:
-        raise DataError(f"unsupported PPM maxval {maxval}")
+        raise DataError(f"{path}: unsupported PPM maxval {maxval}")
     if w <= 0 or h <= 0:
-        raise DataError(f"bad PPM dimensions {w}x{h}")
+        raise DataError(f"{path}: bad PPM dimensions {w}x{h}")
     pos += 1  # single whitespace byte after maxval
     data = buf[pos:pos + 3 * w * h]
     if len(data) != 3 * w * h:
-        raise DataError("PPM pixel payload truncated")
+        raise DataError(f"{path}: PPM pixel payload truncated")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()

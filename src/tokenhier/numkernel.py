@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError
-
 Mat = np.ndarray
 
 _M64_INT = 0xFFFFFFFFFFFFFFFF
@@ -184,8 +182,6 @@ class RngStream:
         u2 at 1, and the k-th of successive scalar calls reads u1 at
         2k and u2 at 2k+1, keeping only the cosine branch.
         """
-        if sigma < 0:
-            raise ConfigError(f"gaussian: sigma must be >= 0, got {sigma}")
         m = (n + 1) // 2
         raw = self._raw(2 * m)
         r, theta = _box_muller(raw[:m], raw[m:])
@@ -198,17 +194,13 @@ class RngStream:
         call: u1 words at the even counters, u2 at the odd ones."""
         mu = np.asarray(mu, dtype=np.float64)
         sigma = np.asarray(sigma, dtype=np.float64)
-        if np.any(sigma < 0):
-            raise ConfigError(f"gaussian: sigma must be >= 0, got {sigma}")
         raw = self._raw(2 * mu.size)
         r, theta = _box_muller(raw[0::2], raw[1::2])
         return mu + sigma * (r * np.cos(theta))
 
     def integers(self, n: int, bound: int) -> np.ndarray:
-        """n integers uniform over [0, bound). Modulo bias is negligible
-        for the small bounds used here (bound << 2^64)."""
-        if bound <= 0:
-            raise ConfigError("integers: bound must be positive")
+        """n integers uniform over [0, bound), bound >= 1.  Modulo bias is
+        negligible for the small bounds used here (bound << 2^64)."""
         return (self._raw(n) % np.uint64(bound)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:

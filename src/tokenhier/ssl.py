@@ -311,20 +311,12 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
     per raster and their outputs stand for both views, byte for byte.
     Gradients flow only into the student; the teacher follows by EMA
     and the centers by momentum on batch-mean teacher logits.
+
+    The caller has checked the inputs: a non-empty batch, num_patches
+    >= 2, and a Gram teacher on ``state`` for POSTTRAIN.
     """
-    if phase not in (PRETRAIN, POSTTRAIN):
-        raise ConfigError(f"unknown phase {phase!r}")
-    if phase == POSTTRAIN and state.gram_teacher is None:
-        raise ConfigError("post-training requires a gram teacher checkpoint")
     b = len(rasters)
-    if b < 1:
-        raise ConfigError("empty batch")
     n = enc_cfg.num_patches
-    if n < 2:
-        raise ConfigError(
-            f"num_patches must be >= 2 so a masked view keeps an unmasked "
-            f"token, got {n} (image_size {enc_cfg.image_size}, token_size "
-            f"{enc_cfg.token_size})")
 
     # view v = 2 i + vi of item i, patchified once for every encoder.
     # Unaugmented, both views of an item are the item itself: it is
@@ -442,12 +434,9 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
     """Fixed-step loop with deterministic with-replacement batching.
 
     Returns the list of per-step LossBreakdowns; optionally writes each
-    as a JSON line to the open text file ``log_file``.
+    as a JSON line to the open text file ``log_file``.  The caller has
+    checked ``steps >= 0``, ``batch_size >= 1`` and a non-empty corpus.
     """
-    if batch_size < 1 or steps < 0:
-        raise ConfigError("need batch_size >= 1 and steps >= 0")
-    if len(corpus) < 1:
-        raise ConfigError("empty corpus")
     history = []
     for _ in range(steps):
         pick = rng.derive(9001, state.step).integers(batch_size, len(corpus))

@@ -217,7 +217,7 @@ def test_c5_ablation_ordering():
     means, with the deltas rendered in '(x.x↑)' form."""
     t0 = time.time()
     suites = acceptance_suites(RngStream(seed=2024, stream_id=5), 60)
-    rep = run_ablation(suites, AblationConfig())
+    rep = run_ablation(suites, AblationConfig(), "0" * 16)
     elapsed = time.time() - t0
     rows = rep["ablation_rows"]
     m1 = rows[1]["bacc"] - rows[0]["bacc"]

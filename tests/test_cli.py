@@ -693,7 +693,7 @@ class TestTraining:
 
     def test_single_patch_geometry_is_usage_error(self, tmp_path, capsys):
         """image_size == token_size leaves one patch: masking it would
-        leave the student nothing unmasked, so the step refuses."""
+        leave the student nothing unmasked, so the command refuses."""
         cfg = tmp_path / "one_patch.json"
         cfg.write_text(json.dumps({"image_size": 16, "token_size": 16}))
         assert run_cli("pretrain", "--steps", "1", "--config", cfg,
@@ -735,6 +735,53 @@ class TestTraining:
         err = capsys.readouterr().err
         assert "small.ppm" in err and "does not match image_size 64" in err
         assert not out.exists()
+
+    def test_malformed_corpus_raster_is_named(self, tmp_path, capsys):
+        """An --input raster that does not parse exits 3 naming the
+        file, before the loss log or the checkpoint is opened."""
+        src = tmp_path / "corpus"
+        src.mkdir()
+        write_ppm(src / "a.ppm", noisy_raster(0, size=64))
+        (src / "b.ppm").write_bytes(b"P6 garbage")
+        out = tmp_path / "out"
+        assert run_cli("pretrain", "--steps", "1", "--input", src,
+                       "--out", out / "c.ckpt") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "b.ppm" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "posttrain"])
+    def test_bundled_corpus_needs_image_size_9(self, work, tmp_path,
+                                               command, capsys):
+        """The bundled corpus has no rasters under 9 pixels: exit 2
+        naming image_size and pointing to --input, writing nothing."""
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({"image_size": 8, "token_size": 4}))
+        out = tmp_path / "out"
+        argv = [command, "--steps", "0", "--config", cfg,
+                "--out", out / "c.ckpt"]
+        if command == "posttrain":
+            argv += ["--gram-teacher", work / "init.ckpt"]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: image_size 8 ") and "--input" in err
+        assert not out.exists()
+
+    def test_small_rasters_train_from_input(self, tmp_path, capsys):
+        """8x8 rasters from --input train: the size floor is the
+        bundled corpus's alone."""
+        src = tmp_path / "corpus"
+        src.mkdir()
+        for i in range(3):
+            write_ppm(src / f"r{i}.ppm", noisy_raster(i, size=8))
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({"image_size": 8, "token_size": 4}))
+        ck = tmp_path / "c.ckpt"
+        assert run_cli("pretrain", "--steps", "2", "--batch-size", "2",
+                       "--config", cfg, "--input", src, "--out", ck,
+                       "--log-level", "quiet") == 0
+        assert load_train_state(ck)[0].step == 2
+        capsys.readouterr()
 
 
 def _header(**fields):
@@ -1283,7 +1330,8 @@ class TestAugment:
         write_ppm(src / "c.ppm", noisy_raster(1, size=16))
         assert run_cli("augment", "--input", src,
                        "--out", tmp_path / "aug") == 3
-        assert capsys.readouterr().err.startswith("data error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "b.ppm" in err
         assert not (tmp_path / "aug").exists()
 
     @pytest.mark.parametrize("command", ["augment", "pretrain"])
@@ -1382,7 +1430,8 @@ class TestConfigFingerprints:
     plumbing must not move a fingerprint, or artifacts written before
     and after stop matching.  A pin moves only when what a config holds
     changes on purpose, as when ``enabled`` joined the augment
-    fingerprint and ``gram_teacher_checkpoint`` left the SSL config."""
+    fingerprint, ``gram_teacher_checkpoint`` left the SSL config and
+    the suite seed and size joined the ablate fingerprint."""
 
     PINS = {
         ("augment", "default"): "daee191f7fda3fe2",
@@ -1390,6 +1439,7 @@ class TestConfigFingerprints:
         ("augment", "disabled"): "98dd8452f5ccd346",
         ("pretrain", "default"): "3e6cc5fc1ab10a2a",
         ("pretrain", "file"): "5011aa50e9144047",
+        ("ablate", "tiny"): "2bfeef2c9997dc98",
     }
 
     @pytest.mark.parametrize("source", ["default", "file"])
@@ -1439,7 +1489,7 @@ class TestConfigFingerprints:
         assert run_cli("ablate", "--config", cfg, "--out", out,
                        "--log-level", "quiet") == 0
         report = json.loads(out.read_text())
-        assert report["config_fingerprint"] == "08938a7cd85cec21"
+        assert report["config_fingerprint"] == self.PINS["ablate", "tiny"]
         assert report["ablation_rows"][0]["split_hashes"] == {
             "local": ["4054f80f8341fecf", "05afc50473976086",
                       "41fa34a99298e98a"],
@@ -1447,6 +1497,20 @@ class TestConfigFingerprints:
                         "db48e84f4f845296"]}
         assert (config_fingerprint(asdict(AblationConfig()))
                 == "87a4c75afa26a847")
+        capsys.readouterr()
+
+    def test_ablate_covers_the_suites(self, tmp_path, capsys):
+        """The suite seed and size make the datasets, so runs that
+        differ only in one of them never share a fingerprint."""
+        fps = {self.PINS["ablate", "tiny"]}
+        for change in ({"suite_seed": 7}, {"suite_per_class": 7}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**json.loads(TINY_ABLATE), **change}))
+            out = tmp_path / "abl.json"
+            assert run_cli("ablate", "--config", cfg, "--out", out,
+                           "--log-level", "quiet") == 0
+            fps.add(json.loads(out.read_text())["config_fingerprint"])
+        assert len(fps) == 3
         capsys.readouterr()
 
     def test_embed_and_probe(self, work, tmp_path, capsys):
@@ -1494,6 +1558,12 @@ def args_reads(functions, name):
     return reads
 
 
+def subcommands() -> dict:
+    """{name: parser} of every ``build_parser()`` subcommand."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_option_is_read():
     """Every option a subcommand accepts is read as ``args.<dest>`` by
     its handler, a ``cli`` helper the handler passes ``args`` to, or
@@ -1502,10 +1572,8 @@ def test_every_option_is_read():
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
     in_main = args_reads(functions, "main")
-    commands = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
     unread = []
-    for command, sub in commands.items():
+    for command, sub in subcommands().items():
         reads = in_main | args_reads(functions,
                                      sub.get_default("func").__name__)
         unread += [f"{command} {action.option_strings[0]}"
@@ -1526,3 +1594,77 @@ def test_readme_commands_parse():
     assert len(lines) >= len(MINIMAL_ARGV)
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+# Every action of every subcommand, in parser order, as (flags, dest,
+# default, choices, required, type name); each starts with COMMON.
+COMMON = [
+    (("-h", "--help"), "help", argparse.SUPPRESS, None, False, None),
+    (("--threads",), "threads", None, None, False, "int"),
+    (("--log-level",), "log_level", "info", ("quiet", "info"), False, None),
+]
+TRAINING = [
+    (("--steps",), "steps", None, None, False, "int"),
+    (("--batch-size",), "batch_size", None, None, False, "int"),
+    (("--out",), "out", None, None, True, None),
+    (("--input",), "input", None, None, False, None),
+    (("--log",), "log", None, None, False, None),
+]
+CONFIG = (("--config",), "config", None, None, False, None)
+SEED_0 = (("--seed",), "seed", 0, None, False, "int")
+SEED_NONE = (("--seed",), "seed", None, None, False, "int")
+OPTION_TABLE = {
+    "tile": [
+        (("--input",), "input", None, None, True, None),
+        (("--out",), "out", None, None, True, None),
+        (("--tile-size",), "tile_size", 256, None, False, "int"),
+        (("--min-tissue",), "min_tissue", 0.5, None, False, "float"),
+        (("--invert",), "invert", False, None, False, None)],
+    "augment": [
+        (("--input",), "input", None, None, True, None),
+        (("--out",), "out", None, None, True, None),
+        (("--space",), "space", None, ("lab", "hsv", "both"), False, None),
+        CONFIG, SEED_0],
+    "pretrain": [*TRAINING, CONFIG, SEED_NONE],
+    "posttrain": [
+        *TRAINING,
+        (("--gram-teacher",), "gram_teacher", None, None, False, None),
+        (("--init",), "init", None, None, False, None),
+        CONFIG, SEED_NONE],
+    "embed": [
+        (("--ckpt",), "ckpt", None, None, True, None),
+        (("--data",), "data", None, None, True, None),
+        (("--out",), "out", None, None, True, None)],
+    "probe": [
+        (("--ckpt",), "ckpt", None, None, True, None),
+        (("--data",), "data", None, None, True, None),
+        (("--mode",), "mode", None, ("linear", "attnpool"), True, None),
+        (("--report",), "report", None, None, True, None),
+        CONFIG, SEED_NONE],
+    "bench": [
+        (("--suite",), "suite", None, ("global", "local", "shifted"), True,
+         None),
+        (("--out",), "out", None, None, True, None),
+        (("--per-class",), "per_class", 30, None, False, "int"),
+        SEED_0],
+    "ablate": [
+        (("--out",), "out", None, None, True, None),
+        (("--svg",), "svg", None, None, False, None),
+        CONFIG],
+    "gradcheck": [],
+    "demo": [
+        (("--out",), "out", None, None, True, None),
+        SEED_0],
+}
+
+
+def test_option_table_is_pinned():
+    """Each subcommand takes exactly the pinned options: none dropped,
+    added, renamed, retyped or given another default.  Unlike the
+    ``--help`` text, the table does not depend on the Python version."""
+    table = {command: [(tuple(a.option_strings), a.dest, a.default,
+                        a.choices, a.required, a.type and a.type.__name__)
+                       for a in sub._actions]
+             for command, sub in subcommands().items()}
+    assert table == {command: COMMON + rows
+                     for command, rows in OPTION_TABLE.items()}

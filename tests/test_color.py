@@ -485,12 +485,6 @@ class TestSinglePassKernels:
         assert a.counter == b.counter  # the stream advances the same way
         assert np.array_equal(a.uniform(2), b.uniform(2))
 
-    def test_jitter_draw_rejects_negative_sigma(self):
-        with pytest.raises(ConfigError):
-            draw_stain_jitter(RngStream(seed=0), (1.0, -0.1, 1.0),
-                              (0.1, 0.1, 0.1))
-
-
 # a 3x2 binary PPM with a header comment
 VALID_PPM = b"P6\n# c\n3 2\n255\n" + bytes(range(18))
 
