@@ -100,7 +100,7 @@ class TestLabeledDataset:
 
 
 class TestSuiteSpec:
-    @pytest.mark.parametrize("kw", [dict(per_class=4)])
+    @pytest.mark.parametrize("kw", [pytest.param(dict(per_class=4), id="kw2")])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
             SuiteSpec(**kw)
