@@ -8,8 +8,10 @@ Conventions shared by every command:
   - exit codes, carried by the classes in :mod:`tokenhier.errors`: 0
     success, 1 verification failure, 2 usage/config error, 3 data
     error; ``demo`` exits with a failing step's code
-  - outputs are checked before any work: one under a non-directory,
-    or a file output naming a directory, exits 2 and writes nothing
+  - ``_OUTPUTS`` is the one home of what each command writes and its
+    default paths; outputs are checked before any work: one under a
+    non-directory, a file output naming a directory, or two outputs
+    on one path exits 2 and writes nothing
   - augment, pretrain, posttrain, probe and ablate read an optional
     JSON config file (--config; flat, module-mirrored field names) with
     command-line flags overriding file values; every key's JSON type is
@@ -128,44 +130,39 @@ def _check_threads(args) -> None:
         raise ConfigError(f"--threads must be >= 1, got {value}")
 
 
-# the summary file a command writes inside its directory --out
-_SUMMARY_IN_OUT = {"augment": "augment_summary.json", "bench": "report.json"}
-
-
-def _fill_default_outputs(args) -> None:
-    """The one home of the default output paths, set on ``args`` before
-    :func:`_check_outputs` sees them: the training loss log
-    (``<out>.losses.jsonl``), the ablation bar chart (``<out>.svg``),
-    ``args.summary`` inside the --out of augment and bench, and
-    ``args.note``, the ``<primary>.log`` sidecar of :func:`_note`
-    (None for gradcheck and demo, which keep none)."""
-    command = args.command
-    if command in ("pretrain", "posttrain") and args.log is None:
-        args.log = f"{args.out}.losses.jsonl"
-    if command == "ablate" and args.svg is None:
-        args.svg = f"{args.out}.svg"
-    primary = getattr(args, "report", None) or getattr(args, "out", None)
-    args.summary = None
-    if command in _SUMMARY_IN_OUT:
-        primary = args.summary = Path(args.out) / _SUMMARY_IN_OUT[command]
-    args.note = None if command in ("gradcheck", "demo") else f"{primary}.log"
+# What each subcommand writes, primary first: (flag, default path over
+# --out, is_dir); a flag without dashes is an ``args`` attribute only.
+_OUTPUTS = {
+    "tile": [("--out", None, False)],
+    "augment": [("--out", None, True),
+                ("summary", "{}/augment_summary.json", False)],
+    "pretrain": [("--out", None, False), ("--log", "{}.losses.jsonl", False)],
+    "embed": [("--out", None, False)],
+    "probe": [("--report", None, False)],
+    "bench": [("--out", None, True), ("summary", "{}/report.json", False)],
+    "ablate": [("--out", None, False), ("--svg", "{}.svg", False)],
+    "gradcheck": [],
+    "demo": [("--out", None, True)],
+}
+_OUTPUTS["posttrain"] = _OUTPUTS["pretrain"]
 
 
 def _check_outputs(args) -> None:
-    """Refuse, before any work and writing nothing, an output path that
-    lies under an existing non-directory, and a file output that is an
-    existing directory; the default sidecars are checked like given
-    paths.  The --out of augment, bench and demo is a directory."""
-    outputs = (("--out", getattr(args, "out", None),
-                args.command in ("augment", "bench", "demo")),
-               ("--report", getattr(args, "report", None), False),
-               ("--log", getattr(args, "log", None), False),
-               ("--svg", getattr(args, "svg", None), False),
-               ("summary", args.summary, False),
-               ("sidecar", args.note, False))
-    for flag, path, is_dir in outputs:
-        if path is None:
-            continue
+    """Fill :data:`_OUTPUTS`' defaults and the ``<first file>.log`` note
+    into ``args``; refuse, writing nothing, an output under a file, a
+    file output that is a directory, or two outputs on one path."""
+    values, seen = vars(args), {}
+    args.outputs = []
+    for flag, default, is_dir in _OUTPUTS[args.command]:
+        dest = flag.lstrip("-")
+        if values.get(dest) is None:
+            values[dest] = default.format(args.out)
+        args.outputs.append((flag, values[dest], is_dir))
+    files = [path for _, path, is_dir in args.outputs if not is_dir]
+    args.note = f"{files[0]}.log" if files else None
+    if files:
+        args.outputs.append(("sidecar", args.note, False))
+    for flag, path, is_dir in args.outputs:
         target = Path(path).absolute()
         start = target if is_dir else target.parent
         nearest = next(p for p in (start, *start.parents) if p.exists())
@@ -173,11 +170,16 @@ def _check_outputs(args) -> None:
             raise ConfigError(f"{flag} {path}: {nearest} is not a directory")
         if not is_dir and target.is_dir():
             raise ConfigError(f"{flag} {path} is a directory")
+        other = seen.setdefault(target.resolve(), flag)
+        if other != flag:
+            raise ConfigError(f"{flag} {path} is the same path as {other}")
 
 
-def _ensure_parent(path) -> None:
-    parent = Path(path).resolve().parent
-    parent.mkdir(parents=True, exist_ok=True)
+def _make_outputs(args) -> None:
+    """Create each output directory and each output file's parent."""
+    for _, path, is_dir in args.outputs:
+        path = Path(path).resolve()
+        (path if is_dir else path.parent).mkdir(parents=True, exist_ok=True)
 
 
 def _ppm_files(directory) -> list:
@@ -212,7 +214,7 @@ def cmd_tile(args) -> int:
     elif all(t is None for t in levels.values()):
         raise DataError("every input image has a single gray level; "
                         "nothing tiled")
-    _ensure_parent(args.out)
+    _make_outputs(args)
     write_manifest(args.out, levels, records, args.tile_size,
                    args.min_tissue, fp)
     _note(args, f"tile: {len(files)} sources")
@@ -233,7 +235,7 @@ def cmd_augment(args) -> int:
         raise DataError(f"no .ppm files under {args.input}")
     rasters = [read_ppm(f) for f in files]   # all read before any write
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_outputs(args)
     fp = _fingerprint("augment", {"seed": args.seed, **asdict(aug)})
     root = RngStream(seed=args.seed, stream_id=71)
     for i, (f, raster) in enumerate(zip(files, rasters)):
@@ -295,7 +297,8 @@ def _load_corpus(args, enc: EncoderConfig, seed: int) -> list:
                                 count=64, image_size=enc.image_size)
 
 
-def _run_ssl(args, phase: str) -> int:
+def _run_ssl(args) -> int:
+    phase = args.command
     enc, ssl, aug, steps, batch, adam, seed, resolved = _training_configs(args)
     resolved["phase"] = phase
     fp = _fingerprint(phase, resolved)
@@ -322,8 +325,7 @@ def _run_ssl(args, phase: str) -> int:
         state.gram_teacher = gram_params
     else:
         state = init_train_state(enc, ssl, RngStream(seed=seed, stream_id=11))
-    _ensure_parent(args.out)
-    _ensure_parent(args.log)
+    _make_outputs(args)
     with open(args.log, "w", encoding="ascii") as fh:
         fh.write(json.dumps({"config_fingerprint": fp, "phase": phase},
                             sort_keys=True) + "\n")
@@ -340,14 +342,6 @@ def _run_ssl(args, phase: str) -> int:
     else:
         _say(args, f"{phase} 0 steps: checkpoint is the initialization")
     return 0
-
-
-def cmd_pretrain(args) -> int:
-    return _run_ssl(args, "pretrain")
-
-
-def cmd_posttrain(args) -> int:
-    return _run_ssl(args, POSTTRAIN)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +361,7 @@ def cmd_embed(args) -> int:
     fp = _fingerprint("embed", {"encoder": asdict(enc_cfg),
                                 "data": sorted(ds.source_ids)})
     seqs = embed_dataset(ds, params, enc_cfg)
-    _ensure_parent(args.out)
+    _make_outputs(args)
     save_embeddings(args.out, seqs, ds.labels, enc_cfg,
                     extra={"config_fingerprint": fp,
                            "class_names": ds.class_names})
@@ -404,7 +398,7 @@ def cmd_probe(args) -> int:
                          class_names=ds.class_names,
                          extra={"head_mode": args.mode,
                                 "val_bacc": result.best_val_bacc})
-    _ensure_parent(args.report)
+    _make_outputs(args)
     write_report(report, args.report)
     _note(args, f"probe: mode={args.mode}")
     _say(args, f"probe {args.mode} test bacc {report['bacc']:.4f}")
@@ -419,7 +413,7 @@ def _materialize_suite(kind: str, per_class: int, seed: int, out_dir: Path):
     spec = SuiteSpec(per_class=per_class, **B.SUITE_SPECS[kind])
     splits = make_synthetic_suite(RngStream(seed=seed, stream_id=5), spec)
     for name in (f"class{c}" for c in range(spec.num_classes)):
-        (out_dir / name).mkdir(parents=True, exist_ok=True)
+        (out_dir / name).mkdir(exist_ok=True)
     for split in splits:
         for (raster, label), sid in zip(split.items, split.source_ids):
             name = f"class{label}"
@@ -429,6 +423,7 @@ def _materialize_suite(kind: str, per_class: int, seed: int, out_dir: Path):
 
 def cmd_bench(args) -> int:
     out_dir = Path(args.out)
+    _make_outputs(args)
     splits = _materialize_suite(args.suite, args.per_class, args.seed,
                                 out_dir)
     tr, va, te = splits
@@ -479,9 +474,8 @@ def cmd_ablate(args) -> int:
     fp = _fingerprint("ablate", {**asdict(cfg), "suite_seed": suite_seed,
                                  "suite_per_class": per_class})
     report = run_ablation(suites, cfg, fp)
-    _ensure_parent(args.out)
+    _make_outputs(args)
     write_report(report, args.out)
-    _ensure_parent(args.svg)
     write_bacc_svg(report, args.svg)
     _note(args, f"ablate: seeds={list(cfg.seeds)}")
     _say(args, render_ablation_table(report))
@@ -512,7 +506,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_demo(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_outputs(args)
     passthrough = ["--log-level", args.log_level]
     if args.threads is not None:
         passthrough += ["--threads", str(args.threads)]
@@ -607,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=("lab", "hsv", "both"), default=None)
     p.set_defaults(func=cmd_augment)
 
-    for name, fn in (("pretrain", cmd_pretrain), ("posttrain", cmd_posttrain)):
+    for name in ("pretrain", "posttrain"):
         p = sub.add_parser(name, parents=[common],
                            help=f"{name} the encoder; JSON-lines loss log "
                                 "rides next to the checkpoint")
@@ -625,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--init", default=None,
                            help="starting checkpoint (default: the gram "
                                 "teacher itself)")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_run_ssl)
 
     p = sub.add_parser("embed", parents=[common],
                        help="frozen-encoder embeddings for a class tree")
@@ -692,7 +686,6 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         _check_threads(args)
-        _fill_default_outputs(args)
         _check_outputs(args)
         return args.func(args)
     except TokenhierError as e:

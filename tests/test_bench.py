@@ -1,6 +1,5 @@
 import hashlib
 import json
-import warnings
 from dataclasses import asdict
 
 import jsonschema

@@ -376,6 +376,26 @@ class TestOutputsCheckedFirst:
         err = self.refused(work, tmp_path, monkeypatch, capsys, stub, argv)
         assert err.startswith("error: ") and f"{sidecar} is a directory" in err
 
+    @pytest.mark.parametrize("stub,argv,clash", [
+        ("run_training", "pretrain --steps 1 --out {tmp}/c.ckpt "
+                         "--log {tmp}/c.ckpt.log", "sidecar"),
+        ("run_training", "pretrain --steps 1 --out {tmp}/d.ckpt "
+                         "--log {tmp}/d.ckpt", "--log"),
+        ("run_ablation", "ablate --config {tmp}/one-seed.json "
+                         "--out {tmp}/a.json --svg {tmp}/a.json", "--svg"),
+        ("run_ablation", "ablate --config {tmp}/one-seed.json "
+                         "--out {tmp}/a.json --svg {tmp}/sub/../a.json",
+         "--svg")],
+        ids=["pretrain-note-is-log", "pretrain-log-is-out",
+             "ablate-svg-is-out", "ablate-svg-resolves-to-out"])
+    def test_two_outputs_on_one_path_refused(self, work, tmp_path,
+                                             monkeypatch, capsys, stub,
+                                             argv, clash):
+        """Two outputs that resolve to one path would lose an artifact
+        to the other, so the command refuses before any work."""
+        err = self.refused(work, tmp_path, monkeypatch, capsys, stub, argv)
+        assert err.startswith(f"error: {clash} ") and "same path as" in err
+
     @staticmethod
     def refused(work, tmp_path, monkeypatch, capsys, stub, argv):
         """Run argv with ``stub`` refusing work; assert exit 2 and an
@@ -1581,6 +1601,19 @@ def test_every_option_is_read():
                    if not isinstance(action, argparse._HelpAction)
                    and action.dest not in reads]
     assert not unread, f"options no code reads: {unread}"
+
+
+def test_output_table_matches_parser():
+    """``cli._OUTPUTS`` has a row for every subcommand; each dashed flag
+    in a row is an option of its subcommand, and every output option a
+    subcommand takes is in its row."""
+    assert set(cli._OUTPUTS) == set(subcommands())
+    for command, sub in subcommands().items():
+        options = {s for a in sub._actions for s in a.option_strings}
+        flags = {flag for flag, _, _ in cli._OUTPUTS[command]}
+        assert {f for f in flags if f.startswith("--")} <= options, command
+        outputs = options & {"--out", "--report", "--log", "--svg"}
+        assert outputs <= flags, command
 
 
 def test_readme_commands_parse():

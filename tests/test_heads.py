@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +7,8 @@ from tokenhier.encoder import TokenSequence
 from tokenhier.errors import ConfigError
 from tokenhier.heads import (ATTNPOOL, LINEAR, AttnPoolParams,
                              HeadTrainConfig, ProbeParams, _stack,
-                             head_gradients, make_attnpool_params,
-                             predict_batch, probs_batch, train_head)
+                             head_gradients, predict_batch,
+                             probs_batch, train_head)
 from tokenhier.numkernel import RngStream, softmax_backward, softmax_rows
 
 from token_suite import make_token_suite

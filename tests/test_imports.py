@@ -1,8 +1,9 @@
-"""Every name a package module imports, and every module-private
-top-level name it defines, is used in that module; package modules
-import each other at module level only; every public
-top-level name is read somewhere in the package; every parameter is
-read by its function; every dataclass field is read as an attribute.
+"""Every name a package or test module imports, and every
+module-private top-level name a package module defines, is used in
+that module; package modules import each other at module level only;
+every public top-level name is read somewhere in the package; every
+parameter is read by its function; every dataclass field is read as
+an attribute.
 
 Deleting code tends to leave its imports, helpers and knobs behind;
 this catches them with the standard-library parser, no linter needed.
@@ -25,6 +26,7 @@ from tokenhier import cli
 from tokenhier.errors import ConfigError, DataError, NumericError
 
 MODULES = sorted(Path(tokenhier.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree):
@@ -51,7 +53,9 @@ def used_names(tree):
     return used | set(exported_names(tree))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES,
+    ids=lambda p: p.name if p in MODULES else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(imported_names(tree)) - used_names(tree))

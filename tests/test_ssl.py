@@ -16,13 +16,11 @@ from tokenhier import ssl as ssl_module
 from tokenhier.encoder import EncoderConfig, forward_batch
 from tokenhier.errors import ConfigError
 from tokenhier.numkernel import RngStream, init_tensors
-from tokenhier.optim import AdamConfig
 from tokenhier.ssl import (
     LossBreakdown,
     POSTTRAIN,
     PRETRAIN,
     SslConfig,
-    TrainState,
     _draw_mask,
     _sub,
     centered_ce_loss_grad,
