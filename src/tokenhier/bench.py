@@ -458,14 +458,14 @@ _ROW_DEFS = (
 )
 
 
-# The shipped keyword sets of each suite kind, shared by the CLI's
-# ``bench`` trees and the ablation grid.
+# The shipped spec of each suite kind, shared by the CLI's ``bench``
+# trees and the ablation grid; callers replace ``per_class``.
 SUITE_SPECS = {
-    GLOBAL: dict(kind=GLOBAL),
-    LOCAL: dict(kind=LOCAL, color_jitter=0.0, gradient_amp=20.0),
-    SHIFTED: dict(kind=SHIFTED, color_step=2.0, color_jitter=3.0,
-                  structure_amp=20.0, shift_offset=(20.0, 16.0, -10.0),
-                  shift_scale=(1.25, 1.25, 1.25)),
+    GLOBAL: SuiteSpec(kind=GLOBAL),
+    LOCAL: SuiteSpec(kind=LOCAL, color_jitter=0.0, gradient_amp=20.0),
+    SHIFTED: SuiteSpec(kind=SHIFTED, color_step=2.0, color_jitter=3.0,
+                       structure_amp=20.0, shift_offset=(20.0, 16.0, -10.0),
+                       shift_scale=(1.25, 1.25, 1.25)),
 }
 
 
@@ -473,7 +473,7 @@ def acceptance_suites(rng: RngStream, per_class: int) -> dict:
     """The shipped desk-scale pair: LOCAL with distractor textures and
     SHIFTED with an out-of-protocol color change over a structural label."""
     def suite(i, kind):
-        spec = SuiteSpec(per_class=per_class, **SUITE_SPECS[kind])
+        spec = replace(SUITE_SPECS[kind], per_class=per_class)
         return make_synthetic_suite(rng.derive(i), spec)
 
     return {"local": suite(0, LOCAL), "shifted": suite(1, SHIFTED)}

@@ -11,10 +11,13 @@ Conventions shared by every command:
   - ``_OUTPUTS`` is the one home of what each command writes and its
     default paths; outputs are checked before any work: one under a
     non-directory, a file output naming a directory, or two outputs
-    on one path exits 2 and writes nothing
+    on one path exits 2 and writes nothing; so does an augment --out
+    that is its --input, or a bench --out holding rasters of another
+    suite
   - augment, pretrain, posttrain, probe and ablate read an optional
-    JSON config file (--config; flat, module-mirrored field names) with
-    command-line flags overriding file values; every key's JSON type is
+    JSON config file (--config; flat, module-mirrored field names)
+    through ``_read_config_file``, with command-line flags overriding
+    file values; unknown keys are refused, every key's JSON type is
     checked, and integer keys take integers only
   - augment, bench and demo take --seed (default 0), and so do
     pretrain, posttrain and probe (default: the config file's seed,
@@ -42,18 +45,17 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as B
-from .bench import (AblationConfig, SuiteSpec, acceptance_suites,
-                    embed_dataset, ingest_directory, make_report,
-                    make_pretrain_corpus, make_synthetic_suite,
-                    render_ablation_table, run_ablation, save_embeddings,
-                    split_dataset, write_bacc_svg, write_report)
+from .bench import (AblationConfig, acceptance_suites, embed_dataset,
+                    ingest_directory, make_report, make_pretrain_corpus,
+                    make_synthetic_suite, render_ablation_table,
+                    run_ablation, save_embeddings, split_dataset,
+                    write_bacc_svg, write_report)
 from .checkpoint import check_value, config_fingerprint, read_config
 from .color import StainAugConfig, read_ppm, stain_augment, write_ppm
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, TokenhierError
 from .gradcheck import TOLERANCE, run_all
-from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, predict_batch,
-                    train_head)
+from .heads import ATTNPOOL, LINEAR, predict_batch, train_head
 from .numkernel import RngStream
 from .optim import AdamConfig
 from .ssl import (POSTTRAIN, init_train_state, load_train_state,
@@ -83,23 +85,23 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _read_over(base, flat: dict):
-    """``base`` with the flat config keys naming its fields read over it."""
-    return read_config(type(base), {k: flat.get(k, v)
-                                    for k, v in asdict(base).items()})
-
-
-def _file_value(flat: dict, key: str, kind, default, flag=None):
-    """A config-file key outside the config dataclasses, type-checked
-    even when ``flag`` (a command-line value) overrides it."""
-    value = check_value(key, kind, flat.get(key, default))
-    return value if flag is None else flag
-
-
-def _reject_unknown(flat: dict, known):
-    unknown = sorted(set(flat) - set(known))
+def _read_config_file(args, bases, loose=None, refused=()):
+    """The ``--config`` file read over each config in ``bases``, then its
+    loose keys ``{key: (default, flag)}`` checked against the type of
+    their default, a set flag winning; keys nothing names, and keys in
+    ``refused``, are refused.  Returns the configs, then the values."""
+    flat, loose = _load_config_file(args.config), loose or {}
+    known = {k for base in bases for k in asdict(base)} | set(loose)
+    unknown = sorted(set(flat) - (known - set(refused)))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    configs = [read_config(type(base), {k: flat.get(k, v)
+                                        for k, v in asdict(base).items()})
+               for base in bases]
+    for key, (default, flag) in loose.items():
+        value = check_value(key, type(default), flat.get(key, default))
+        configs.append(value if flag is None else flag)
+    return configs
 
 
 def _fingerprint(command: str, resolved: dict) -> str:
@@ -227,7 +229,11 @@ def cmd_tile(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    aug = read_config(StainAugConfig, _load_config_file(args.config))
+    # each jittered copy keeps its source's name, so one directory for
+    # both would overwrite the inputs
+    if Path(args.out).resolve() == Path(args.input).resolve():
+        raise ConfigError(f"--out {args.out} is the same path as --input")
+    aug, = _read_config_file(args, [StainAugConfig()])
     if args.space is not None:
         aug = replace(aug, space=args.space)
     files = _ppm_files(args.input)
@@ -252,18 +258,14 @@ def cmd_augment(args) -> int:
 
 
 def _training_configs(args):
-    flat = _load_config_file(args.config)
-    bases = (_DESK.encoder, _DESK.ssl, _DESK.aug)
     # no space key: each augmented view picks LAB or HSV by a coin
-    _reject_unknown(flat, [k for base in bases for k in asdict(base)
-                           if k != "space"]
-                    + ["steps", "batch_size", "lr", "seed"])
-    enc, ssl, aug = (_read_over(base, flat) for base in bases)
-    steps = _file_value(flat, "steps", int, 200, args.steps)
-    batch = _file_value(flat, "batch_size", int, _DESK.batch_size,
-                        args.batch_size)
-    lr = float(_file_value(flat, "lr", float, _DESK.ssl_lr))
-    seed = _file_value(flat, "seed", int, 0, args.seed)
+    enc, ssl, aug, steps, batch, lr, seed = _read_config_file(
+        args, [_DESK.encoder, _DESK.ssl, _DESK.aug],
+        {"steps": (200, args.steps),
+         "batch_size": (_DESK.batch_size, args.batch_size),
+         "lr": (_DESK.ssl_lr, None), "seed": (0, args.seed)},
+        refused=["space"])
+    lr = float(lr)
     if steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {steps}")
     if batch < 1:
@@ -375,8 +377,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    head_cfg = read_config(HeadTrainConfig, {
-        **asdict(_DESK.head), **_load_config_file(args.config)})
+    head_cfg, = _read_config_file(args, [_DESK.head])
     if args.seed is not None:
         head_cfg = replace(head_cfg, seed=args.seed)
     params, enc_cfg = _encoder_from_checkpoint(args.ckpt)
@@ -409,23 +410,22 @@ def cmd_probe(args) -> int:
 # bench
 
 
-def _materialize_suite(kind: str, per_class: int, seed: int, out_dir: Path):
-    spec = SuiteSpec(per_class=per_class, **B.SUITE_SPECS[kind])
-    splits = make_synthetic_suite(RngStream(seed=seed, stream_id=5), spec)
-    for name in (f"class{c}" for c in range(spec.num_classes)):
-        (out_dir / name).mkdir(exist_ok=True)
-    for split in splits:
-        for (raster, label), sid in zip(split.items, split.source_ids):
-            name = f"class{label}"
-            write_ppm(out_dir / name / f"{sid}.ppm", raster)
-    return splits
-
-
 def cmd_bench(args) -> int:
     out_dir = Path(args.out)
+    spec = replace(B.SUITE_SPECS[args.suite], per_class=args.per_class)
+    splits = make_synthetic_suite(RngStream(seed=args.seed, stream_id=5), spec)
+    rasters = {out_dir / f"class{label}" / f"{sid}.ppm": raster
+               for split in splits
+               for (raster, label), sid in zip(split.items, split.source_ids)}
+    # a tree holding another suite's rasters would mix two suites
+    stray = sorted(set(out_dir.glob("*/*.ppm")) - set(rasters))
+    if stray:
+        raise ConfigError(f"--out {args.out} already holds {stray[0]}, "
+                          "which this suite does not write")
     _make_outputs(args)
-    splits = _materialize_suite(args.suite, args.per_class, args.seed,
-                                out_dir)
+    for path, raster in rasters.items():
+        path.parent.mkdir(exist_ok=True)
+        write_ppm(path, raster)
     tr, va, te = splits
 
     def feats(ds):
@@ -446,9 +446,8 @@ def cmd_bench(args) -> int:
                                         "baseline on the held-out third"})
     write_report(report, args.summary)
     _note(args, f"bench: suite={args.suite}")
-    total = sum(len(s.items) for s in splits)
-    _say(args, f"wrote {args.suite} suite ({total} items) -> {out_dir}; "
-               f"mean-color baseline bacc {report['bacc']:.4f}")
+    _say(args, f"wrote {args.suite} suite ({len(rasters)} items) -> "
+               f"{out_dir}; mean-color baseline bacc {report['bacc']:.4f}")
     return 0
 
 
@@ -456,19 +455,14 @@ def cmd_bench(args) -> int:
 # ablate
 
 
-_ABLATE_KEYS = ("seeds", "pretrain_steps", "batch_size", "ssl_lr",
-                "suite_seed", "suite_per_class", "head_epochs")
-
-
 def cmd_ablate(args) -> int:
-    flat = _load_config_file(args.config)
-    _reject_unknown(flat, _ABLATE_KEYS)
-    cfg = _read_over(_DESK, flat)
-    epochs = _file_value(flat, "head_epochs", int, cfg.head.epochs)
+    cfg, epochs, suite_seed, per_class = _read_config_file(
+        args, [_DESK], {"head_epochs": (_DESK.head.epochs, None),
+                        "suite_seed": (2024, None),
+                        "suite_per_class": (60, None)},
+        refused=["encoder", "ssl", "aug", "head"])
     cfg = replace(cfg, ssl_lr=float(cfg.ssl_lr),
                   head=replace(cfg.head, epochs=epochs))
-    suite_seed = _file_value(flat, "suite_seed", int, 2024)
-    per_class = _file_value(flat, "suite_per_class", int, 60)
     suites = acceptance_suites(RngStream(seed=suite_seed, stream_id=5),
                                per_class)
     fp = _fingerprint("ablate", {**asdict(cfg), "suite_seed": suite_seed,

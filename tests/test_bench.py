@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import jsonschema
 import numpy as np
@@ -342,7 +342,7 @@ GOLDEN_EMBED_SHA256 = {
 def local_items(count=20):
     """The first ``count`` items of the seed-0 shipped LOCAL suite at 10
     per class, train then val then test, as one dataset."""
-    spec = SuiteSpec(per_class=10, **SUITE_SPECS[LOCAL])
+    spec = replace(SUITE_SPECS[LOCAL], per_class=10)
     splits = make_synthetic_suite(RngStream(seed=0, stream_id=5), spec)
     items = [item for ds in splits for item in ds.items]
     ids = [sid for ds in splits for sid in ds.source_ids]

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -32,6 +33,12 @@ from test_gradcheck import inject_fault
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def tree_bytes(root):
+    """{path: bytes} of every file under ``root``."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
 
 
 # What a config key of a non-integer type must hold, as the error says it.
@@ -135,6 +142,18 @@ class TestArgumentHandling:
         assert run_cli("pretrain", "--config", cfg, "--steps", "1",
                        "--out", tmp_path / "c.ckpt") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["augment", "pretrain", "posttrain",
+                                         "probe", "ablate"])
+    def test_config_file_unreadable(self, tmp_path, monkeypatch, capsys,
+                                    command):
+        """A --config path that cannot be opened is a usage error on
+        every command that reads one, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, *MINIMAL_ARGV[command],
+                       "--config", "missing.json") == 2
+        assert "cannot read config missing.json" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "extra.json"
@@ -312,6 +331,21 @@ class TestArgumentHandling:
                            "--data", work / "sg",
                            "--out", tmp_path / "e2") == 2
             assert "threads" in capsys.readouterr().err.lower()
+
+    def test_refused_write_is_usage_error(self, tmp_path, monkeypatch,
+                                          capsys):
+        """A write the OS refuses (here a full disk) exits 2 with an
+        ``error:`` line, not a traceback."""
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, "write_report", full_disk)
+        assert run_cli("bench", "--suite", "global", "--per-class", "5",
+                       "--out", tmp_path / "suite",
+                       "--log-level", "quiet") == 2
+        assert (capsys.readouterr().err
+                == f"error: [Errno {errno.ENOSPC}] "
+                   f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def refuse_work(*args, **kwargs):
@@ -661,8 +695,9 @@ class TestTraining:
         capsys.readouterr()
 
     def test_geometry_mismatch_rejected(self, work, tmp_path, capsys):
-        """A gram teacher with a different encoder shape is a config
-        error, not a crash deep inside the math."""
+        """A gram teacher, or a starting checkpoint beside a matching
+        teacher, with a different encoder shape is a config error, not
+        a crash deep inside the math."""
         cfg = tmp_path / "small.json"
         cfg.write_text('{"embed_dim": 16, "num_heads": 2}')
         small = tmp_path / "small.ckpt"
@@ -671,7 +706,13 @@ class TestTraining:
         assert run_cli("posttrain", "--steps", "1",
                        "--out", tmp_path / "p.ckpt",
                        "--gram-teacher", small) == 2
-        capsys.readouterr()
+        assert run_cli("posttrain", "--steps", "1",
+                       "--out", tmp_path / "p.ckpt", "--init", small,
+                       "--gram-teacher", work / "init.ckpt") == 2
+        err = capsys.readouterr().err
+        assert "--gram-teacher encoder geometry differs" in err
+        assert "--init encoder geometry differs" in err
+        assert not (tmp_path / "p.ckpt").exists()
 
     def test_custom_corpus_directory(self, tmp_path, capsys):
         src = tmp_path / "corpus"
@@ -1189,6 +1230,19 @@ class TestProbe:
                        "--report", tmp_path / "r.json") == 2
         assert "at least 2" in capsys.readouterr().err
 
+    def test_embeddings_are_not_a_checkpoint(self, work, tmp_path, capsys):
+        """An embeddings file given as --ckpt is a data error (exit 3)
+        naming what it is not."""
+        emb = tmp_path / "g.emb"
+        assert run_cli("embed", "--ckpt", work / "init.ckpt",
+                       "--data", work / "sg", "--out", emb,
+                       "--log-level", "quiet") == 0
+        assert run_cli("probe", "--ckpt", emb, "--data", work / "sg",
+                       "--mode", "linear",
+                       "--report", tmp_path / "r.json") == 3
+        assert "not a training checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_report_is_idempotent(self, work, tmp_path, capsys):
         reps = []
         for name in ("a.json", "b.json"):
@@ -1226,6 +1280,25 @@ class TestBench:
                 for f in sorted(out.rglob("*.ppm"))))
         assert trees[0] == trees[1]
         capsys.readouterr()
+
+    def test_reused_out_holds_one_suite(self, tmp_path, capsys):
+        """The same suite re-runs into its own tree; a suite that would
+        leave another's rasters beside its own is refused (exit 2),
+        naming one of them, with the tree unchanged."""
+        out = tmp_path / "suite"
+        for _ in range(2):
+            assert run_cli("bench", "--suite", "global", "--out", out,
+                           "--per-class", "10", "--seed", "0",
+                           "--log-level", "quiet") == 0
+            assert len(list(out.glob("*/*.ppm"))) == 20
+        before = tree_bytes(tmp_path)
+        assert run_cli("bench", "--suite", "global", "--out", out,
+                       "--per-class", "5", "--seed", "0",
+                       "--log-level", "quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} already holds {out}/")
+        assert "global-c" in err and ".ppm" in err
+        assert tree_bytes(tmp_path) == before
 
 
 TINY_ABLATE = ('{"seeds": [0], "pretrain_steps": 2, "suite_per_class": 6, '
@@ -1353,6 +1426,37 @@ class TestAugment:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "b.ppm" in err
         assert not (tmp_path / "aug").exists()
+
+    @pytest.mark.parametrize("out", ["in", "link"])
+    def test_out_on_input_refused(self, work, tmp_path, monkeypatch, capsys,
+                                  out):
+        """Jittered copies keep their sources' names, so an --out that
+        resolves to --input (itself or through a link) would overwrite
+        the inputs: exit 2, every byte kept."""
+        monkeypatch.chdir(tmp_path)
+        src = tmp_path / "in"
+        src.mkdir()
+        for f in sorted((Path(work) / "sg" / "class0").glob("*.ppm"))[:2]:
+            (src / f.name).write_bytes(f.read_bytes())
+        (tmp_path / "link").symlink_to(src)
+        before = tree_bytes(tmp_path)
+        assert run_cli("augment", "--input", "in", "--out", out) == 2
+        assert (capsys.readouterr().err
+                == f"error: --out {out} is the same path as --input\n")
+        assert tree_bytes(tmp_path) == before
+
+    def test_space_flag_overrides_config(self, work, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"space": "lab"}')
+        spaces = []
+        for name, flag in (("file", []), ("flag", ["--space", "hsv"])):
+            out = tmp_path / name
+            assert run_cli("augment", "--input", work / "sg" / "class0",
+                           "--out", out, "--config", cfg, *flag,
+                           "--log-level", "quiet") == 0
+            summary = json.loads((out / "augment_summary.json").read_text())
+            spaces.append(summary["space"])
+        assert spaces == ["lab", "hsv"]
 
     @pytest.mark.parametrize("command", ["augment", "pretrain"])
     def test_unreadable_input_is_data_error(self, tmp_path, capsys,

@@ -161,17 +161,29 @@ def starred_calls(tree):
 def test_one_config_reader():
     """``checkpoint.read_config`` is the one place that builds a config
     dataclass from ``**`` of a dict, so its type rules cannot split into
-    partial copies again.  ``SuiteSpec`` (a synthetic-suite recipe, not
-    a run config) is built from the suite table the same way."""
-    found = []
-    for path in MODULES:
-        for call in starred_calls(ast.parse(path.read_text(encoding="utf-8"))):
-            callee = ast.unparse(call.func)
-            if callee != "SuiteSpec":
-                found.append(f"{path.name}:{call.lineno} {callee}(**...)")
+    partial copies again."""
+    found = [f"{path.name}:{call.lineno} {ast.unparse(call.func)}(**...)"
+             for path in MODULES
+             for call in starred_calls(
+                 ast.parse(path.read_text(encoding="utf-8")))]
     assert not found, f"config built outside read_config: {found}"
 
 
+def test_one_config_file_reader_in_cli():
+    """In ``cli``, only ``_read_config_file`` loads a --config file or
+    type-checks its values, so every command reads its file the same
+    way: known keys only, each checked, flags over file values."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    readers = {"_load_config_file", "read_config", "check_value"}
+    found = [f"{node.name} calls {call.func.id}"
+             for node in tree.body
+             if isinstance(node, ast.FunctionDef)
+             and node.name != "_read_config_file"
+             for call in ast.walk(node)
+             if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name)
+             and call.func.id in readers]
+    assert not found, f"config read outside _read_config_file: {found}"
 
 
 def loaded_names(tree):
