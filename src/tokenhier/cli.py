@@ -9,11 +9,13 @@ Conventions shared by every command:
     success, 1 verification failure, 2 usage/config error, 3 data
     error; ``demo`` exits with a failing step's code
   - ``_OUTPUTS`` is the one home of what each command writes and its
-    default paths; outputs are checked before any work: one under a
-    non-directory, a file output naming a directory, or two outputs
-    on one path exits 2 and writes nothing; so does an augment --out
-    that is its --input, or a bench --out holding rasters of another
-    suite
+    default paths, ``_INPUTS`` of the options it reads from; outputs
+    are checked before any work: one under a non-directory, a file
+    output naming a directory, or an output on the path of an input or
+    of another output exits 2 and writes nothing; so does a bench
+    --out holding rasters of another suite
+  - rasters are checked where they enter, by ``read_ppm`` and (image
+    size) ``_check_sizes``; the functions they reach trust their callers
   - augment, pretrain, posttrain, probe and ablate read an optional
     JSON config file (--config; flat, module-mirrored field names)
     through ``_read_config_file``, with command-line flags overriding
@@ -39,6 +41,7 @@ import datetime
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -148,12 +151,18 @@ _OUTPUTS = {
 }
 _OUTPUTS["posttrain"] = _OUTPUTS["pretrain"]
 
+# The ``args`` attributes any subcommand reads a file or directory from.
+_INPUTS = ("input", "data", "ckpt", "gram_teacher", "init", "config")
+
 
 def _check_outputs(args) -> None:
     """Fill :data:`_OUTPUTS`' defaults and the ``<first file>.log`` note
     into ``args``; refuse, writing nothing, an output under a file, a
-    file output that is a directory, or two outputs on one path."""
-    values, seen = vars(args), {}
+    file output that is a directory, or an output on the path of an
+    input or of another output."""
+    values = vars(args)
+    seen = {Path(values[dest]).resolve(): "--" + dest.replace("_", "-")
+            for dest in _INPUTS if values.get(dest) is not None}
     args.outputs = []
     for flag, default, is_dir in _OUTPUTS[args.command]:
         dest = flag.lstrip("-")
@@ -184,11 +193,22 @@ def _make_outputs(args) -> None:
         (path if is_dir else path.parent).mkdir(parents=True, exist_ok=True)
 
 
-def _ppm_files(directory) -> list:
+def _ppm_files(directory, required=True) -> list:
     d = Path(directory)
     if not d.is_dir():
         raise ConfigError(f"{d}: not a readable directory")
-    return sorted(d.glob("*.ppm"))
+    files = sorted(d.glob("*.ppm"))
+    if required and not files:
+        raise DataError(f"no .ppm files under {directory}")
+    return files
+
+
+def _check_sizes(names, rasters, enc: EncoderConfig) -> None:
+    """Refuse, naming it, a raster that is not ``enc``'s image size."""
+    for name, raster in zip(names, rasters):
+        if raster.shape[:2] != (enc.image_size, enc.image_size):
+            raise ConfigError(f"{name}: raster {raster.shape[:2]} does not "
+                              f"match image_size {enc.image_size}")
 
 
 def _read_input(path):
@@ -204,7 +224,7 @@ def _read_input(path):
 
 
 def cmd_tile(args) -> int:
-    files = _ppm_files(args.input)
+    files = _ppm_files(args.input, required=False)
     resolved = {"tile_size": args.tile_size, "min_tissue": args.min_tissue,
                 "invert": bool(args.invert)}
     fp = _fingerprint("tile", resolved)
@@ -229,16 +249,10 @@ def cmd_tile(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    # each jittered copy keeps its source's name, so one directory for
-    # both would overwrite the inputs
-    if Path(args.out).resolve() == Path(args.input).resolve():
-        raise ConfigError(f"--out {args.out} is the same path as --input")
     aug, = _read_config_file(args, [StainAugConfig()])
     if args.space is not None:
         aug = replace(aug, space=args.space)
     files = _ppm_files(args.input)
-    if not files:
-        raise DataError(f"no .ppm files under {args.input}")
     rasters = [read_ppm(f) for f in files]   # all read before any write
     out_dir = Path(args.out)
     _make_outputs(args)
@@ -284,13 +298,8 @@ def _training_configs(args):
 def _load_corpus(args, enc: EncoderConfig, seed: int) -> list:
     if args.input:
         files = _ppm_files(args.input)
-        if not files:
-            raise DataError(f"no .ppm files under {args.input}")
         corpus = [read_ppm(f) for f in files]
-        for f, raster in zip(files, corpus):
-            if raster.shape[:2] != (enc.image_size, enc.image_size):
-                raise ConfigError(f"{f}: raster {raster.shape[:2]} does not "
-                                  f"match image_size {enc.image_size}")
+        _check_sizes(files, corpus, enc)
         return corpus
     if enc.image_size < 9:   # its block corners lie in [0, image_size - 8)
         raise ConfigError(f"image_size {enc.image_size} is too small for the "
@@ -360,6 +369,7 @@ def cmd_embed(args) -> int:
     ds = ingest_directory(args.data)
     if not ds.items:
         raise DataError(f"{args.data}: no class subdirectory holds a .ppm file")
+    _check_sizes(ds.source_ids, ds.rasters, enc_cfg)
     fp = _fingerprint("embed", {"encoder": asdict(enc_cfg),
                                 "data": sorted(ds.source_ids)})
     seqs = embed_dataset(ds, params, enc_cfg)
@@ -382,6 +392,7 @@ def cmd_probe(args) -> int:
         head_cfg = replace(head_cfg, seed=args.seed)
     params, enc_cfg = _encoder_from_checkpoint(args.ckpt)
     ds = ingest_directory(args.data)
+    _check_sizes(ds.source_ids, ds.rasters, enc_cfg)
     if len(ds.class_names) < 2:
         raise ConfigError(
             f"{args.data}: found {len(ds.class_names)} class directories; "
@@ -679,9 +690,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        _check_threads(args)
-        _check_outputs(args)
-        return args.func(args)
+        with warnings.catch_warnings():
+            # the message alone, without its source line or category
+            warnings.showwarning = lambda *shown: print(
+                f"warning: {shown[0]}", file=sys.stderr)
+            _check_threads(args)
+            _check_outputs(args)
+            return args.func(args)
     except TokenhierError as e:
         print(f"{e.label}: {e}", file=sys.stderr)
         return e.code

@@ -1,10 +1,12 @@
 """Color-space conversions and channel-statistic stain jitter.
 
-A raster is a ``(H, W, 3)`` uint8 ndarray, row-major RGB.  Conversions
-produce float64 channel images: LAB with L in [0,100], HSV with H in
-[0,360) and S,V in [0,1].  Round trips are exact to well under one 8-bit
-step, so augmenting with all sigmas at zero reproduces the input after
-the conversion round trip.
+A raster is a ``(H, W, 3)`` uint8 ndarray, row-major RGB, as
+:func:`read_ppm` returns one; the other functions here trust their
+callers and check no raster.  Conversions produce float64 channel
+images: LAB with L in [0,100], HSV with H in [0,360) and S,V in [0,1].
+Round trips are exact to well under one 8-bit step, so augmenting with
+all sigmas at zero reproduces the input after the conversion round
+trip.
 
 The augmentation perturbs per-patch channel statistics: for each channel
 draw a mean offset and a spread ratio from Gaussians, then remap
@@ -37,17 +39,6 @@ _WHITE = _RGB2XYZ.sum(axis=1)
 _DELTA = 6.0 / 29.0
 
 
-def as_raster(a) -> Raster:
-    r = np.asarray(a)
-    if r.ndim != 3 or r.shape[2] != 3:
-        raise ConfigError(f"raster must have shape (H, W, 3), got {r.shape}")
-    if r.shape[0] == 0 or r.shape[1] == 0:
-        raise ConfigError("raster has no pixels")
-    if r.dtype != np.uint8:
-        raise ConfigError(f"raster must be uint8, got {r.dtype}")
-    return r
-
-
 def _srgb_to_linear(c):
     # c in [0,1]
     return np.where(c <= 0.04045, c / 12.92, ((c + 0.055) / 1.055) ** 2.4)
@@ -73,7 +64,7 @@ _LINEAR_OF_U8 = _srgb_to_linear(np.arange(256) / 255.0)
 
 def rgb_to_lab(r: Raster) -> np.ndarray:
     """CIELAB (D65) as float64, channels (L, a, b)."""
-    lin = np.take(_LINEAR_OF_U8, as_raster(r))
+    lin = np.take(_LINEAR_OF_U8, r)
     xyz = lin @ _RGB2XYZ.T
     f = _lab_f(xyz / _WHITE)
     out = np.empty_like(f)
@@ -106,7 +97,7 @@ def _mod(x, period: float):
 
 def rgb_to_hsv(r: Raster) -> np.ndarray:
     """Hexcone HSV as float64; H in [0,360), S,V in [0,1], gray pins H=0."""
-    rgb = as_raster(r).astype(np.float64) / 255.0
+    rgb = r.astype(np.float64) / 255.0
     rc, gc, bc = rgb[..., 0], rgb[..., 1], rgb[..., 2]
     mx = np.maximum(np.maximum(rc, gc), bc)
     d = mx - np.minimum(np.minimum(rc, gc), bc)
@@ -211,10 +202,9 @@ def stain_augment(r: Raster, cfg: StainAugConfig, rng: RngStream) -> Raster:
     trip).  The same (raster, cfg, stream) triple always produces
     bit-identical output.
     """
-    raster = as_raster(r)
     if not cfg.enabled:
-        return raster.copy()
-    out = raster
+        return r.copy()
+    out = r
     if cfg.space in ("lab", "both"):
         lab = _jitter(rgb_to_lab(out), cfg.lab_mean_sigma, cfg.lab_std_sigma, rng)
         out = lab_to_rgb(lab)
@@ -230,11 +220,10 @@ _WS = re.compile(rb"\s")
 
 def write_ppm(path, raster: Raster) -> None:
     """Binary PPM (P6, maxval 255); byte-exact round trip with read_ppm."""
-    r = as_raster(raster)
-    h, w = r.shape[:2]
+    h, w = raster.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(r.tobytes())
+        fh.write(raster.tobytes())
 
 
 def _ppm_token(buf: bytes, pos: int, path):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .color import as_raster
 from .errors import ConfigError, NumericError
 from .numkernel import (RngStream, gelu, gelu_grad, init_tensors, layer_norm,
                         layer_norm_backward, softmax_backward, softmax_rows)
@@ -120,13 +119,10 @@ def init_params(cfg: EncoderConfig, rng: RngStream) -> dict:
 
 
 def patchify(raster, cfg: EncoderConfig) -> np.ndarray:
-    """(N, t*t*3) rows in [0,1], patches scanned row-major."""
-    r = as_raster(raster)
-    if r.shape[0] != cfg.image_size or r.shape[1] != cfg.image_size:
-        raise ConfigError(
-            f"raster {r.shape[:2]} does not match image_size {cfg.image_size}")
+    """(N, t*t*3) rows in [0,1], patches scanned row-major; the caller
+    has checked that the raster is ``image_size`` square."""
     g, t = cfg.grid, cfg.token_size
-    x = r.astype(np.float64) / 255.0
+    x = raster.astype(np.float64) / 255.0
     return (x.reshape(g, t, g, t, 3).transpose(0, 2, 1, 3, 4)
             .reshape(cfg.num_patches, cfg.patch_dim))
 

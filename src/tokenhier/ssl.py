@@ -257,11 +257,11 @@ def _table(state: TrainState) -> dict:
 
 
 def train_state_mismatch(state: TrainState, enc_cfg: EncoderConfig,
-                         ssl_cfg: SslConfig):
-    """How ``state``'s tensors disagree with the configs, or None.  The
-    layout is walked lazily with dict lookups up to the first missing
-    or misshapen tensor, so configs asking for a huge model allocate
-    and loop nothing."""
+                         ssl_cfg: SslConfig, table: dict = None):
+    """How ``state``'s tensors, or ``table``, the checkpoint it was read
+    from, disagree with the configs, or None.  The layout is walked
+    lazily with dict lookups up to the first missing or misshapen
+    tensor, so configs asking for a huge model allocate and loop nothing."""
     k = ssl_cfg.prototype_count
     parts = [("", [("cls_center", (k,), "zeros"),
                    ("patch_center", (k,), "zeros")])]
@@ -270,7 +270,7 @@ def train_state_mismatch(state: TrainState, enc_cfg: EncoderConfig,
               for prefix, layout in _model_layout(enc_cfg, k)]
     if state.gram_teacher is not None:   # an encoder alone
         parts.append(("gram.", param_layout(enc_cfg)))
-    table, names = _table(state), set()
+    table, names = _table(state) if table is None else table, set()
     for prefix, layout in parts:
         for name, shape, _ in layout:
             tensor = table.get(prefix + name)
@@ -494,7 +494,7 @@ def load_train_state(path):
         gram_teacher=(_sub(tensors, "gram.")
                       if config.get("has_gram_teacher") else None),
     )
-    mismatch = train_state_mismatch(state, enc_cfg, ssl_cfg)
+    mismatch = train_state_mismatch(state, enc_cfg, ssl_cfg, tensors)
     if mismatch:
         raise DataError(f"{path}: training checkpoint {mismatch} "
                         "under its header config")

@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .color import Raster, as_raster
+from .color import Raster
 from .errors import ConfigError
 
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -79,8 +79,7 @@ def tile_sources(sources, tile_size: int, min_tissue_fraction: float,
         raise ConfigError(
             f"min_tissue_fraction must be in [0,1], got {min_tissue_fraction}")
     levels, records = {}, []
-    for source_id, r in sources:
-        raster = as_raster(r)
+    for source_id, raster in sources:
         h, w = raster.shape[:2]
         gray = _gray(raster)
         t = levels[source_id] = otsu_threshold(

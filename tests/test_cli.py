@@ -410,40 +410,70 @@ class TestOutputsCheckedFirst:
         err = self.refused(work, tmp_path, monkeypatch, capsys, stub, argv)
         assert err.startswith("error: ") and f"{sidecar} is a directory" in err
 
-    @pytest.mark.parametrize("stub,argv,clash", [
+    @pytest.mark.parametrize("stub,argv,clash,other", [
         ("run_training", "pretrain --steps 1 --out {tmp}/c.ckpt "
-                         "--log {tmp}/c.ckpt.log", "sidecar"),
+                         "--log {tmp}/c.ckpt.log", "sidecar", "--log"),
         ("run_training", "pretrain --steps 1 --out {tmp}/d.ckpt "
-                         "--log {tmp}/d.ckpt", "--log"),
+                         "--log {tmp}/d.ckpt", "--log", "--out"),
         ("run_ablation", "ablate --config {tmp}/one-seed.json "
-                         "--out {tmp}/a.json --svg {tmp}/a.json", "--svg"),
+                         "--out {tmp}/a.json --svg {tmp}/a.json",
+         "--svg", "--out"),
         ("run_ablation", "ablate --config {tmp}/one-seed.json "
                          "--out {tmp}/a.json --svg {tmp}/sub/../a.json",
-         "--svg")],
+         "--svg", "--out"),
+        ("embed_dataset", "embed --ckpt {tmp}/a.ckpt --data {work}/sg "
+                          "--out {tmp}/a.ckpt", "--out", "--ckpt"),
+        ("embed_dataset", "probe --ckpt {tmp}/a.ckpt --data {work}/sg "
+                          "--mode linear --report {tmp}/a.ckpt",
+         "--report", "--ckpt"),
+        ("run_training", "posttrain --steps 1 --gram-teacher {tmp}/a.ckpt "
+                         "--out {tmp}/p.ckpt --log {tmp}/a.ckpt",
+         "--log", "--gram-teacher"),
+        ("run_training", "posttrain --steps 1 --gram-teacher {work}/init.ckpt "
+                         "--init {tmp}/a.ckpt --out {tmp}/a.ckpt",
+         "--out", "--init"),
+        ("run_training", "pretrain --config {tmp}/steps.json "
+                         "--out {tmp}/steps.json", "--out", "--config"),
+        ("run_ablation", "ablate --config {tmp}/one-seed.json "
+                         "--out {tmp}/one-seed.json", "--out", "--config"),
+        ("run_ablation", "ablate --config {tmp}/one-seed.json "
+                         "--out {tmp}/a.json --svg {tmp}/one-seed.json",
+         "--svg", "--config"),
+        ("run_ablation", "ablate --config {tmp}/run.log --out {tmp}/run",
+         "sidecar", "--config")],
         ids=["pretrain-note-is-log", "pretrain-log-is-out",
-             "ablate-svg-is-out", "ablate-svg-resolves-to-out"])
+             "ablate-svg-is-out", "ablate-svg-resolves-to-out",
+             "embed-out-is-ckpt", "probe-report-is-ckpt",
+             "posttrain-log-is-gram-teacher", "posttrain-out-is-init",
+             "pretrain-out-is-config", "ablate-out-is-config",
+             "ablate-svg-is-config", "ablate-note-is-config"])
     def test_two_outputs_on_one_path_refused(self, work, tmp_path,
                                              monkeypatch, capsys, stub,
-                                             argv, clash):
-        """Two outputs that resolve to one path would lose an artifact
-        to the other, so the command refuses before any work."""
+                                             argv, clash, other):
+        """An output that resolves to the path of another output, or of
+        an input, would lose that artifact or destroy the input it is
+        made from, so the command refuses before any work."""
         err = self.refused(work, tmp_path, monkeypatch, capsys, stub, argv)
-        assert err.startswith(f"error: {clash} ") and "same path as" in err
+        assert err.startswith(f"error: {clash} ")
+        assert err.endswith(f" is the same path as {other}\n")
 
     @staticmethod
     def refused(work, tmp_path, monkeypatch, capsys, stub, argv):
         """Run argv with ``stub`` refusing work; assert exit 2 and an
-        unchanged tree, and return stderr."""
+        unchanged tree, every file's bytes kept, and return stderr."""
         (tmp_path / "file").write_text("")
         (tmp_path / "dir").mkdir()
-        (tmp_path / "one-seed.json").write_text(
-            json.dumps({"seeds": [0], "pretrain_steps": 20}))
+        for name in ("one-seed.json", "run.log"):
+            (tmp_path / name).write_text(
+                json.dumps({"seeds": [0], "pretrain_steps": 20}))
+        (tmp_path / "steps.json").write_text('{"steps": 1}')
+        (tmp_path / "a.ckpt").write_bytes((work / "init.ckpt").read_bytes())
         tile_input(tmp_path / "in", "tree")
-        before = sorted(tmp_path.rglob("*"))
+        before = sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)
         monkeypatch.setattr(cli, stub, refuse_work)
         assert run_cli(*(a.format(tmp=tmp_path, work=work)
                          for a in argv.split())) == 2
-        assert sorted(tmp_path.rglob("*")) == before
+        assert (sorted(tmp_path.rglob("*")), tree_bytes(tmp_path)) == before
         return capsys.readouterr().err
 
 
@@ -950,22 +980,30 @@ class TestMalformedCheckpoint:
             config["encoder"]["embed_dim"] = 64
         elif damage == "mlp_1e308":
             config["encoder"]["mlp_ratio"] = 1e308
+        elif damage == "stray_tensor":
+            tensors["junk"] = np.zeros(3)
+        elif damage == "gram_without_flag":   # has_gram_teacher is false
+            tensors.update({"gram." + name[len("student.enc."):]: value
+                            for name, value in tensors.items()
+                            if name.startswith("student.enc.")})
         else:
             config["encoder"]["depth"] = 10 ** 9
         save_params(out, kind, config, tensors, extra)
         return out
 
     @pytest.mark.parametrize("damage", ["no_embed", "embed_5x7", "width_64",
-                                        "depth_1e9", "mlp_1e308"])
+                                        "depth_1e9", "mlp_1e308",
+                                        "stray_tensor", "gram_without_flag"])
     @pytest.mark.parametrize("flag", ["embed --ckpt", "probe --ckpt",
                                       "posttrain --gram-teacher",
                                       "posttrain --init"])
     def test_tensors_disagreeing_with_header(self, work, tmp_path, flag,
                                              damage, capsys):
         """Tensors the header config does not describe (one missing, one
-        misshapen, a header claiming another width, a billion layers or
-        an MLP width past float range) are damaged data, found when the
-        checkpoint is read."""
+        misshapen, a header claiming another width, a billion layers, an
+        MLP width past float range, a tensor outside every group, or a
+        Gram teacher the header does not flag) are damaged data, found
+        when the checkpoint is read."""
         bad = self.damaged_copy(work, tmp_path / "bad.ckpt", damage)
         command, option = flag.split()
         argv = {"embed": ["--data", work / "sg", "--out", tmp_path / "e"],
@@ -1137,7 +1175,60 @@ class TestConfigSearch:
                 assert not out.exists()
 
 
+def tree_with(work, root, extra):
+    """``root`` linking the two classes of ``work/sg``, with ``extra``
+    ``{path: raster or None}`` added (None: an empty directory)."""
+    for name in ("class0", "class1"):
+        (root / name).mkdir(parents=True)
+        for f in sorted((work / "sg" / name).glob("*.ppm")):
+            (root / name / f.name).symlink_to(f)
+    for path, raster in extra.items():
+        if raster is None:
+            (root / path).mkdir()
+        else:
+            write_ppm(root / path, raster)
+    return root
+
+
+# the argv tail after --ckpt and --data of each command that reads a tree
+TREE_ARGV = {"embed": ["--out", "e.emb"],
+             "probe": ["--mode", "linear", "--report", "r.json"]}
+
+
+def misfit_refused(work, tmp_path, monkeypatch, capsys, command):
+    """A raster of another size than the checkpoint's image_size is
+    refused naming ``class/<file>.ppm`` (exit 2), before any embedding
+    and with nothing written."""
+    tree = tree_with(work, tmp_path / "tree",
+                     {"class0/small.ppm": noisy_raster(1, size=32)})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "embed_dataset", refuse_work)
+    assert run_cli(command, "--ckpt", work / "init.ckpt", "--data", tree,
+                   *TREE_ARGV[command]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: class0/small.ppm: raster (32, 32) does not "
+                   "match image_size 64\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree"]
+
+
+@pytest.mark.parametrize("command", sorted(TREE_ARGV))
+def test_empty_class_warning_is_one_line(work, tmp_path, monkeypatch, capsys,
+                                         command):
+    """An empty class directory is excluded with one ``warning:`` line
+    on stderr, not Python's warning format with its source line."""
+    tree = tree_with(work, tmp_path / "tree", {"empty": None})
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, "--ckpt", work / "init.ckpt", "--data", tree,
+                   *TREE_ARGV[command], "--log-level", "quiet") == 0
+    assert capsys.readouterr().err == ("warning: class directory 'empty' "
+                                       "has no .ppm files; excluded\n")
+
+
 class TestEmbed:
+    def test_misfit_raster_is_named(self, work, tmp_path, monkeypatch,
+                                    capsys):
+        misfit_refused(work, tmp_path, monkeypatch, capsys, "embed")
+
     def test_embeddings_round_trip(self, work, tmp_path, capsys):
         out = tmp_path / "g.emb"
         assert run_cli("embed", "--ckpt", work / "enc.ckpt",
@@ -1174,6 +1265,10 @@ class TestEmbed:
 
 
 class TestProbe:
+    def test_misfit_raster_is_named(self, work, tmp_path, monkeypatch,
+                                    capsys):
+        misfit_refused(work, tmp_path, monkeypatch, capsys, "probe")
+
     def test_global_linear_separates(self, work, tmp_path, capsys):
         """Color-separable classes give a near-perfect class-token
         probe; the contract floor is 0.9."""
@@ -1709,8 +1804,9 @@ def test_every_option_is_read():
 
 def test_output_table_matches_parser():
     """``cli._OUTPUTS`` has a row for every subcommand; each dashed flag
-    in a row is an option of its subcommand, and every output option a
-    subcommand takes is in its row."""
+    in a row is an option of its subcommand, every output option a
+    subcommand takes is in its row, and every other option that takes a
+    path (no type, no choices, a value) is in ``cli._INPUTS``."""
     assert set(cli._OUTPUTS) == set(subcommands())
     for command, sub in subcommands().items():
         options = {s for a in sub._actions for s in a.option_strings}
@@ -1718,6 +1814,13 @@ def test_output_table_matches_parser():
         assert {f for f in flags if f.startswith("--")} <= options, command
         outputs = options & {"--out", "--report", "--log", "--svg"}
         assert outputs <= flags, command
+        # a path an option names is an output or an input, so the
+        # output-onto-input refusal covers every path option
+        inputs = {"--" + dest.replace("_", "-") for dest in cli._INPUTS}
+        paths = {a.option_strings[0] for a in sub._actions
+                 if a.option_strings and a.type is None and not a.choices
+                 and a.nargs != 0}
+        assert paths <= flags | inputs, command
 
 
 def test_readme_commands_parse():

@@ -99,10 +99,6 @@ class TestTokenize:
             np.testing.assert_allclose(row, p["embed.b"], atol=1e-15)
         np.testing.assert_allclose(z0[0], p["cls"], atol=1e-15)
 
-    def test_size_mismatch(self):
-        with pytest.raises(ConfigError):
-            patchify(rand_raster(2, 48), small_cfg())
-
     def test_patchify_layout(self):
         """Patch k = row-major grid cell, flattened row-major with channels."""
         cfg = small_cfg()
