@@ -26,9 +26,10 @@ Conventions shared by every command:
     then 0); ablate reads its seeds from its config file
   - every primary output records a fingerprint of the resolved config
   - --threads (fallback TOKENHIER_THREADS) is checked before any
-    command runs, but no command runs a worker pool, so outputs are
-    byte-identical for any value and the thread count stays out of
-    every fingerprint
+    command runs, but sets no thread count: training always builds the
+    next step's views on one background thread, from seeded streams
+    alone, so outputs are byte-identical for any value and the thread
+    count stays out of every fingerprint
   - timestamps appear only in ``<output>.log`` sidecars, never in
     primary outputs
 """

@@ -14,18 +14,21 @@ Four terms over prototype logits and token embeddings:
   post-training only.
 
 Each term is one function returning (value, gradient); the gradient is
-verified against central differences.  The training step builds two
+verified against central differences.  A training step takes two
 augmented views per image, runs the student on masked tokens and the
 teacher unmasked, applies one Adam step to the student, and moves the
 teacher and the logit centers by momentum.  With augmentation off the
 two views of an image are equal, so the unmasked encoders (teacher and
-Gram teacher) run once per image, not once per view.
+Gram teacher) run once per image, not once per view.  The training
+loop builds each step's views on one background thread while the step
+before it trains, byte for byte as if built in line.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -298,36 +301,23 @@ def _guard(value, term: str, step: int):
     return value
 
 
-def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
-               enc_cfg: EncoderConfig, aug_cfg: StainAugConfig,
-               rng: RngStream, phase: str = PRETRAIN,
-               adam_cfg: AdamConfig = AdamConfig()) -> LossBreakdown:
-    """One optimization step over a raster batch.
+def _step_views(rasters, step: int, ssl_cfg: SslConfig,
+                enc_cfg: EncoderConfig, aug_cfg: StainAugConfig,
+                rng: RngStream):
+    """(patches, masks) of step ``step`` over a raster batch: view
+    v = 2 i + vi of item i, patchified, and its student mask.
 
     Two augmented views per raster; when augmentation is enabled each
     view independently picks LAB or HSV jitter (coin from its own
-    stream).  The student sees masked tokens, the teacher never does.
-    When augmentation is off, the teacher and the Gram teacher run once
-    per raster and their outputs stand for both views, byte for byte.
-    Gradients flow only into the student; the teacher follows by EMA
-    and the centers by momentum on batch-mean teacher logits.
-
-    The caller has checked the inputs: a non-empty batch, num_patches
-    >= 2, and a Gram teacher on ``state`` for POSTTRAIN.
+    stream).  Unaugmented, both views of an item are the item itself,
+    patchified once.  Nothing here reads the model.
     """
     b = len(rasters)
     n = enc_cfg.num_patches
-
-    # view v = 2 i + vi of item i, patchified once for every encoder.
-    # Unaugmented, both views of an item are the item itself: it is
-    # patchified once, and the unmasked encoders run once per item and
-    # repeat each row for both views (a row of forward_batch depends on
-    # its own input row alone, so no byte differs from running both).
-    stride = 1 if aug_cfg.enabled else 2
     patches = np.empty((2 * b, n, enc_cfg.patch_dim))
     masks = np.empty((2 * b, n), dtype=bool)
     for i in range(b):
-        item_rng = rng.derive(state.step, i)
+        item_rng = rng.derive(step, i)
         for vi in range(2):
             if aug_cfg.enabled:
                 view_rng = item_rng.derive(vi)
@@ -339,6 +329,36 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
                 patches[2 * i:2 * i + 2] = patchify(rasters[i], enc_cfg)
             masks[2 * i + vi] = _draw_mask(item_rng.derive(2 + vi), n,
                                            ssl_cfg.mask_fraction)
+    return patches, masks
+
+
+def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
+               enc_cfg: EncoderConfig, aug_cfg: StainAugConfig,
+               rng: RngStream, phase: str = PRETRAIN,
+               adam_cfg: AdamConfig = AdamConfig(),
+               views=None) -> LossBreakdown:
+    """One optimization step over a raster batch.
+
+    ``views`` is the batch's ``_step_views`` at ``state.step``; a call
+    without them builds them.  The student sees masked tokens, the
+    teacher never does.  When augmentation is off, the teacher and the
+    Gram teacher run once per raster and their outputs stand for both
+    views, byte for byte.  Gradients flow only into the student; the
+    teacher follows by EMA and the centers by momentum on batch-mean
+    teacher logits.
+
+    The caller has checked the inputs: a non-empty batch, num_patches
+    >= 2, and a Gram teacher on ``state`` for POSTTRAIN.
+    """
+    b = len(rasters)
+    if views is None:
+        views = _step_views(rasters, state.step, ssl_cfg, enc_cfg, aug_cfg,
+                            rng)
+    patches, masks = views
+    # unaugmented, the unmasked encoders run once per item and repeat
+    # each row for both views (a row of forward_batch depends on its own
+    # input row alone, so no byte differs from running both)
+    stride = 1 if aug_cfg.enabled else 2
 
     def unmasked(params):
         out, _ = forward_batch(tokenize_batch(patches[::stride], params),
@@ -433,20 +453,35 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
                  log_file=None):
     """Fixed-step loop with deterministic with-replacement batching.
 
+    One background thread builds each step's batch and views while the
+    step before it trains on the calling thread; both depend only on
+    the corpus, the step number and ``rng``, so the bytes are those of
+    building them in line.  The thread is joined on every exit.
+
     Returns the list of per-step LossBreakdowns; optionally writes each
     as a JSON line to the open text file ``log_file``.  The caller has
     checked ``steps >= 0``, ``batch_size >= 1`` and a non-empty corpus.
     """
-    history = []
-    for _ in range(steps):
-        pick = rng.derive(9001, state.step).integers(batch_size, len(corpus))
+    def build(step):
+        pick = rng.derive(9001, step).integers(batch_size, len(corpus))
         batch = [corpus[int(i)] for i in pick]
-        lb = train_step(batch, state, ssl_cfg, enc_cfg, aug_cfg, rng,
-                        phase=phase, adam_cfg=adam_cfg)
-        history.append(lb)
-        if log_file:
-            log_file.write(json.dumps({"step": state.step, **asdict(lb)},
-                                      sort_keys=True) + "\n")
+        return batch, _step_views(batch, step, ssl_cfg, enc_cfg, aug_cfg,
+                                  rng)
+
+    history = []
+    first, end = state.step, state.step + steps
+    with ThreadPoolExecutor(max_workers=1) as ahead:
+        pending = ahead.submit(build, first) if steps else None
+        for step in range(first, end):
+            batch, views = pending.result()
+            if step + 1 < end:
+                pending = ahead.submit(build, step + 1)
+            lb = train_step(batch, state, ssl_cfg, enc_cfg, aug_cfg, rng,
+                            phase=phase, adam_cfg=adam_cfg, views=views)
+            history.append(lb)
+            if log_file:
+                log_file.write(json.dumps({"step": state.step, **asdict(lb)},
+                                          sort_keys=True) + "\n")
     return history
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import tokenhier
-from tokenhier import cli
+from tokenhier import cli, ssl
 from tokenhier.errors import ConfigError, DataError, NumericError
 
 MODULES = sorted(Path(tokenhier.__file__).parent.glob("*.py"))
@@ -184,6 +184,24 @@ def test_one_config_file_reader_in_cli():
              and isinstance(call.func, ast.Name)
              and call.func.id in readers]
     assert not found, f"config read outside _read_config_file: {found}"
+
+
+def test_one_view_loop_in_ssl():
+    """In ``ssl``, ``stain_augment``, ``patchify`` and ``_draw_mask`` are
+    called by name inside ``_step_views`` alone: the views of a step
+    have one builder, whichever thread runs it, and the names the
+    benchmark traces in ``ssl``'s namespace stay the ones it calls."""
+    tree = ast.parse(Path(ssl.__file__).read_text(encoding="utf-8"))
+    builders = {"stain_augment", "patchify", "_draw_mask"}
+    callers = {name: set() for name in builders}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name)
+                        and call.func.id in builders):
+                    callers[call.func.id].add(node.name)
+    assert callers == {name: {"_step_views"} for name in builders}
 
 
 def loaded_names(tree):

@@ -2,8 +2,10 @@
 plus the student/teacher loop."""
 
 import hashlib
+import json
 import math
-from dataclasses import asdict
+import threading
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import mpmath
@@ -14,7 +16,7 @@ from tokenhier.checkpoint import read_config
 from tokenhier.color import StainAugConfig
 from tokenhier import ssl as ssl_module
 from tokenhier.encoder import EncoderConfig, forward_batch
-from tokenhier.errors import ConfigError
+from tokenhier.errors import ConfigError, NumericError
 from tokenhier.numkernel import RngStream, init_tensors
 from tokenhier.ssl import (
     LossBreakdown,
@@ -506,7 +508,6 @@ class TestTrainStep:
             run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
                          RngStream(seed=20), steps=3, batch_size=2,
                          log_file=fh)
-        import json
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert len(lines) == 3
         assert set(lines[0]) == {"step", "dino", "ibot", "koleo", "gram",
@@ -588,6 +589,118 @@ def test_forward_rows_per_step(monkeypatch, enabled, rows):
                StainAugConfig(enabled=enabled), RngStream(seed=28),
                phase=POSTTRAIN)
     assert seen == rows
+
+
+def serial_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg, rng, steps,
+                    batch_size, phase, log):
+    """run_training's loop with every step's views built in line, by
+    train_step itself: the reference the lookahead must equal."""
+    history = []
+    for _ in range(steps):
+        pick = rng.derive(9001, state.step).integers(batch_size, len(corpus))
+        lb = train_step([corpus[int(i)] for i in pick], state, ssl_cfg,
+                        enc_cfg, aug_cfg, rng, phase=phase)
+        history.append(lb)
+        log.write(json.dumps({"step": state.step, **asdict(lb)},
+                             sort_keys=True) + "\n")
+    return history
+
+
+def fresh_state(ssl_cfg, enc_cfg, phase, start):
+    state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=31))
+    if phase == POSTTRAIN:
+        state.gram_teacher = {k: v.copy()
+                              for k, v in _sub(state.student, "enc.").items()}
+    state.step = start
+    return state
+
+
+class TestLookahead:
+    """run_training builds each step's views one step ahead on a
+    background thread; nothing it returns or writes may tell."""
+
+    BATCH = 2
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("phase", [PRETRAIN, POSTTRAIN])
+    @pytest.mark.parametrize("steps, start", [(0, 0), (1, 0), (3, 0),
+                                              (3, 3)])
+    def test_equals_serial_loop(self, tmp_path, monkeypatch, enabled, phase,
+                                steps, start):
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        aug_cfg = replace(aug_cfg, enabled=enabled)
+
+        def outcome(train):
+            state = fresh_state(ssl_cfg, enc_cfg, phase, start)
+            log = tmp_path / "loss.jsonl"
+            with open(log, "w", encoding="ascii") as fh:
+                hist = train(state, fh)
+            return state_sha256(state), state.step, hist, log.read_bytes()
+
+        serial = outcome(lambda state, fh: serial_training(
+            corpus, state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=32),
+            steps, self.BATCH, phase, fh))
+
+        augmented = []
+        real = ssl_module.stain_augment
+
+        def counting(*args):
+            augmented.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(ssl_module, "stain_augment", counting)
+        lookahead = outcome(lambda state, fh: run_training(
+            corpus, state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=32),
+            steps, self.BATCH, phase=phase, log_file=fh))
+        assert lookahead == serial
+        assert lookahead[1] == start + steps
+        # no view is built for a step that never runs
+        assert len(augmented) == (2 * self.BATCH * steps if enabled else 0)
+
+    def run_until_failure(self, tmp_path, exc):
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        state = fresh_state(ssl_cfg, enc_cfg, PRETRAIN, 0)
+        threads = threading.active_count()
+        log = tmp_path / "loss.jsonl"
+        with open(log, "w", encoding="ascii") as fh:
+            with pytest.raises(type(exc)) as raised:
+                run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
+                             RngStream(seed=33), 5, self.BATCH, log_file=fh)
+        assert raised.value is exc
+        assert threading.active_count() == threads
+        return state, log.read_text().splitlines()
+
+    @pytest.mark.parametrize("exc", [NumericError("dino term non-finite"),
+                                     KeyboardInterrupt()],
+                             ids=["NumericError", "KeyboardInterrupt"])
+    def test_failing_step_leaves_no_thread(self, tmp_path, monkeypatch, exc):
+        real = ssl_module.train_step
+
+        def failing(rasters, state, *args, **kw):
+            if state.step == 2:
+                raise exc
+            return real(rasters, state, *args, **kw)
+
+        monkeypatch.setattr(ssl_module, "train_step", failing)
+        _, lines = self.run_until_failure(tmp_path, exc)
+        assert [json.loads(line)["step"] for line in lines] == [1, 2]
+
+    def test_failing_views_surface_at_their_step(self, tmp_path,
+                                                 monkeypatch):
+        """Step 2's views fail while step 1 trains; the error leaves
+        once step 1's line is written, not before."""
+        exc = NumericError("views of step 2")
+        real = ssl_module._step_views
+
+        def failing(rasters, step, *args):
+            if step == 2:
+                raise exc
+            return real(rasters, step, *args)
+
+        monkeypatch.setattr(ssl_module, "_step_views", failing)
+        state, lines = self.run_until_failure(tmp_path, exc)
+        assert state.step == 2
+        assert [json.loads(line)["step"] for line in lines] == [1, 2]
 
 
 class TestSmokeTraining:
