@@ -443,11 +443,10 @@ def _pretrain_encoder(corpus, cfg: AblationConfig, seed: int,
     aug = cfg.aug if augmented else replace(cfg.aug, enabled=False)
     state = init_train_state(cfg.encoder, cfg.ssl,
                              RngStream(seed=seed, stream_id=11))
-    if cfg.pretrain_steps:
-        run_training(corpus, state, cfg.ssl, cfg.encoder, aug,
-                     RngStream(seed=seed, stream_id=12),
-                     steps=cfg.pretrain_steps, batch_size=cfg.batch_size,
-                     adam_cfg=AdamConfig(lr=cfg.ssl_lr))
+    run_training(corpus, state, cfg.ssl, cfg.encoder, aug,
+                 RngStream(seed=seed, stream_id=12),
+                 steps=cfg.pretrain_steps, batch_size=cfg.batch_size,
+                 adam_cfg=AdamConfig(lr=cfg.ssl_lr))
     return student_encoder_params(state)
 
 

@@ -309,6 +309,16 @@ def _load_corpus(args, enc: EncoderConfig, seed: int) -> list:
                                 count=64, image_size=enc.image_size)
 
 
+def _load_state(path, flag: str, enc: EncoderConfig):
+    """The training state at ``path``, given by ``flag``; its encoder
+    must be ``enc``."""
+    state, ckpt_enc, _, _ = load_train_state(path)
+    if ckpt_enc != enc:
+        raise ConfigError(f"{flag} encoder geometry differs "
+                          "from the requested config")
+    return state
+
+
 def _run_ssl(args) -> int:
     phase = args.command
     enc, ssl, aug, steps, batch, adam, seed, resolved = _training_configs(args)
@@ -318,18 +328,10 @@ def _run_ssl(args) -> int:
     if phase == POSTTRAIN:
         if not args.gram_teacher:
             raise ConfigError("post-training requires --gram-teacher")
-        anchor_state, anchor_enc, _, _ = load_train_state(args.gram_teacher)
-        if anchor_enc != enc:
-            raise ConfigError("--gram-teacher encoder geometry differs "
-                              "from the requested config")
-        gram_params = student_encoder_params(anchor_state)
-        if args.init:
-            state, init_enc, _, _ = load_train_state(args.init)
-            if init_enc != enc:
-                raise ConfigError("--init encoder geometry differs "
-                                  "from the requested config")
-        else:
-            state = copy.deepcopy(anchor_state)
+        anchor = _load_state(args.gram_teacher, "--gram-teacher", enc)
+        gram_params = student_encoder_params(anchor)
+        state = (_load_state(args.init, "--init", enc) if args.init
+                 else copy.deepcopy(anchor))
         mismatch = train_state_mismatch(state, enc, ssl)
         if mismatch:
             raise ConfigError(f"{args.init or args.gram_teacher}: checkpoint "

@@ -17,11 +17,11 @@ Each term is one function returning (value, gradient); the gradient is
 verified against central differences.  A training step takes two
 augmented views per image, runs the student on masked tokens and the
 teacher unmasked, applies one Adam step to the student, and moves the
-teacher and the logit centers by momentum.  With augmentation off the
-two views of an image are equal, so the unmasked encoders (teacher and
-Gram teacher) run once per image, not once per view.  The training
-loop builds each step's views on one background thread while the step
-before it trains, byte for byte as if built in line.
+teacher and the logit centers by momentum.  ``_step_views`` alone
+builds the views: with augmentation off the two views of an image are
+equal, so it hands the unmasked encoders (teacher and Gram teacher) one
+view per image, not one per view.  The training loop builds each
+step's views on one background thread while the step before it trains.
 """
 
 from __future__ import annotations
@@ -157,18 +157,20 @@ def koleo_loss_grad(features):
 
 def gram_loss_grad(student_patches, gram_teacher_patches):
     """Normalized-Gram Frobenius gap averaged by 1/N^2, and its student
-    gradient."""
+    gradient.  Leading axes index views: the loss is the mean of the
+    per-view gaps and the gradient is divided by the view count, byte
+    for byte as one call per view would give."""
     xs = np.asarray(student_patches, dtype=np.float64)
     xg = np.asarray(gram_teacher_patches, dtype=np.float64)
-    n = xs.shape[0]
+    n = xs.shape[-2]
     zs, norms = _normalize_rows(xs)
     zg, _ = _normalize_rows(xg)
-    gap = zs @ zs.T - zg @ zg.T
-    loss = float((gap * gap).sum() / (n * n))
+    gap = zs @ np.swapaxes(zs, -1, -2) - zg @ np.swapaxes(zg, -1, -2)
+    losses = (gap * gap).sum(axis=(-2, -1)) / (n * n)
     dzs = (4.0 / (n * n)) * gap @ zs
     dot = (dzs * zs).sum(axis=-1, keepdims=True)
     dxs = (dzs - zs * dot) / np.maximum(norms, 1e-12)
-    return loss, dxs
+    return float(np.mean(losses)), dxs / losses.size
 
 
 def head_layout(embed_dim: int, prototype_count: int):
@@ -298,19 +300,20 @@ def _draw_mask(rng: RngStream, n: int, fraction: float) -> np.ndarray:
 def _guard(value, term: str, step: int):
     if not np.all(np.isfinite(np.asarray(value))):
         raise NumericError(f"{term} term non-finite at step {step}")
-    return value
 
 
 def _step_views(rasters, step: int, ssl_cfg: SslConfig,
                 enc_cfg: EncoderConfig, aug_cfg: StainAugConfig,
                 rng: RngStream):
-    """(patches, masks) of step ``step`` over a raster batch: view
-    v = 2 i + vi of item i, patchified, and its student mask.
+    """(patches, masks, unmasked) of step ``step`` over a raster batch:
+    view v = 2 i + vi of item i, patchified, its student mask, and the
+    views the unmasked encoders (teacher, Gram teacher) run on.
 
     Two augmented views per raster; when augmentation is enabled each
     view independently picks LAB or HSV jitter (coin from its own
-    stream).  Unaugmented, both views of an item are the item itself,
-    patchified once.  Nothing here reads the model.
+    stream) and ``unmasked`` is every view.  Unaugmented, both views of
+    an item are the item itself, patchified once, and ``unmasked`` is
+    one view per item.  Nothing here reads the model.
     """
     b = len(rasters)
     n = enc_cfg.num_patches
@@ -329,41 +332,33 @@ def _step_views(rasters, step: int, ssl_cfg: SslConfig,
                 patches[2 * i:2 * i + 2] = patchify(rasters[i], enc_cfg)
             masks[2 * i + vi] = _draw_mask(item_rng.derive(2 + vi), n,
                                            ssl_cfg.mask_fraction)
-    return patches, masks
+    return patches, masks, patches if aug_cfg.enabled else patches[::2]
 
 
-def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
-               enc_cfg: EncoderConfig, aug_cfg: StainAugConfig,
-               rng: RngStream, phase: str = PRETRAIN,
-               adam_cfg: AdamConfig = AdamConfig(),
-               views=None) -> LossBreakdown:
-    """One optimization step over a raster batch.
+def train_step(views, state: TrainState, ssl_cfg: SslConfig,
+               enc_cfg: EncoderConfig, phase: str = PRETRAIN,
+               adam_cfg: AdamConfig = AdamConfig()) -> LossBreakdown:
+    """One optimization step on ``views``, a batch's ``_step_views`` at
+    ``state.step``.
 
-    ``views`` is the batch's ``_step_views`` at ``state.step``; a call
-    without them builds them.  The student sees masked tokens, the
-    teacher never does.  When augmentation is off, the teacher and the
-    Gram teacher run once per raster and their outputs stand for both
-    views, byte for byte.  Gradients flow only into the student; the
-    teacher follows by EMA and the centers by momentum on batch-mean
-    teacher logits.
+    The student sees masked tokens, the teacher never does.  The
+    teacher and the Gram teacher run on the unmasked views, each row
+    repeated to stand for the views it covers.  Gradients flow only
+    into the student; the teacher follows by EMA and the centers by
+    momentum on batch-mean teacher logits.
 
     The caller has checked the inputs: a non-empty batch, num_patches
     >= 2, and a Gram teacher on ``state`` for POSTTRAIN.
     """
-    b = len(rasters)
-    if views is None:
-        views = _step_views(rasters, state.step, ssl_cfg, enc_cfg, aug_cfg,
-                            rng)
-    patches, masks = views
-    # unaugmented, the unmasked encoders run once per item and repeat
-    # each row for both views (a row of forward_batch depends on its own
-    # input row alone, so no byte differs from running both)
-    stride = 1 if aug_cfg.enabled else 2
+    patches, masks, unmasked_patches = views
+    # a row of forward_batch depends on its own input row alone, so
+    # repeating a row equals running the views it stands for
+    repeat = len(patches) // len(unmasked_patches)
 
     def unmasked(params):
-        out, _ = forward_batch(tokenize_batch(patches[::stride], params),
+        out, _ = forward_batch(tokenize_batch(unmasked_patches, params),
                                enc_cfg, params)
-        return np.repeat(out, stride, axis=0)
+        return np.repeat(out, repeat, axis=0)
 
     enc_s = _sub(state.student, "enc.")
     out_s, cache_s = forward_batch(tokenize_batch(patches, enc_s, masks),
@@ -382,7 +377,7 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
     logits_t, _ = head_forward(cls_t, cls_head_t)
 
     # image-level: cross-view pairs (teacher a -> student b and vice versa)
-    swap = np.arange(2 * b).reshape(b, 2)[:, ::-1].reshape(-1)
+    swap = np.arange(len(patches)).reshape(-1, 2)[:, ::-1].reshape(-1)
     dino, d_logits_s = centered_ce_loss_grad(logits_s, logits_t[swap],
                                              state.cls_center, ssl_cfg)
     _guard(dino, "dino", state.step)
@@ -400,28 +395,21 @@ def train_step(rasters, state: TrainState, ssl_cfg: SslConfig,
     koleo, d_cls_koleo = koleo_loss_grad(cls_s)
     _guard(koleo, "koleo", state.step)
 
+    # ---- backward: assemble d(total)/d(encoder out), Gram term first ----
+    dout = np.zeros_like(out_s)
     gram = 0.0
-    d_patches_gram = None
     if phase == POSTTRAIN:
-        gram_out = unmasked(state.gram_teacher)
-        gterms = []
-        d_patches_gram = np.zeros_like(out_s[:, 1:, :])
-        for v in range(2 * b):
-            gv, dgv = gram_loss_grad(out_s[v, 1:, :], gram_out[v, 1:, :])
-            gterms.append(gv)
-            d_patches_gram[v] = dgv / (2 * b)
-        gram = _guard(float(np.mean(gterms)), "gram", state.step)
+        gram, d_gram = gram_loss_grad(out_s[:, 1:, :],
+                                      unmasked(state.gram_teacher)[:, 1:, :])
+        _guard(gram, "gram", state.step)
+        dout[:, 1:, :] += ssl_cfg.gram_weight * d_gram
 
-    # ---- backward: assemble d(total)/d(encoder out) ----
     cls_grads, d_cls = head_backward(d_logits_s, cls_cache, cls_head_s)
     d_cls = d_cls + ssl_cfg.koleo_weight * d_cls_koleo
     patch_grads, d_masked = head_backward(d_plogits, patch_cache, patch_head_s)
 
-    dout = np.zeros_like(out_s)
     dout[:, 0, :] = d_cls
     dout[:, 1:, :][masks] += d_masked
-    if d_patches_gram is not None:
-        dout[:, 1:, :] += ssl_cfg.gram_weight * d_patches_gram
 
     enc_grads = backward_batch(dout, cache_s, enc_s)
     enc_grads.update(token_gradients(enc_grads.pop("z0"), patches, masks,
@@ -464,20 +452,19 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
     """
     def build(step):
         pick = rng.derive(9001, step).integers(batch_size, len(corpus))
-        batch = [corpus[int(i)] for i in pick]
-        return batch, _step_views(batch, step, ssl_cfg, enc_cfg, aug_cfg,
-                                  rng)
+        return _step_views([corpus[int(i)] for i in pick], step, ssl_cfg,
+                           enc_cfg, aug_cfg, rng)
 
     history = []
     first, end = state.step, state.step + steps
     with ThreadPoolExecutor(max_workers=1) as ahead:
         pending = ahead.submit(build, first) if steps else None
         for step in range(first, end):
-            batch, views = pending.result()
+            views = pending.result()
             if step + 1 < end:
                 pending = ahead.submit(build, step + 1)
-            lb = train_step(batch, state, ssl_cfg, enc_cfg, aug_cfg, rng,
-                            phase=phase, adam_cfg=adam_cfg, views=views)
+            lb = train_step(views, state, ssl_cfg, enc_cfg, phase=phase,
+                            adam_cfg=adam_cfg)
             history.append(lb)
             if log_file:
                 log_file.write(json.dumps({"step": state.step, **asdict(lb)},

@@ -243,6 +243,24 @@ class TestArgumentHandling:
                        "--out", tmp_path / "a.json") == 2
         assert type_error(config) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config, message", [
+        ("ablate", {"pretrain_steps": -1}, "bad pretrain schedule"),
+        ("ablate", {"batch_size": 0}, "bad pretrain schedule"),
+        ("ablate", {"ssl_lr": 0.0}, "ssl_lr must be positive"),
+        ("ablate", {"ssl_lr": -1e-3}, "ssl_lr must be positive"),
+        ("pretrain", {"koleo_weight": -0.1}, "loss weights must be >= 0"),
+        ("pretrain", {"gram_weight": -0.1}, "loss weights must be >= 0")])
+    def test_values_outside_their_domain(self, tmp_path, capsys, command,
+                                         config, message):
+        """A value of the right type outside its domain is a usage
+        error naming the rule, with nothing written."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(command, "--config", cfg,
+                       "--out", tmp_path / "out" / "o") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
     def test_ablate_seeds_must_be_a_list(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text('{"seeds": 3}')
@@ -827,18 +845,24 @@ class TestTraining:
         assert "small.ppm" in err and "does not match image_size 64" in err
         assert not out.exists()
 
-    def test_malformed_corpus_raster_is_named(self, tmp_path, capsys):
+    @pytest.mark.parametrize("payload, message", [
+        (b"P6 garbage", "bad PPM header token"),
+        (b"P6\n0 64\n255\n", "bad PPM dimensions 0x64"),
+        (b"P6\n64 0\n255\n", "bad PPM dimensions 64x0")],
+        ids=["garbage", "zero-width", "zero-height"])
+    def test_malformed_corpus_raster_is_named(self, tmp_path, capsys,
+                                              payload, message):
         """An --input raster that does not parse exits 3 naming the
         file, before the loss log or the checkpoint is opened."""
         src = tmp_path / "corpus"
         src.mkdir()
         write_ppm(src / "a.ppm", noisy_raster(0, size=64))
-        (src / "b.ppm").write_bytes(b"P6 garbage")
+        (src / "b.ppm").write_bytes(payload)
         out = tmp_path / "out"
         assert run_cli("pretrain", "--steps", "1", "--input", src,
                        "--out", out / "c.ckpt") == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and "b.ppm" in err
+        assert err.startswith(f"data error: {src / 'b.ppm'}: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "posttrain"])
@@ -1424,6 +1448,19 @@ class TestAblate:
                        tmp_path / "abl.json", "--svg", svg,
                        "--log-level", "quiet") == 0
         assert svg.read_text().startswith("<svg")
+        capsys.readouterr()
+
+    def test_zero_pretrain_steps(self, tmp_path, capsys):
+        """``pretrain_steps: 0`` probes the initial encoders; the report
+        is the one the grid wrote when it skipped training itself."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(TINY_ABLATE.replace('"pretrain_steps": 2',
+                                           '"pretrain_steps": 0'))
+        out = tmp_path / "abl.json"
+        assert run_cli("ablate", "--config", cfg, "--out", out,
+                       "--log-level", "quiet") == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8f581419983429091e60580d16e972bb0fbec517d2835b9d0dde1beec4de2ed3")
         capsys.readouterr()
 
     def test_threads_do_not_change_bytes(self, tmp_path, capsys):

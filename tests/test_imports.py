@@ -186,22 +186,38 @@ def test_one_config_file_reader_in_cli():
     assert not found, f"config read outside _read_config_file: {found}"
 
 
-def test_one_view_loop_in_ssl():
-    """In ``ssl``, ``stain_augment``, ``patchify`` and ``_draw_mask`` are
-    called by name inside ``_step_views`` alone: the views of a step
-    have one builder, whichever thread runs it, and the names the
-    benchmark traces in ``ssl``'s namespace stay the ones it calls."""
-    tree = ast.parse(Path(ssl.__file__).read_text(encoding="utf-8"))
-    builders = {"stain_augment", "patchify", "_draw_mask"}
-    callers = {name: set() for name in builders}
+def callers_in(path, names):
+    """{name: {top-level function calling it in ``path``}}, for calls by
+    name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = {name: set() for name in names}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             for call in ast.walk(node):
-                if (isinstance(call, ast.Call)
-                        and isinstance(call.func, ast.Name)
-                        and call.func.id in builders):
-                    callers[call.func.id].add(node.name)
-    assert callers == {name: {"_step_views"} for name in builders}
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    called = getattr(func, "id", getattr(func, "attr", None))
+                    if called in callers:
+                        callers[called].add(f"{path.stem}.{node.name}")
+    return callers
+
+
+def test_one_view_loop_in_ssl():
+    """In ``ssl``, ``stain_augment``, ``patchify`` and ``_draw_mask`` are
+    called inside ``_step_views`` alone, and in ``src`` ``_step_views``
+    and ``train_step`` are called by ``run_training`` alone: the views
+    of a step have one builder, whichever thread runs it, a step trains
+    on nothing else, and the names the benchmark traces in ``ssl``'s
+    namespace stay the ones it calls."""
+    builders = {"stain_augment", "patchify", "_draw_mask"}
+    assert callers_in(Path(ssl.__file__), builders) == {
+        name: {"ssl._step_views"} for name in builders}
+    steps = {"_step_views", "train_step"}
+    callers = {name: set() for name in steps}
+    for path in MODULES:
+        for name, found in callers_in(path, steps).items():
+            callers[name] |= found
+    assert callers == {name: {"ssl.run_training"} for name in steps}
 
 
 def loaded_names(tree):

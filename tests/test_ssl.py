@@ -24,6 +24,7 @@ from tokenhier.ssl import (
     PRETRAIN,
     SslConfig,
     _draw_mask,
+    _step_views,
     _sub,
     centered_ce_loss_grad,
     gram_loss_grad,
@@ -170,6 +171,14 @@ class TestDinoLoss:
             num = (dino_loss(sp, t, c, cfg) - dino_loss(sm, t, c, cfg)) / (2 * h)
             rel = abs(grad[j] - num) / max(1e-6, abs(grad[j]), abs(num))
             assert rel <= 1e-4
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_raises(self, side, bad):
+        logits = [np.zeros((2, 3)), np.zeros((2, 3))]
+        logits[side][1, 2] = bad
+        with pytest.raises(NumericError, match="non-finite logits"):
+            centered_ce_loss_grad(*logits, np.zeros(3), cfg_small())
 
 
 class TestIbotLoss:
@@ -354,6 +363,20 @@ class TestGramLoss:
                 worst = max(worst, rel)
         assert worst <= 1e-4
 
+    @pytest.mark.parametrize("views", [1, 2, 7])
+    def test_view_stack_is_per_view_mean(self, views):
+        """Leading axes index views: the value is the mean of the
+        per-view values and the gradient each view's gradient divided
+        by the view count, byte for byte."""
+        rng = np.random.default_rng(16)
+        xs = rng.normal(size=(views, 5, 3))
+        xg = rng.normal(size=(views, 5, 3))
+        per_view = [gram_loss_grad(xs[v], xg[v]) for v in range(views)]
+        loss, grad = gram_loss_grad(xs, xg)
+        assert loss == float(np.mean([value for value, _ in per_view]))
+        want = np.stack([g / views for _, g in per_view])
+        assert grad.tobytes() == want.tobytes()
+
 
 class TestHeads:
     def test_shapes(self):
@@ -425,6 +448,13 @@ def tiny_setup(seed=0, k=32):
     return enc_cfg, ssl_cfg, aug_cfg, corpus
 
 
+def train_on(rasters, state, ssl_cfg, enc_cfg, aug_cfg, rng, **kw):
+    """``train_step`` on the views ``_step_views`` builds from
+    ``rasters`` at ``state.step``, as ``run_training`` feeds it."""
+    views = _step_views(rasters, state.step, ssl_cfg, enc_cfg, aug_cfg, rng)
+    return train_step(views, state, ssl_cfg, enc_cfg, **kw)
+
+
 class TestTrainStep:
     @pytest.mark.parametrize("fraction, masked",
                              [(0.001, 1), (0.3, 5), (0.999, 15)])
@@ -438,8 +468,8 @@ class TestTrainStep:
     def test_pretrain_gram_exactly_zero(self):
         enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=1))
-        lb = train_step(corpus[:4], state, ssl_cfg, enc_cfg, aug_cfg,
-                        RngStream(seed=2), phase=PRETRAIN)
+        lb = train_on(corpus[:4], state, ssl_cfg, enc_cfg, aug_cfg,
+                      RngStream(seed=2), phase=PRETRAIN)
         assert lb.gram == 0.0
         assert np.isfinite(lb.total)
         assert lb.dino >= 0 and lb.ibot >= 0
@@ -451,8 +481,8 @@ class TestTrainStep:
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=5))
         state.gram_teacher = {k: v.copy()
                               for k, v in _sub(state.student, "enc.").items()}
-        lb = train_step(corpus[:4], state, ssl_cfg, enc_cfg, aug_cfg,
-                        RngStream(seed=6), phase=POSTTRAIN)
+        lb = train_on(corpus[:4], state, ssl_cfg, enc_cfg, aug_cfg,
+                      RngStream(seed=6), phase=POSTTRAIN)
         assert np.isfinite(lb.gram)
         assert lb.gram > 0
 
@@ -462,8 +492,8 @@ class TestTrainStep:
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=7))
         before = {k: v.copy() for k, v in state.teacher.items()}
         for _ in range(3):
-            train_step(corpus[:4], state, ssl_cfg, enc_cfg, aug_cfg,
-                       RngStream(seed=8))
+            train_on(corpus[:4], state, ssl_cfg, enc_cfg, aug_cfg,
+                     RngStream(seed=8))
         for k in before:
             np.testing.assert_array_equal(state.teacher[k], before[k])
 
@@ -472,12 +502,39 @@ class TestTrainStep:
         state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=9))
         s_before = state.student["enc.embed.W"].copy()
         t_before = state.teacher["enc.embed.W"].copy()
-        train_step(corpus[:4], state, ssl_cfg, enc_cfg, aug_cfg,
-                   RngStream(seed=10))
+        train_on(corpus[:4], state, ssl_cfg, enc_cfg, aug_cfg,
+                 RngStream(seed=10))
         assert np.abs(state.student["enc.embed.W"] - s_before).max() > 0
         drift_t = np.abs(state.teacher["enc.embed.W"] - t_before).max()
         drift_s = np.abs(state.student["enc.embed.W"] - s_before).max()
         assert 0 < drift_t < drift_s  # EMA trails the student
+
+    @pytest.mark.parametrize("name, call, term", [
+        ("centered_ce_loss_grad", 0, "dino"),
+        ("centered_ce_loss_grad", 1, "ibot"),
+        ("koleo_loss_grad", 0, "koleo"),
+        ("gram_loss_grad", 0, "gram")])
+    def test_non_finite_term_is_named(self, monkeypatch, name, call, term):
+        """A loss term gone NaN stops the step with its name and step
+        number, before any parameter moves."""
+        real, calls = getattr(ssl_module, name), []
+
+        def nan_at_call(*args):
+            value, grad = real(*args)
+            calls.append(name)
+            return (np.nan if len(calls) == call + 1 else value), grad
+
+        monkeypatch.setattr(ssl_module, name, nan_at_call)
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=15))
+        state.gram_teacher = _sub(state.student, "enc.")
+        state.step = 5
+        before = state_sha256(state)
+        with pytest.raises(NumericError,
+                           match=f"^{term} term non-finite at step 5$"):
+            train_on(corpus[:2], state, ssl_cfg, enc_cfg, aug_cfg,
+                     RngStream(seed=16), phase=POSTTRAIN)
+        assert state.step == 5 and state_sha256(state) == before
 
     def test_deterministic_sequence(self):
         enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
@@ -585,21 +642,22 @@ def test_forward_rows_per_step(monkeypatch, enabled, rows):
     state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=27))
     state.gram_teacher = _sub(state.student, "enc.")
     monkeypatch.setattr(ssl_module, "forward_batch", counting)
-    train_step(corpus[:3], state, ssl_cfg, enc_cfg,
-               StainAugConfig(enabled=enabled), RngStream(seed=28),
-               phase=POSTTRAIN)
+    train_on(corpus[:3], state, ssl_cfg, enc_cfg,
+             StainAugConfig(enabled=enabled), RngStream(seed=28),
+             phase=POSTTRAIN)
     assert seen == rows
 
 
 def serial_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg, rng, steps,
                     batch_size, phase, log):
-    """run_training's loop with every step's views built in line, by
-    train_step itself: the reference the lookahead must equal."""
+    """run_training's loop with every step's views built in line, just
+    before the step trains on them: the reference the lookahead must
+    equal."""
     history = []
     for _ in range(steps):
         pick = rng.derive(9001, state.step).integers(batch_size, len(corpus))
-        lb = train_step([corpus[int(i)] for i in pick], state, ssl_cfg,
-                        enc_cfg, aug_cfg, rng, phase=phase)
+        lb = train_on([corpus[int(i)] for i in pick], state, ssl_cfg,
+                      enc_cfg, aug_cfg, rng, phase=phase)
         history.append(lb)
         log.write(json.dumps({"step": state.step, **asdict(lb)},
                              sort_keys=True) + "\n")
@@ -676,10 +734,10 @@ class TestLookahead:
     def test_failing_step_leaves_no_thread(self, tmp_path, monkeypatch, exc):
         real = ssl_module.train_step
 
-        def failing(rasters, state, *args, **kw):
+        def failing(views, state, *args, **kw):
             if state.step == 2:
                 raise exc
-            return real(rasters, state, *args, **kw)
+            return real(views, state, *args, **kw)
 
         monkeypatch.setattr(ssl_module, "train_step", failing)
         _, lines = self.run_until_failure(tmp_path, exc)
