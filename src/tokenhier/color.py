@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numkernel import RngStream
+from .numkernel import RngStream, paired_normals
 
 Raster = np.ndarray
 
@@ -78,9 +78,10 @@ def lab_to_rgb(img) -> Raster:
     """Inverse of :func:`rgb_to_lab`; out-of-gamut values clamp to [0,255]."""
     img = np.asarray(img, dtype=np.float64)
     fy = (img[..., 0] + 16.0) / 116.0
-    fx = fy + img[..., 1] / 500.0
-    fz = fy - img[..., 2] / 200.0
-    xyz = np.stack([_lab_finv(fx), _lab_finv(fy), _lab_finv(fz)], axis=-1) * _WHITE
+    xyz = np.empty(img.shape)
+    xyz[..., 0] = _lab_finv(fy + img[..., 1] / 500.0) * _WHITE[0]
+    xyz[..., 1] = _lab_finv(fy) * _WHITE[1]
+    xyz[..., 2] = _lab_finv(fy - img[..., 2] / 200.0) * _WHITE[2]
     lin = xyz @ _XYZ2RGB.T
     srgb = _linear_to_srgb(lin)
     return np.clip(np.rint(srgb * 255.0), 0, 255).astype(np.uint8)
@@ -170,29 +171,46 @@ class StainAugConfig:
 
 
 _RHO_FLOOR = 0.05
+# the jitter draws' means: offsets center on 0, spread ratios on 1
+_DRAW_MU = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+
+def stain_draws(words, sigmas):
+    """(dmu, rho) from 12 raw words per row: draw j of
+    :func:`paired_normals` at ``sigmas[..., j]`` offsets channel j's
+    mean for j < 3, else scales its spread.  rho clamps to >= 0.05 so a
+    channel can shrink but never flip or collapse."""
+    draws = _DRAW_MU + sigmas * paired_normals(words)
+    return draws[..., :3], np.maximum(draws[..., 3:], _RHO_FLOOR)
 
 
 def draw_stain_jitter(rng: RngStream, mean_sigma, std_sigma):
-    """Draw (dmu, rho) triples in the documented order.
-
-    Order is fixed: mean offsets for channels 0..2, then spread ratios
-    for channels 0..2, one Gaussian draw each.  rho clamps to >= 0.05 so
-    a channel can shrink but never flip or collapse.
-    """
-    draws = rng._scalar_gaussians((0.0, 0.0, 0.0, 1.0, 1.0, 1.0),
-                                  (*mean_sigma, *std_sigma))
-    return draws[:3], np.maximum(draws[3:], _RHO_FLOOR)
+    """:func:`stain_draws` on the next 12 words of ``rng``: mean
+    offsets for channels 0..2, then spread ratios for channels 0..2."""
+    return stain_draws(rng._raw(12), np.array([*mean_sigma, *std_sigma],
+                                              dtype=np.float64))
 
 
-def _jitter(img, mean_sigma, std_sigma, rng, hue_channel=None):
-    dmu, rho = draw_stain_jitter(rng, mean_sigma, std_sigma)
+_CONVERSIONS = {"lab": (rgb_to_lab, lab_to_rgb), "hsv": (rgb_to_hsv, hsv_to_rgb)}
+
+
+def stain_space(r: Raster, space: str):
+    """(image, channel means) of ``r`` in ``space``, for any number of remaps."""
+    img = _CONVERSIONS[space][0](r)
     # per-channel means, each reduced on its own as the remap defines it
-    mu = np.array([img[..., c].mean() for c in range(3)])
-    out = (img - mu) * rho + mu + dmu
-    if hue_channel is not None:
-        out[..., hue_channel] = _mod(img[..., hue_channel] + dmu[hue_channel],
-                                     360.0)
-    return out
+    return img, np.array([img[..., c].mean() for c in range(3)])
+
+
+def stain_remap(img, mu, dmu, rho, space: str) -> Raster:
+    """The jittered raster: ``x -> (x - mu) * rho + mu + dmu`` on a
+    :func:`stain_space` image with its means ``mu``, converted back to
+    RGB; hue only shifts, mod 360."""
+    out = np.empty_like(img)
+    for c in range(3):  # 3x faster than broadcasting a length-3 last axis
+        out[..., c] = (img[..., c] - mu[c]) * rho[c] + mu[c] + dmu[c]
+    if space == "hsv":
+        out[..., 0] = _mod(img[..., 0] + dmu[0], 360.0)
+    return _CONVERSIONS[space][1](out)
 
 
 def stain_augment(r: Raster, cfg: StainAugConfig, rng: RngStream) -> Raster:
@@ -205,13 +223,11 @@ def stain_augment(r: Raster, cfg: StainAugConfig, rng: RngStream) -> Raster:
     if not cfg.enabled:
         return r.copy()
     out = r
-    if cfg.space in ("lab", "both"):
-        lab = _jitter(rgb_to_lab(out), cfg.lab_mean_sigma, cfg.lab_std_sigma, rng)
-        out = lab_to_rgb(lab)
-    if cfg.space in ("hsv", "both"):
-        hsv = _jitter(rgb_to_hsv(out), cfg.hsv_mean_sigma, cfg.hsv_std_sigma,
-                      rng, hue_channel=0)
-        out = hsv_to_rgb(hsv)
+    for space in ("lab", "hsv"):
+        if cfg.space in (space, "both"):
+            dmu, rho = draw_stain_jitter(rng, getattr(cfg, space + "_mean_sigma"),
+                                         getattr(cfg, space + "_std_sigma"))
+            out = stain_remap(*stain_space(out, space), dmu, rho, space)
     return out
 
 

@@ -162,15 +162,11 @@ class RngStream:
         return RngStream(self.seed, sid)
 
     def _raw(self, n: int) -> np.ndarray:
-        counters = np.arange(self.counter, self.counter + n, dtype=np.uint64)
-        self.counter += n
-        with np.errstate(over="ignore"):
-            states = (np.uint64(self._key) + (counters + np.uint64(1)) * _GOLDEN) & _M64
-        return _mix64(states)
+        return draw_words([self], n)[0]
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1) with 53-bit resolution."""
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return to_unit(self._raw(n))
 
     def gaussian(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         """n normal draws via Box-Muller on the uniform stream.
@@ -188,36 +184,58 @@ class RngStream:
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return mu + sigma * z
 
-    def _scalar_gaussians(self, mu, sigma) -> np.ndarray:
-        """Entry j equals ``self.gaussian(1, mu[j], sigma[j])[0]`` from
-        successive scalar calls, bit for bit, but from one ``_raw``
-        call: u1 words at the even counters, u2 at the odd ones."""
-        mu = np.asarray(mu, dtype=np.float64)
-        sigma = np.asarray(sigma, dtype=np.float64)
-        raw = self._raw(2 * mu.size)
-        r, theta = _box_muller(raw[0::2], raw[1::2])
-        return mu + sigma * (r * np.cos(theta))
-
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n integers uniform over [0, bound), bound >= 1.  Modulo bias is
         negligible for the small bounds used here (bound << 2^64)."""
         return (self._raw(n) % np.uint64(bound)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Deterministic Fisher-Yates permutation of range(n), on Python
-        ints (numpy scalar arithmetic per swap costs several times more)."""
-        perm = list(range(n))
+        """Deterministic Fisher-Yates permutation of range(n)."""
         js = self._raw(n - 1).tolist() if n > 1 else []
-        for i in range(n - 1, 0, -1):
-            j = js[n - 1 - i] % (i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.int64)
+        return np.array(fisher_yates(js, n), dtype=np.int64)
+
+
+def draw_words(streams, n: int) -> np.ndarray:
+    """n raw words from each stream, one row per stream, from one
+    :func:`_mix64` call over the (streams x counters) state grid; each
+    stream advances by n, so row s is ``streams[s]._raw(n)`` bit for bit."""
+    keys = np.array([s._key for s in streams], dtype=np.uint64)
+    starts = np.array([s.counter for s in streams], dtype=np.uint64)
+    for s in streams:
+        s.counter += n
+    with np.errstate(over="ignore"):
+        counters = starts[:, None] + np.arange(1, n + 1, dtype=np.uint64)
+        return _mix64(keys[:, None] + counters * _GOLDEN)
+
+
+def to_unit(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) with 53-bit resolution, one per raw word."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def fisher_yates(words: list, n: int) -> list:
+    """Permutation of range(n) from n - 1 raw words as Python ints
+    (numpy scalars cost several times more per swap): the swap into
+    position i reads word n - 1 - i modulo i + 1."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = words[n - 1 - i] % (i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def paired_normals(words: np.ndarray) -> np.ndarray:
+    """Standard normals from raw words in (u1, u2) pairs along the last
+    axis, cosine branch: entry j reads words 2j and 2j + 1, as the j-th
+    of successive scalar ``gaussian(1)`` calls on one stream does."""
+    r, theta = _box_muller(words[..., 0::2], words[..., 1::2])
+    return r * np.cos(theta)
 
 
 def _box_muller(raw1: np.ndarray, raw2: np.ndarray):
     """Radius and angle from two raw word blocks.  u1 in (0, 1] keeps
     the log finite; u2 in [0, 1)."""
     u1 = ((raw1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (raw2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u2 = to_unit(raw2)
     return np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
 

@@ -29,12 +29,12 @@ from __future__ import annotations
 import copy
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .checkpoint import check_value, load_params, read_config, save_params
-from .color import StainAugConfig, stain_augment
+from .color import StainAugConfig, stain_draws, stain_remap, stain_space
 from .encoder import (
     EncoderConfig,
     backward_batch,
@@ -45,8 +45,8 @@ from .encoder import (
     tokenize_batch,
 )
 from .errors import ConfigError, DataError, NumericError
-from .numkernel import (RngStream, gelu, gelu_grad, init_tensors,
-                        softmax_rows)
+from .numkernel import (RngStream, draw_words, fisher_yates, gelu, gelu_grad,
+                        init_tensors, softmax_rows, to_unit)
 from .optim import AdamConfig, adam_init, adam_step
 
 _LOG_EPS = 1e-12
@@ -226,7 +226,9 @@ class TrainState:
     patch_center: np.ndarray
     adam: dict
     step: int = 0
-    gram_teacher: dict = None   # enc params only, frozen
+    # frozen enc params in arrays of its own: adam_step updates the
+    # student's in place, so sharing them would move the anchor
+    gram_teacher: dict = None
 
 
 def _model_layout(enc_cfg: EncoderConfig, k: int) -> list:
@@ -288,15 +290,6 @@ def train_state_mismatch(state: TrainState, enc_cfg: EncoderConfig,
     return f"holds tensor {extra[0]!r}, which has no place" if extra else None
 
 
-def _draw_mask(rng: RngStream, n: int, fraction: float) -> np.ndarray:
-    # at least one masked and (n >= 2) at least one unmasked token
-    m = min(max(1, int(round(fraction * n))), n - 1)
-    perm = rng.permutation(n)
-    mask = np.zeros(n, dtype=bool)
-    mask[perm[:m]] = True
-    return mask
-
-
 def _guard(value, term: str, step: int):
     if not np.all(np.isfinite(np.asarray(value))):
         raise NumericError(f"{term} term non-finite at step {step}")
@@ -307,32 +300,45 @@ def _step_views(rasters, step: int, ssl_cfg: SslConfig,
                 rng: RngStream):
     """(patches, masks, unmasked) of step ``step`` over a raster batch:
     view v = 2 i + vi of item i, patchified, its student mask, and the
-    views the unmasked encoders (teacher, Gram teacher) run on.
+    views the unmasked encoders (teacher, Gram teacher) run on: every
+    view, or unaugmented one per item (both its views are the item).
 
-    Two augmented views per raster; when augmentation is enabled each
-    view independently picks LAB or HSV jitter (coin from its own
-    stream) and ``unmasked`` is every view.  Unaugmented, both views of
-    an item are the item itself, patchified once, and ``unmasked`` is
-    one view per item.  Nothing here reads the model.
+    ``rng.derive(step, i)`` derived by vi is view v's stream (counter 0
+    the LAB/HSV coin, LAB below 0.5; 1..12 the jitter draws), derived
+    by 2 + vi its mask's (Fisher-Yates words at 0..N-2); one
+    ``draw_words`` call draws them all.  A raster is converted once per
+    space its views pick.  Nothing here reads the model.
     """
-    b = len(rasters)
-    n = enc_cfg.num_patches
+    b, n, aug = len(rasters), enc_cfg.num_patches, aug_cfg.enabled
+    items = [rng.derive(step, i) for i in range(b)]
+    # rows 0..2B-1 are the mask streams, rows 2B.. the view streams
+    streams = [item.derive(2 + vi) for item in items for vi in range(2)]
+    if aug:
+        streams += [item.derive(vi) for item in items for vi in range(2)]
+    words = draw_words(streams, max(n - 1, 13 if aug else 0))
+    # at least one masked and (n >= 2) at least one unmasked token
+    m = min(max(1, int(round(ssl_cfg.mask_fraction * n))), n - 1)
+    masks = np.zeros((2 * b, n), dtype=bool)
+    for v, row in enumerate(words[:2 * b, :n - 1].tolist()):
+        masks[v, fisher_yates(row, n)[:m]] = True
     patches = np.empty((2 * b, n, enc_cfg.patch_dim))
-    masks = np.empty((2 * b, n), dtype=bool)
-    for i in range(b):
-        item_rng = rng.derive(step, i)
-        for vi in range(2):
-            if aug_cfg.enabled:
-                view_rng = item_rng.derive(vi)
-                pick = "lab" if view_rng.uniform(1)[0] < 0.5 else "hsv"
-                view = stain_augment(rasters[i],
-                                     replace(aug_cfg, space=pick), view_rng)
-                patches[2 * i + vi] = patchify(view, enc_cfg)
-            elif vi == 0:
-                patches[2 * i:2 * i + 2] = patchify(rasters[i], enc_cfg)
-            masks[2 * i + vi] = _draw_mask(item_rng.derive(2 + vi), n,
-                                           ssl_cfg.mask_fraction)
-    return patches, masks, patches if aug_cfg.enabled else patches[::2]
+    if not aug:
+        for i, raster in enumerate(rasters):
+            patches[2 * i:2 * i + 2] = patchify(raster, enc_cfg)
+        return patches, masks, patches[::2]
+    lab = to_unit(words[2 * b:, 0]) < 0.5
+    spaces = ["lab" if pick else "hsv" for pick in lab.tolist()]
+    sigmas = np.where(lab[:, None],
+                      [*aug_cfg.lab_mean_sigma, *aug_cfg.lab_std_sigma],
+                      [*aug_cfg.hsv_mean_sigma, *aug_cfg.hsv_std_sigma])
+    dmu, rho = stain_draws(words[2 * b:, 1:13], sigmas)
+    for i, raster in enumerate(rasters):
+        converted = {space: stain_space(raster, space)
+                     for space in set(spaces[2 * i:2 * i + 2])}
+        for v in (2 * i, 2 * i + 1):
+            view = stain_remap(*converted[spaces[v]], dmu[v], rho[v], spaces[v])
+            patches[v] = patchify(view, enc_cfg)
+    return patches, masks, patches
 
 
 def train_step(views, state: TrainState, ssl_cfg: SslConfig,

@@ -702,6 +702,32 @@ class TestTraining:
         assert extra["phase"] == "posttrain"
         capsys.readouterr()
 
+    @pytest.mark.parametrize("init", [False, True])
+    def test_posttrain_anchor_stays_frozen(self, work, tmp_path, init):
+        """The output's ``gram.*`` tensors are the ``--gram-teacher``
+        checkpoint's ``student.enc.*`` byte for byte, though the
+        student trained away from them."""
+        out = tmp_path / "p.ckpt"
+        argv = ["posttrain", "--steps", "2", "--out", out, "--gram-teacher",
+                work / "enc.ckpt", "--log-level", "quiet"]
+        if init:
+            argv += ["--init", work / "init.ckpt"]
+        assert run_cli(*argv) == 0
+        anchor = load_params(work / "enc.ckpt")[2]
+        trained = load_params(out)[2]
+        names = [k[len("gram."):] for k in trained if k.startswith("gram.")]
+        assert sorted(names) == sorted(
+            k[len("student.enc."):] for k in anchor
+            if k.startswith("student.enc."))
+        for name in names:
+            frozen = anchor["student.enc." + name]
+            kept = trained["gram." + name]
+            assert (kept.dtype, kept.shape) == (frozen.dtype, frozen.shape)
+            assert kept.tobytes() == frozen.tobytes()
+        assert any(not np.array_equal(trained["student.enc." + name],
+                                      anchor["student.enc." + name])
+                   for name in names)
+
     @pytest.mark.parametrize("legacy", [None, "anchor.ckpt"])
     def test_legacy_ssl_key_still_loads(self, work, tmp_path, capsys,
                                         legacy):

@@ -203,13 +203,14 @@ def callers_in(path, names):
 
 
 def test_one_view_loop_in_ssl():
-    """In ``ssl``, ``stain_augment``, ``patchify`` and ``_draw_mask`` are
-    called inside ``_step_views`` alone, and in ``src`` ``_step_views``
-    and ``train_step`` are called by ``run_training`` alone: the views
-    of a step have one builder, whichever thread runs it, a step trains
-    on nothing else, and the names the benchmark traces in ``ssl``'s
-    namespace stay the ones it calls."""
-    builders = {"stain_augment", "patchify", "_draw_mask"}
+    """In ``ssl``, ``stain_space``, ``stain_remap`` (the per-view jitter
+    kernel) and ``patchify`` are called inside ``_step_views`` alone,
+    and in ``src`` ``_step_views`` and ``train_step`` are called by
+    ``run_training`` alone: the views of a step have one builder,
+    whichever thread runs it, a step trains on nothing else, and the
+    names the benchmark traces in ``ssl``'s namespace stay the ones it
+    calls."""
+    builders = {"stain_space", "stain_remap", "patchify"}
     assert callers_in(Path(ssl.__file__), builders) == {
         name: {"ssl._step_views"} for name in builders}
     steps = {"_step_views", "train_step"}

@@ -9,6 +9,8 @@ from tokenhier.numkernel import (
     LN_EPS,
     RngStream,
     _mix_scalar,
+    draw_words,
+    fisher_yates,
     gelu,
     gelu_grad,
     layer_norm,
@@ -287,6 +289,33 @@ class TestRngStream:
         got = rng.permutation(n)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert rng.counter == old.counter
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1),
+                              st.integers(0, 2**64 - 1),
+                              st.integers(0, 2**20)),
+                    min_size=1, max_size=6),
+           st.integers(0, 40))
+    def test_block_draw_equals_each_stream(self, ids, n):
+        """Row s of one ``draw_words`` call over many streams is stream
+        s's own ``_raw`` (and the splitmix64 formula on Python ints),
+        its Fisher-Yates order is the stream's ``permutation``, and
+        every stream advances as its own draw would advance it."""
+        def streams():
+            return [RngStream(seed, sid, counter)
+                    for seed, sid, counter in ids]
+
+        block, own, perm = streams(), streams(), streams()
+        words = draw_words(block, n)
+        assert words.shape == (len(ids), n) and words.dtype == np.uint64
+        for row, s, p in zip(words.tolist(), own, perm):
+            key, start = s._key, s.counter
+            assert row == [_mix_scalar(key + (start + c + 1) * 0x9E3779B97F4A7C15)
+                           for c in range(n)]
+            assert row == s._raw(n).tolist()
+            assert (fisher_yates(row[:n - 1], n)
+                    == p.permutation(n).tolist())
+        assert [s.counter for s in block] == [s.counter for s in own]
 
     def test_chi_square_uniformity(self):
         """Coarse 16-bin chi-square on 32k draws stays far from pathological."""

@@ -42,3 +42,31 @@ def test_seed0_job_matches_pin(name, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-1] == PINS["sha256"][name]
+
+
+# Trace points that resolve to nothing, so the per-layer metrics they
+# feed read 0: helpers a change renamed or folded away while the
+# benchmark kept their names, and ``ssl.stain_augment``, which the view
+# builder no longer calls (its per-view jitter kernel is
+# ``stain_remap``).  A later rename that strands another point fails
+# here instead of silently zeroing a metric.
+UNRESOLVED = {"ssl.tokenize", "encoder.tokenize", "ssl._centered_ce",
+              "ssl.ibot_loss_grad", "bench.forward", "ssl.stain_augment"}
+
+POINTS = """
+import json
+from perfbench.workloads import trace_points
+print(json.dumps([f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}"
+                  for owner, attr, _, _ in trace_points()
+                  if not hasattr(owner, attr)]))
+"""
+
+
+def test_unresolved_trace_points_are_named(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    done = subprocess.run([sys.executable, "-c", POINTS], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert set(json.loads(done.stdout.splitlines()[-1])) == UNRESOLVED

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from tokenhier.checkpoint import read_config
-from tokenhier.color import StainAugConfig
+from tokenhier.color import StainAugConfig, stain_augment
 from tokenhier import ssl as ssl_module
-from tokenhier.encoder import EncoderConfig, forward_batch
+from tokenhier.encoder import EncoderConfig, forward_batch, patchify
 from tokenhier.errors import ConfigError, NumericError
 from tokenhier.numkernel import RngStream, init_tensors
 from tokenhier.ssl import (
@@ -23,7 +23,6 @@ from tokenhier.ssl import (
     POSTTRAIN,
     PRETRAIN,
     SslConfig,
-    _draw_mask,
     _step_views,
     _sub,
     centered_ce_loss_grad,
@@ -461,9 +460,13 @@ class TestTrainStep:
     def test_mask_count_is_clamped(self, fraction, masked):
         """A fraction that rounds to no masked token masks one; one
         that rounds to every token leaves one unmasked."""
+        enc_cfg, _, aug_cfg, corpus = tiny_setup()
+        enc_cfg = replace(enc_cfg, token_size=8)   # 16 patches
         for seed in range(3):
-            mask = _draw_mask(RngStream(seed=seed), 16, fraction)
-            assert mask.sum() == masked
+            _, masks, _ = _step_views(
+                corpus[:2], seed, SslConfig(mask_fraction=fraction),
+                enc_cfg, aug_cfg, RngStream(seed=seed))
+            assert masks.sum(axis=1).tolist() == [masked] * 4
 
     def test_pretrain_gram_exactly_zero(self):
         enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
@@ -648,6 +651,58 @@ def test_forward_rows_per_step(monkeypatch, enabled, rows):
     assert seen == rows
 
 
+def per_view_mask(rng, n, fraction):
+    """The student mask as one draw per view made it."""
+    m = min(max(1, int(round(fraction * n))), n - 1)
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.permutation(n)[:m]] = True
+    return mask
+
+
+def per_view_step_views(rasters, step, ssl_cfg, enc_cfg, aug_cfg, rng):
+    """The view builder as it was when each view drew on its own
+    streams: a derive, a ``uniform(1)`` coin, one ``stain_augment`` and
+    one mask draw per view."""
+    b, n = len(rasters), enc_cfg.num_patches
+    patches = np.empty((2 * b, n, enc_cfg.patch_dim))
+    masks = np.empty((2 * b, n), dtype=bool)
+    for i in range(b):
+        item_rng = rng.derive(step, i)
+        for vi in range(2):
+            if aug_cfg.enabled:
+                view_rng = item_rng.derive(vi)
+                pick = "lab" if view_rng.uniform(1)[0] < 0.5 else "hsv"
+                view = stain_augment(rasters[i],
+                                     replace(aug_cfg, space=pick), view_rng)
+                patches[2 * i + vi] = patchify(view, enc_cfg)
+            elif vi == 0:
+                patches[2 * i:2 * i + 2] = patchify(rasters[i], enc_cfg)
+            masks[2 * i + vi] = per_view_mask(item_rng.derive(2 + vi), n,
+                                              ssl_cfg.mask_fraction)
+    return patches, masks, patches if aug_cfg.enabled else patches[::2]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("token_size, num_patches", [(16, 4), (8, 16)])
+def test_step_views_equal_per_view_draws(enabled, batch, token_size,
+                                         num_patches):
+    """One block draw and one conversion per (item, space) build the
+    bytes that per-view streams and per-view ``stain_augment`` built."""
+    enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+    enc_cfg = replace(enc_cfg, token_size=token_size)
+    assert enc_cfg.num_patches == num_patches
+    aug_cfg = replace(aug_cfg, enabled=enabled)
+    for step in (0, 7, 2**40 + 3):
+        for seed in (0, 2**63 + 5):
+            args = (corpus[step % 7:step % 7 + batch], step, ssl_cfg,
+                    enc_cfg, aug_cfg, RngStream(seed=seed, stream_id=12))
+            got, want = _step_views(*args), per_view_step_views(*args)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
 def serial_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg, rng, steps,
                     batch_size, phase, log):
     """run_training's loop with every step's views built in line, just
@@ -700,13 +755,13 @@ class TestLookahead:
             steps, self.BATCH, phase, fh))
 
         augmented = []
-        real = ssl_module.stain_augment
+        real = ssl_module.stain_remap
 
         def counting(*args):
-            augmented.append(args[2])
+            augmented.append(args[-1])
             return real(*args)
 
-        monkeypatch.setattr(ssl_module, "stain_augment", counting)
+        monkeypatch.setattr(ssl_module, "stain_remap", counting)
         lookahead = outcome(lambda state, fh: run_training(
             corpus, state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=32),
             steps, self.BATCH, phase=phase, log_file=fh))
