@@ -79,18 +79,12 @@ def split_hash(ds: LabeledDataset) -> str:
 
 @dataclass(frozen=True)
 class SuiteSpec:
+    """What a caller sets or the shipped suites differ in; the rest of a
+    suite is the generator's constants.  ``image_size`` is the encoder's."""
     kind: str = GLOBAL
-    num_classes: int = 2
     per_class: int = 30
     image_size: int = 64
-    tile: int = 16
-    noise_sigma: float = 18.0
     color_step: float = 26.0
-    texture_amp: float = 55.0
-    signal_tile: tuple = (1, 1)
-    # LOCAL only: every non-signal tile gets a random texture at this
-    # amplitude, so aggregate statistics drown the one informative tile.
-    distractor_amp: float = 30.0
     # GLOBAL/SHIFTED: per-item wobble of the class color, so clusters
     # have width and shift damage is graded instead of all-or-nothing.
     # LOCAL: per-item uniform color cast, class-independent.
@@ -99,18 +93,9 @@ class SuiteSpec:
     # channel direction).  Token-wise normalization cannot remove it,
     # so it is a nuisance only color-insensitive features escape.
     gradient_amp: float = 0.0
-    # SHIFTED only: whole-image stripe orientation at this amplitude is
-    # the structural label cue.  The test-split protocol change moves
-    # color far outside the train distribution, so features that lean
-    # on color transfer worse than structural ones.
-    structure_amp: float = 20.0
-    # The protocol change: additive LAB offsets riding the class-color
-    # axis plus mild spread scaling, per-item magnitude in [0.6, 1.4].
-    shift_offset: tuple = (2.0, 14.0, -3.0)
-    shift_scale: tuple = (1.0, 1.1, 1.1)
 
     def __post_init__(self):
-        # the one field a command line reaches; the rest are constants
+        # the one field a command line reaches
         if self.per_class < 5:
             raise ConfigError("need at least 5 items per class to split")
 
@@ -129,12 +114,6 @@ def _texture(kind_index: int, t: int, amp: float) -> np.ndarray:
     return pat[:, :, None] * np.ones(3)
 
 
-def _class_mean(c: int, step: float) -> np.ndarray:
-    base = np.array([118.0, 118.0, 118.0])
-    base[c % 3] += step * (1.0 + 0.5 * (c // 3))
-    return base
-
-
 def apply_protocol_shift(raster, offsets, scales) -> np.ndarray:
     """Deterministic staining-protocol change: per-channel LAB spread
     scaling about the image mean plus an additive offset."""
@@ -145,9 +124,29 @@ def apply_protocol_shift(raster, offsets, scales) -> np.ndarray:
     return lab_to_rgb(shifted.reshape(lab.shape))
 
 
+# Every suite: two classes, pixel noise, and LOCAL's grid of tiles.
+_NUM_CLASSES = 2
+_NOISE_SIGMA = 18.0
+_TILE = 16
+_SIGNAL_TILE = (1, 1)
+_TEXTURE_AMP = 55.0
+# LOCAL only: every non-signal tile gets a random texture at this
+# amplitude, so aggregate statistics drown the one informative tile.
+_DISTRACTOR_AMP = 30.0
+# SHIFTED only: whole-image stripe orientation at this amplitude is
+# the structural label cue.  The test-split protocol change moves
+# color far outside the train distribution, so features that lean
+# on color transfer worse than structural ones.
+_STRUCTURE_AMP = 20.0
+# The protocol change: additive LAB offsets riding the class-color
+# axis plus mild spread scaling, per-item magnitude in [0.6, 1.4].
+_SHIFT_OFFSET = (20.0, 16.0, -10.0)
+_SHIFT_SCALE = (1.25, 1.25, 1.25)
+
+
 def _make_raster(spec: SuiteSpec, label: int, item_rng: RngStream) -> np.ndarray:
     s = spec.image_size
-    noise = item_rng.gaussian(s * s * 3, 0.0, spec.noise_sigma).reshape(s, s, 3)
+    noise = item_rng.gaussian(s * s * 3, 0.0, _NOISE_SIGMA).reshape(s, s, 3)
     if spec.kind == LOCAL:
         img = 120.0 + noise
         if spec.color_jitter:
@@ -160,23 +159,24 @@ def _make_raster(spec: SuiteSpec, label: int, item_rng: RngStream) -> np.ndarray
             ax = np.linspace(-1.0, 1.0, s)
             ramp = np.cos(theta) * ax[:, None] + np.sin(theta) * ax[None, :]
             img = img + ramp[:, :, None] * vec
-        t = spec.tile
+        t = _TILE
         grid = s // t
         for gy in range(grid):
             for gx in range(grid):
                 win = img[gy * t:(gy + 1) * t, gx * t:(gx + 1) * t]
-                if (gy, gx) == tuple(spec.signal_tile):
-                    win += _texture(label, t, spec.texture_amp)
+                if (gy, gx) == _SIGNAL_TILE:
+                    win += _texture(label, t, _TEXTURE_AMP)
                 else:
                     kind = int(item_rng.derive(gy, gx).integers(1, 4)[0])
-                    win += _texture(kind, t, spec.distractor_amp)
+                    win += _texture(kind, t, _DISTRACTOR_AMP)
     else:
-        mean = _class_mean(label, spec.color_step)
+        mean = np.full(3, 118.0)
+        mean[label] += spec.color_step
         if spec.color_jitter:
             mean = mean + item_rng.derive(5).gaussian(3, 0.0, spec.color_jitter)
         img = mean[None, None, :] + noise
-        if spec.kind == SHIFTED and spec.structure_amp:
-            img += _texture(label, s, spec.structure_amp)
+        if spec.kind == SHIFTED:
+            img += _texture(label, s, _STRUCTURE_AMP)
     return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
 
@@ -193,7 +193,7 @@ def make_synthetic_suite(rng: RngStream, spec: SuiteSpec):
     class over disjoint source ids, 60/20/20."""
     per_split = {TRAIN: [], VAL: [], TEST: []}
     per_split_ids = {TRAIN: [], VAL: [], TEST: []}
-    for c in range(spec.num_classes):
+    for c in range(_NUM_CLASSES):
         order = rng.derive(888, c).permutation(spec.per_class)
         for rank, j in enumerate(order):
             j = int(j)
@@ -203,11 +203,11 @@ def make_synthetic_suite(rng: RngStream, spec: SuiteSpec):
             if spec.kind == SHIFTED and split == TEST:
                 mag = 0.6 + 0.8 * float(rng.derive(c, j, 7).uniform(1)[0])
                 raster = apply_protocol_shift(
-                    raster, tuple(mag * o for o in spec.shift_offset),
-                    spec.shift_scale)
+                    raster, tuple(mag * o for o in _SHIFT_OFFSET),
+                    _SHIFT_SCALE)
             per_split[split].append((raster, c))
             per_split_ids[split].append(sid)
-    names = [f"class{c}" for c in range(spec.num_classes)]
+    names = [f"class{c}" for c in range(_NUM_CLASSES)]
     return tuple(
         LabeledDataset(per_split[sp], names, per_split_ids[sp])
         for sp in (TRAIN, VAL, TEST))
@@ -333,17 +333,16 @@ def write_report(report: dict, path) -> None:
         fh.write("\n")
 
 
-def make_report(task: str, y_true, y_pred, num_classes: int,
-                fingerprint: str, seed: int, class_names,
-                extra: dict) -> dict:
-    recalls, support = class_recalls(y_true, y_pred, num_classes)
+def make_report(task: str, y_true, y_pred, fingerprint: str, seed: int,
+                class_names, extra: dict) -> dict:
+    recalls, support = class_recalls(y_true, y_pred, len(class_names))
     live = support > 0
     return {
         "format_version": 1,
         "task": task,
         "bacc": float(np.mean(recalls[live])),
         "per_class_recalls": [None if not live[c] else float(recalls[c])
-                              for c in range(num_classes)],
+                              for c in range(len(class_names))],
         "zero_support_classes": [int(c) for c in np.nonzero(~live)[0]],
         "config_fingerprint": fingerprint,
         "seed": int(seed),
@@ -462,9 +461,7 @@ _ROW_DEFS = (
 SUITE_SPECS = {
     GLOBAL: SuiteSpec(kind=GLOBAL),
     LOCAL: SuiteSpec(kind=LOCAL, color_jitter=0.0, gradient_amp=20.0),
-    SHIFTED: SuiteSpec(kind=SHIFTED, color_step=2.0, color_jitter=3.0,
-                       structure_amp=20.0, shift_offset=(20.0, 16.0, -10.0),
-                       shift_scale=(1.25, 1.25, 1.25)),
+    SHIFTED: SuiteSpec(kind=SHIFTED, color_step=2.0, color_jitter=3.0),
 }
 
 

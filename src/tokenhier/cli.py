@@ -329,14 +329,13 @@ def _run_ssl(args) -> int:
         if not args.gram_teacher:
             raise ConfigError("post-training requires --gram-teacher")
         anchor = _load_state(args.gram_teacher, "--gram-teacher", enc)
-        gram_params = student_encoder_params(anchor)
-        state = (_load_state(args.init, "--init", enc) if args.init
-                 else copy.deepcopy(anchor))
+        state = _load_state(args.init, "--init", enc) if args.init else anchor
         mismatch = train_state_mismatch(state, enc, ssl)
         if mismatch:
             raise ConfigError(f"{args.init or args.gram_teacher}: checkpoint "
                               f"{mismatch} under the requested config")
-        state.gram_teacher = gram_params
+        # a copy: the student may be the anchor, and it trains in place
+        state.gram_teacher = copy.deepcopy(student_encoder_params(anchor))
     else:
         state = init_train_state(enc, ssl, RngStream(seed=seed, stream_id=11))
     _make_outputs(args)
@@ -408,9 +407,8 @@ def cmd_probe(args) -> int:
     fp = _fingerprint("probe", {"encoder": asdict(enc_cfg),
                                 "mode": args.mode, **asdict(head_cfg)})
     data = Path(args.data).absolute()   # not resolve(): keeps link names
-    report = make_report(data.name or str(data), te.labels, preds,
-                         len(ds.class_names), fp, head_cfg.seed,
-                         class_names=ds.class_names,
+    report = make_report(data.name or str(data), te.labels, preds, fp,
+                         head_cfg.seed, class_names=ds.class_names,
                          extra={"head_mode": args.mode,
                                 "val_bacc": result.best_val_bacc})
     _make_outputs(args)
@@ -453,9 +451,8 @@ def cmd_bench(args) -> int:
     fp = _fingerprint("bench", {"suite": args.suite,
                                 "per_class": args.per_class,
                                 "seed": args.seed})
-    report = make_report(f"suite-{args.suite}", te.labels, preds,
-                         len(tr.class_names), fp, args.seed,
-                         class_names=tr.class_names,
+    report = make_report(f"suite-{args.suite}", te.labels, preds, fp,
+                         args.seed, class_names=tr.class_names,
                          extra={"note": "mean-color nearest-centroid "
                                         "baseline on the held-out third"})
     write_report(report, args.summary)
@@ -703,7 +700,7 @@ def main(argv=None) -> int:
     except TokenhierError as e:
         print(f"{e.label}: {e}", file=sys.stderr)
         return e.code
-    except OSError as e:          # a write the OS refuses (permissions, space)
+    except (OSError, MemoryError) as e:   # a refused write; too large a size
         print(f"error: {e}", file=sys.stderr)
         return 2
 

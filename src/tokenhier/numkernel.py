@@ -16,6 +16,7 @@ index``) make parallel execution order-independent, and identical
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +91,7 @@ def trunc_normal(rng: RngStream, shape) -> np.ndarray:
     ``gaussian`` call so the draw order is the row-major order of
     ``shape``."""
     sigma = 0.02
-    v = rng.gaussian(int(np.prod(shape)), 0.0, sigma)
+    v = rng.gaussian(math.prod(shape), 0.0, sigma)
     return np.clip(v, -2 * sigma, 2 * sigma).reshape(shape)
 
 

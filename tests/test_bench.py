@@ -6,10 +6,12 @@ import jsonschema
 import numpy as np
 import pytest
 
+from tokenhier import bench
 from tokenhier.bench import (GLOBAL, LOCAL, SHIFTED, SUITE_SPECS,
                              AblationConfig, LabeledDataset, _fmt_delta,
-                             SuiteSpec, apply_protocol_shift,
-                             embed_dataset, ingest_directory, make_report,
+                             SuiteSpec, acceptance_suites,
+                             apply_protocol_shift, embed_dataset,
+                             ingest_directory, make_report,
                              make_pretrain_corpus, make_synthetic_suite,
                              render_ablation_table,
                              run_ablation, save_embeddings, split_dataset,
@@ -123,7 +125,63 @@ SPLIT_ORDER_SHA256 = {
 }
 
 
+def suite_digest(splits) -> str:
+    """sha256 over each split's source ids, labels and rasters, splits
+    in order."""
+    h = hashlib.sha256()
+    for ds in splits:
+        h.update("\n".join(ds.source_ids).encode("utf-8"))
+        h.update(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
+        for raster in ds.rasters:
+            h.update(np.ascontiguousarray(raster).tobytes())
+    return h.hexdigest()
+
+
+def shipped_suites():
+    """{name: (train, val, test)} of every suite the package and the
+    benchmark build: each shipped spec at 5 and 12 per class, the
+    benchmark's probe-eval LOCAL spec at 60, and the acceptance pair."""
+    rng = RngStream(seed=0, stream_id=5)
+    suites = {f"{kind}-{n}": make_synthetic_suite(
+        rng, replace(SUITE_SPECS[kind], per_class=n))
+        for kind in (GLOBAL, LOCAL, SHIFTED) for n in (5, 12)}
+    suites["perfbench-local-60"] = make_synthetic_suite(rng, SuiteSpec(
+        kind=LOCAL, per_class=60, color_jitter=0.0, gradient_amp=20.0))
+    acceptance = acceptance_suites(RngStream(seed=2024, stream_id=5), 20)
+    suites.update({f"acceptance-{k}": v for k, v in acceptance.items()})
+    return suites
+
+
+# Source ids, labels and raster bytes of every shipped suite, pinned
+# before the suite constants left ``SuiteSpec``.
+SUITE_SHA256 = {
+    "global-5":
+        "3f306f3253987f330a812e4be5995b532d3538a3744d548bf3723b3d6442143f",
+    "global-12":
+        "e88a4d29d0a7577eade8bc41875b3dd1d104551c2d5daf20df19e48a44cdcc4c",
+    "local-5":
+        "5f75eb5d50369312c70e607612838f3673cffce88d45de2d09226e4f407c3392",
+    "local-12":
+        "c827e3d4115e9094af5194f2f7ed36bbf63af3f2f88c7905e1617405d979d047",
+    "shifted-5":
+        "0a435bfdfc3d39d1d903569b7d4c9f106d3939001991b83986ea416648c66890",
+    "shifted-12":
+        "74aad72832ef0f5d593ee47f4608a31218c8908038ce34c176ae76e48e8aeaeb",
+    "perfbench-local-60":
+        "f7fbaad9e011bb80fd47d3d939fc0823244165062509be03fa338a47809293df",
+    "acceptance-local":
+        "02cb35b38b7cde1f30ab7a8a58fc6f6d4f158b01c1bd6c84498305d3d44680cc",
+    "acceptance-shifted":
+        "947022b094c7f645c582a217d5341d68f19d755c04f77feec576e39b6900690e",
+}
+
+
 class TestSyntheticSuites:
+    def test_shipped_suite_bytes_pinned(self):
+        digests = {name: suite_digest(splits)
+                   for name, splits in shipped_suites().items()}
+        assert digests == SUITE_SHA256
+
     @pytest.mark.parametrize("kind,per_class,sizes", [
         (LOCAL, 13, [16, 6, 4]), (SHIFTED, 7, [8, 2, 4])])
     def test_split_order_pinned(self, kind, per_class, sizes):
@@ -164,15 +222,16 @@ class TestSyntheticSuites:
         preds = mean_color_nearest_centroid(tr, pooled)
         assert abs(balanced_accuracy(pooled.labels, preds, 2) - 0.5) <= 0.07
 
-    def test_local_signal_tile_mean_preserving(self):
+    def test_local_signal_tile_mean_preserving(self, monkeypatch):
         """The informative texture moves pixels but not the tile mean."""
+        monkeypatch.setattr(bench, "_NOISE_SIGMA", 1e-9)
+        monkeypatch.setattr(bench, "_DISTRACTOR_AMP", 1e-9)
         spec = SuiteSpec(kind=LOCAL, per_class=10, image_size=32,
-                         noise_sigma=1e-9, distractor_amp=1e-9,
                          gradient_amp=0.0, color_jitter=0.0)
         r0 = RngStream(seed=2, stream_id=8)
         tr, _, _ = make_synthetic_suite(r0, spec)
-        gy, gx = spec.signal_tile
-        t = spec.tile
+        gy, gx = bench._SIGNAL_TILE
+        t = bench._TILE
         for raster, _ in tr.items[:4]:
             win = raster[gy * t:(gy + 1) * t, gx * t:(gx + 1) * t].astype(float)
             assert abs(win.mean() - 120.0) < 1.0
@@ -181,10 +240,7 @@ class TestSyntheticSuites:
     def test_shifted_moves_test_colors(self):
         """Only the test split wears the protocol change, far outside
         the train color range."""
-        spec = SuiteSpec(kind=SHIFTED, per_class=20, image_size=32,
-                         color_step=2.0, color_jitter=3.0,
-                         shift_offset=(20.0, 16.0, -10.0),
-                         shift_scale=(1.25, 1.25, 1.25))
+        spec = replace(SUITE_SPECS[SHIFTED], per_class=20, image_size=32)
         tr, va, te = make_synthetic_suite(RngStream(seed=4, stream_id=3), spec)
         lab_mean = lambda ds: np.mean(
             [rgb_to_lab(r).reshape(-1, 3).mean(axis=0) for r in ds.rasters],
@@ -408,7 +464,7 @@ class TestEmbedDataset:
 
 class TestReports:
     def make(self):
-        return make_report("demo", [0, 0, 1, 1], [0, 1, 1, 1], 2,
+        return make_report("demo", [0, 0, 1, 1], [0, 1, 1, 1],
                            fingerprint="0123456789abcdef", seed=3,
                            class_names=["a", "b"], extra={})
 
@@ -420,7 +476,7 @@ class TestReports:
         validate_report(rep)
 
     def test_zero_support_reported(self):
-        rep = make_report("demo", [0, 0, 1, 1], [0, 1, 1, 1], 3,
+        rep = make_report("demo", [0, 0, 1, 1], [0, 1, 1, 1],
                           fingerprint="0123456789abcdef", seed=0,
                           class_names=["a", "b", "c"], extra={})
         assert rep["zero_support_classes"] == [2]

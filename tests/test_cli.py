@@ -365,6 +365,27 @@ class TestArgumentHandling:
                 == f"error: [Errno {errno.ENOSPC}] "
                    f"{os.strerror(errno.ENOSPC)}\n")
 
+    @pytest.mark.parametrize("argv,config", [
+        (["pretrain", "--steps", "1"], {"prototype_count": 10**13}),
+        (["pretrain", "--steps", "1"], {"embed_dim": 10**13}),
+        (["bench", "--suite", "global", "--per-class", 10**14], None)],
+        ids=["prototype-count", "embed-dim", "per-class"])
+    def test_unallocatable_size_is_usage_error(self, tmp_path, capsys, argv,
+                                               config):
+        """A model or suite too large to allocate exits 2 with one
+        ``error:`` line and writes nothing.  Each size needs an array of
+        more than 2**48 bytes, so no host starts to fill one."""
+        cfg = tmp_path / "c.json"
+        if config:
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", cfg]
+        assert run_cli(*argv, "--out", tmp_path / "out",
+                       "--log-level", "quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == ([cfg] if config else [])
+
 
 def refuse_work(*args, **kwargs):
     raise AssertionError("the command did its work before its outputs "

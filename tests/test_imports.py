@@ -221,6 +221,27 @@ def test_one_view_loop_in_ssl():
     assert callers == {name: {"ssl.run_training"} for name in steps}
 
 
+def test_one_home_for_suite_specs():
+    """In ``src``, ``SuiteSpec(...)`` is built only inside
+    ``bench.SUITE_SPECS``; every other caller ``replace``s a shipped
+    spec, so the values of each suite have one home."""
+    home, outside = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        shipped = {id(node) for stmt in tree.body
+                   if path.stem == "bench" and isinstance(stmt, ast.Assign)
+                   and any(getattr(t, "id", None) == "SUITE_SPECS"
+                           for t in stmt.targets)
+                   for node in ast.walk(stmt.value)}
+        for call in ast.walk(tree):
+            func = getattr(call, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "SuiteSpec":
+                (home if id(call) in shipped else outside).append(
+                    f"{path.name}:{call.lineno}")
+    assert home, "bench.SUITE_SPECS builds no SuiteSpec"
+    assert not outside, f"SuiteSpec built outside SUITE_SPECS: {outside}"
+
+
 def loaded_names(tree):
     """Names read in ``tree``, as a name or as an attribute."""
     for node in ast.walk(tree):

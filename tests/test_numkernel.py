@@ -2,6 +2,7 @@
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +92,20 @@ class TestTruncNormal:
         np.testing.assert_array_equal(got.reshape(-1),
                                       np.clip(raw, -0.04, 0.04))
         assert np.any(np.abs(raw) > 0.04)
+
+    def test_draw_count_is_exact(self):
+        """A shape past int64's range asks for its exact element count,
+        not a count that wrapped around (64 x (2**63 - 1) wraps to -64)."""
+        asked = []
+
+        class Recorder:
+            def gaussian(self, n, mean, sigma):
+                asked.append(n)
+                raise MemoryError
+
+        with pytest.raises(MemoryError):
+            trunc_normal(Recorder(), (64, 2**63 - 1))
+        assert asked == [64 * (2**63 - 1)]
 
 
 class TestLayerNorm:
