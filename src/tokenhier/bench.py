@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import save_params
+from .checkpoint import check_size, save_params
 from .color import StainAugConfig, lab_to_rgb, read_ppm, rgb_to_lab
 from .encoder import (EncoderConfig, TokenSequence, forward_batch, patchify,
                       tokenize_batch)
@@ -98,6 +98,7 @@ class SuiteSpec:
         # the one field a command line reaches
         if self.per_class < 5:
             raise ConfigError("need at least 5 items per class to split")
+        check_size("per_class", self.per_class)   # the split's draw
 
 
 def _texture(kind_index: int, t: int, amp: float) -> np.ndarray:

@@ -59,6 +59,13 @@ def check_value(key: str, hint, value):
     return value
 
 
+def check_size(what: str, count: int) -> None:
+    """Refuse ``count`` float64 values or RNG words (and the word an odd
+    Gaussian draw adds) past what one numpy array can index."""
+    if 8 * (count + 1) > np.iinfo(np.intp).max:
+        raise ConfigError(f"{what} is too large for any array")
+
+
 def read_config(cls, obj):
     """Inverse of ``asdict``, for header configs and config files alike:
     the ``cls`` config from a JSON object whose values pass

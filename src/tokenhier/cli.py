@@ -25,11 +25,6 @@ Conventions shared by every command:
     pretrain, posttrain and probe (default: the config file's seed,
     then 0); ablate reads its seeds from its config file
   - every primary output records a fingerprint of the resolved config
-  - --threads (fallback TOKENHIER_THREADS) is checked before any
-    command runs, but sets no thread count: training always builds the
-    next step's views on one background thread, from seeded streams
-    alone, so outputs are byte-identical for any value and the thread
-    count stays out of every fingerprint
   - timestamps appear only in ``<output>.log`` sidecars, never in
     primary outputs
 """
@@ -40,7 +35,6 @@ import argparse
 import copy
 import datetime
 import json
-import os
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -54,7 +48,8 @@ from .bench import (AblationConfig, acceptance_suites, embed_dataset,
                     make_synthetic_suite, render_ablation_table,
                     run_ablation, save_embeddings, split_dataset,
                     write_bacc_svg, write_report)
-from .checkpoint import check_value, config_fingerprint, read_config
+from .checkpoint import (check_size, check_value, config_fingerprint,
+                         read_config)
 from .color import StainAugConfig, read_ppm, stain_augment, write_ppm
 from .encoder import EncoderConfig
 from .errors import ConfigError, DataError, TokenhierError
@@ -64,7 +59,7 @@ from .numkernel import RngStream
 from .optim import AdamConfig
 from .ssl import (POSTTRAIN, init_train_state, load_train_state,
                   run_training, save_train_state, student_encoder_params,
-                  train_state_mismatch)
+                  student_size, train_state_mismatch)
 from .tiler import tile_sources, write_manifest
 
 _DESK = AblationConfig()   # desk-scale defaults shared with the ablation grid
@@ -123,17 +118,6 @@ def _note(args, message: str) -> None:
 def _say(args, message: str) -> None:
     if args.log_level != "quiet":
         print(message)
-
-
-def _check_threads(args) -> None:
-    value = args.threads
-    if value is None:
-        try:
-            value = int(os.environ.get("TOKENHIER_THREADS", "1"))
-        except ValueError as e:
-            raise ConfigError(f"TOKENHIER_THREADS: {e}") from None
-    if value < 1:
-        raise ConfigError(f"--threads must be >= 1, got {value}")
 
 
 # What each subcommand writes, primary first: (flag, default path over
@@ -290,6 +274,8 @@ def _training_configs(args):
             f"num_patches must be >= 2 so a masked view keeps an unmasked "
             f"token, got {enc.num_patches} (image_size {enc.image_size}, "
             f"token_size {enc.token_size})")
+    check_size("the model", student_size(enc, ssl.prototype_count))
+    check_size("a step's views", 2 * batch * enc.num_patches * enc.patch_dim)
     adam = AdamConfig(lr=lr)   # checks lr before anything is written
     resolved = {"encoder": asdict(enc), "ssl": asdict(ssl), "aug": asdict(aug),
                 "steps": steps, "batch_size": batch, "lr": lr, "seed": seed}
@@ -512,9 +498,6 @@ def cmd_gradcheck(args) -> int:
 def cmd_demo(args) -> int:
     out = Path(args.out)
     _make_outputs(args)
-    passthrough = ["--log-level", args.log_level]
-    if args.threads is not None:
-        passthrough += ["--threads", str(args.threads)]
     probes = (("global", LINEAR), ("local", LINEAR), ("local", ATTNPOOL))
     phases = [
         ("[1/6] synthetic suites", [
@@ -546,7 +529,7 @@ def cmd_demo(args) -> int:
     for progress, steps in phases:
         _say(args, progress)
         for argv in steps:
-            code = main(argv + passthrough)
+            code = main(argv + ["--log-level", args.log_level])
             if code:   # demo exits with the failing step's code
                 print(f"demo step {argv[0]} exited {code}", file=sys.stderr)
                 return code
@@ -579,11 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="tiling, stain augmentation, self-supervised encoder "
                     "training, token probes, and benchmark harness")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="checked (>= 1) before any command runs; no "
-                             "command runs a worker pool, so outputs do not "
-                             "depend on it. TOKENHIER_THREADS is the "
-                             "fallback, then 1")
     common.add_argument("--log-level", choices=("quiet", "info"),
                         default="info")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -694,14 +672,13 @@ def main(argv=None) -> int:
             # the message alone, without its source line or category
             warnings.showwarning = lambda *shown: print(
                 f"warning: {shown[0]}", file=sys.stderr)
-            _check_threads(args)
             _check_outputs(args)
             return args.func(args)
     except TokenhierError as e:
         print(f"{e.label}: {e}", file=sys.stderr)
         return e.code
     except (OSError, MemoryError) as e:   # a refused write; too large a size
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

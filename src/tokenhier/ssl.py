@@ -238,6 +238,15 @@ def _model_layout(enc_cfg: EncoderConfig, k: int) -> list:
             ("patch_head.", head_layout(d, k))]
 
 
+def student_size(enc_cfg: EncoderConfig, k: int) -> int:
+    """The values in ``_model_layout``'s tensors, in closed form."""
+    d, h = enc_cfg.embed_dim, enc_cfg.mlp_hidden
+    layer = 4 * d * d + 2 * d * h + h + 9 * d
+    head = 2 * d * d + 2 * d + 2 * d * k + k
+    return ((enc_cfg.patch_dim + enc_cfg.seq_len + 5) * d
+            + enc_cfg.depth * layer + 2 * head)
+
+
 def init_train_state(enc_cfg: EncoderConfig, ssl_cfg: SslConfig,
                      rng: RngStream) -> TrainState:
     k = ssl_cfg.prototype_count

@@ -276,32 +276,14 @@ class TestArgumentHandling:
                        "--report", tmp_path / "r.json") == 2
         assert "epochs must be an integer" in capsys.readouterr().err
 
-    def test_bad_thread_count(self, work, tmp_path, capsys):
-        assert run_cli("embed", "--ckpt", work / "enc.ckpt",
-                       "--data", work / "sg", "--out", tmp_path / "e",
-                       "--threads", "0") == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
-    def test_threads_checked_on_every_command(self, tmp_path, monkeypatch,
-                                              capsys, command):
-        """--threads and its TOKENHIER_THREADS fallback are checked
-        before any subcommand does work."""
-        monkeypatch.chdir(tmp_path)
-        argv = [command, *MINIMAL_ARGV[command]]
-        assert run_cli(*argv, "--threads", "0") == 2
-        monkeypatch.setenv("TOKENHIER_THREADS", "abc")
-        assert run_cli(*argv) == 2
-        err = capsys.readouterr().err
-        assert "--threads must be >= 1" in err and "TOKENHIER_THREADS" in err
-        assert not any(tmp_path.iterdir())
-
     @pytest.mark.parametrize("argv", [
         ["tile", "--config", "/nonexistent"], ["tile", "--seed", "1"],
         ["embed", "--config", "c.json"], ["embed", "--seed", "1"],
         ["bench", "--config", "c.json"], ["ablate", "--seed", "5"],
         ["gradcheck", "--config", "/nonexistent"],
-        ["gradcheck", "--seed", "9"], ["demo", "--config", "c.json"]],
+        ["gradcheck", "--seed", "9"], ["demo", "--config", "c.json"],
+        # no command runs a worker pool, so none takes a thread count
+        *([command, "--threads", "2"] for command in sorted(MINIMAL_ARGV))],
         ids=" ".join)
     def test_unread_options_are_refused(self, tmp_path, monkeypatch,
                                         capsys, argv):
@@ -334,21 +316,6 @@ class TestArgumentHandling:
         assert run_cli(*argv, "--out", target, "--log-level", "quiet") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
-
-    def test_threads_env_fallback(self, work, tmp_path, monkeypatch,
-                                  capsys):
-        """TOKENHIER_THREADS supplies the pool size when the flag is
-        absent, and a bad value surfaces as a usage error."""
-        monkeypatch.setenv("TOKENHIER_THREADS", "4")
-        assert run_cli("embed", "--ckpt", work / "enc.ckpt",
-                       "--data", work / "sg", "--out", tmp_path / "e",
-                       "--log-level", "quiet") == 0
-        for bad in ("-1", "abc"):
-            monkeypatch.setenv("TOKENHIER_THREADS", bad)
-            assert run_cli("embed", "--ckpt", work / "enc.ckpt",
-                           "--data", work / "sg",
-                           "--out", tmp_path / "e2") == 2
-            assert "threads" in capsys.readouterr().err.lower()
 
     def test_refused_write_is_usage_error(self, tmp_path, monkeypatch,
                                           capsys):
@@ -385,6 +352,52 @@ class TestArgumentHandling:
         assert err.startswith("error: ") and "Traceback" not in err
         assert err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == ([cfg] if config else [])
+
+    @pytest.mark.parametrize("argv,config", [
+        (["pretrain"], {"prototype_count": 10**20}),
+        (["pretrain"], {"prototype_count": 2**63 - 1}),
+        (["pretrain"], {"embed_dim": 10**20}),
+        (["pretrain"], {"mlp_ratio": 1e300}),
+        (["pretrain"], {"depth": 10**20}),
+        (["pretrain"], {"image_size": 10**10, "token_size": 10**5}),
+        (["pretrain"], {"batch_size": 2**63 - 1}),
+        (["bench", "--suite", "global", "--per-class", 10**20], None),
+        (["bench", "--suite", "global", "--per-class", 2**63 - 1], None)],
+        ids=["prototype-count", "prototype-count-2**63-1", "embed-dim",
+             "mlp-ratio", "depth", "corpus-raster", "batch-size",
+             "per-class", "per-class-2**63-1"])
+    def test_size_past_any_array_is_refused_at_entry(
+            self, tmp_path, monkeypatch, capsys, argv, config):
+        """A size no numpy array can index (a model tensor, the model's
+        tensors together, a step's views, which are at least a bundled
+        corpus raster, or a suite's draws) exits 2 with one ``error:``
+        line where the config enters, before anything is built, and
+        writes nothing; ``depth`` would otherwise allocate layer after
+        layer until memory runs out."""
+        for stub in ("make_pretrain_corpus", "init_train_state",
+                     "make_synthetic_suite"):
+            monkeypatch.setattr(cli, stub, refuse_work)
+        cfg = tmp_path / "c.json"
+        if config:
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", cfg]
+        assert run_cli(*argv, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too large" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == ([cfg] if config else [])
+
+    def test_out_of_memory_names_itself(self, tmp_path, monkeypatch, capsys):
+        """A ``MemoryError`` without a message still prints a non-empty
+        ``error:`` line."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "make_synthetic_suite", no_memory)
+        assert run_cli("bench", "--suite", "global",
+                       "--out", tmp_path / "suite") == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not any(tmp_path.iterdir())
 
 
 def refuse_work(*args, **kwargs):
@@ -1322,18 +1335,6 @@ class TestEmbed:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "e.emb").exists()
 
-    def test_thread_count_does_not_change_bytes(self, work, tmp_path,
-                                                capsys):
-        outs = []
-        for t in (1, 4, 8):
-            out = tmp_path / f"t{t}.emb"
-            assert run_cli("embed", "--ckpt", work / "enc.ckpt",
-                           "--data", work / "sg", "--out", out,
-                           "--threads", t, "--log-level", "quiet") == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
-        capsys.readouterr()
-
 
 class TestProbe:
     def test_misfit_raster_is_named(self, work, tmp_path, monkeypatch,
@@ -1510,18 +1511,6 @@ class TestAblate:
             "8f581419983429091e60580d16e972bb0fbec517d2835b9d0dde1beec4de2ed3")
         capsys.readouterr()
 
-    def test_threads_do_not_change_bytes(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(TINY_ABLATE)
-        outs = []
-        for t in (1, 4):
-            out = tmp_path / f"abl{t}.json"
-            assert run_cli("ablate", "--config", cfg, "--out", out,
-                           "--threads", t, "--log-level", "quiet") == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        capsys.readouterr()
-
 
 def test_reports_need_no_jsonschema(work, tmp_path, monkeypatch, capsys):
     """Every report writer runs with ``jsonschema`` unimportable: the
@@ -1552,13 +1541,6 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "heads.linear" in captured.err
         assert "FAIL" in captured.out
-
-    def test_output_stable_across_threads(self, capsys):
-        outs = []
-        for t in ("1", "4", "8"):
-            assert main(["gradcheck", "--threads", t]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1] == outs[2]
 
 
 class TestAugment:
@@ -1658,7 +1640,7 @@ CHILD = """
 import json, sys
 from tokenhier.cli import main
 for argv in json.loads(sys.argv[1]):
-    code = main(argv + ["--threads", sys.argv[2], "--log-level", "quiet"])
+    code = main(argv + ["--log-level", "quiet"])
     if code:
         sys.exit(code)
 """
@@ -1674,9 +1656,9 @@ PIPELINE = [
 class TestCrossProcessDeterminism:
     def test_primary_outputs_match_across_processes(self, tmp_path):
         """The determinism contract across processes: the pipeline run
-        at OpenBLAS 1 thread, hash seed 1 and --threads 1, and again at
-        2 threads, hash seed 987 and --threads 2, writes the same
-        files with the same bytes, sidecar logs aside."""
+        at OpenBLAS 1 thread and hash seed 1, and again at 2 threads and
+        hash seed 987, writes the same files with the same bytes,
+        sidecar logs aside."""
         src = str(Path(cli.__file__).parents[1])
         trees = []
         for blas, hash_seed in (("1", "1"), ("2", "987")):
@@ -1687,7 +1669,7 @@ class TestCrossProcessDeterminism:
                        PYTHONPATH=os.pathsep.join(filter(None, [
                            src, os.environ.get("PYTHONPATH")])))
             child = subprocess.run(
-                [sys.executable, "-c", CHILD, json.dumps(PIPELINE), blas],
+                [sys.executable, "-c", CHILD, json.dumps(PIPELINE)],
                 cwd=run, env=env, capture_output=True, text=True,
                 timeout=120)
             assert child.returncode == 0, child.stderr
@@ -1869,16 +1851,15 @@ def subcommands() -> dict:
 
 def test_every_option_is_read():
     """Every option a subcommand accepts is read as ``args.<dest>`` by
-    its handler, a ``cli`` helper the handler passes ``args`` to, or
-    ``main``: an option no code reads is silently ignored."""
+    its handler or a ``cli`` helper the handler passes ``args`` to: an
+    option no code reads is silently ignored, and one only ``main``
+    reads is checked for every command but used by none."""
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
-    in_main = args_reads(functions, "main")
     unread = []
     for command, sub in subcommands().items():
-        reads = in_main | args_reads(functions,
-                                     sub.get_default("func").__name__)
+        reads = args_reads(functions, sub.get_default("func").__name__)
         unread += [f"{command} {action.option_strings[0]}"
                    for action in sub._actions
                    if not isinstance(action, argparse._HelpAction)
@@ -1924,7 +1905,6 @@ def test_readme_commands_parse():
 # default, choices, required, type name); each starts with COMMON.
 COMMON = [
     (("-h", "--help"), "help", argparse.SUPPRESS, None, False, None),
-    (("--threads",), "threads", None, None, False, "int"),
     (("--log-level",), "log_level", "info", ("quiet", "info"), False, None),
 ]
 TRAINING = [

@@ -271,6 +271,19 @@ def test_public_names_are_read_in_src():
               and reads[node.name] == Counter(loaded_names(node))[node.name]]
     assert not unread, f"public names no src code reads: {unread}"
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    """``src`` reads no environment variable (no ``os.environ``, no
+    ``os.getenv``): every setting is a flag or a config key, so a
+    command line and its config file say all that a run reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = sorted(f"{path.name}:{node.lineno} {ast.unparse(node)}"
+                   for node in ast.walk(tree)
+                   if getattr(node, "id", getattr(node, "attr", None))
+                   in {"environ", "environb", "getenv", "getenvb"})
+    assert not reads, f"environment reads: {reads}"
+
+
 # The CLI contract: each exit-code class, its exit code and the label
 # that starts its stderr line.
 EXIT_CODES = {ConfigError: (2, "error"), DataError: (3, "data error"),

@@ -33,6 +33,7 @@ from tokenhier.ssl import (
     init_train_state,
     koleo_loss_grad,
     run_training,
+    student_size,
     train_step,
 )
 
@@ -100,6 +101,20 @@ class TestSslConfig:
     def test_round_trip_dict(self):
         cfg = cfg_small(mask_fraction=0.25)
         assert read_config(SslConfig, asdict(cfg)) == cfg
+
+    @pytest.mark.parametrize("enc_cfg, k", [
+        (EncoderConfig(), 256),
+        (EncoderConfig(image_size=32, token_size=8, embed_dim=6, depth=3,
+                       num_heads=3, mlp_ratio=2.5), 7),
+        (EncoderConfig(image_size=16, token_size=16, embed_dim=3, depth=0,
+                       num_heads=1, mlp_ratio=0.3), 2)])
+    def test_student_size_counts_the_student(self, enc_cfg, k):
+        """The closed form the CLI's size check uses is the number of
+        values in a fresh student's tensors."""
+        state = init_train_state(enc_cfg, SslConfig(prototype_count=k),
+                                 RngStream(seed=0))
+        assert student_size(enc_cfg, k) == sum(
+            t.size for t in state.student.values())
 
 
 class TestDinoLoss:
