@@ -36,8 +36,8 @@ from .heads import (ATTNPOOL, LINEAR, HeadTrainConfig, balanced_accuracy,
                     class_recalls, predict_batch, train_head)
 from .numkernel import RngStream
 from .optim import AdamConfig
-from .ssl import (SslConfig, init_train_state, run_training,
-                  student_encoder_params)
+from .ssl import (SslConfig, check_step_size, init_train_state,
+                  run_training, student_encoder_params)
 
 TRAIN = "train"
 VAL = "val"
@@ -434,6 +434,7 @@ class AblationConfig:
             raise ConfigError("need at least one seed")
         if self.pretrain_steps < 0 or self.batch_size < 1:
             raise ConfigError("bad pretrain schedule")
+        check_step_size(self.encoder, self.batch_size)
         if self.ssl_lr <= 0:
             raise ConfigError("ssl_lr must be positive")
 

@@ -57,9 +57,9 @@ from .gradcheck import TOLERANCE, run_all
 from .heads import ATTNPOOL, LINEAR, predict_batch, train_head
 from .numkernel import RngStream
 from .optim import AdamConfig
-from .ssl import (POSTTRAIN, init_train_state, load_train_state,
-                  run_training, save_train_state, student_encoder_params,
-                  student_size, train_state_mismatch)
+from .ssl import (POSTTRAIN, check_step_size, init_train_state,
+                  load_train_state, run_training, save_train_state,
+                  student_encoder_params, student_size, train_state_mismatch)
 from .tiler import tile_sources, write_manifest
 
 _DESK = AblationConfig()   # desk-scale defaults shared with the ablation grid
@@ -275,7 +275,7 @@ def _training_configs(args):
             f"token, got {enc.num_patches} (image_size {enc.image_size}, "
             f"token_size {enc.token_size})")
     check_size("the model", student_size(enc, ssl.prototype_count))
-    check_size("a step's views", 2 * batch * enc.num_patches * enc.patch_dim)
+    check_step_size(enc, batch)
     adam = AdamConfig(lr=lr)   # checks lr before anything is written
     resolved = {"encoder": asdict(enc), "ssl": asdict(ssl), "aug": asdict(aug),
                 "steps": steps, "batch_size": batch, "lr": lr, "seed": seed}

@@ -208,7 +208,8 @@ def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
         c = cache["layers"][i]
         # MLP half
         da1 = dx @ params[pre + "mlp.W2"].T
-        grads[pre + "mlp.W2"] = np.einsum("bsh,bsd->hd", c["a1"], dx)
+        # dx first makes the MLP width einsum's inner loop: same bytes, faster
+        grads[pre + "mlp.W2"] = np.einsum("bsd,bsh->dh", dx, c["a1"]).T
         grads[pre + "mlp.b2"] = dx.sum(axis=(0, 1))
         du1 = da1 * gelu_grad(c["u1"])
         grads[pre + "mlp.W1"] = np.einsum("bsd,bsh->dh", c["h2"], du1)

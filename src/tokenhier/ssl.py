@@ -21,19 +21,23 @@ teacher and the logit centers by momentum.  ``_step_views`` alone
 builds the views: with augmentation off the two views of an image are
 equal, so it hands the unmasked encoders (teacher and Gram teacher) one
 view per image, not one per view.  The training loop builds each
-step's views on one background thread while the step before it trains.
+step's views in one forked worker process, which copies them into two
+shared-memory slots while the parent trains, so colour work and
+training no longer share one interpreter lock; the design is POSIX only.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import check_value, load_params, read_config, save_params
+from .checkpoint import (check_size, check_value, load_params, read_config,
+                         save_params)
 from .color import StainAugConfig, stain_draws, stain_remap, stain_space
 from .encoder import (
     EncoderConfig,
@@ -334,7 +338,7 @@ def _step_views(rasters, step: int, ssl_cfg: SslConfig,
     if not aug:
         for i, raster in enumerate(rasters):
             patches[2 * i:2 * i + 2] = patchify(raster, enc_cfg)
-        return patches, masks, patches[::2]
+        return patches, masks, _unmasked(patches, aug_cfg)
     lab = to_unit(words[2 * b:, 0]) < 0.5
     spaces = ["lab" if pick else "hsv" for pick in lab.tolist()]
     sigmas = np.where(lab[:, None],
@@ -347,7 +351,50 @@ def _step_views(rasters, step: int, ssl_cfg: SslConfig,
         for v in (2 * i, 2 * i + 1):
             view = stain_remap(*converted[spaces[v]], dmu[v], rho[v], spaces[v])
             patches[v] = patchify(view, enc_cfg)
-    return patches, masks, patches
+    return patches, masks, _unmasked(patches, aug_cfg)
+
+
+def _unmasked(patches, aug_cfg: StainAugConfig):
+    """The views the unmasked encoders run on: every view, or with
+    augmentation off one per item (both its views are the item)."""
+    return patches if aug_cfg.enabled else patches[::2]
+
+
+def _step_shape(enc_cfg: EncoderConfig, batch_size: int):
+    """(views, patches, patch values) of one step's patch stack."""
+    return 2 * batch_size, enc_cfg.num_patches, enc_cfg.patch_dim
+
+
+def check_step_size(enc_cfg: EncoderConfig, batch_size: int) -> None:
+    """Refuse a batch whose step views, the patches and masks one of
+    ``run_training``'s shared slots holds, no array can index."""
+    v, n, p = _step_shape(enc_cfg, batch_size)
+    check_size("a step's views", v * n * (p + 1))
+
+
+def _slot(enc_cfg: EncoderConfig, batch_size: int):
+    """(patches, masks) arrays over one anonymous shared mapping: a
+    forked child writes a step's views there and its parent reads them."""
+    v, n, p = _step_shape(enc_cfg, batch_size)
+    buffer = mmap.mmap(-1, v * n * (8 * p + 1))
+    patches = np.ndarray((v, n, p), np.float64, buffer)
+    return patches, np.ndarray((v, n), bool, buffer, offset=patches.nbytes)
+
+
+def _feed_views(build, steps, slots, ready: int, free: int) -> None:
+    """The worker's loop: build each step's views, at most two steps
+    ahead of training, copy them into a free slot and send its index
+    on ``ready``; slot k is free again once its index comes back on
+    ``free``.  Returns when the parent stops listening."""
+    for i, step in enumerate(steps):
+        patches, masks, _ = build(step)
+        k = bytes([i]) if i < 2 else os.read(free, 1)
+        if not k:
+            return
+        slot_patches, slot_masks = slots[k[0]]
+        slot_patches[...] = patches
+        slot_masks[...] = masks
+        os.write(ready, k)
 
 
 def train_step(views, state: TrainState, ssl_cfg: SslConfig,
@@ -456,34 +503,73 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
                  log_file=None):
     """Fixed-step loop with deterministic with-replacement batching.
 
-    One background thread builds each step's batch and views while the
-    step before it trains on the calling thread; both depend only on
-    the corpus, the step number and ``rng``, so the bytes are those of
-    building them in line.  The thread is joined on every exit.
+    A child made with ``os.fork`` builds each step's batch and views, in
+    step order and at most two steps ahead, and copies them into one of
+    two anonymous shared-memory slots; the caller's process trains on
+    arrays over the slot, then hands it back.  One byte per message
+    crosses two pipes: "slot k ready" from the child, "slot k free"
+    from the parent.  The views depend only on the corpus, the step
+    number and ``rng``, so the bytes are those of building them in
+    line.  The child leaves only through ``os._exit``, so it never
+    returns into the caller or flushes a buffer it inherited (such as
+    ``log_file``'s).  When it stops short of a step, the parent builds
+    that step's views itself: a view-building failure is raised there
+    with its own type and message, and a child that died of anything
+    else is a ``NumericError``.  On every exit the parent closes its
+    pipe ends, so a waiting child reads EOF, and reaps the child.
+    ``steps=0`` forks nothing.  POSIX only.
 
     Returns the list of per-step LossBreakdowns; optionally writes each
     as a JSON line to the open text file ``log_file``.  The caller has
-    checked ``steps >= 0``, ``batch_size >= 1`` and a non-empty corpus.
+    checked ``steps >= 0``, ``batch_size >= 1`` (``check_step_size``
+    included) and a non-empty corpus.
     """
     def build(step):
         pick = rng.derive(9001, step).integers(batch_size, len(corpus))
         return _step_views([corpus[int(i)] for i in pick], step, ssl_cfg,
                            enc_cfg, aug_cfg, rng)
 
+    if not steps:
+        return []
     history = []
-    first, end = state.step, state.step + steps
-    with ThreadPoolExecutor(max_workers=1) as ahead:
-        pending = ahead.submit(build, first) if steps else None
-        for step in range(first, end):
-            views = pending.result()
-            if step + 1 < end:
-                pending = ahead.submit(build, step + 1)
-            lb = train_step(views, state, ssl_cfg, enc_cfg, phase=phase,
+    run = range(state.step, state.step + steps)
+    slots = [_slot(enc_cfg, batch_size) for _ in range(2)]
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            _feed_views(build, run, slots, ready_w, free_r)
+        finally:   # quietly, whatever was raised: the parent reports it
+            os._exit(0)
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        for step in run:
+            k = os.read(ready_r, 1)
+            if not k:
+                build(step)   # raises what stopped the child, if it can
+                raise NumericError(
+                    f"the view worker died before step {step}'s views")
+            patches, masks = slots[k[0]]
+            lb = train_step((patches, masks, _unmasked(patches, aug_cfg)),
+                            state, ssl_cfg, enc_cfg, phase=phase,
                             adam_cfg=adam_cfg)
             history.append(lb)
             if log_file:
                 log_file.write(json.dumps({"step": state.step, **asdict(lb)},
                                           sort_keys=True) + "\n")
+            if step + 2 < run.stop:
+                try:
+                    os.write(free_w, k)
+                except BrokenPipeError:   # reported at the next read
+                    pass
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        os.waitpid(pid, 0)
     return history
 
 

@@ -361,11 +361,12 @@ class TestArgumentHandling:
         (["pretrain"], {"depth": 10**20}),
         (["pretrain"], {"image_size": 10**10, "token_size": 10**5}),
         (["pretrain"], {"batch_size": 2**63 - 1}),
+        (["ablate"], {"batch_size": 2**63 - 1}),
         (["bench", "--suite", "global", "--per-class", 10**20], None),
         (["bench", "--suite", "global", "--per-class", 2**63 - 1], None)],
         ids=["prototype-count", "prototype-count-2**63-1", "embed-dim",
              "mlp-ratio", "depth", "corpus-raster", "batch-size",
-             "per-class", "per-class-2**63-1"])
+             "ablate-batch-size", "per-class", "per-class-2**63-1"])
     def test_size_past_any_array_is_refused_at_entry(
             self, tmp_path, monkeypatch, capsys, argv, config):
         """A size no numpy array can index (a model tensor, the model's
@@ -375,7 +376,8 @@ class TestArgumentHandling:
         writes nothing; ``depth`` would otherwise allocate layer after
         layer until memory runs out."""
         for stub in ("make_pretrain_corpus", "init_train_state",
-                     "make_synthetic_suite"):
+                     "make_synthetic_suite", "acceptance_suites",
+                     "run_ablation"):
             monkeypatch.setattr(cli, stub, refuse_work)
         cfg = tmp_path / "c.json"
         if config:

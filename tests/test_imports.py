@@ -207,7 +207,7 @@ def test_one_view_loop_in_ssl():
     kernel) and ``patchify`` are called inside ``_step_views`` alone,
     and in ``src`` ``_step_views`` and ``train_step`` are called by
     ``run_training`` alone: the views of a step have one builder,
-    whichever thread runs it, a step trains on nothing else, and the
+    whichever process runs it, a step trains on nothing else, and the
     names the benchmark traces in ``ssl``'s namespace stay the ones it
     calls."""
     builders = {"stain_space", "stain_remap", "patchify"}
@@ -219,6 +219,27 @@ def test_one_view_loop_in_ssl():
         for name, found in callers_in(path, steps).items():
             callers[name] |= found
     assert callers == {name: {"ssl.run_training"} for name in steps}
+
+
+def test_one_forked_worker():
+    """``os.fork`` and ``os.waitpid`` are each called once in ``src``,
+    both in ``ssl.run_training``: the view worker is the one child
+    process, and the call that makes it reaps it.  No module imports
+    ``concurrent.futures``, the thread pool the worker replaced."""
+    calls = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                calls += [f"{path.stem}.{node.name} {ast.unparse(call.func)}"
+                          for call in ast.walk(node)
+                          if isinstance(call, ast.Call)
+                          and ast.unparse(call.func) in ("os.fork",
+                                                         "os.waitpid")]
+        assert not [line for line, module in absolute_imports(tree)
+                    if module == "concurrent"], path.name
+    assert sorted(calls) == ["ssl.run_training os.fork",
+                             "ssl.run_training os.waitpid"]
 
 
 def test_one_home_for_suite_specs():

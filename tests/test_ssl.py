@@ -4,7 +4,8 @@ plus the student/teacher loop."""
 import hashlib
 import json
 import math
-import threading
+import os
+import signal
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
@@ -744,10 +745,16 @@ def fresh_state(ssl_cfg, enc_cfg, phase, start):
 
 
 class TestLookahead:
-    """run_training builds each step's views one step ahead on a
-    background thread; nothing it returns or writes may tell."""
+    """run_training builds each step's views in one forked worker
+    process; nothing it returns or writes may tell, and no process
+    outlives the call."""
 
     BATCH = 2
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("phase", [PRETRAIN, POSTTRAIN])
@@ -762,6 +769,7 @@ class TestLookahead:
             state = fresh_state(ssl_cfg, enc_cfg, phase, start)
             log = tmp_path / "loss.jsonl"
             with open(log, "w", encoding="ascii") as fh:
+                fh.write("unflushed\n")   # a forked child must not flush it
                 hist = train(state, fh)
             return state_sha256(state), state.step, hist, log.read_bytes()
 
@@ -769,39 +777,58 @@ class TestLookahead:
             corpus, state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=32),
             steps, self.BATCH, phase, fh))
 
-        augmented = []
+        # one line per remapped view, appended by whichever process
+        # builds it
+        augmented = tmp_path / "augmented.txt"
         real = ssl_module.stain_remap
 
         def counting(*args):
-            augmented.append(args[-1])
+            with open(augmented, "a", encoding="ascii") as fh:
+                fh.write(args[-1] + "\n")
             return real(*args)
 
         monkeypatch.setattr(ssl_module, "stain_remap", counting)
         lookahead = outcome(lambda state, fh: run_training(
             corpus, state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=32),
             steps, self.BATCH, phase=phase, log_file=fh))
+        self.assert_no_child()
         assert lookahead == serial
         assert lookahead[1] == start + steps
+        assert lookahead[3].count(b"unflushed\n") == 1
         # no view is built for a step that never runs
-        assert len(augmented) == (2 * self.BATCH * steps if enabled else 0)
+        built = augmented.read_text().split() if augmented.exists() else []
+        assert len(built) == (2 * self.BATCH * steps if enabled else 0)
 
     def run_until_failure(self, tmp_path, exc):
+        """Five steps that must fail with ``exc``'s type and message
+        within 120 s, leaving no child process."""
         enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
         state = fresh_state(ssl_cfg, enc_cfg, PRETRAIN, 0)
-        threads = threading.active_count()
         log = tmp_path / "loss.jsonl"
-        with open(log, "w", encoding="ascii") as fh:
-            with pytest.raises(type(exc)) as raised:
-                run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
-                             RngStream(seed=33), 5, self.BATCH, log_file=fh)
-        assert raised.value is exc
-        assert threading.active_count() == threads
+
+        def hung(signum, frame):
+            raise TimeoutError("run_training did not return")
+
+        before = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            with open(log, "w", encoding="ascii") as fh:
+                with pytest.raises(type(exc)) as raised:
+                    run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
+                                 RngStream(seed=33), 5, self.BATCH,
+                                 log_file=fh)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, before)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        self.assert_no_child()
         return state, log.read_text().splitlines()
 
     @pytest.mark.parametrize("exc", [NumericError("dino term non-finite"),
                                      KeyboardInterrupt()],
                              ids=["NumericError", "KeyboardInterrupt"])
-    def test_failing_step_leaves_no_thread(self, tmp_path, monkeypatch, exc):
+    def test_failing_step_leaves_no_child(self, tmp_path, monkeypatch, exc):
         real = ssl_module.train_step
 
         def failing(views, state, *args, **kw):
@@ -815,18 +842,37 @@ class TestLookahead:
 
     def test_failing_views_surface_at_their_step(self, tmp_path,
                                                  monkeypatch):
-        """Step 2's views fail while step 1 trains; the error leaves
-        once step 1's line is written, not before."""
-        exc = NumericError("views of step 2")
+        """Step 2's views fail in the worker while step 1 trains; the
+        error, with its type and message, leaves once step 1's line is
+        written, not before."""
         real = ssl_module._step_views
 
         def failing(rasters, step, *args):
             if step == 2:
-                raise exc
+                raise NumericError("views of step 2")
             return real(rasters, step, *args)
 
         monkeypatch.setattr(ssl_module, "_step_views", failing)
-        state, lines = self.run_until_failure(tmp_path, exc)
+        state, lines = self.run_until_failure(
+            tmp_path, NumericError("views of step 2"))
+        assert state.step == 2
+        assert [json.loads(line)["step"] for line in lines] == [1, 2]
+
+    def test_dead_worker_is_an_error_not_a_hang(self, tmp_path,
+                                                monkeypatch):
+        """A worker killed while it builds step 2's views, which the
+        parent can build, ends the call at step 2 with a named error."""
+        parent, real = os.getpid(), ssl_module._step_views
+
+        def killed(rasters, step, *args):
+            if step == 2 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(rasters, step, *args)
+
+        monkeypatch.setattr(ssl_module, "_step_views", killed)
+        state, lines = self.run_until_failure(
+            tmp_path, NumericError("the view worker died before step 2's "
+                                   "views"))
         assert state.step == 2
         assert [json.loads(line)["step"] for line in lines] == [1, 2]
 
