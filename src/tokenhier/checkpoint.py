@@ -102,8 +102,8 @@ def save_params(path, kind: str, config: dict, params: dict, extra: dict) -> Non
 
 
 def load_params(path):
-    """Returns (kind, config, params, extra); shape/size mismatches are
-    data errors, not crashes; so is a path that cannot be read."""
+    """Returns (kind, config, params, extra); a bad shape or size, a
+    non-finite entry or an unreadable path is a data error, not a crash."""
     try:
         with open(path, "rb") as fh:
             head_line, blob = fh.readline(), fh.read()
@@ -146,6 +146,8 @@ def load_params(path):
         except (ValueError, OverflowError):
             raise DataError(f"{path}: tensor {name!r} has shape {shape}, "
                             "too large for an array") from None
+        if not np.isfinite(tensor).all():   # save_params writes none
+            raise DataError(f"{path}: tensor {name!r} has non-finite entries")
         params[name] = tensor.copy()
         off += nbytes
     if off != len(blob):

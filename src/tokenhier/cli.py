@@ -14,8 +14,9 @@ Conventions shared by every command:
     output naming a directory, or an output on the path of an input or
     of another output exits 2 and writes nothing; so does a bench
     --out holding rasters of another suite
-  - rasters are checked where they enter, by ``read_ppm`` and (image
-    size) ``_check_sizes``; the functions they reach trust their callers
+  - each condition is refused where its value enters, in the order
+    argv, config, checkpoints (``_load_state``), rasters (``read_ppm``,
+    ``_check_sizes``); the library functions they reach trust callers
   - augment, pretrain, posttrain, probe and ablate read an optional
     JSON config file (--config; flat, module-mirrored field names)
     through ``_read_config_file``, with command-line flags overriding
@@ -274,6 +275,10 @@ def _training_configs(args):
             f"num_patches must be >= 2 so a masked view keeps an unmasked "
             f"token, got {enc.num_patches} (image_size {enc.image_size}, "
             f"token_size {enc.token_size})")
+    if not args.input and enc.image_size < 9:
+        # the bundled corpus's block corners lie in [0, image_size - 8)
+        raise ConfigError(f"image_size {enc.image_size} is too small for the "
+                          "bundled corpus (needs >= 9); give --input")
     check_size("the model", student_size(enc, ssl.prototype_count))
     check_step_size(enc, batch)
     adam = AdamConfig(lr=lr)   # checks lr before anything is written
@@ -283,39 +288,32 @@ def _training_configs(args):
 
 
 def _load_corpus(args, enc: EncoderConfig, seed: int) -> list:
-    if args.input:
-        files = _ppm_files(args.input)
-        corpus = [read_ppm(f) for f in files]
-        _check_sizes(files, corpus, enc)
-        return corpus
-    if enc.image_size < 9:   # its block corners lie in [0, image_size - 8)
-        raise ConfigError(f"image_size {enc.image_size} is too small for the "
-                          "bundled corpus (needs >= 9); give --input")
-    return make_pretrain_corpus(RngStream(seed=seed, stream_id=10),
-                                count=64, image_size=enc.image_size)
+    if not args.input:
+        return make_pretrain_corpus(RngStream(seed=seed, stream_id=10),
+                                    count=64, image_size=enc.image_size)
+    files = _ppm_files(args.input)
+    corpus = [read_ppm(f) for f in files]
+    _check_sizes(files, corpus, enc)
+    return corpus
 
 
-def _load_state(path, flag: str, enc: EncoderConfig):
-    """The training state at ``path``, given by ``flag``; its encoder
-    must be ``enc``."""
+def _load_state(path, flag: str, enc: EncoderConfig = None):
+    """(state, encoder config) at ``path``; an ``enc`` given must match."""
     state, ckpt_enc, _, _ = load_train_state(path)
-    if ckpt_enc != enc:
+    if enc is not None and ckpt_enc != enc:
         raise ConfigError(f"{flag} encoder geometry differs "
                           "from the requested config")
-    return state
+    return state, ckpt_enc
 
 
 def _run_ssl(args) -> int:
     phase = args.command
     enc, ssl, aug, steps, batch, adam, seed, resolved = _training_configs(args)
-    resolved["phase"] = phase
-    fp = _fingerprint(phase, resolved)
-    corpus = _load_corpus(args, enc, seed)
+    fp = _fingerprint(phase, {**resolved, "phase": phase})
     if phase == POSTTRAIN:
-        if not args.gram_teacher:
-            raise ConfigError("post-training requires --gram-teacher")
-        anchor = _load_state(args.gram_teacher, "--gram-teacher", enc)
-        state = _load_state(args.init, "--init", enc) if args.init else anchor
+        anchor, _ = _load_state(args.gram_teacher, "--gram-teacher", enc)
+        state, _ = (_load_state(args.init, "--init", enc) if args.init
+                    else (anchor, enc))
         mismatch = train_state_mismatch(state, enc, ssl)
         if mismatch:
             raise ConfigError(f"{args.init or args.gram_teacher}: checkpoint "
@@ -324,6 +322,7 @@ def _run_ssl(args) -> int:
         state.gram_teacher = copy.deepcopy(student_encoder_params(anchor))
     else:
         state = init_train_state(enc, ssl, RngStream(seed=seed, stream_id=11))
+    corpus = _load_corpus(args, enc, seed)
     _make_outputs(args)
     with open(args.log, "w", encoding="ascii") as fh:
         fh.write(json.dumps({"config_fingerprint": fp, "phase": phase},
@@ -347,20 +346,15 @@ def _run_ssl(args) -> int:
 # embed
 
 
-def _encoder_from_checkpoint(path):
-    state, enc_cfg, _, _ = load_train_state(path)
-    return student_encoder_params(state), enc_cfg
-
-
 def cmd_embed(args) -> int:
-    params, enc_cfg = _encoder_from_checkpoint(args.ckpt)
+    state, enc_cfg = _load_state(args.ckpt, "--ckpt")
     ds = ingest_directory(args.data)
     if not ds.items:
         raise DataError(f"{args.data}: no class subdirectory holds a .ppm file")
     _check_sizes(ds.source_ids, ds.rasters, enc_cfg)
     fp = _fingerprint("embed", {"encoder": asdict(enc_cfg),
                                 "data": sorted(ds.source_ids)})
-    seqs = embed_dataset(ds, params, enc_cfg)
+    seqs = embed_dataset(ds, student_encoder_params(state), enc_cfg)
     _make_outputs(args)
     save_embeddings(args.out, seqs, ds.labels, enc_cfg,
                     extra={"config_fingerprint": fp,
@@ -378,7 +372,11 @@ def cmd_probe(args) -> int:
     head_cfg, = _read_config_file(args, [_DESK.head])
     if args.seed is not None:
         head_cfg = replace(head_cfg, seed=args.seed)
-    params, enc_cfg = _encoder_from_checkpoint(args.ckpt)
+    state, enc_cfg = _load_state(args.ckpt, "--ckpt")
+    if args.mode == ATTNPOOL and enc_cfg.embed_dim % head_cfg.num_heads:
+        raise ConfigError(f"embed_dim {enc_cfg.embed_dim} not divisible by "
+                          f"num_heads {head_cfg.num_heads}")
+    params = student_encoder_params(state)
     ds = ingest_directory(args.data)
     _check_sizes(ds.source_ids, ds.rasters, enc_cfg)
     if len(ds.class_names) < 2:
@@ -597,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log", default=None,
                        help="loss log path (default <out>.losses.jsonl)")
         if name == "posttrain":
-            p.add_argument("--gram-teacher", default=None,
+            p.add_argument("--gram-teacher", required=True,
                            help="checkpoint anchoring patch-token geometry")
             p.add_argument("--init", default=None,
                            help="starting checkpoint (default: the gram "

@@ -97,9 +97,7 @@ def balanced_accuracy(y_true, y_pred, num_classes: int = None) -> float:
 
 def make_attnpool_params(embed_dim: int, num_classes: int, num_heads: int,
                          rng: RngStream) -> AttnPoolParams:
-    if embed_dim % num_heads:
-        raise ConfigError(
-            f"embed_dim {embed_dim} not divisible by num_heads {num_heads}")
+    """Pooling-head weights; ``num_heads`` divides ``embed_dim``."""
     shape = (num_heads, embed_dim // num_heads, embed_dim)
     return AttnPoolParams(
         Wq=trunc_normal(rng, shape),

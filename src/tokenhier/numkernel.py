@@ -4,8 +4,9 @@ This module holds the one copy of each numeric primitive the model
 uses: softmax and layer norm with their backward passes, exact GELU
 and clipped-normal init.  Arrays are float64 ``numpy.ndarray`` objects
 (``Mat`` documents that contract); the kernels act on the last axis,
-so leading batch or head axes pass through.  All operations here are
-pure functions over immutable inputs and are safe to call concurrently.
+so leading batch or head axes pass through.  The kernels are pure
+functions; the draws are not: an ``RngStream`` draw advances its
+stream's counter, and ``draw_words`` advances every stream it is given.
 
 Randomness comes from :class:`RngStream`, a counter-based generator built
 on the splitmix64 finalizer.  The n-th draw of a stream is a pure function

@@ -183,9 +183,13 @@ def test_c3_colorimetry():
 
 def test_c4_local_signal_separation():
     """Class-token probing of the planted-signal token suite sits at
-    chance while attention pooling recovers the label, 5-seed means."""
+    chance while attention pooling recovers the label, 5-seed means.
+    The line also reports where the pooling head looks on the test
+    items, ungated: the mean weight on the signal token and how often
+    the head-averaged weights peak there (uniform: 1/16)."""
     t0 = time.time()
-    lin, att = [], []
+    signal = 3   # make_token_suite's signal_index
+    lin, att, mass, peak = [], [], [], []
     for seed in range(5):
         rng = RngStream(seed=seed, stream_id=6)
         train, val = make_token_suite(rng.derive(0))
@@ -199,12 +203,20 @@ def test_c4_local_signal_separation():
             res = train_head(train, val, mode, cfg)
             preds = predict_batch(test_seqs, res.params, mode)
             sink.append(balanced_accuracy(test_y, preds, 2))
+        # res is the pooling head's fit; its weights are (B, H, N)
+        weights = probs_batch(np.stack([s.cls for s in test_seqs]),
+                              np.stack([s.patches for s in test_seqs]),
+                              res.params, ATTNPOOL)[1][1]["a"]
+        mass.append(float(weights[:, :, signal].mean()))
+        peak.append(float(np.mean(weights.mean(axis=1).argmax(axis=1)
+                                  == signal)))
     elapsed = time.time() - t0
     lin_m, att_m = float(np.mean(lin)), float(np.mean(att))
     ok = 0.45 <= lin_m <= 0.55 and att_m >= 0.95 and elapsed < 300
     report(4, "local-signal separation", ok,
            f"linear {lin_m:.4f} in [0.45,0.55], attnpool {att_m:.4f} "
-           f">= 0.95, {elapsed:.0f}s")
+           f">= 0.95, {elapsed:.0f}s; signal-token weight "
+           f"{np.mean(mass):.3f}, argmax rate {np.mean(peak):.3f}")
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,10 @@ HEADER, _, BLOB = VALID.partition(b"\n")
 
 dims = st.integers(-2, 4) | st.sampled_from([2 ** 31, 2 ** 62, 2 ** 64])
 
+# The tensor each float64 slot of BLOB belongs to, in file order.
+SLOTS = [entry["name"] for entry in json.loads(HEADER)["tensors"]
+         for _ in range(math.prod(entry["shape"]))]
+
 
 @st.composite
 def byte_mutations(draw):
@@ -171,6 +175,19 @@ def byte_mutations(draw):
         else:
             data.insert(i, byte)
     return bytes(data)
+
+
+@st.composite
+def non_finite_payloads(draw):
+    """The valid file with one payload float overwritten by a NaN (either
+    sign, any mantissa: quiet or signalling) or an infinity (mantissa
+    0); the header is kept.  Returns the bytes and the tensor hit."""
+    slot = draw(st.integers(0, len(SLOTS) - 1))
+    mantissa = draw(st.just(0) | st.integers(1, 2 ** 52 - 1))
+    bits = draw(st.integers(0, 1)) << 63 | 0x7FF << 52 | mantissa
+    blob = bytearray(BLOB)
+    blob[8 * slot:8 * slot + 8] = bits.to_bytes(8, "little")
+    return HEADER + b"\n" + bytes(blob), SLOTS[slot]
 
 
 @st.composite
@@ -215,6 +232,19 @@ class TestDamagedCheckpointFile:
     @given(data=header_mutations())
     def test_damaged_header_raises_only_data_error(self, data):
         assert self.raised(data) in (None, DataError)
+
+    @settings(max_examples=100, deadline=None)
+    @given(damaged=non_finite_payloads())
+    def test_non_finite_payload_names_its_tensor(self, damaged):
+        """``save_params`` writes no non-finite tensor, so one read back
+        is damage: a ``DataError`` naming the first tensor that holds it."""
+        data, name = damaged
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x"
+            path.write_bytes(data)
+            with pytest.raises(DataError, match=f"tensor '{name}' has "
+                                                "non-finite entries$"):
+                load_params(path)
 
     @pytest.mark.parametrize("data", [b"[" * 100000 + b"\n", b"\xff\n"],
                              ids=["deeply_nested", "not_utf8"])

@@ -5,6 +5,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -67,7 +68,7 @@ MINIMAL_ARGV = {
     "tile": ["--input", "in", "--out", "o"],
     "augment": ["--input", "in", "--out", "o"],
     "pretrain": ["--out", "o"],
-    "posttrain": ["--out", "o"],
+    "posttrain": ["--out", "o", "--gram-teacher", "g"],
     "embed": ["--ckpt", "c", "--data", "d", "--out", "o"],
     "probe": ["--ckpt", "c", "--data", "d", "--mode", "linear",
               "--report", "r"],
@@ -169,8 +170,10 @@ class TestArgumentHandling:
         naming the key, nothing written."""
         cfg = tmp_path / "c.json"
         cfg.write_text('{"space": "lab"}')
+        anchor = (["--gram-teacher", tmp_path / "g.ckpt"]
+                  if command == "posttrain" else [])
         assert run_cli(command, "--config", cfg, "--steps", "1",
-                       "--out", tmp_path / "out" / "c.ckpt") == 2
+                       "--out", tmp_path / "out" / "c.ckpt", *anchor) == 2
         assert "unknown config keys: space" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [cfg]
 
@@ -1123,6 +1126,146 @@ class TestMalformedCheckpoint:
         assert "error: " in err and "cls_center" in err
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def poisoned_copy(work, out, name, value):
+        """``work/init.ckpt`` with the first entry of tensor ``name`` set
+        to ``value`` in the file's bytes: ``save_params`` writes no
+        non-finite tensor."""
+        head, _, blob = (work / "init.ckpt").read_bytes().partition(b"\n")
+        offset = 0
+        for entry in json.loads(head)["tensors"]:
+            if entry["name"] == name:
+                break
+            offset += 8 * math.prod(entry["shape"])
+        blob = bytearray(blob)
+        blob[offset:offset + 8] = np.array(value, "<f8").tobytes()
+        out.write_bytes(head + b"\n" + bytes(blob))
+        return out
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tensor", ["student.enc.embed.W",
+                                        "adam.m.cls_head.W1"])
+    @pytest.mark.parametrize("flag", ["embed --ckpt", "probe --ckpt",
+                                      "posttrain --gram-teacher",
+                                      "posttrain --init"])
+    def test_non_finite_tensor(self, work, tmp_path, flag, tensor, value,
+                               capsys):
+        """A NaN or an infinity in any tensor, the encoder's or only the
+        optimizer's, is damaged data found when the checkpoint is read:
+        exit 3 naming the tensor, no output directory, no loss log."""
+        bad = self.poisoned_copy(work, tmp_path / "bad.ckpt", tensor, value)
+        command, option = flag.split()
+        out = tmp_path / "out"
+        argv = {"embed": ["--data", work / "sg", "--out", out / "e"],
+                "probe": ["--data", work / "sg", "--mode", "linear",
+                          "--report", out / "r.json"],
+                "posttrain": ["--steps", "2", "--out", out / "p.ckpt"]}
+        if option == "--init":
+            argv["posttrain"] += ["--gram-teacher", work / "init.ckpt"]
+        assert run_cli(command, option, bad, *argv[command]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: tensor {tensor!r} has non-finite entries\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
+
+
+def refuse_call(name):
+    """A stand-in for ``name`` that fails the test if it is called."""
+    def refused(*args, **kw):
+        raise AssertionError(f"{name} was called")
+    return refused
+
+
+class TestRefusedAtEntry:
+    """Each condition is refused where its value enters, in the order
+    argv, config, checkpoints, rasters: a refusal reads nothing a later
+    stage would."""
+
+    def test_posttrain_without_gram_teacher(self, tmp_path, monkeypatch,
+                                            capsys):
+        """A missing --gram-teacher is an argv error under posttrain's
+        own usage, before any checkpoint or raster is read."""
+        for name in ("load_train_state", "_load_corpus"):
+            monkeypatch.setattr(cli, name, refuse_call(name))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("posttrain", "--steps", "1", "--input", "corpus",
+                       "--out", "p.ckpt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tokenhier posttrain ")
+        assert err.endswith("the following arguments are required: "
+                            "--gram-teacher\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_posttrain_help_marks_gram_teacher_required(self, capsys):
+        assert main(["posttrain", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--gram-teacher GRAM_TEACHER" in out
+        assert "[--gram-teacher" not in out
+
+    @pytest.mark.parametrize("option", ["--gram-teacher", "--init"])
+    def test_checkpoint_geometry_before_corpus(self, work, tmp_path,
+                                               monkeypatch, option, capsys):
+        """A checkpoint of another encoder geometry is refused before
+        the --input corpus is read, so a corrupt raster there does not
+        hide it."""
+        cfg = tmp_path / "small.json"
+        cfg.write_text('{"embed_dim": 16, "num_heads": 2}')
+        small = tmp_path / "small.ckpt"
+        assert run_cli("pretrain", "--config", cfg, "--steps", "0",
+                       "--out", small, "--log-level", "quiet") == 0
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "bad.ppm").write_bytes(b"P6 garbage")
+        monkeypatch.setattr(cli, "read_ppm", refuse_call("read_ppm"))
+        anchor = ["--gram-teacher", small]
+        if option == "--init":
+            anchor = ["--gram-teacher", work / "init.ckpt", "--init", small]
+        out = tmp_path / "out"
+        assert run_cli("posttrain", "--steps", "1", "--input", corpus,
+                       "--out", out / "p.ckpt", *anchor) == 2
+        assert capsys.readouterr().err == (
+            f"error: {option} encoder geometry differs from the requested "
+            "config\n")
+        assert not out.exists()
+
+    def test_bundled_corpus_size_before_checkpoint(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """The bundled corpus's size floor needs only the config and
+        whether --input is set, so no checkpoint is read first."""
+        monkeypatch.setattr(cli, "load_train_state",
+                            refuse_call("load_train_state"))
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps({"image_size": 8, "token_size": 4}))
+        out = tmp_path / "out"
+        assert run_cli("posttrain", "--steps", "0", "--config", cfg,
+                       "--gram-teacher", tmp_path / "g.ckpt",
+                       "--out", out / "c.ckpt") == 2
+        assert capsys.readouterr().err == (
+            "error: image_size 8 is too small for the bundled corpus "
+            "(needs >= 9); give --input\n")
+        assert not out.exists()
+
+    def test_attnpool_width_before_rasters(self, work, tmp_path,
+                                           monkeypatch, capsys):
+        """Pooling heads that do not divide the checkpoint's width are
+        refused once the checkpoint is read, before the tree is read or
+        embedded; the linear probe has no heads and runs."""
+        cfg = tmp_path / "head.json"
+        cfg.write_text('{"num_heads": 3, "epochs": 1}')
+        argv = ["probe", "--ckpt", work / "enc.ckpt", "--data", work / "sg",
+                "--config", cfg, "--log-level", "quiet"]
+        with monkeypatch.context() as patched:
+            for name in ("ingest_directory", "embed_dataset"):
+                patched.setattr(cli, name, refuse_call(name))
+            assert run_cli(*argv, "--mode", "attnpool",
+                           "--report", tmp_path / "a.json") == 2
+        assert capsys.readouterr().err == (
+            "error: embed_dim 32 not divisible by num_heads 3\n")
+        assert not (tmp_path / "a.json").exists()
+        assert run_cli(*argv, "--mode", "linear",
+                       "--report", tmp_path / "l.json") == 0
+        report = json.loads((tmp_path / "l.json").read_text())
+        assert report["head_mode"] == "linear"
+
 
 class TestDegenerateConfigs:
     """Configs at the edge of their domain, each handled on purpose."""
@@ -1934,7 +2077,7 @@ OPTION_TABLE = {
     "pretrain": [*TRAINING, CONFIG, SEED_NONE],
     "posttrain": [
         *TRAINING,
-        (("--gram-teacher",), "gram_teacher", None, None, False, None),
+        (("--gram-teacher",), "gram_teacher", None, None, True, None),
         (("--init",), "init", None, None, False, None),
         CONFIG, SEED_NONE],
     "embed": [

@@ -353,6 +353,36 @@ def test_main_exits_with_the_class_code(leaf, monkeypatch, capsys):
     assert capsys.readouterr().err == f"{label}: stub failure\n"
 
 
+# Library modules: they trust their callers, which check each value
+# where it enters (``cli``, the artifact loaders).
+LIBRARIES = ("encoder", "heads", "numkernel", "optim", "ssl", "color")
+
+
+def post_init_nodes(tree):
+    """Every node inside a dataclass's ``__post_init__``."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            for func in cls.body:
+                if (isinstance(func, ast.FunctionDef)
+                        and func.name == "__post_init__"):
+                    yield from ast.walk(func)
+
+
+@pytest.mark.parametrize("name", LIBRARIES)
+def test_libraries_raise_config_error_in_post_init_only(name):
+    """In a library module, ``ConfigError`` (exit 2) is raised only by a
+    config dataclass checking its own fields: a condition on a value
+    that meets another value is checked by the caller, before the work
+    that needs it starts."""
+    path = Path(tokenhier.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = {getattr(node, "lineno", None) for node in post_init_nodes(tree)}
+    outside = [f"{path.name}:{line}" for line, exc in raised_names(tree)
+               if exc == "ConfigError" and line not in allowed]
+    assert not outside, f"ConfigError raised outside __post_init__: {outside}"
+
+
 # (module, function, parameter) triples exempt from the rule below.
 UNREAD_PARAMETERS = {
     # perfbench/workloads.py passes threads=; the parameter goes when the

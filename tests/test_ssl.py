@@ -1,6 +1,7 @@
 """Objective terms against extended-precision and brute-force oracles,
 plus the student/teacher loop."""
 
+import copy
 import hashlib
 import json
 import math
@@ -13,11 +14,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from tokenhier.bench import AblationConfig, make_pretrain_corpus
 from tokenhier.checkpoint import read_config
 from tokenhier.color import StainAugConfig, stain_augment
 from tokenhier import ssl as ssl_module
 from tokenhier.encoder import EncoderConfig, forward_batch, patchify
 from tokenhier.errors import ConfigError, NumericError
+from tokenhier.gradcheck import TOLERANCE
 from tokenhier.numkernel import RngStream, init_tensors
 from tokenhier.ssl import (
     LossBreakdown,
@@ -588,6 +591,63 @@ class TestTrainStep:
         assert len(lines) == 3
         assert set(lines[0]) == {"step", "dino", "ibot", "koleo", "gram",
                                  "total"}
+
+
+# (augmentation on, phase) of each whole-step gradient check
+STEP_CASES = {"augmented-pretrain": (True, PRETRAIN),
+              "plain-pretrain": (False, PRETRAIN),
+              "posttrain": (True, POSTTRAIN)}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_train_step_gradient_matches_central_differences(monkeypatch, case):
+    """The gradient a training step hands Adam is the derivative of the
+    step's ``LossBreakdown.total`` over all 31 student tensors, with
+    everything the per-term checks leave out: the swap of teacher rows,
+    the repeat of unmasked rows, the Gram term in the output gradient,
+    the masked-row scatter and the token gradients.  Along 4 seeded
+    directions the analytic directional derivative matches central
+    differences (h = 1e-6) on the desk config at batch 4; post-training
+    runs against a perturbed Gram anchor."""
+    aug_on, phase = STEP_CASES[case]
+    desk = AblationConfig()
+    enc_cfg, ssl_cfg = desk.encoder, desk.ssl
+    aug_cfg = replace(desk.aug, enabled=aug_on)
+    rasters = make_pretrain_corpus(RngStream(seed=0, stream_id=10), count=4,
+                                   image_size=enc_cfg.image_size)
+    views = _step_views(rasters, 0, ssl_cfg, enc_cfg, aug_cfg,
+                        RngStream(seed=0, stream_id=12))
+    state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=0, stream_id=11))
+    if phase == POSTTRAIN:
+        noise = RngStream(seed=0, stream_id=13)
+        state.gram_teacher = {
+            name: w + 0.05 * noise.gaussian(w.size).reshape(w.shape)
+            for name, w in sorted(_sub(state.student, "enc.").items())}
+    # the captured gradients; the state's weights stay where they are
+    seen = []
+    monkeypatch.setattr(ssl_module, "adam_step",
+                        lambda params, grads, *rest: seen.append(grads))
+
+    def total(direction=None, h=0.0):
+        moved = copy.deepcopy(state)
+        for name, d in (direction or {}).items():
+            moved.student[name] += h * d
+        return train_step(views, moved, ssl_cfg, enc_cfg, phase=phase).total
+
+    total()
+    grads = seen[0]
+    assert sorted(grads) == sorted(state.student) and len(grads) == 31
+    h, worst = 1e-6, 0.0
+    for i in range(4):
+        draw = RngStream(seed=i, stream_id=14)
+        direction = {name: draw.gaussian(w.size).reshape(w.shape)
+                     for name, w in sorted(state.student.items())}
+        analytic = sum(float(np.vdot(grads[name], d))
+                       for name, d in direction.items())
+        numeric = (total(direction, h) - total(direction, -h)) / (2 * h)
+        worst = max(worst, abs(analytic - numeric)
+                    / max(1e-6, abs(analytic), abs(numeric)))
+    assert worst <= TOLERANCE, f"{case}: relative error {worst:.3e}"
 
 
 def state_sha256(state) -> str:
