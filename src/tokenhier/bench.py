@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import check_size, save_params
-from .color import StainAugConfig, lab_to_rgb, read_ppm, rgb_to_lab
+from .color import StainAugConfig, read_ppm, stain_remap, stain_space
 from .encoder import (EncoderConfig, TokenSequence, forward_batch, patchify,
                       tokenize_batch)
 from .errors import ConfigError, DataError
@@ -115,16 +115,6 @@ def _texture(kind_index: int, t: int, amp: float) -> np.ndarray:
     return pat[:, :, None] * np.ones(3)
 
 
-def apply_protocol_shift(raster, offsets, scales) -> np.ndarray:
-    """Deterministic staining-protocol change: per-channel LAB spread
-    scaling about the image mean plus an additive offset."""
-    lab = rgb_to_lab(raster).astype(np.float64)
-    flat = lab.reshape(-1, 3)
-    mean = flat.mean(axis=0)
-    shifted = (flat - mean) * np.asarray(scales) + mean + np.asarray(offsets)
-    return lab_to_rgb(shifted.reshape(lab.shape))
-
-
 # Every suite: two classes, pixel noise, and LOCAL's grid of tiles.
 _NUM_CLASSES = 2
 _NOISE_SIGMA = 18.0
@@ -139,10 +129,11 @@ _DISTRACTOR_AMP = 30.0
 # color far outside the train distribution, so features that lean
 # on color transfer worse than structural ones.
 _STRUCTURE_AMP = 20.0
-# The protocol change: additive LAB offsets riding the class-color
-# axis plus mild spread scaling, per-item magnitude in [0.6, 1.4].
-_SHIFT_OFFSET = (20.0, 16.0, -10.0)
-_SHIFT_SCALE = (1.25, 1.25, 1.25)
+# The protocol change, a LAB remap: additive offsets riding the
+# class-color axis plus mild spread scaling about the image mean,
+# per-item magnitude in [0.6, 1.4].
+_SHIFT_OFFSET = np.array([20.0, 16.0, -10.0])
+_SHIFT_SCALE = np.array([1.25, 1.25, 1.25])
 
 
 def _make_raster(spec: SuiteSpec, label: int, item_rng: RngStream) -> np.ndarray:
@@ -203,9 +194,8 @@ def make_synthetic_suite(rng: RngStream, spec: SuiteSpec):
             split = _split_of(rank, spec.per_class)
             if spec.kind == SHIFTED and split == TEST:
                 mag = 0.6 + 0.8 * float(rng.derive(c, j, 7).uniform(1)[0])
-                raster = apply_protocol_shift(
-                    raster, tuple(mag * o for o in _SHIFT_OFFSET),
-                    _SHIFT_SCALE)
+                raster = stain_remap(*stain_space(raster, "lab"),
+                                     mag * _SHIFT_OFFSET, _SHIFT_SCALE, "lab")
             per_split[split].append((raster, c))
             per_split_ids[split].append(sid)
     names = [f"class{c}" for c in range(_NUM_CLASSES)]

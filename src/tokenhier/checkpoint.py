@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import is_dataclass
@@ -103,10 +104,16 @@ def save_params(path, kind: str, config: dict, params: dict, extra: dict) -> Non
 
 def load_params(path):
     """Returns (kind, config, params, extra); a bad shape or size, a
-    non-finite entry or an unreadable path is a data error, not a crash."""
+    non-finite entry or an unreadable path is a data error, not a crash.
+    The payload is read once into one buffer, and every tensor is a
+    writable view of it."""
     try:
         with open(path, "rb") as fh:
-            head_line, blob = fh.readline(), fh.read()
+            head_line = fh.readline()
+            # fstat gives a /proc file size 0: its payload reads empty
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            blob = bytearray(max(0, size))
+            del blob[fh.readinto(blob):]   # a file that shrank meanwhile
     except OSError as e:
         raise DataError(f"{path}: cannot read checkpoint: "
                         f"{e.strerror or e}") from None
@@ -137,19 +144,18 @@ def load_params(path):
             raise DataError(f"{path}: tensor {name!r} listed twice")
         if any(s < 0 for s in shape):
             raise DataError(f"{path}: tensor {name!r} has a negative dimension")
-        nbytes = 8 * math.prod(shape)
-        chunk = blob[off:off + nbytes]
-        if len(chunk) != nbytes:
+        count = math.prod(shape)
+        if off + 8 * count > len(blob):
             raise DataError(f"{path}: tensor {name!r} truncated")
         try:
-            tensor = np.frombuffer(chunk, dtype="<f8").reshape(shape)
+            tensor = np.frombuffer(blob, "<f8", count, off).reshape(shape)
         except (ValueError, OverflowError):
             raise DataError(f"{path}: tensor {name!r} has shape {shape}, "
                             "too large for an array") from None
         if not np.isfinite(tensor).all():   # save_params writes none
             raise DataError(f"{path}: tensor {name!r} has non-finite entries")
-        params[name] = tensor.copy()
-        off += nbytes
+        params[name] = tensor
+        off += 8 * count
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes after tensors")
     return header["kind"], config, params, extra

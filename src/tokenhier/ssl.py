@@ -18,12 +18,12 @@ verified against central differences.  A training step takes two
 augmented views per image, runs the student on masked tokens and the
 teacher unmasked, applies one Adam step to the student, and moves the
 teacher and the logit centers by momentum.  ``_step_views`` alone
-builds the views: with augmentation off the two views of an image are
-equal, so it hands the unmasked encoders (teacher and Gram teacher) one
-view per image, not one per view.  The training loop builds each
-step's views in one forked worker process, which copies them into two
-shared-memory slots while the parent trains, so colour work and
-training no longer share one interpreter lock; the design is POSIX only.
+builds a step's views, (patches, masks); with augmentation off both
+views of an image are equal, and ``train_step`` reads
+``aug_cfg.enabled`` to run the unmasked encoders (teacher and Gram
+teacher) once per image.  One forked worker builds the views into two
+shared-memory slots, both indices starting on the free pipe, while the
+parent trains: colour work and training share no interpreter lock.
 """
 
 from __future__ import annotations
@@ -311,10 +311,9 @@ def _guard(value, term: str, step: int):
 def _step_views(rasters, step: int, ssl_cfg: SslConfig,
                 enc_cfg: EncoderConfig, aug_cfg: StainAugConfig,
                 rng: RngStream):
-    """(patches, masks, unmasked) of step ``step`` over a raster batch:
-    view v = 2 i + vi of item i, patchified, its student mask, and the
-    views the unmasked encoders (teacher, Gram teacher) run on: every
-    view, or unaugmented one per item (both its views are the item).
+    """(patches, masks) of step ``step`` over a raster batch: view
+    v = 2 i + vi of item i, patchified, and its student mask.  With
+    augmentation off both views of an item are the item itself.
 
     ``rng.derive(step, i)`` derived by vi is view v's stream (counter 0
     the LAB/HSV coin, LAB below 0.5; 1..12 the jitter draws), derived
@@ -338,7 +337,7 @@ def _step_views(rasters, step: int, ssl_cfg: SslConfig,
     if not aug:
         for i, raster in enumerate(rasters):
             patches[2 * i:2 * i + 2] = patchify(raster, enc_cfg)
-        return patches, masks, _unmasked(patches, aug_cfg)
+        return patches, masks
     lab = to_unit(words[2 * b:, 0]) < 0.5
     spaces = ["lab" if pick else "hsv" for pick in lab.tolist()]
     sigmas = np.where(lab[:, None],
@@ -351,13 +350,7 @@ def _step_views(rasters, step: int, ssl_cfg: SslConfig,
         for v in (2 * i, 2 * i + 1):
             view = stain_remap(*converted[spaces[v]], dmu[v], rho[v], spaces[v])
             patches[v] = patchify(view, enc_cfg)
-    return patches, masks, _unmasked(patches, aug_cfg)
-
-
-def _unmasked(patches, aug_cfg: StainAugConfig):
-    """The views the unmasked encoders run on: every view, or with
-    augmentation off one per item (both its views are the item)."""
-    return patches if aug_cfg.enabled else patches[::2]
+    return patches, masks
 
 
 def _step_shape(enc_cfg: EncoderConfig, batch_size: int):
@@ -366,59 +359,44 @@ def _step_shape(enc_cfg: EncoderConfig, batch_size: int):
 
 
 def check_step_size(enc_cfg: EncoderConfig, batch_size: int) -> None:
-    """Refuse a batch whose step views, the patches and masks one of
-    ``run_training``'s shared slots holds, no array can index."""
+    """Refuse a batch whose step views, the patches and masks of
+    ``run_training``'s two shared slots, no array can index."""
     v, n, p = _step_shape(enc_cfg, batch_size)
-    check_size("a step's views", v * n * (p + 1))
+    check_size("a step's views", 2 * v * n * (p + 1))
 
 
-def _slot(enc_cfg: EncoderConfig, batch_size: int):
-    """(patches, masks) arrays over one anonymous shared mapping: a
-    forked child writes a step's views there and its parent reads them."""
+def _slots(enc_cfg: EncoderConfig, batch_size: int):
+    """(patches, masks) of both slots, slot k at index k, over one
+    anonymous mapping that a forked child writes and its parent reads."""
     v, n, p = _step_shape(enc_cfg, batch_size)
-    buffer = mmap.mmap(-1, v * n * (8 * p + 1))
-    patches = np.ndarray((v, n, p), np.float64, buffer)
-    return patches, np.ndarray((v, n), bool, buffer, offset=patches.nbytes)
-
-
-def _feed_views(build, steps, slots, ready: int, free: int) -> None:
-    """The worker's loop: build each step's views, at most two steps
-    ahead of training, copy them into a free slot and send its index
-    on ``ready``; slot k is free again once its index comes back on
-    ``free``.  Returns when the parent stops listening."""
-    for i, step in enumerate(steps):
-        patches, masks, _ = build(step)
-        k = bytes([i]) if i < 2 else os.read(free, 1)
-        if not k:
-            return
-        slot_patches, slot_masks = slots[k[0]]
-        slot_patches[...] = patches
-        slot_masks[...] = masks
-        os.write(ready, k)
+    buffer = mmap.mmap(-1, 2 * v * n * (8 * p + 1))
+    patches = np.ndarray((2, v, n, p), np.float64, buffer)
+    return patches, np.ndarray((2, v, n), bool, buffer, offset=patches.nbytes)
 
 
 def train_step(views, state: TrainState, ssl_cfg: SslConfig,
-               enc_cfg: EncoderConfig, phase: str = PRETRAIN,
+               enc_cfg: EncoderConfig, aug_cfg: StainAugConfig,
+               phase: str = PRETRAIN,
                adam_cfg: AdamConfig = AdamConfig()) -> LossBreakdown:
     """One optimization step on ``views``, a batch's ``_step_views`` at
     ``state.step``.
 
     The student sees masked tokens, the teacher never does.  The
-    teacher and the Gram teacher run on the unmasked views, each row
-    repeated to stand for the views it covers.  Gradients flow only
-    into the student; the teacher follows by EMA and the centers by
-    momentum on batch-mean teacher logits.
+    teacher and the Gram teacher run on the unmasked views (one per
+    item with ``aug_cfg`` off), each row repeated to stand for the
+    views it covers.  Gradients flow only into the student; the teacher
+    follows by EMA and the centers by momentum on batch-mean teacher logits.
 
     The caller has checked the inputs: a non-empty batch, num_patches
     >= 2, and a Gram teacher on ``state`` for POSTTRAIN.
     """
-    patches, masks, unmasked_patches = views
+    patches, masks = views
     # a row of forward_batch depends on its own input row alone, so
     # repeating a row equals running the views it stands for
-    repeat = len(patches) // len(unmasked_patches)
+    repeat = 1 if aug_cfg.enabled else 2
 
     def unmasked(params):
-        out, _ = forward_batch(tokenize_batch(unmasked_patches, params),
+        out, _ = forward_batch(tokenize_batch(patches[::repeat], params),
                                enc_cfg, params)
         return np.repeat(out, repeat, axis=0)
 
@@ -503,21 +481,23 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
                  log_file=None):
     """Fixed-step loop with deterministic with-replacement batching.
 
-    A child made with ``os.fork`` builds each step's batch and views, in
-    step order and at most two steps ahead, and copies them into one of
-    two anonymous shared-memory slots; the caller's process trains on
-    arrays over the slot, then hands it back.  One byte per message
-    crosses two pipes: "slot k ready" from the child, "slot k free"
-    from the parent.  The views depend only on the corpus, the step
-    number and ``rng``, so the bytes are those of building them in
-    line.  The child leaves only through ``os._exit``, so it never
-    returns into the caller or flushes a buffer it inherited (such as
+    A child made with ``os.fork`` builds each step's batch and views in
+    step order, copies them into a free slot of one anonymous shared
+    mapping and sends the slot's index.  One byte per message crosses
+    two pipes: "slot k ready" from the child, "slot k free" from the
+    parent, which writes both indices before the fork and each again
+    once its step has trained, so the child builds at most two steps
+    ahead.  ``train_step`` reads ``aug_cfg.enabled`` to pair an item's
+    views.  The views depend only on the corpus, the step number and
+    ``rng``, so the bytes are those of building them in line.  The
+    child leaves only through ``os._exit``, so it never returns into
+    the caller or flushes a buffer it inherited (such as
     ``log_file``'s).  When it stops short of a step, the parent builds
     that step's views itself: a view-building failure is raised there
-    with its own type and message, and a child that died of anything
-    else is a ``NumericError``.  On every exit the parent closes its
-    pipe ends, so a waiting child reads EOF, and reaps the child.
-    ``steps=0`` forks nothing.  POSIX only.
+    with its own type and message, and any other death of the child is
+    a ``NumericError``.  On every exit the parent closes its pipe ends,
+    so a waiting child reads EOF, and reaps the child.  ``steps=0``
+    forks nothing.  POSIX only.
 
     Returns the list of per-step LossBreakdowns; optionally writes each
     as a JSON line to the open text file ``log_file``.  The caller has
@@ -533,15 +513,21 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
         return []
     history = []
     run = range(state.step, state.step + steps)
-    slots = [_slot(enc_cfg, batch_size) for _ in range(2)]
+    slot_patches, slot_masks = _slots(enc_cfg, batch_size)
     ready_r, ready_w = os.pipe()
     free_r, free_w = os.pipe()
+    os.write(free_w, bytes([0, 1]))
     pid = os.fork()
     if pid == 0:
         try:
             os.close(ready_r)
             os.close(free_w)
-            _feed_views(build, run, slots, ready_w, free_r)
+            for step in run:
+                views, k = build(step), os.read(free_r, 1)
+                if not k:   # the parent stopped listening
+                    break
+                slot_patches[k[0]], slot_masks[k[0]] = views
+                os.write(ready_w, k)
         finally:   # quietly, whatever was raised: the parent reports it
             os._exit(0)
     os.close(ready_w)
@@ -553,10 +539,8 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
                 build(step)   # raises what stopped the child, if it can
                 raise NumericError(
                     f"the view worker died before step {step}'s views")
-            patches, masks = slots[k[0]]
-            lb = train_step((patches, masks, _unmasked(patches, aug_cfg)),
-                            state, ssl_cfg, enc_cfg, phase=phase,
-                            adam_cfg=adam_cfg)
+            lb = train_step((slot_patches[k[0]], slot_masks[k[0]]), state,
+                            ssl_cfg, enc_cfg, aug_cfg, phase, adam_cfg)
             history.append(lb)
             if log_file:
                 log_file.write(json.dumps({"step": state.step, **asdict(lb)},
@@ -605,6 +589,10 @@ def load_train_state(path):
         ssl_cfg = read_config(SslConfig, ssl)
     except ConfigError as e:
         raise DataError(f"{path}: bad header config: {e}") from None
+    for key, count in (("step", step), ("adam_t", adam_t)):
+        if count < 0:
+            raise DataError(f"{path}: bad header config: {key} must be "
+                            f">= 0, got {count}")
     state = TrainState(
         student=_sub(tensors, "student."),
         teacher=_sub(tensors, "teacher."),

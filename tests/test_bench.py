@@ -10,7 +10,7 @@ from tokenhier import bench
 from tokenhier.bench import (GLOBAL, LOCAL, SHIFTED, SUITE_SPECS,
                              AblationConfig, LabeledDataset, _fmt_delta,
                              SuiteSpec, acceptance_suites,
-                             apply_protocol_shift, embed_dataset,
+                             embed_dataset,
                              ingest_directory, make_report,
                              make_pretrain_corpus, make_synthetic_suite,
                              render_ablation_table,
@@ -248,14 +248,6 @@ class TestSyntheticSuites:
         m_tr, m_va, m_te = lab_mean(tr), lab_mean(va), lab_mean(te)
         assert np.abs(m_tr - m_va).max() < 3.0
         assert m_te[0] - m_tr[0] > 8.0
-
-    def test_protocol_shift_is_deterministic(self):
-        rng = RngStream(seed=11, stream_id=0)
-        r = rng.integers(16 * 16 * 3, 256).reshape(16, 16, 3).astype(np.uint8)
-        a = apply_protocol_shift(r, (5.0, 3.0, -2.0), (1.1, 1.0, 0.9))
-        b = apply_protocol_shift(r, (5.0, 3.0, -2.0), (1.1, 1.0, 0.9))
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, r)
 
     def test_pretrain_corpus(self):
         a = make_pretrain_corpus(RngStream(seed=3, stream_id=1), count=5,

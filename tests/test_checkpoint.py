@@ -8,6 +8,7 @@ damage to a checkpoint file comes out of ``load_params`` as a
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
@@ -23,7 +24,9 @@ from tokenhier.color import StainAugConfig
 from tokenhier.encoder import EncoderConfig
 from tokenhier.errors import ConfigError, DataError
 from tokenhier.heads import HeadTrainConfig
-from tokenhier.ssl import SslConfig, load_train_state
+from tokenhier.numkernel import RngStream
+from tokenhier.ssl import (SslConfig, init_train_state, load_train_state,
+                           save_train_state)
 
 CONFIGS = (EncoderConfig, SslConfig, StainAugConfig, HeadTrainConfig,
            AblationConfig)
@@ -250,3 +253,45 @@ class TestDamagedCheckpointFile:
                              ids=["deeply_nested", "not_utf8"])
     def test_unparsable_header(self, data):
         assert self.raised(data) is DataError
+
+
+class TestOneBuffer:
+    """``load_params`` reads a checkpoint's payload once, into one
+    buffer, and hands out its tensors as views of it."""
+
+    @pytest.fixture
+    def desk_checkpoint(self, tmp_path):
+        desk = AblationConfig()
+        state = init_train_state(desk.encoder, desk.ssl, RngStream(seed=0))
+        path = tmp_path / "desk.ckpt"
+        save_train_state(path, state, desk.encoder, desk.ssl)
+        return path, state
+
+    def test_peak_is_about_one_file(self, desk_checkpoint):
+        """One load holds the file about once at its peak, not twice."""
+        path, _ = desk_checkpoint
+        tracemalloc.start()
+        try:
+            load_params(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * path.stat().st_size
+
+    def test_tensors_are_writable_aligned_views(self, desk_checkpoint):
+        """Every tensor holds the saved bytes as an aligned float64 array
+        that training can update in place without touching another."""
+        path, state = desk_checkpoint
+        _, _, tensors, _ = load_params(path)
+        saved = {"student." + k: v for k, v in state.student.items()}
+        for tensor in tensors.values():
+            assert tensor.dtype == np.float64
+            assert tensor.flags.writeable and tensor.flags.aligned
+        for name, value in saved.items():
+            assert tensors[name].tobytes() == value.tobytes()
+        before = {name: t.copy() for name, t in tensors.items()}
+        tensors["student.enc.embed.W"] += 1.0
+        assert all(np.array_equal(t, before[name])
+                   for name, t in tensors.items()
+                   if name != "student.enc.embed.W")
+

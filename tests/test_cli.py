@@ -1167,6 +1167,46 @@ class TestMalformedCheckpoint:
             f"data error: {bad}: tensor {tensor!r} has non-finite entries\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs Linux's /proc")
+    def test_proc_file_checkpoint(self, work, tmp_path, capsys):
+        """A /proc file, which reports size 0 but reads text, is a
+        checkpoint with a bad header, not a crash."""
+        assert run_cli("embed", "--ckpt", "/proc/self/status", "--data",
+                       work / "sg", "--out", tmp_path / "e") == 3
+        assert capsys.readouterr().err.startswith(
+            "data error: /proc/self/status: bad checkpoint header: ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key, count", [("step", -3), ("adam_t", -1)])
+    @pytest.mark.parametrize("flag", ["embed --ckpt", "probe --ckpt",
+                                      "posttrain --gram-teacher",
+                                      "posttrain --init"])
+    def test_negative_header_counter(self, work, tmp_path, flag, key, count,
+                                     capsys):
+        """A negative step or Adam step count in the header is damaged
+        data found when the checkpoint is read: exit 3 naming the field,
+        no output directory, no loss log.  Trusted, -1 Adam steps would
+        divide by zero in the bias correction and -3 steps would train
+        from step -3."""
+        kind, config, tensors, extra = load_params(work / "enc.ckpt")
+        config[key] = count
+        bad = tmp_path / "bad.ckpt"
+        save_params(bad, kind, config, tensors, extra)
+        command, option = flag.split()
+        out = tmp_path / "out"
+        argv = {"embed": ["--data", work / "sg", "--out", out / "e"],
+                "probe": ["--data", work / "sg", "--mode", "linear",
+                          "--report", out / "r.json"],
+                "posttrain": ["--steps", "2", "--out", out / "p.ckpt"]}
+        if option == "--init":
+            argv["posttrain"] += ["--gram-teacher", work / "init.ckpt"]
+        assert run_cli(command, option, bad, *argv[command]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: bad header config: {key} must be >= 0, "
+            f"got {count}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
+
 
 def refuse_call(name):
     """A stand-in for ``name`` that fails the test if it is called."""

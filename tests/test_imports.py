@@ -221,6 +221,20 @@ def test_one_view_loop_in_ssl():
     assert callers == {name: {"ssl.run_training"} for name in steps}
 
 
+def test_colour_round_trips_go_through_stain_space():
+    """In ``src``, ``rgb_to_lab``, ``lab_to_rgb``, ``rgb_to_hsv`` and
+    ``hsv_to_rgb`` are read inside ``color`` alone: every colour round
+    trip elsewhere goes through ``stain_space`` and ``stain_remap``, so
+    the remap has one implementation."""
+    conversions = {"rgb_to_lab", "lab_to_rgb", "rgb_to_hsv", "hsv_to_rgb"}
+    found = sorted({f"{path.name} {name}"
+                    for path in MODULES if path.stem != "color"
+                    for name in loaded_names(ast.parse(
+                        path.read_text(encoding="utf-8")))
+                    if name in conversions})
+    assert not found, f"colour conversions read outside color: {found}"
+
+
 def test_one_forked_worker():
     """``os.fork`` and ``os.waitpid`` are each called once in ``src``,
     both in ``ssl.run_training``: the view worker is the one child

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import signal
+import time
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
@@ -470,7 +471,7 @@ def train_on(rasters, state, ssl_cfg, enc_cfg, aug_cfg, rng, **kw):
     """``train_step`` on the views ``_step_views`` builds from
     ``rasters`` at ``state.step``, as ``run_training`` feeds it."""
     views = _step_views(rasters, state.step, ssl_cfg, enc_cfg, aug_cfg, rng)
-    return train_step(views, state, ssl_cfg, enc_cfg, **kw)
+    return train_step(views, state, ssl_cfg, enc_cfg, aug_cfg, **kw)
 
 
 class TestTrainStep:
@@ -482,7 +483,7 @@ class TestTrainStep:
         enc_cfg, _, aug_cfg, corpus = tiny_setup()
         enc_cfg = replace(enc_cfg, token_size=8)   # 16 patches
         for seed in range(3):
-            _, masks, _ = _step_views(
+            _, masks = _step_views(
                 corpus[:2], seed, SslConfig(mask_fraction=fraction),
                 enc_cfg, aug_cfg, RngStream(seed=seed))
             assert masks.sum(axis=1).tolist() == [masked] * 4
@@ -632,7 +633,8 @@ def test_train_step_gradient_matches_central_differences(monkeypatch, case):
         moved = copy.deepcopy(state)
         for name, d in (direction or {}).items():
             moved.student[name] += h * d
-        return train_step(views, moved, ssl_cfg, enc_cfg, phase=phase).total
+        return train_step(views, moved, ssl_cfg, enc_cfg, aug_cfg,
+                          phase=phase).total
 
     total()
     grads = seen[0]
@@ -755,7 +757,7 @@ def per_view_step_views(rasters, step, ssl_cfg, enc_cfg, aug_cfg, rng):
                 patches[2 * i:2 * i + 2] = patchify(rasters[i], enc_cfg)
             masks[2 * i + vi] = per_view_mask(item_rng.derive(2 + vi), n,
                                               ssl_cfg.mask_fraction)
-    return patches, masks, patches if aug_cfg.enabled else patches[::2]
+    return patches, masks
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -858,6 +860,36 @@ class TestLookahead:
         # no view is built for a step that never runs
         built = augmented.read_text().split() if augmented.exists() else []
         assert len(built) == (2 * self.BATCH * steps if enabled else 0)
+
+    def test_worker_runs_at_most_two_steps_ahead(self, tmp_path,
+                                                 monkeypatch):
+        """When step s starts training, the worker has started building
+        views for no step past s + 2: two slots bound the lookahead.
+        Each step first waits, so a worker free to run further would."""
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        built = tmp_path / "built.txt"
+        real_views, real_step = ssl_module._step_views, ssl_module.train_step
+
+        def counting(rasters, step, *args):
+            with open(built, "a", encoding="ascii") as fh:
+                fh.write(f"{step}\n")
+            return real_views(rasters, step, *args)
+
+        ahead = []
+
+        def waiting(views, state, *args, **kw):
+            time.sleep(0.05)
+            ahead.append(max(map(int, built.read_text().split()))
+                         - state.step)
+            return real_step(views, state, *args, **kw)
+
+        monkeypatch.setattr(ssl_module, "_step_views", counting)
+        monkeypatch.setattr(ssl_module, "train_step", waiting)
+        state = fresh_state(ssl_cfg, enc_cfg, PRETRAIN, 0)
+        run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
+                     RngStream(seed=34), 6, self.BATCH)
+        self.assert_no_child()
+        assert len(ahead) == 6 and max(ahead) <= 2
 
     def run_until_failure(self, tmp_path, exc):
         """Five steps that must fail with ``exc``'s type and message
