@@ -183,8 +183,8 @@ def _split_of(rank: int, n: int) -> str:
 def make_synthetic_suite(rng: RngStream, spec: SuiteSpec):
     """Reproducible (train, val, test) triple; splits are stratified per
     class over disjoint source ids, 60/20/20."""
-    per_split = {TRAIN: [], VAL: [], TEST: []}
-    per_split_ids = {TRAIN: [], VAL: [], TEST: []}
+    names = [f"class{c}" for c in range(_NUM_CLASSES)]
+    splits = {sp: LabeledDataset([], names, []) for sp in (TRAIN, VAL, TEST)}
     for c in range(_NUM_CLASSES):
         order = rng.derive(888, c).permutation(spec.per_class)
         for rank, j in enumerate(order):
@@ -196,12 +196,9 @@ def make_synthetic_suite(rng: RngStream, spec: SuiteSpec):
                 mag = 0.6 + 0.8 * float(rng.derive(c, j, 7).uniform(1)[0])
                 raster = stain_remap(*stain_space(raster, "lab"),
                                      mag * _SHIFT_OFFSET, _SHIFT_SCALE, "lab")
-            per_split[split].append((raster, c))
-            per_split_ids[split].append(sid)
-    names = [f"class{c}" for c in range(_NUM_CLASSES)]
-    return tuple(
-        LabeledDataset(per_split[sp], names, per_split_ids[sp])
-        for sp in (TRAIN, VAL, TEST))
+            splits[split].items.append((raster, c))
+            splits[split].source_ids.append(sid)
+    return splits[TRAIN], splits[VAL], splits[TEST]
 
 
 def make_pretrain_corpus(rng: RngStream, count: int, image_size: int) -> list:
@@ -233,23 +230,19 @@ def ingest_directory(root) -> LabeledDataset:
     root = Path(root)
     if not root.is_dir():
         raise ConfigError(f"{root}: not a directory")
-    class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
-    names, kept_dirs = [], []
-    for d in class_dirs:
+    names, items, source_ids, failures = [], [], [], []
+    for d in sorted(d for d in root.iterdir() if d.is_dir()):
         files = sorted(d.glob("*.ppm"))
         if not files:
             warnings.warn(f"class directory {d.name!r} has no .ppm files; excluded")
             continue
-        names.append(d.name)
-        kept_dirs.append((d, files))
-    items, source_ids, failures = [], [], []
-    for cid, (d, files) in enumerate(kept_dirs):
         for f in files:
             try:
-                items.append((read_ppm(f), cid))
+                items.append((read_ppm(f), len(names)))
                 source_ids.append(f"{d.name}/{f.name}")
             except DataError as e:
                 failures.append(f"  {e}")
+        names.append(d.name)
     if failures:
         raise DataError("unreadable raster files:\n" + "\n".join(failures))
     return LabeledDataset(items, names, source_ids)

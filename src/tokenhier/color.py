@@ -169,6 +169,12 @@ class StainAugConfig:
                 if not 0 <= v <= sys.float_info.max:
                     raise ConfigError(f"{name} entries must be finite and >= 0")
 
+    def sigmas(self, space: str) -> np.ndarray:
+        """(6,) float64: ``space``'s mean sigmas, then its spread sigmas."""
+        if space == "lab":
+            return np.array([*self.lab_mean_sigma, *self.lab_std_sigma], np.float64)
+        return np.array([*self.hsv_mean_sigma, *self.hsv_std_sigma], np.float64)
+
 
 _RHO_FLOOR = 0.05
 # the jitter draws' means: offsets center on 0, spread ratios on 1
@@ -176,19 +182,13 @@ _DRAW_MU = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 
 
 def stain_draws(words, sigmas):
-    """(dmu, rho) from 12 raw words per row: draw j of
-    :func:`paired_normals` at ``sigmas[..., j]`` offsets channel j's
-    mean for j < 3, else scales its spread.  rho clamps to >= 0.05 so a
-    channel can shrink but never flip or collapse."""
+    """(dmu, rho) from 12 raw words per row and a space's
+    :meth:`StainAugConfig.sigmas` (or a row of them per word row): draw
+    j of :func:`paired_normals` at ``sigmas[..., j]`` offsets channel
+    j's mean for j < 3, else scales its spread.  rho clamps to >= 0.05
+    so a channel can shrink but never flip or collapse."""
     draws = _DRAW_MU + sigmas * paired_normals(words)
     return draws[..., :3], np.maximum(draws[..., 3:], _RHO_FLOOR)
-
-
-def draw_stain_jitter(rng: RngStream, mean_sigma, std_sigma):
-    """:func:`stain_draws` on the next 12 words of ``rng``: mean
-    offsets for channels 0..2, then spread ratios for channels 0..2."""
-    return stain_draws(rng._raw(12), np.array([*mean_sigma, *std_sigma],
-                                              dtype=np.float64))
 
 
 _CONVERSIONS = {"lab": (rgb_to_lab, lab_to_rgb), "hsv": (rgb_to_hsv, hsv_to_rgb)}
@@ -225,13 +225,13 @@ def stain_augment(r: Raster, cfg: StainAugConfig, rng: RngStream) -> Raster:
     out = r
     for space in ("lab", "hsv"):
         if cfg.space in (space, "both"):
-            dmu, rho = draw_stain_jitter(rng, getattr(cfg, space + "_mean_sigma"),
-                                         getattr(cfg, space + "_std_sigma"))
+            dmu, rho = stain_draws(rng._raw(12), cfg.sigmas(space))
             out = stain_remap(*stain_space(out, space), dmu, rho, space)
     return out
 
 
-_WS = re.compile(rb"\s")
+# a header token: whitespace and '#' comment lines skipped, then non-whitespace
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def write_ppm(path, raster: Raster) -> None:
@@ -243,23 +243,10 @@ def write_ppm(path, raster: Raster) -> None:
 
 
 def _ppm_token(buf: bytes, pos: int, path):
-    # skip whitespace and '#' comment lines
-    n = len(buf)
-    while pos < n:
-        ch = buf[pos:pos + 1]
-        if ch == b"#":
-            while pos < n and buf[pos:pos + 1] != b"\n":
-                pos += 1
-        elif _WS.match(ch):
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not _WS.match(buf[pos:pos + 1]):
-        pos += 1
-    if start == pos:
+    token = _TOKEN.match(buf, pos)
+    if not token[1]:
         raise DataError(f"{path}: truncated PPM header")
-    return buf[start:pos], pos
+    return token[1], token.end()
 
 
 def read_ppm(path) -> Raster:

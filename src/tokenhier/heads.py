@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .numkernel import RngStream, softmax_backward, softmax_rows, trunc_normal
 from .optim import AdamConfig, adam_init, adam_step
 
@@ -71,20 +71,15 @@ class HeadTrainConfig:
 
 
 def class_recalls(y_true, y_pred, num_classes: int = None):
-    """Per-class recall and support; recall is NaN where support is 0.
-    The label arrays are non-empty, of one length, with labels in
-    [0, num_classes)."""
+    """Per-class recall (correct count over support; NaN, 0/0, where
+    support is 0) and support.  The label arrays are non-empty, of one
+    length, with labels in [0, num_classes)."""
     yt = np.asarray(y_true, dtype=np.int64).ravel()
     yp = np.asarray(y_pred, dtype=np.int64).ravel()
     c = int(num_classes) if num_classes is not None else int(max(yt.max(), yp.max())) + 1
-    recalls = np.full(c, np.nan)
-    support = np.zeros(c, dtype=np.int64)
-    for cls in range(c):
-        mask = yt == cls
-        support[cls] = mask.sum()
-        if support[cls]:
-            recalls[cls] = np.mean(yp[mask] == cls)
-    return recalls, support
+    support = np.bincount(yt, minlength=c)
+    with np.errstate(invalid="ignore"):
+        return np.bincount(yt[yt == yp], minlength=c) / support, support
 
 
 def balanced_accuracy(y_true, y_pred, num_classes: int = None) -> float:
@@ -212,7 +207,8 @@ class HeadTrainResult:
 def train_head(train_items, val_items, mode,
                cfg: HeadTrainConfig) -> HeadTrainResult:
     """Mini-batch Adam on mean cross-entropy; the returned params are
-    the epoch snapshot with the best validation balanced accuracy.
+    the epoch snapshot with the best validation balanced accuracy, and
+    an epoch whose validation outputs are non-finite is a NumericError.
     Both sets are non-empty; the class count is the largest label + 1."""
     c = max(int(lab) for items in (train_items, val_items)
             for _, lab in items) + 1
@@ -241,6 +237,8 @@ def train_head(train_items, val_items, mode,
             adam_step(pdict, grads, opt, adam_cfg, no_decay=("b",))
             losses.append(loss)
         probs, _ = probs_batch(val_cls, val_patches, params, mode)
+        if not np.isfinite(probs).all():
+            raise NumericError(f"{mode} head diverged at epoch {epoch}")
         bacc = balanced_accuracy(val_y, probs.argmax(axis=1))
         best.curve.append({"epoch": epoch,
                            "train_loss": float(np.mean(losses)),

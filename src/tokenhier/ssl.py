@@ -340,9 +340,7 @@ def _step_views(rasters, step: int, ssl_cfg: SslConfig,
         return patches, masks
     lab = to_unit(words[2 * b:, 0]) < 0.5
     spaces = ["lab" if pick else "hsv" for pick in lab.tolist()]
-    sigmas = np.where(lab[:, None],
-                      [*aug_cfg.lab_mean_sigma, *aug_cfg.lab_std_sigma],
-                      [*aug_cfg.hsv_mean_sigma, *aug_cfg.hsv_std_sigma])
+    sigmas = np.where(lab[:, None], aug_cfg.sigmas("lab"), aug_cfg.sigmas("hsv"))
     dmu, rho = stain_draws(words[2 * b:, 1:13], sigmas)
     for i, raster in enumerate(rasters):
         converted = {space: stain_space(raster, space)

@@ -5,6 +5,8 @@ from dataclasses import asdict, replace
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenhier import bench
 from tokenhier.bench import (GLOBAL, LOCAL, SHIFTED, SUITE_SPECS,
@@ -48,7 +50,47 @@ def mean_color_nearest_centroid(train, test):
     return np.argmin(d, axis=1)
 
 
+def scalar_class_recalls(y_true, y_pred, c):
+    """Reference recalls and support, one class and one label at a time
+    in Python ints: a class's correct count over its support, NaN
+    without support."""
+    recalls, support = [], []
+    for cls in range(c):
+        preds = [p for t, p in zip(y_true, y_pred) if t == cls]
+        support.append(len(preds))
+        recalls.append(preds.count(cls) / len(preds) if preds else float("nan"))
+    return np.array(recalls), np.array(support)
+
+
+@st.composite
+def label_pairs(draw):
+    """(y_true, y_pred, num_classes): num_classes is None (the largest
+    label + 1) or reaches past the largest true label, so some classes
+    may have no support."""
+    c = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 60))
+    labels = st.lists(st.integers(0, c - 1), min_size=n, max_size=n)
+    y_true, y_pred = draw(labels), draw(labels)
+    num_classes = draw(st.none() | st.integers(c, c + 3))
+    return y_true, y_pred, num_classes
+
+
 class TestBalancedAccuracy:
+    @settings(max_examples=300, deadline=None)
+    @given(label_pairs())
+    def test_recalls_match_scalar_reference(self, labels):
+        """Recalls are bitwise the reference's, NaN in the same places,
+        and support is equal."""
+        y_true, y_pred, num_classes = labels
+        recalls, support = class_recalls(y_true, y_pred, num_classes)
+        c = len(recalls)
+        assert c == (num_classes or max(y_true + y_pred) + 1)
+        ref_recalls, ref_support = scalar_class_recalls(y_true, y_pred, c)
+        assert np.array_equal(support, ref_support)
+        nan = np.isnan(recalls)
+        assert np.array_equal(nan, np.isnan(ref_recalls))
+        assert recalls[~nan].tobytes() == ref_recalls[~nan].tobytes()
+
     def test_perfect(self):
         assert balanced_accuracy([0, 1, 2], [0, 1, 2]) == 1.0
 

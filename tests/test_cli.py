@@ -1595,6 +1595,20 @@ class TestProbe:
         assert "not a training checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("mode", ["linear", "attnpool"])
+    def test_diverging_head_exits_1(self, work, tmp_path, capsys, mode):
+        """A head whose outputs turn non-finite is a verification error
+        (exit 1) naming the epoch; no report and no sidecar is written."""
+        cfg = tmp_path / "head.json"
+        cfg.write_text('{"lr": 1e308, "epochs": 3}')
+        rep = tmp_path / "r.json"
+        assert run_cli("probe", "--ckpt", work / "init.ckpt",
+                       "--data", work / "sg", "--mode", mode,
+                       "--config", cfg, "--report", rep) == 1
+        assert (f"verification error: {mode} head diverged at epoch 0"
+                in capsys.readouterr().err)
+        assert not rep.exists() and not Path(f"{rep}.log").exists()
+
     def test_report_is_idempotent(self, work, tmp_path, capsys):
         reps = []
         for name in ("a.json", "b.json"):

@@ -3,6 +3,7 @@
 import colorsys
 import hashlib
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -17,17 +18,24 @@ from tokenhier.bench import AblationConfig, make_pretrain_corpus
 from tokenhier.color import (
     StainAugConfig,
     _mod,
-    draw_stain_jitter,
+    _ppm_token,
     hsv_to_rgb,
     lab_to_rgb,
     read_ppm,
     rgb_to_hsv,
     rgb_to_lab,
     stain_augment,
+    stain_draws,
     write_ppm,
 )
 from tokenhier.errors import ConfigError, DataError
 from tokenhier.numkernel import RngStream
+
+
+def draw_stain_jitter(rng, mean_sigma, std_sigma):
+    """One space's jitter, ``(dmu, rho)``, from the next 12 words of ``rng``."""
+    return stain_draws(rng._raw(12), np.array([*mean_sigma, *std_sigma],
+                                              dtype=np.float64))
 
 
 def ref_srgb_to_lab(r8, g8, b8):
@@ -277,6 +285,16 @@ class TestStainAugment:
         delta = np.mod(h_after - expected + 180.0, 360.0) - 180.0
         assert np.abs(delta).max() < 2.0
 
+    @pytest.mark.parametrize("space", ["lab", "hsv"])
+    def test_sigmas_are_mean_then_spread(self, space):
+        cfg = StainAugConfig(lab_mean_sigma=(1.0, 2.0, 3.0), lab_std_sigma=(4, 5, 6),
+                             hsv_mean_sigma=(7.0, 8.0, 9.0),
+                             hsv_std_sigma=(0.1, 0.2, 0.3))
+        sig = cfg.sigmas(space)
+        assert sig.dtype == np.float64 and sig.shape == (6,)
+        assert sig.tolist() == [*getattr(cfg, f"{space}_mean_sigma"),
+                                *getattr(cfg, f"{space}_std_sigma")]
+
     def test_bad_config(self):
         with pytest.raises(ConfigError):
             StainAugConfig(space="rgb")
@@ -475,7 +493,60 @@ def damaged_ppms(draw):
             + VALID_PPM[i + cut:])
 
 
+# Header bytes: the six whitespace kinds, the comment marker, digits,
+# the magic's letter, and bytes no header token holds.
+HEADER_BYTES = b" \t\n\r\f\v#0123456789P\x00\xff-"
+_SPACE = re.compile(rb"\s")
+
+
+def scanned_ppm_token(buf: bytes, pos: int, path):
+    """Reference header tokenizer, one byte at a time: skip whitespace
+    and '#' comment lines, then take the run of non-whitespace bytes."""
+    n = len(buf)
+    while pos < n:
+        ch = buf[pos:pos + 1]
+        if ch == b"#":
+            while pos < n and buf[pos:pos + 1] != b"\n":
+                pos += 1
+        elif _SPACE.match(ch):
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and not _SPACE.match(buf[pos:pos + 1]):
+        pos += 1
+    if start == pos:
+        raise DataError(f"{path}: truncated PPM header")
+    return buf[start:pos], pos
+
+
+def token_outcome(tokenize, buf, pos):
+    """(token, end), or the DataError message."""
+    try:
+        return tokenize(buf, pos, "h.ppm")
+    except DataError as e:
+        return str(e)
+
+
 class TestPpm:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_token_matches_byte_scanner(self, data):
+        """The header tokenizer gives the byte scanner's token and end,
+        or its error, from any start position."""
+        buf = bytes(data.draw(st.lists(st.sampled_from(HEADER_BYTES),
+                                       max_size=40)))
+        pos = data.draw(st.integers(0, len(buf)))
+        assert (token_outcome(_ppm_token, buf, pos)
+                == token_outcome(scanned_ppm_token, buf, pos))
+
+    def test_comment_lines_between_every_field(self, tmp_path):
+        r = np.arange(18, dtype=np.uint8).reshape(2, 3, 3)
+        p = tmp_path / "c.ppm"
+        p.write_bytes(b"P6\n# magic\n\t#  \r\n3 # width\n# \n2\n"
+                      b"#height#\n\v255\n" + r.tobytes())
+        np.testing.assert_array_equal(read_ppm(p), r)
+
     def test_round_trip_bit_exact(self, tmp_path):
         r = np.random.default_rng(5).integers(0, 256, size=(17, 23, 3)).astype(np.uint8)
         p = tmp_path / "img.ppm"

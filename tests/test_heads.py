@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenhier.encoder import TokenSequence
-from tokenhier.errors import ConfigError
+from tokenhier.errors import ConfigError, NumericError
 from tokenhier.heads import (ATTNPOOL, LINEAR, AttnPoolParams,
                              HeadTrainConfig, ProbeParams, _stack,
                              head_gradients, predict_batch,
@@ -378,6 +378,16 @@ class TestTrainHead:
         assert r1.curve == r2.curve
         assert np.array_equal(r1.params.Wq, r2.params.Wq)
         assert np.array_equal(r1.params.W_attn, r2.params.W_attn)
+
+    @pytest.mark.parametrize("mode", [LINEAR, ATTNPOOL])
+    def test_divergence_is_a_numeric_error(self, mode):
+        """Validation outputs that turn non-finite end the fit with a
+        NumericError naming the mode and the epoch."""
+        items = separable_items(RngStream(seed=7, stream_id=8), 6)
+        cfg = HeadTrainConfig(epochs=3, lr=1e308)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=f"^{mode} head diverged at epoch 0$"):
+            train_head(items, items, mode, cfg)
 
     def test_selection_prefers_best_epoch(self):
         rng = RngStream(seed=7, stream_id=7)

@@ -235,6 +235,21 @@ def test_colour_round_trips_go_through_stain_space():
     assert not found, f"colour conversions read outside color: {found}"
 
 
+def test_jitter_sigmas_are_read_in_color_only():
+    """In ``src``, ``lab_mean_sigma``, ``lab_std_sigma``,
+    ``hsv_mean_sigma`` and ``hsv_std_sigma`` are read inside ``color``
+    alone: every other module takes a space's six sigmas from
+    ``StainAugConfig.sigmas``, so their order has one home."""
+    fields = {"lab_mean_sigma", "lab_std_sigma", "hsv_mean_sigma",
+              "hsv_std_sigma"}
+    found = sorted({f"{path.name} {name}"
+                    for path in MODULES if path.stem != "color"
+                    for name in loaded_names(ast.parse(
+                        path.read_text(encoding="utf-8")))
+                    if name in fields})
+    assert not found, f"jitter sigmas read outside color: {found}"
+
+
 def test_one_forked_worker():
     """``os.fork`` and ``os.waitpid`` are each called once in ``src``,
     both in ``ssl.run_training``: the view worker is the one child
