@@ -101,17 +101,15 @@ class SuiteSpec:
         check_size("per_class", self.per_class)   # the split's draw
 
 
+_TEXTURES = ((1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 2))  # (row, col, cell)
+
+
 def _texture(kind_index: int, t: int, amp: float) -> np.ndarray:
-    """Mean-preserving patterns: stripe/checker variants, one per class."""
-    r = np.arange(t)
-    if kind_index == 0:
-        pat = np.where(r[:, None] % 2 == 0, amp, -amp) + np.zeros((t, t))
-    elif kind_index == 1:
-        pat = np.where(r[None, :] % 2 == 0, amp, -amp) + np.zeros((t, t))
-    elif kind_index == 2:
-        pat = np.where((r[:, None] + r[None, :]) % 2 == 0, amp, -amp)
-    else:
-        pat = np.where((r[:, None] // 2 + r[None, :] // 2) % 2 == 0, amp, -amp)
+    """Mean-preserving patterns, one per class: horizontal stripes,
+    vertical stripes, a checker and a checker of 2x2 cells."""
+    a, b, cell = _TEXTURES[kind_index]
+    r = np.arange(t) // cell
+    pat = np.where((a * r[:, None] + b * r[None, :]) % 2 == 0, amp, -amp)
     return pat[:, :, None] * np.ones(3)
 
 
@@ -472,9 +470,9 @@ def run_ablation(datasets: dict, cfg: AblationConfig,
     """
     names = sorted(datasets)
     hashes = {n: [split_hash(s) for s in datasets[n]] for n in names}
-    per_row_task = {i: {n: [] for n in names} for i in range(3)}
-    for seed in cfg.seeds:
-        for n in names:
+    baccs = np.empty((len(_ROW_DEFS), len(names), len(cfg.seeds)))
+    for k, seed in enumerate(cfg.seeds):
+        for t, n in enumerate(names):
             tr, va, te = datasets[n]
             # pretraining sees only this task's unlabeled train rasters
             embeds = {}
@@ -491,17 +489,13 @@ def run_ablation(datasets: dict, cfg: AblationConfig,
                     list(zip(etr, tr.labels)), list(zip(eva, va.labels)),
                     rowdef["head_mode"], head_cfg)
                 preds = predict_batch(ete, result.params, rowdef["head_mode"])
-                per_row_task[i][n].append(
-                    balanced_accuracy(te.labels, preds,
-                                      len(te.class_names)))
-    rows = []
-    for i, rowdef in enumerate(_ROW_DEFS):
-        task_means = {n: float(np.mean(per_row_task[i][n])) for n in names}
-        row = dict(rowdef)
-        row["bacc"] = float(np.mean(list(task_means.values())))
-        row["per_task_bacc"] = task_means
-        row["split_hashes"] = hashes
-        rows.append(row)
+                baccs[i, t, k] = balanced_accuracy(te.labels, preds,
+                                                   len(te.class_names))
+    task_means = baccs.mean(axis=2)
+    rows = [dict(rowdef, bacc=float(means.mean()),
+                 per_task_bacc=dict(zip(names, means.tolist())),
+                 split_hashes=hashes)
+            for rowdef, means in zip(_ROW_DEFS, task_means)]
     for i in (1, 2):
         rows[i]["delta_vs_previous"] = rows[i]["bacc"] - rows[i - 1]["bacc"]
         rows[i]["delta_rendered"] = _fmt_delta(rows[i]["delta_vs_previous"])

@@ -189,6 +189,15 @@ def _ppm_files(directory, required=True) -> list:
     return files
 
 
+def _refuse_strays(args, pattern: str, written) -> None:
+    """Refuse an --out tree holding rasters (``pattern`` under it) that
+    this run would not write: the tree would mix two runs."""
+    stray = sorted(set(Path(args.out).glob(pattern)) - set(written))
+    if stray:
+        raise ConfigError(f"--out {args.out} already holds {stray[0]}, "
+                          "which this run does not write")
+
+
 def _check_sizes(names, rasters, enc: EncoderConfig) -> None:
     """Refuse, naming it, a raster that is not ``enc``'s image size."""
     for name, raster in zip(names, rasters):
@@ -239,8 +248,9 @@ def cmd_augment(args) -> int:
     if args.space is not None:
         aug = replace(aug, space=args.space)
     files = _ppm_files(args.input)
-    rasters = [read_ppm(f) for f in files]   # all read before any write
     out_dir = Path(args.out)
+    _refuse_strays(args, "*.ppm", [out_dir / f.name for f in files])
+    rasters = [read_ppm(f) for f in files]   # all read before any write
     _make_outputs(args)
     fp = _fingerprint("augment", {"seed": args.seed, **asdict(aug)})
     root = RngStream(seed=args.seed, stream_id=71)
@@ -413,11 +423,7 @@ def cmd_bench(args) -> int:
     rasters = {out_dir / f"class{label}" / f"{sid}.ppm": raster
                for split in splits
                for (raster, label), sid in zip(split.items, split.source_ids)}
-    # a tree holding another suite's rasters would mix two suites
-    stray = sorted(set(out_dir.glob("*/*.ppm")) - set(rasters))
-    if stray:
-        raise ConfigError(f"--out {args.out} already holds {stray[0]}, "
-                          "which this suite does not write")
+    _refuse_strays(args, "*/*.ppm", rasters)
     _make_outputs(args)
     for path, raster in rasters.items():
         path.parent.mkdir(exist_ok=True)

@@ -29,7 +29,6 @@ _M64_INT = 0xFFFFFFFFFFFFFFFF
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _MIX1_INT = 0xBF58476D1CE4E5B9
 _MIX2_INT = 0x94D049BB133111EB
-_M64 = np.uint64(_M64_INT)
 _GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX1 = np.uint64(_MIX1_INT)
 _MIX2 = np.uint64(_MIX2_INT)
@@ -116,11 +115,11 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
+    """splitmix64 finalizer over uint64 arrays, which wrap mod 2^64."""
     with np.errstate(over="ignore"):  # wraparound mod 2^64 is the point
-        z = (x + _GOLDEN) & _M64
-        z = ((z ^ (z >> np.uint64(30))) * _MIX1) & _M64
-        z = ((z ^ (z >> np.uint64(27))) * _MIX2) & _M64
+        z = x + _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
         return z ^ (z >> np.uint64(31))
 
 

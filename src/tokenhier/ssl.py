@@ -134,7 +134,9 @@ def _normalize_rows(x):
 
 def koleo_loss_grad(features):
     """Negative mean log nearest-neighbor distance of normalized rows,
-    and its gradient."""
+    and its gradient.  Distances at or below ``_DIST_EPS`` are clamped
+    and add no gradient; ``np.add.at`` lands each row's term on it and
+    then on its neighbour, in row order, as a per-row loop would."""
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
     z, norms = _normalize_rows(x)
@@ -143,16 +145,12 @@ def koleo_loss_grad(features):
     np.fill_diagonal(dist, np.inf)
     nn = dist.argmin(axis=1)
     d = dist[np.arange(n), nn]
-    clamped = np.maximum(d, _DIST_EPS)
-    loss = float(-np.mean(np.log(clamped)))
+    loss = float(-np.mean(np.log(np.maximum(d, _DIST_EPS))))
+    i = np.flatnonzero(d > _DIST_EPS)
+    g = (z[i] - z[nn[i]]) / d[i, None] / (n * d[i, None])
     dz = np.zeros_like(z)
-    for i in range(n):
-        if d[i] <= _DIST_EPS:
-            continue  # clamped: locally constant in the features
-        j = nn[i]
-        u = (z[i] - z[j]) / d[i]
-        dz[i] -= u / (n * d[i])
-        dz[j] += u / (n * d[i])
+    np.add.at(dz, np.stack([i, nn[i]], 1).ravel(),
+              np.stack([-g, g], 1).reshape(-1, z.shape[1]))
     # through row normalization: dx = (dz - z * <dz, z>) / ||x||
     dot = (dz * z).sum(axis=-1, keepdims=True)
     dx = (dz - z * dot) / np.maximum(norms, 1e-12)
@@ -187,12 +185,10 @@ def head_layout(embed_dim: int, prototype_count: int):
     yield "b2", (prototype_count,), "zeros"
 
 
-def head_forward(x, hp: dict, want_cache: bool = False):
+def head_forward(x, hp: dict):
     u1 = x @ hp["W1"] + hp["b1"]
     a1 = gelu(u1)
-    logits = a1 @ hp["W2"] + hp["b2"]
-    cache = dict(x=x, u1=u1, a1=a1) if want_cache else None
-    return logits, cache
+    return a1 @ hp["W2"] + hp["b2"], dict(x=x, u1=u1, a1=a1)
 
 
 def head_backward(dlogits, cache, hp: dict):
@@ -411,8 +407,8 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     patch_head_s = _sub(state.student, "patch_head.")
     patch_head_t = _sub(state.teacher, "patch_head.")
 
-    logits_s, cls_cache = head_forward(cls_s, cls_head_s, want_cache=True)
-    logits_t, _ = head_forward(cls_t, cls_head_t)
+    logits_s, cls_cache = head_forward(cls_s, cls_head_s)
+    logits_t = head_forward(cls_t, cls_head_t)[0]
 
     # image-level: cross-view pairs (teacher a -> student b and vice versa)
     swap = np.arange(len(patches)).reshape(-1, 2)[:, ::-1].reshape(-1)
@@ -423,9 +419,8 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     # patch-level at masked positions, stacked across views
     masked_rows_s = out_s[:, 1:, :][masks]
     masked_rows_t = out_t[:, 1:, :][masks]
-    p_logits_s, patch_cache = head_forward(masked_rows_s, patch_head_s,
-                                           want_cache=True)
-    p_logits_t, _ = head_forward(masked_rows_t, patch_head_t)
+    p_logits_s, patch_cache = head_forward(masked_rows_s, patch_head_s)
+    p_logits_t = head_forward(masked_rows_t, patch_head_t)[0]
     ibot, d_plogits = centered_ce_loss_grad(p_logits_s, p_logits_t,
                                             state.patch_center, ssl_cfg)
     _guard(ibot, "ibot", state.step)

@@ -27,35 +27,26 @@ _LUMA = np.array([0.299, 0.587, 0.114])
 
 def otsu_threshold(gray_histogram):
     """Level t in [0,255] maximizing w0*w1*(mu0-mu1)^2 for the split
-    {<= t} vs {> t}; ties break toward the smallest t.  None when fewer
-    than 2 levels are populated: there is no tissue boundary.
+    {<= t} vs {> t}; ties break toward the smallest t.  None when no
+    split has pixels on both sides: there is no tissue boundary.
 
     Comparisons use exact integers: with W0,S0 the count and index-sum
     at or below t, the between-class variance is proportional to
     (S0*N - S*W0)^2 / (W0*W1), compared across t by cross-multiplying.
     """
-    h = np.asarray(gray_histogram)
-    if int(np.count_nonzero(h)) < 2:
-        return None
-    counts = [int(v) for v in h]
+    counts = [int(v) for v in gray_histogram]
     n = sum(counts)
     s = sum(i * c for i, c in enumerate(counts))
-    best_t = 0
-    best_num = -1
-    best_den = 1
-    w0 = 0
-    s0 = 0
+    best_t, best_num, best_den = None, -1, 1
+    w0 = s0 = 0
     for t in range(256):
         w0 += counts[t]
         s0 += t * counts[t]
-        w1 = n - w0
-        if w0 == 0 or w1 == 0:
-            continue
-        a = s0 * n - s * w0
-        num = a * a
-        den = w0 * w1
-        if num * best_den > best_num * den:
-            best_num, best_den, best_t = num, den, t
+        if 0 < w0 < n:
+            num = (s0 * n - s * w0) ** 2
+            den = w0 * (n - w0)
+            if num * best_den > best_num * den:
+                best_num, best_den, best_t = num, den, t
     return best_t
 
 

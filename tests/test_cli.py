@@ -1710,6 +1710,19 @@ class TestAblate:
             "8f581419983429091e60580d16e972bb0fbec517d2835b9d0dde1beec4de2ed3")
         capsys.readouterr()
 
+    def test_trained_report_bytes(self, tmp_path, capsys):
+        """Two pretraining steps give the plain and augmented rows their
+        own encoders; the report is the one the grid wrote when it kept
+        its scores as a dict of lists."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(TINY_ABLATE)
+        out = tmp_path / "abl.json"
+        assert run_cli("ablate", "--config", cfg, "--out", out,
+                       "--log-level", "quiet") == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7dd676973210f1edd6e8e2da68b771977e51f6d6ac960b4dedf827effff0698a")
+        capsys.readouterr()
+
 
 def test_reports_need_no_jsonschema(work, tmp_path, monkeypatch, capsys):
     """Every report writer runs with ``jsonschema`` unimportable: the
@@ -1803,6 +1816,29 @@ class TestAugment:
         assert run_cli("augment", "--input", "in", "--out", out) == 2
         assert (capsys.readouterr().err
                 == f"error: --out {out} is the same path as --input\n")
+        assert tree_bytes(tmp_path) == before
+
+    def test_reused_out_holds_one_run(self, work, tmp_path, capsys):
+        """The same inputs re-run into their own --out; inputs of other
+        names would leave the first run's rasters beside their own, so
+        that run is refused (exit 2), naming one, with the tree
+        unchanged."""
+        firsts = sorted((Path(work) / "sg" / "class0").glob("*.ppm"))[:3]
+        for name, prefix in (("b1", ""), ("b2", "other-")):
+            (tmp_path / name).mkdir()
+            for f in firsts:
+                (tmp_path / name / (prefix + f.name)).write_bytes(
+                    f.read_bytes())
+        out = tmp_path / "aug"
+        for _ in range(2):
+            assert run_cli("augment", "--input", tmp_path / "b1",
+                           "--out", out, "--log-level", "quiet") == 0
+            assert len(list(out.glob("*.ppm"))) == 3
+        before = tree_bytes(tmp_path)
+        assert run_cli("augment", "--input", tmp_path / "b2", "--out", out,
+                       "--log-level", "quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} already holds {out}/")
         assert tree_bytes(tmp_path) == before
 
     def test_space_flag_overrides_config(self, work, tmp_path, capsys):

@@ -15,6 +15,7 @@ or an attribute, outside its own definition, or lists it in
 """
 
 import ast
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -477,3 +478,14 @@ def test_every_dataclass_field_is_read():
               for cls, name in dataclass_fields(tree)
               if name not in attrs and (module, cls) not in RECORD_DATACLASSES]
     assert not unread, f"dataclass fields no src code reads: {unread}"
+
+
+def test_readme_layout_names_every_module():
+    """README's Layout block has one line for each package module
+    (``__init__.py`` aside) and for no other file."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    layout = readme.read_text(encoding="utf-8").split("## Layout", 1)[1]
+    block = layout.split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
+    assert sorted(listed) == [p.name for p in MODULES
+                              if p.name != "__init__.py"]

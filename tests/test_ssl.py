@@ -14,6 +14,8 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenhier.bench import AblationConfig, make_pretrain_corpus
 from tokenhier.checkpoint import read_config
@@ -275,7 +277,48 @@ def oracle_koleo(x):
     return -total / n
 
 
+def koleo_loop(features):
+    """The per-row scatter loop koleo_loss_grad ran before its
+    ``np.add.at`` form, kept as the byte oracle of that form."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    z = x / np.maximum(norms, 1e-12)
+    diff = z[:, None, :] - z[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    nn = dist.argmin(axis=1)
+    d = dist[np.arange(n), nn]
+    loss = float(-np.mean(np.log(np.maximum(d, 1e-8))))
+    dz = np.zeros_like(z)
+    for i in range(n):
+        if d[i] <= 1e-8:
+            continue
+        j = nn[i]
+        u = (z[i] - z[j]) / d[i]
+        dz[i] -= u / (n * d[i])
+        dz[j] += u / (n * d[i])
+    dot = (dz * z).sum(axis=-1, keepdims=True)
+    return loss, (dz - z * dot) / np.maximum(norms, 1e-12)
+
+
 class TestKoleoLoss:
+    @given(st.integers(2, 64), st.integers(1, 32),
+           st.sampled_from([1e-3, 1.0, 1e3]), st.integers(0, 8),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_row_loop_bytes(self, n, dim, scale, dups, seed):
+        """Equal loss and gradient bytes, with rows copied and rescaled
+        onto others so that their distances clamp."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, dim)) * scale
+        src, dst = rng.integers(0, n, (2, dups))
+        x[dst] = x[src] * rng.choice([1.0, 2.0], (dups, 1))
+        loss, grad = koleo_loss_grad(x)
+        want_loss, want_grad = koleo_loop(x)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
     def test_antipodal_pair(self):
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         assert abs(koleo_loss(x) + math.log(2.0)) < 1e-15
@@ -414,7 +457,7 @@ class TestHeads:
             lg, _ = head_forward(x, hp)
             return float((lg * r).sum())
 
-        lg, cache = head_forward(x, hp, want_cache=True)
+        lg, cache = head_forward(x, hp)
         grads, dx = head_backward(r, cache, hp)
         h = 1e-5
         worst = 0.0
