@@ -118,9 +118,9 @@ def load_params(path):
         raise DataError(f"{path}: cannot read checkpoint: "
                         f"{e.strerror or e}") from None
     try:
+        # ValueError covers non-UTF-8 bytes and ints past the digit limit too
         header = json.loads(head_line)
-    except (json.JSONDecodeError, UnicodeDecodeError,
-            RecursionError) as e:
+    except (ValueError, RecursionError) as e:
         raise DataError(f"{path}: bad checkpoint header: {e}") from None
     if not isinstance(header, dict) or header.get("format_version") != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint format")

@@ -78,7 +78,7 @@ def _load_config_file(path) -> dict:
             cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    except (json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:   # see checkpoint.load_params
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")

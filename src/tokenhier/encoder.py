@@ -157,12 +157,11 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
 
 
-def forward_batch(z0: np.ndarray, cfg: EncoderConfig, params: dict,
-                  want_cache: bool = False):
+def forward_batch(z0: np.ndarray, cfg: EncoderConfig, params: dict):
     """Run the block stack on a (B, S, D) batch of initial sequences.
 
-    Returns (out, cache); cache is None unless requested.  Non-finite
-    activations abort with the offending layer named.
+    Returns (out, cache): the cache is what ``backward_batch`` reads.
+    Non-finite activations abort with the offending layer named.
     """
     x = np.asarray(z0, dtype=np.float64)
     scale = 1.0 / np.sqrt(cfg.head_dim)
@@ -183,15 +182,12 @@ def forward_batch(z0: np.ndarray, cfg: EncoderConfig, params: dict,
         x = x + a1 @ params[pre + "mlp.W2"] + params[pre + "mlp.b2"]
         if not np.all(np.isfinite(x)):
             raise NumericError(f"layer {i}: non-finite activations")
-        if want_cache:
-            layers.append(dict(h1=h1, ln1=ln1_stats, q=q, k=k, v=v,
-                               attn=attn, ctx=ctx, h2=h2,
-                               ln2=ln2_stats, u1=u1, a1=a1))
+        layers.append(dict(h1=h1, ln1=ln1_stats, q=q, k=k, v=v, attn=attn,
+                           ctx=ctx, h2=h2, ln2=ln2_stats, u1=u1, a1=a1))
     out, fin_stats = layer_norm(x, params["final_ln.g"], params["final_ln.b"])
     if not np.all(np.isfinite(out)):
         raise NumericError("final norm: non-finite activations")
-    cache = dict(layers=layers, fin=fin_stats, cfg=cfg) if want_cache else None
-    return out, cache
+    return out, dict(layers=layers, fin=fin_stats, cfg=cfg)
 
 
 def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:

@@ -89,7 +89,7 @@ def _encoder_blocks():
         out, _ = forward_batch(z0, cfg, params)
         return float((w * out).sum())
 
-    _, cache = forward_batch(z0, cfg, params, want_cache=True)
+    _, cache = forward_batch(z0, cfg, params)
     grads = backward_batch(w, cache, params)
     streams = _crc_streams(rng, 5, params)
     streams["z0"] = rng.derive(4)

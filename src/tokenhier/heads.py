@@ -70,21 +70,20 @@ class HeadTrainConfig:
             raise ConfigError("batch and num_heads must be >= 1")
 
 
-def class_recalls(y_true, y_pred, num_classes: int = None):
+def class_recalls(y_true, y_pred, num_classes: int):
     """Per-class recall (correct count over support; NaN, 0/0, where
-    support is 0) and support.  The label arrays are non-empty, of one
-    length, with labels in [0, num_classes)."""
+    support is 0) and support, each of length ``num_classes``.  The label
+    arrays are non-empty, of one length, with labels in [0, num_classes)."""
     yt = np.asarray(y_true, dtype=np.int64).ravel()
     yp = np.asarray(y_pred, dtype=np.int64).ravel()
-    c = int(num_classes) if num_classes is not None else int(max(yt.max(), yp.max())) + 1
-    support = np.bincount(yt, minlength=c)
+    support = np.bincount(yt, minlength=num_classes)
     with np.errstate(invalid="ignore"):
-        return np.bincount(yt[yt == yp], minlength=c) / support, support
+        return np.bincount(yt[yt == yp], minlength=num_classes) / support, support
 
 
-def balanced_accuracy(y_true, y_pred, num_classes: int = None) -> float:
-    """Unweighted mean of per-class recalls; zero-support classes are
-    left out of the mean (callers can report them via class_recalls)."""
+def balanced_accuracy(y_true, y_pred, num_classes: int) -> float:
+    """Unweighted mean of the ``num_classes`` per-class recalls, leaving out
+    zero-support classes (callers can report them via class_recalls)."""
     recalls, support = class_recalls(y_true, y_pred, num_classes)
     live = support > 0
     return float(np.mean(recalls[live]))
@@ -239,7 +238,7 @@ def train_head(train_items, val_items, mode,
         probs, _ = probs_batch(val_cls, val_patches, params, mode)
         if not np.isfinite(probs).all():
             raise NumericError(f"{mode} head diverged at epoch {epoch}")
-        bacc = balanced_accuracy(val_y, probs.argmax(axis=1))
+        bacc = balanced_accuracy(val_y, probs.argmax(axis=1), c)
         best.curve.append({"epoch": epoch,
                            "train_loss": float(np.mean(losses)),
                            "val_bacc": float(bacc)})

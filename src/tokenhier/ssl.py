@@ -396,7 +396,7 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
 
     enc_s = _sub(state.student, "enc.")
     out_s, cache_s = forward_batch(tokenize_batch(patches, enc_s, masks),
-                                   enc_cfg, enc_s, want_cache=True)
+                                   enc_cfg, enc_s)
     out_t = unmasked(_sub(state.teacher, "enc."))
 
     cls_s = out_s[:, 0, :]
@@ -567,8 +567,8 @@ def save_train_state(path, state: TrainState, enc_cfg: EncoderConfig,
 
 
 def load_train_state(path):
-    """Inverse of save_train_state: (state, enc_cfg, ssl_cfg, extra);
-    tensors that disagree with the header configs are a ``DataError``."""
+    """Inverse of save_train_state: (state, enc_cfg, ssl_cfg, extra); a tensor
+    off its header config, or a step or adam_t outside [0, 2**63), is a DataError."""
     kind, config, tensors, extra = load_params(path)
     if kind != "train_state":
         raise DataError(f"{path}: not a training checkpoint (kind {kind!r})")
@@ -586,6 +586,8 @@ def load_train_state(path):
         if count < 0:
             raise DataError(f"{path}: bad header config: {key} must be "
                             f">= 0, got {count}")
+        if count >= 2 ** 63:
+            raise DataError(f"{path}: bad header config: {key} must be < 2**63")
     state = TrainState(
         student=_sub(tensors, "student."),
         teacher=_sub(tensors, "teacher."),

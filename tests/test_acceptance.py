@@ -291,7 +291,7 @@ def test_c6_training_smoke():
 
 def test_c7_metric_correctness():
     """Hand example, balanced-equality, and constant-predictor floor."""
-    hand = balanced_accuracy([0, 0, 1, 1], [0, 1, 1, 1])
+    hand = balanced_accuracy([0, 0, 1, 1], [0, 1, 1, 1], 2)
 
     rng = np.random.default_rng(7)
     worst_eq = 0.0

@@ -64,14 +64,13 @@ def scalar_class_recalls(y_true, y_pred, c):
 
 @st.composite
 def label_pairs(draw):
-    """(y_true, y_pred, num_classes): num_classes is None (the largest
-    label + 1) or reaches past the largest true label, so some classes
-    may have no support."""
+    """(y_true, y_pred, num_classes): num_classes may reach past the
+    largest true label, so some classes may have no support."""
     c = draw(st.integers(1, 6))
     n = draw(st.integers(1, 60))
     labels = st.lists(st.integers(0, c - 1), min_size=n, max_size=n)
     y_true, y_pred = draw(labels), draw(labels)
-    num_classes = draw(st.none() | st.integers(c, c + 3))
+    num_classes = draw(st.integers(c, c + 3))
     return y_true, y_pred, num_classes
 
 
@@ -84,7 +83,7 @@ class TestBalancedAccuracy:
         y_true, y_pred, num_classes = labels
         recalls, support = class_recalls(y_true, y_pred, num_classes)
         c = len(recalls)
-        assert c == (num_classes or max(y_true + y_pred) + 1)
+        assert c == num_classes
         ref_recalls, ref_support = scalar_class_recalls(y_true, y_pred, c)
         assert np.array_equal(support, ref_support)
         nan = np.isnan(recalls)
@@ -92,13 +91,13 @@ class TestBalancedAccuracy:
         assert recalls[~nan].tobytes() == ref_recalls[~nan].tobytes()
 
     def test_perfect(self):
-        assert balanced_accuracy([0, 1, 2], [0, 1, 2]) == 1.0
+        assert balanced_accuracy([0, 1, 2], [0, 1, 2], 3) == 1.0
 
     def test_hand_example(self):
         """Recalls 1/2 and 1 average to 3/4."""
         y_true = [0, 0, 1, 1]
         y_pred = [0, 1, 1, 1]
-        assert balanced_accuracy(y_true, y_pred) == 0.75
+        assert balanced_accuracy(y_true, y_pred, 2) == 0.75
 
     @pytest.mark.parametrize("c", [2, 3, 5])
     def test_constant_predictor(self, c):

@@ -254,6 +254,13 @@ class TestDamagedCheckpointFile:
     def test_unparsable_header(self, data):
         assert self.raised(data) is DataError
 
+    def test_header_int_past_digit_limit(self):
+        """An integer longer than Python parses from a string (4,300
+        digits by default) is a bad header, not a ValueError."""
+        data = VALID.replace(b'"step": 1', b'"step": ' + b"9" * 5000)
+        assert data != VALID
+        assert self.raised(data) is DataError
+
 
 class TestOneBuffer:
     """``load_params`` reads a checkpoint's payload once, into one

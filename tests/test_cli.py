@@ -137,6 +137,20 @@ class TestArgumentHandling:
         assert "not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "c.ckpt").exists()
 
+    @pytest.mark.parametrize("text", [b'{"depth": "\xff"}',
+                                      b'{"depth": ' + b"9" * 5000 + b"}"],
+                             ids=["not_utf8", "int_past_digit_limit"])
+    def test_config_file_unreadable_value(self, tmp_path, capsys, text):
+        """Bytes that are not UTF-8, or an integer longer than Python
+        parses from a string, make a bad config file (exit 2), not a
+        UnicodeDecodeError or ValueError traceback."""
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(text)
+        assert run_cli("pretrain", "--config", cfg, "--steps", "0",
+                       "--out", tmp_path / "c.ckpt") == 2
+        assert "not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "c.ckpt").exists()
+
     def test_config_file_not_object(self, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
@@ -1207,6 +1221,35 @@ class TestMalformedCheckpoint:
             f"got {count}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
 
+    @pytest.mark.parametrize("count", [2 ** 63, 10 ** 400],
+                             ids=["2**63", "10**400"])
+    @pytest.mark.parametrize("key", ["step", "adam_t"])
+    @pytest.mark.parametrize("flag", ["embed --ckpt", "probe --ckpt",
+                                      "posttrain --gram-teacher",
+                                      "posttrain --init"])
+    def test_oversized_header_counter(self, work, tmp_path, flag, key, count,
+                                      capsys):
+        """A step or Adam step count no int64 holds is damaged data:
+        exit 3 naming the field, no output directory, no loss log.
+        Trusted, an Adam count of 10**400 overflows ``BETA1 ** t`` after
+        posttrain --init has trained."""
+        kind, config, tensors, extra = load_params(work / "enc.ckpt")
+        config[key] = count
+        bad = tmp_path / "bad.ckpt"
+        save_params(bad, kind, config, tensors, extra)
+        command, option = flag.split()
+        out = tmp_path / "out"
+        argv = {"embed": ["--data", work / "sg", "--out", out / "e"],
+                "probe": ["--data", work / "sg", "--mode", "linear",
+                          "--report", out / "r.json"],
+                "posttrain": ["--steps", "2", "--out", out / "p.ckpt"]}
+        if option == "--init":
+            argv["posttrain"] += ["--gram-teacher", work / "init.ckpt"]
+        assert run_cli(command, option, bad, *argv[command]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: bad header config: {key} must be < 2**63\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.ckpt"]
+
 
 def refuse_call(name):
     """A stand-in for ``name`` that fails the test if it is called."""
@@ -1885,6 +1928,11 @@ PIPELINE = [
     ["embed", "--ckpt", "enc.ckpt", "--data", "suite", "--out", "suite.emb"],
     ["probe", "--ckpt", "enc.ckpt", "--data", "suite", "--mode", "attnpool",
      "--report", "probe.json"],
+    ["posttrain", "--steps", "2", "--out", "post.ckpt",
+     "--gram-teacher", "enc.ckpt"],
+    ["augment", "--input", "suite/class0", "--out", "aug"],
+    ["tile", "--input", "suite/class0", "--out", "tiles.jsonl",
+     "--tile-size", "16", "--min-tissue", "0.0"],
 ]
 
 
@@ -1912,8 +1960,10 @@ class TestCrossProcessDeterminism:
                           for f in sorted(run.rglob("*"))
                           if f.is_file() and f.suffix != ".log"})
         # 10 rasters and report.json, the checkpoint and its loss log,
-        # the embeddings and the probe report
-        assert len(trees[0]) == 15
+        # the embeddings, the probe report, the post-trained checkpoint
+        # and its loss log, class0's 5 augmented views and their summary,
+        # and the tile manifest
+        assert len(trees[0]) == 24
         assert trees[0].keys() == trees[1].keys()
         assert [f for f in trees[0] if trees[0][f] != trees[1][f]] == []
 

@@ -253,7 +253,7 @@ class TestGradients:
     def analytic(self):
         z0 = np.stack([tokenize(r, self.cfg, self.params, mask=m)
                        for r, m in zip(self.rasters, self.masks)])
-        out, cache = forward_batch(z0, self.cfg, self.params, want_cache=True)
+        out, cache = forward_batch(z0, self.cfg, self.params)
         grads = backward_batch(self.R, cache, self.params)
         mats = [patchify(r, self.cfg) for r in self.rasters]
         grads.update(token_gradients(grads.pop("z0"), mats, self.masks,

@@ -413,6 +413,30 @@ def test_libraries_raise_config_error_in_post_init_only(name):
     assert not outside, f"ConfigError raised outside __post_init__: {outside}"
 
 
+@pytest.mark.parametrize("name", LIBRARIES)
+def test_libraries_take_no_switch_parameter(name):
+    """No function in a library module has a parameter defaulting to
+    ``True`` or ``False``: a kernel does its one job, and a caller that
+    wants less drops what it does not need.  Dataclass fields are
+    settings, not parameters, and are not checked here."""
+    path = Path(tokenhier.__file__).with_name(f"{name}.py")
+    switches = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = (list(zip(positional[len(positional)
+                                         - len(args.defaults):],
+                              args.defaults))
+                     + list(zip(args.kwonlyargs, args.kw_defaults)))
+            switches += [f"{path.name}:{arg.lineno} {arg.arg}"
+                         for arg, default in pairs
+                         if isinstance(default, ast.Constant)
+                         and isinstance(default.value, bool)]
+    assert not switches, f"on/off parameters: {switches}"
+
+
 # (module, function, parameter) triples exempt from the rule below.
 UNREAD_PARAMETERS = {
     # perfbench/workloads.py passes threads=; the parameter goes when the
