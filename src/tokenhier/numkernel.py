@@ -13,11 +13,18 @@ on the splitmix64 finalizer.  The n-th draw of a stream is a pure function
 of ``(seed, stream_id, n)``, so per-item streams (``stream_id = item
 index``) make parallel execution order-independent, and identical
 ``(seed, stream_id)`` pairs replay bit-identical sequences.
+
+Importing the module sets glibc's allocator thresholds (``mallopt``; on
+other C libraries nothing is set), so the temporaries of a training step
+or an embedding chunk reuse freed heap pages instead of faulting in
+fresh ones; forked workers inherit them.  No byte depends on them.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +43,14 @@ _STREAM_SALT = 0xD6E8FEB86659FD93
 
 # layer norm's variance floor
 LN_EPS = 1e-6
+
+# glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1), in bytes
+MMAP_THRESHOLD = 8 << 20
+TRIM_THRESHOLD = 32 << 20
+if platform.libc_ver()[0] == "glibc":
+    _LIBC = ctypes.CDLL(None)
+    _LIBC.mallopt(-3, MMAP_THRESHOLD)
+    _LIBC.mallopt(-1, TRIM_THRESHOLD)
 
 
 def softmax_rows(m: Mat) -> Mat:

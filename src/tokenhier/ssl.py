@@ -299,9 +299,9 @@ def train_state_mismatch(state: TrainState, enc_cfg: EncoderConfig,
     return f"holds tensor {extra[0]!r}, which has no place" if extra else None
 
 
-def _guard(value, term: str, step: int):
+def _guard(value, what: str, step: int):
     if not np.all(np.isfinite(np.asarray(value))):
-        raise NumericError(f"{term} term non-finite at step {step}")
+        raise NumericError(f"{what} non-finite at step {step}")
 
 
 def _step_views(rasters, step: int, ssl_cfg: SslConfig,
@@ -380,6 +380,8 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     item with ``aug_cfg`` off), each row repeated to stand for the
     views it covers.  Gradients flow only into the student; the teacher
     follows by EMA and the centers by momentum on batch-mean teacher logits.
+    A non-finite loss term, weighted total or squared gradient norm is a
+    ``NumericError`` naming the step, raised before any tensor moves.
 
     The caller has checked the inputs: a non-empty batch, num_patches
     >= 2, and a Gram teacher on ``state`` for POSTTRAIN.
@@ -414,7 +416,7 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     swap = np.arange(len(patches)).reshape(-1, 2)[:, ::-1].reshape(-1)
     dino, d_logits_s = centered_ce_loss_grad(logits_s, logits_t[swap],
                                              state.cls_center, ssl_cfg)
-    _guard(dino, "dino", state.step)
+    _guard(dino, "dino term", state.step)
 
     # patch-level at masked positions, stacked across views
     masked_rows_s = out_s[:, 1:, :][masks]
@@ -423,10 +425,10 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     p_logits_t = head_forward(masked_rows_t, patch_head_t)[0]
     ibot, d_plogits = centered_ce_loss_grad(p_logits_s, p_logits_t,
                                             state.patch_center, ssl_cfg)
-    _guard(ibot, "ibot", state.step)
+    _guard(ibot, "ibot term", state.step)
 
     koleo, d_cls_koleo = koleo_loss_grad(cls_s)
-    _guard(koleo, "koleo", state.step)
+    _guard(koleo, "koleo term", state.step)
 
     # ---- backward: assemble d(total)/d(encoder out), Gram term first ----
     dout = np.zeros_like(out_s)
@@ -434,7 +436,7 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     if phase == POSTTRAIN:
         gram, d_gram = gram_loss_grad(out_s[:, 1:, :],
                                       unmasked(state.gram_teacher)[:, 1:, :])
-        _guard(gram, "gram", state.step)
+        _guard(gram, "gram term", state.step)
         dout[:, 1:, :] += ssl_cfg.gram_weight * d_gram
 
     cls_grads, d_cls = head_backward(d_logits_s, cls_cache, cls_head_s)
@@ -452,6 +454,13 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     grads.update(_prefixed(enc_grads, "enc."))
     grads.update(_prefixed(cls_grads, "cls_head."))
     grads.update(_prefixed(patch_grads, "patch_head."))
+    # Adam's second moment sums squares: a finite gradient whose square
+    # overflows diverges too.  np.square, not np.vdot: a BLAS dot wakes
+    # OpenBLAS's worker threads, which then spin beside the view worker
+    lb = LossBreakdown.compute(dino, ibot, koleo, gram, ssl_cfg)
+    _guard(lb.total, "weighted total", state.step)
+    _guard(sum(np.square(g).sum() for g in grads.values()),
+           "squared gradient norm", state.step)
     adam_step(state.student, grads, state.adam, adam_cfg)
 
     # EMA teacher and center updates close the step
@@ -464,7 +473,7 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     state.patch_center = (cm * state.patch_center
                           + (1 - cm) * p_logits_t.mean(axis=0))
     state.step += 1
-    return LossBreakdown.compute(dino, ibot, koleo, gram, ssl_cfg)
+    return lb
 
 
 def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
@@ -537,7 +546,8 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
             history.append(lb)
             if log_file:
                 log_file.write(json.dumps({"step": state.step, **asdict(lb)},
-                                          sort_keys=True) + "\n")
+                                          sort_keys=True, allow_nan=False)
+                               + "\n")
             if step + 2 < run.stop:
                 try:
                     os.write(free_w, k)

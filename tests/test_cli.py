@@ -737,6 +737,32 @@ class TestTraining:
         for k in ref.teacher:
             assert np.array_equal(state.teacher[k], ref.teacher[k])
 
+    @pytest.mark.parametrize("command, config", [
+        ("pretrain", {"koleo_weight": 1e308}),
+        ("posttrain", {"gram_weight": 1e308})])
+    def test_diverging_step_exits_1(self, work, tmp_path, capsys, command,
+                                    config):
+        """A step whose weighted total or gradients turn non-finite is a
+        verification error (exit 1): no checkpoint is written, and every
+        line of the loss log is strict JSON."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        ck = tmp_path / "c.ckpt"
+        argv = [command, "--config", cfg, "--steps", "1", "--batch-size", "2",
+                "--out", ck, "--log-level", "quiet"]
+        if command == "posttrain":
+            argv += ["--gram-teacher", work / "enc.ckpt"]
+        assert run_cli(*argv) == 1
+        assert re.search(r"^verification error: .+ non-finite at step \d+$",
+                         capsys.readouterr().err, re.M)
+        assert not ck.exists()
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for line in Path(f"{ck}.losses.jsonl").read_text().splitlines():
+            json.loads(line, parse_constant=strict)
+
     def test_posttrain_requires_gram_teacher(self, tmp_path, capsys):
         assert run_cli("posttrain", "--steps", "2",
                        "--out", tmp_path / "p.ckpt") == 2

@@ -243,6 +243,21 @@ class TestGradients:
         for k in g1:
             assert np.max(np.abs(g1[k] - g2[k])) < 1e-12
 
+    @pytest.mark.parametrize("mode", [LINEAR, ATTNPOOL])
+    def test_reported_loss_is_floored_cross_entropy(self, mode):
+        """The loss is the mean of -log(p[y] + 1e-12) over the batch, bit
+        for bit, from the probabilities ``probs_batch`` gives."""
+        rng = RngStream(seed=6, stream_id=7)
+        batch = [(make_seq(rng.derive(i), d=8, n=4), i % 3) for i in range(5)]
+        p = (rand_attn_params(rng.derive(9), d=8, c=3, heads=2)
+             if mode == ATTNPOOL else
+             ProbeParams(rng.derive(9).gaussian(24).reshape(3, 8),
+                         rng.derive(10).gaussian(3)))
+        cls, patches, y = _stack(batch)
+        probs = probs_batch(cls, patches, p, mode)[0]
+        loss, _ = head_gradients(cls, patches, y, p, mode)
+        assert loss == -np.mean(np.log(probs[np.arange(len(y)), y] + 1e-12))
+
     def test_linear_ignores_patches(self):
         """The probe consumes only the class token."""
         rng = RngStream(seed=6, stream_id=6)

@@ -25,6 +25,14 @@ class TestAdam:
         np.testing.assert_allclose(params["w"], [1.0 - 0.01, 1.0 + 0.01],
                                    atol=1e-6)
 
+    def test_eps_is_added_to_the_denominator(self):
+        """A gradient of EPS takes step 1 to lr * g / (|g| + EPS), half
+        of lr: EPS subtracted would divide by zero, dropped give lr."""
+        params = {"w": np.array([0.0])}
+        adam_step(params, {"w": np.array([1e-8])}, adam_init(params),
+                  AdamConfig(lr=1.0))
+        np.testing.assert_allclose(params["w"], [-0.5], rtol=1e-6)
+
     def test_decoupled_decay_shrinks_without_gradient(self):
         params = {"w": np.array([2.0])}
         state = adam_init(params)

@@ -21,7 +21,8 @@ from tokenhier.bench import AblationConfig, make_pretrain_corpus
 from tokenhier.checkpoint import read_config
 from tokenhier.color import StainAugConfig, stain_augment
 from tokenhier import ssl as ssl_module
-from tokenhier.encoder import EncoderConfig, forward_batch, patchify
+from tokenhier.encoder import (EncoderConfig, forward_batch, patchify,
+                               tokenize_batch)
 from tokenhier.errors import ConfigError, NumericError
 from tokenhier.gradcheck import TOLERANCE
 from tokenhier.numkernel import RngStream, init_tensors
@@ -635,6 +636,104 @@ class TestTrainStep:
         assert len(lines) == 3
         assert set(lines[0]) == {"step", "dino", "ibot", "koleo", "gram",
                                  "total"}
+
+    @pytest.mark.parametrize("phase, config, message", [
+        (PRETRAIN, {"koleo_weight": 1e308}, "weighted total"),
+        (POSTTRAIN, {"gram_weight": 1e308}, "squared gradient norm")])
+    def test_diverging_step_is_named(self, phase, config, message):
+        """A weighted total or a gradient gone non-finite stops the step
+        with its step number, before Adam, the EMA or a center moves."""
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        ssl_cfg = replace(ssl_cfg, **config)
+        state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=17))
+        state.gram_teacher = {k: v + 0.1 for k, v
+                              in _sub(state.student, "enc.").items()}
+        state.step = 4
+        before = state_sha256(state)
+        with pytest.raises(NumericError,
+                           match=f"^{message} non-finite at step 4$"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                train_on(corpus[:2], state, ssl_cfg, enc_cfg, aug_cfg,
+                         RngStream(seed=18), phase=phase)
+        assert state.step == 4 and state.adam["t"] == 0
+        assert state_sha256(state) == before
+
+
+def teacher_logits(views, state, enc_cfg):
+    """The teacher's class and masked-patch prototype logits on the
+    unmasked views, computed apart from ``train_step``."""
+    patches, masks = views
+    enc = _sub(state.teacher, "enc.")
+    out, _ = forward_batch(tokenize_batch(patches, enc), enc_cfg, enc)
+    return (head_forward(out[:, 0], _sub(state.teacher, "cls_head."))[0],
+            head_forward(out[:, 1:][masks],
+                         _sub(state.teacher, "patch_head."))[0])
+
+
+class TestStepUpdate:
+    """The update half of ``train_step`` against its formulas, on a
+    state one step past its start so that the teacher, the student and
+    the centers all differ."""
+
+    @staticmethod
+    def stepped():
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        ssl_cfg = replace(ssl_cfg, ema_momentum=0.7, center_momentum=0.6)
+        state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=41))
+        train_on(corpus[:4], state, ssl_cfg, enc_cfg, aug_cfg,
+                 RngStream(seed=42))
+        views = _step_views(corpus[4:8], state.step, ssl_cfg, enc_cfg,
+                            aug_cfg, RngStream(seed=42))
+        before = copy.deepcopy(state)
+        train_step(views, state, ssl_cfg, enc_cfg, aug_cfg)
+        return before, state, ssl_cfg, teacher_logits(views, before, enc_cfg)
+
+    def test_teacher_is_the_momentum_mean(self):
+        """Each teacher tensor is m * teacher before + (1 - m) * the
+        student after its Adam step."""
+        before, after, ssl_cfg, _ = self.stepped()
+        m = ssl_cfg.ema_momentum
+        assert sorted(after.teacher) == sorted(before.teacher)
+        for k, t in before.teacher.items():
+            np.testing.assert_array_equal(
+                after.teacher[k], m * t + (1 - m) * after.student[k])
+
+    def test_centers_follow_the_teacher_logit_means(self):
+        """Both centers are cm * center + (1 - cm) * the batch mean of
+        the teacher's logits (every view's class token, every masked
+        patch)."""
+        before, after, ssl_cfg, (cls_t, patch_t) = self.stepped()
+        cm = ssl_cfg.center_momentum
+        np.testing.assert_array_equal(
+            after.cls_center,
+            cm * before.cls_center + (1 - cm) * cls_t.mean(axis=0))
+        np.testing.assert_array_equal(
+            after.patch_center,
+            cm * before.patch_center + (1 - cm) * patch_t.mean(axis=0))
+
+    def test_dino_pairs_teacher_view_a_with_student_view_b(self):
+        """On views built to differ (view b of item i is another image),
+        the image-level term is the cross-entropy of student view a
+        against teacher view b and of b against a, not of a view
+        against itself."""
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=43))
+        b = 3
+        _, masks = _step_views(corpus[:b], 0, ssl_cfg, enc_cfg, aug_cfg,
+                               RngStream(seed=44))
+        patches = np.stack([patchify(corpus[i + b * vi], enc_cfg)
+                            for i in range(b) for vi in range(2)])
+        enc = _sub(state.student, "enc.")
+        out, _ = forward_batch(tokenize_batch(patches, enc, masks),
+                               enc_cfg, enc)
+        logits_s = head_forward(out[:, 0], _sub(state.student, "cls_head."))[0]
+        logits_t, _ = teacher_logits((patches, masks), state, enc_cfg)
+        crossed, same = (
+            centered_ce_loss_grad(logits_s, t, state.cls_center, ssl_cfg)[0]
+            for t in (logits_t[[1, 0, 3, 2, 5, 4]], logits_t))
+        assert crossed != same
+        lb = train_step((patches, masks), state, ssl_cfg, enc_cfg, aug_cfg)
+        assert lb.dino == crossed
 
 
 # (augmentation on, phase) of each whole-step gradient check
