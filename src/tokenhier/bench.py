@@ -249,19 +249,17 @@ def ingest_directory(root) -> LabeledDataset:
 def split_dataset(ds: LabeledDataset, seed: int):
     """Seeded stratified 60/20/20 split over disjoint source ids."""
     rng = RngStream(seed=seed, stream_id=4242)
-    by_class = {}
-    for idx, (_, label) in enumerate(ds.items):
-        by_class.setdefault(int(label), []).append(idx)
+    labels = ds.labels
     per_split = {TRAIN: [], VAL: [], TEST: []}
-    for c in sorted(by_class):
-        idxs = by_class[c]
+    for c in np.unique(labels).tolist():
+        idxs = np.flatnonzero(labels == c)   # ascending
         if len(idxs) < 5:
             raise ConfigError(
                 f"class {ds.class_names[c]!r} has {len(idxs)} items; "
                 "need at least 5 to split")
         order = rng.derive(c).permutation(len(idxs))
-        for rank, k in enumerate(order):
-            per_split[_split_of(rank, len(idxs))].append(idxs[int(k)])
+        for rank, i in enumerate(idxs[order].tolist()):
+            per_split[_split_of(rank, len(idxs))].append(i)
     out = []
     for sp in (TRAIN, VAL, TEST):
         chosen = sorted(per_split[sp])

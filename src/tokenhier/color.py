@@ -17,7 +17,6 @@ the additive offset (mod 360) and is never spread-scaled.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,15 +86,6 @@ def lab_to_rgb(img) -> Raster:
     return np.clip(np.rint(srgb * 255.0), 0, 255).astype(np.uint8)
 
 
-def _mod(x, period: float):
-    """``np.mod(x, period)`` for a positive period, bit for bit, at about
-    a third of the cost: numpy's remainder is ``fmod`` plus one sign
-    fix-up, and it pays for a floor division besides."""
-    r = np.fmod(x, period)
-    # + 0.0 turns the -0.0 of a negative exact multiple into numpy's +0.0
-    return np.where(r < 0, r + period, r) + 0.0
-
-
 def rgb_to_hsv(r: Raster) -> np.ndarray:
     """Hexcone HSV as float64; H in [0,360), S,V in [0,1], gray pins H=0."""
     rgb = r.astype(np.float64) / 255.0
@@ -108,7 +98,7 @@ def rgb_to_hsv(r: Raster) -> np.ndarray:
     num = np.where(is_r, gc - bc, np.where(is_g, bc - rc, rc - gc))
     offset = np.where(is_r, 0.0, np.where(is_g, 2.0, 4.0))
     out = np.empty_like(rgb)
-    out[..., 0] = _mod(60.0 * (num / np.where(d == 0, 1.0, d) + offset), 360.0)
+    out[..., 0] = np.mod(60.0 * (num / np.where(d == 0, 1.0, d) + offset), 360.0)
     out[..., 1] = np.where(mx == 0, 0.0, d / np.where(mx == 0, 1.0, mx))
     out[..., 2] = mx
     return out
@@ -122,13 +112,13 @@ _SECTOR_PICK = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1],
 def hsv_to_rgb(img) -> Raster:
     """Inverse hexcone transform; S,V clamp to [0,1], H wraps mod 360."""
     img = np.asarray(img, dtype=np.float64)
-    h = _mod(img[..., 0], 360.0) / 60.0
+    h = np.mod(img[..., 0], 360.0) / 60.0
     s = np.clip(img[..., 1], 0.0, 1.0)
     v = np.clip(img[..., 2], 0.0, 1.0)
     c = v * s
     cx0 = np.zeros(img.shape)
     cx0[..., 0] = c
-    cx0[..., 1] = c * (1.0 - np.abs(_mod(h, 2.0) - 1.0))
+    cx0[..., 1] = c * (1.0 - np.abs(np.mod(h, 2.0) - 1.0))
     sector = np.floor(h).astype(np.int64) % 6
     # one flat gather: pixel i, channel k reads cx0 at 3 i + pick[k]
     flat = np.take(_SECTOR_PICK, sector, axis=0)
@@ -139,6 +129,11 @@ def hsv_to_rgb(img) -> Raster:
 
 
 _SPACES = ("lab", "hsv", "both")
+# A draw reaches at most Box-Muller's sqrt(2 * 53 * ln 2) ~ 8.57 sigmas.
+# With it, of every sign, on RGB-corner and single-outlier rasters, the
+# remap first overflows at sigma 1e102 in LAB (_lab_finv's cube) and 1e305
+# in HSV, and the NaN that follows has no defined uint8 cast.
+_SIGMA_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -166,8 +161,8 @@ class StainAugConfig:
             if len(trip) != 3:
                 raise ConfigError(f"{name} must have 3 entries, got {len(trip)}")
             for v in trip:
-                if not 0 <= v <= sys.float_info.max:
-                    raise ConfigError(f"{name} entries must be finite and >= 0")
+                if not 0 <= v <= _SIGMA_MAX:
+                    raise ConfigError(f"{name} entries must be in [0, {_SIGMA_MAX:g}]")
 
     def sigmas(self, space: str) -> np.ndarray:
         """(6,) float64: ``space``'s mean sigmas, then its spread sigmas."""
@@ -209,7 +204,7 @@ def stain_remap(img, mu, dmu, rho, space: str) -> Raster:
     for c in range(3):  # 3x faster than broadcasting a length-3 last axis
         out[..., c] = (img[..., c] - mu[c]) * rho[c] + mu[c] + dmu[c]
     if space == "hsv":
-        out[..., 0] = _mod(img[..., 0] + dmu[0], 360.0)
+        out[..., 0] = np.mod(img[..., 0] + dmu[0], 360.0)
     return _CONVERSIONS[space][1](out)
 
 

@@ -89,20 +89,6 @@ def balanced_accuracy(y_true, y_pred, num_classes: int) -> float:
     return float(np.mean(recalls[live]))
 
 
-def make_attnpool_params(embed_dim: int, num_classes: int, num_heads: int,
-                         rng: RngStream) -> AttnPoolParams:
-    """Pooling-head weights; ``num_heads`` divides ``embed_dim``."""
-    shape = (num_heads, embed_dim // num_heads, embed_dim)
-    return AttnPoolParams(
-        Wq=trunc_normal(rng, shape),
-        Wk=trunc_normal(rng, shape),
-        Wv=trunc_normal(rng, shape),
-        Wo=np.eye(embed_dim),   # starts as a pass-through
-        W_attn=np.zeros((num_classes, embed_dim)),
-        b=np.zeros(num_classes),
-    )
-
-
 def _project(W, x):
     """Per-head projection of weights W (H, dh, D) over tokens x
     (B, N, D): a C-contiguous (B, H, N, dh)."""
@@ -208,15 +194,21 @@ def train_head(train_items, val_items, mode,
     """Mini-batch Adam on mean cross-entropy; the returned params are
     the epoch snapshot with the best validation balanced accuracy, and
     an epoch whose validation outputs are non-finite is a NumericError.
-    Both sets are non-empty; the class count is the largest label + 1."""
+    Both sets are non-empty; the class count is the largest label + 1;
+    ``cfg.num_heads`` divides the token width."""
     c = max(int(lab) for items in (train_items, val_items)
             for _, lab in items) + 1
     d = train_items[0][0].cls.shape[0]
     if mode == LINEAR:
         params = ProbeParams(np.zeros((c, d)), np.zeros(c))
     else:
-        params = make_attnpool_params(
-            d, c, cfg.num_heads, RngStream(seed=cfg.seed, stream_id=77))
+        rng = RngStream(seed=cfg.seed, stream_id=77)
+        shape = (cfg.num_heads, d // cfg.num_heads, d)
+        params = AttnPoolParams(
+            Wq=trunc_normal(rng, shape), Wk=trunc_normal(rng, shape),
+            Wv=trunc_normal(rng, shape),
+            Wo=np.eye(d),   # starts as a pass-through
+            W_attn=np.zeros((c, d)), b=np.zeros(c))
     adam_cfg = AdamConfig(lr=cfg.lr, weight_decay=cfg.weight_decay)
     pdict = vars(params)
     opt = adam_init(pdict)

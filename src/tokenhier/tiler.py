@@ -71,7 +71,7 @@ def tile_sources(sources, tile_size: int, min_tissue_fraction: float,
             f"min_tissue_fraction must be in [0,1], got {min_tissue_fraction}")
     levels, records = {}, []
     for source_id, raster in sources:
-        h, w = raster.shape[:2]
+        ny, nx = (n // tile_size for n in raster.shape[:2])
         gray = _gray(raster)
         t = levels[source_id] = otsu_threshold(
             np.bincount(gray.ravel(), minlength=256))
@@ -79,11 +79,12 @@ def tile_sources(sources, tile_size: int, min_tissue_fraction: float,
             continue
         # tissue is strictly below the threshold, or at or above it inverted
         mask = gray >= t if invert else gray < t
-        for y in range(0, h - tile_size + 1, tile_size):
-            for x in range(0, w - tile_size + 1, tile_size):
-                frac = float(mask[y:y + tile_size, x:x + tile_size].mean())
-                if frac >= min_tissue_fraction:
-                    records.append((source_id, x, y, frac))
+        # each whole tile's mean; a mean of 0/1 values is exact in float64
+        fracs = mask[:ny * tile_size, :nx * tile_size].reshape(
+            ny, tile_size, nx, tile_size).mean(axis=(1, 3))
+        kept = fracs >= min_tissue_fraction
+        records += [(source_id, x, y, frac) for (y, x), frac in zip(
+            (np.argwhere(kept) * tile_size).tolist(), fracs[kept].tolist())]
     records.sort(key=lambda rec: (rec[0], rec[2], rec[1]))
     return levels, records
 

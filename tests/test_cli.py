@@ -1424,6 +1424,22 @@ class TestDegenerateConfigs:
                 in capsys.readouterr().err)
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("sigma", [1.1e100, 1e300, 1e308])
+    @pytest.mark.parametrize("command", ["augment", "pretrain"])
+    def test_sigma_past_the_bound_exits_2(self, work, tmp_path, capsys,
+                                          command, sigma):
+        """A sigma that could overflow the colour remap into NaN, whose
+        uint8 cast is undefined, is refused before anything is written."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"lab_mean_sigma": [sigma] * 3}))
+        argv = {"augment": ["--input", work / "sg" / "class0"],
+                "pretrain": ["--steps", "2", "--batch-size", "2"]}[command]
+        assert run_cli(command, *argv, "--config", cfg,
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lab_mean_sigma" in err
+        assert sorted(tmp_path.iterdir()) == [cfg]
+
 
 # Values of the wrong JSON type for any key (True and 1.5 are right for
 # some).
@@ -1441,9 +1457,9 @@ def triples(low, high):
 
 
 NAN, INF = float("nan"), float("inf")
-SIGMA = field(triples(0, 20) | triples(0, 1e300),
+SIGMA = field(triples(0, 20) | triples(0, 1e100),
               [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [-1.0, 0.0, 0.0],
-               ["a", "b", "c"], [NAN, 0.0, 0.0]])
+               ["a", "b", "c"], [NAN, 0.0, 0.0], [1e300, 0.0, 0.0]])
 
 # Every key a flat pretrain config file takes, with sizes kept small.
 PRETRAIN_KEYS = {

@@ -2,11 +2,13 @@
 
 import colorsys
 import hashlib
+import itertools
 import math
 import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from tokenhier.bench import AblationConfig, make_pretrain_corpus
 from tokenhier.color import (
     StainAugConfig,
-    _mod,
+    _CONVERSIONS,
     _ppm_token,
     hsv_to_rgb,
     lab_to_rgb,
@@ -26,6 +28,8 @@ from tokenhier.color import (
     rgb_to_lab,
     stain_augment,
     stain_draws,
+    stain_remap,
+    stain_space,
     write_ppm,
 )
 from tokenhier.errors import ConfigError, DataError
@@ -305,6 +309,37 @@ class TestStainAugment:
         with pytest.raises(ConfigError):     # a JSON integer past float64
             StainAugConfig(lab_std_sigma=(10**400, 0.0, 0.0))
 
+    @pytest.mark.parametrize("key", ["lab_mean_sigma", "lab_std_sigma",
+                                     "hsv_mean_sigma", "hsv_std_sigma"])
+    def test_sigma_past_the_bound_is_refused(self, key):
+        StainAugConfig(**{key: (1e100,) * 3})
+        with pytest.raises(ConfigError, match=key):
+            StainAugConfig(**{key: (0.0, np.nextafter(1e100, np.inf), 0.0)})
+
+    @pytest.mark.parametrize("space", ["lab", "hsv"])
+    def test_remap_at_the_sigma_bound_stays_finite(self, space):
+        """Box-Muller's largest draw (a word pair (0, 0) or (0, 2**63))
+        at the largest sigma, of every sign, on the RGB corners and on
+        one-outlier rasters: no overflow or NaN reaches the uint8 cast."""
+        corners = np.array(list(itertools.product([0, 255], repeat=3)),
+                           dtype=np.uint8)
+        rasters = [corners.reshape(2, 4, 3)]
+        for a, b in itertools.permutations(corners, 2):
+            r = np.tile(a, (4, 4, 1))
+            r[1, 2] = b
+            rasters.append(r)
+        pair = {1: [0, 0], -1: [0, 2**63]}    # draws of +-8.57
+        words = np.array([[w for sign in signs for w in pair[sign]]
+                          for signs in itertools.product([1, -1], repeat=6)],
+                         dtype=np.uint64)
+        dmu, rho = stain_draws(words, np.full(6, 1e100))
+        assert np.abs(dmu).max() > 8.57e100 and rho.max() > 8.57e100
+        for r in rasters:
+            img, mu = stain_space(r, space)
+            for row in range(len(words)):
+                with np.errstate(all="raise"):
+                    stain_remap(img, mu, dmu[row], rho[row], space)
+
 
 # ---------------------------------------------------------------------------
 # Bit-identity of the augmentation hot path.  The pins are sha256 digests
@@ -428,16 +463,6 @@ sigmas = st.tuples(*[st.floats(0.0, 50.0, allow_nan=False)] * 3)
 
 
 class TestSinglePassKernels:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.floats(), sector_edges), min_size=1,
-                    max_size=20),
-           st.sampled_from([2.0, 360.0]))
-    def test_mod_matches_numpy_bitwise(self, xs, period):
-        """Same bits as np.mod, signed zeros and NaN included."""
-        x = np.array(xs)
-        with np.errstate(invalid="ignore"):
-            assert _mod(x, period).tobytes() == np.mod(x, period).tobytes()
-
     @settings(max_examples=200, deadline=None)
     @given(small_rasters)
     def test_rgb_to_hsv_matches_multipass(self, r):
@@ -463,6 +488,29 @@ class TestSinglePassKernels:
         lv = np.arange(256, dtype=np.uint8)
         r = np.stack([lv, lv[::-1], np.roll(lv, 85)], axis=-1).reshape(16, 16, 3)
         assert same_bits(rgb_to_lab(r), power_rgb_to_lab(r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_rasters)
+    def test_rgb_to_lab_lookup_matches_the_formula(self, r):
+        """The 256-entry linear-light table against the power law at every
+        pixel, over raster sizes that move numpy's vector-loop tails."""
+        assert same_bits(rgb_to_lab(r), power_rgb_to_lab(r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_rasters, st.sampled_from(["lab", "hsv"]),
+           st.integers(0, 2**64 - 1), sigmas, sigmas)
+    def test_remap_loop_matches_broadcast(self, r, space, seed, mean_sigma,
+                                          std_sigma):
+        """The per-channel remap loop against one broadcast expression,
+        compared on the float image before the conversion back to RGB."""
+        img, mu = stain_space(r, space)
+        dmu, rho = draw_stain_jitter(RngStream(seed, 5), mean_sigma, std_sigma)
+        with mock.patch.dict(_CONVERSIONS, {space: (None, lambda out: out)}):
+            looped = stain_remap(img, mu, dmu, rho, space)
+        twin = (img - mu) * rho + mu + dmu
+        if space == "hsv":
+            twin[..., 0] = np.mod(img[..., 0] + dmu[0], 360.0)
+        assert same_bits(looped, twin)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(-2**63, 2**64 - 1),

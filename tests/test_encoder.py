@@ -5,7 +5,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenhier.checkpoint import load_params, save_params
@@ -286,6 +286,22 @@ class TestGradients:
         grads = self.analytic()
         assert np.abs(grads["mask_token"]).max() > 0
         assert np.abs(grads["cls"]).max() > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 20), st.integers(1, 40),
+                 st.integers(1, 130)), st.integers(0, 2**32 - 1))
+@example((16, 17, 32, 128), 0)   # the desk config's 16 views
+@example((16, 17, 64, 256), 0)   # the default config's
+def test_w2_einsum_order_matches_the_plain_one(shape, seed):
+    """backward_batch's ``einsum("bsd,bsh->dh", dx, a1).T`` for mlp.W2,
+    kept for speed, is its plain ``einsum("bsh,bsd->hd", a1, dx)`` byte
+    for byte."""
+    b, s, d, h = shape
+    rng = np.random.default_rng(seed)
+    dx, a1 = rng.normal(size=(b, s, d)), rng.normal(size=(b, s, h))
+    assert (np.einsum("bsd,bsh->dh", dx, a1).T.tobytes()
+            == np.einsum("bsh,bsd->hd", a1, dx).tobytes())
 
 
 class TestCheckpointRoundTrip:

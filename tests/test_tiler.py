@@ -151,15 +151,18 @@ class TestTissueMask:
         assert all(b[k] == 1.0 - a[k] for k in a)
 
     def test_fraction_matches_pixel_count_oracle(self):
-        """Each tile's fraction equals a per-pixel count under the
-        oracle threshold, inverted or not."""
+        """Each whole tile's fraction equals a per-pixel count under the
+        oracle threshold, inverted or not, with partial edge tiles
+        dropped."""
         rng = np.random.default_rng(1)
-        img = rng.integers(0, 256, size=(32, 32, 3)).astype(np.uint8)
-        for invert in (False, True):
-            mask = oracle_mask(img, invert)
-            expected = {(y, x): float(mask[y:y + 16, x:x + 16].mean())
-                        for y in (0, 16) for x in (0, 16)}
-            assert tile_fractions(img, 16, invert) == expected
+        for h, w in ((32, 32), (53, 70)):
+            img = rng.integers(0, 256, size=(h, w, 3)).astype(np.uint8)
+            for invert in (False, True):
+                mask = oracle_mask(img, invert)
+                expected = {(y, x): float(mask[y:y + 16, x:x + 16].mean())
+                            for y in range(0, h - 15, 16)
+                            for x in range(0, w - 15, 16)}
+                assert tile_fractions(img, 16, invert) == expected
 
 
 def noisy_image(seed, h, w, lo=0, hi=256):
