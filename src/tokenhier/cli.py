@@ -333,16 +333,19 @@ def _run_ssl(args) -> int:
     else:
         state = init_train_state(enc, ssl, RngStream(seed=seed, stream_id=11))
     corpus = _load_corpus(args, enc, seed)
+    start = state.step
+    history = run_training(corpus, state, ssl, enc, aug,
+                           RngStream(seed=seed, stream_id=12), steps=steps,
+                           batch_size=batch, phase=phase, adam_cfg=adam)
     _make_outputs(args)
-    with open(args.log, "w", encoding="ascii") as fh:
-        fh.write(json.dumps({"config_fingerprint": fp, "phase": phase},
-                            sort_keys=True) + "\n")
-        history = run_training(corpus, state, ssl, enc, aug,
-                               RngStream(seed=seed, stream_id=12),
-                               steps=steps, batch_size=batch, phase=phase,
-                               adam_cfg=adam, log_file=fh)
     save_train_state(args.out, state, enc, ssl,
                      extra={"config_fingerprint": fp, "phase": phase})
+    rows = [{"config_fingerprint": fp, "phase": phase}]
+    rows += [{"step": step, **asdict(lb)}
+             for step, lb in enumerate(history, start + 1)]
+    with open(args.log, "w", encoding="ascii") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True, allow_nan=False) + "\n"
+                      for row in rows)
     _note(args, f"{phase}: {steps} steps on {len(corpus)} rasters")
     if history:
         _say(args, f"{phase} {steps} steps: total "

@@ -29,7 +29,6 @@ parent trains: colour work and training share no interpreter lock.
 from __future__ import annotations
 
 import copy
-import json
 import mmap
 import os
 from dataclasses import asdict, dataclass
@@ -479,8 +478,7 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
 def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
                  enc_cfg: EncoderConfig, aug_cfg: StainAugConfig,
                  rng: RngStream, steps: int, batch_size: int,
-                 phase: str = PRETRAIN, adam_cfg: AdamConfig = AdamConfig(),
-                 log_file=None):
+                 phase: str = PRETRAIN, adam_cfg: AdamConfig = AdamConfig()):
     """Fixed-step loop with deterministic with-replacement batching.
 
     A child made with ``os.fork`` builds each step's batch and views in
@@ -493,16 +491,15 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
     views.  The views depend only on the corpus, the step number and
     ``rng``, so the bytes are those of building them in line.  The
     child leaves only through ``os._exit``, so it never returns into
-    the caller or flushes a buffer it inherited (such as
-    ``log_file``'s).  When it stops short of a step, the parent builds
-    that step's views itself: a view-building failure is raised there
-    with its own type and message, and any other death of the child is
-    a ``NumericError``.  On every exit the parent closes its pipe ends,
-    so a waiting child reads EOF, and reaps the child.  ``steps=0``
-    forks nothing.  POSIX only.
+    the caller or flushes a buffer it inherited.  When it stops short
+    of a step, the parent builds that step's views itself: a
+    view-building failure is raised there with its own type and
+    message, and any other death of the child is a ``NumericError``.
+    On every exit the parent closes its pipe ends, so a waiting child
+    reads EOF, and reaps the child.  ``steps=0`` forks nothing.  POSIX
+    only.
 
-    Returns the list of per-step LossBreakdowns; optionally writes each
-    as a JSON line to the open text file ``log_file``.  The caller has
+    Returns the list of per-step LossBreakdowns.  The caller has
     checked ``steps >= 0``, ``batch_size >= 1`` (``check_step_size``
     included) and a non-empty corpus.
     """
@@ -544,10 +541,6 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
             lb = train_step((slot_patches[k[0]], slot_masks[k[0]]), state,
                             ssl_cfg, enc_cfg, aug_cfg, phase, adam_cfg)
             history.append(lb)
-            if log_file:
-                log_file.write(json.dumps({"step": state.step, **asdict(lb)},
-                                          sort_keys=True, allow_nan=False)
-                               + "\n")
             if step + 2 < run.stop:
                 try:
                     os.write(free_w, k)

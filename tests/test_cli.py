@@ -713,8 +713,11 @@ class TestTraining:
         assert len(extra["config_fingerprint"]) == 16
         rows = [json.loads(l) for l in
                 (tmp_path / "c.ckpt.losses.jsonl").read_text().splitlines()]
-        assert "config_fingerprint" in rows[0]
+        assert rows[0] == {"config_fingerprint": extra["config_fingerprint"],
+                           "phase": "pretrain"}
         assert [r["step"] for r in rows[1:]] == [1, 2, 3, 4]
+        assert all(set(r) == {"step", "dino", "ibot", "koleo", "gram",
+                              "total"} for r in rows[1:])
         capsys.readouterr()
 
     def test_pretrain_gram_column_all_zero(self, tmp_path, capsys):
@@ -743,25 +746,18 @@ class TestTraining:
     def test_diverging_step_exits_1(self, work, tmp_path, capsys, command,
                                     config):
         """A step whose weighted total or gradients turn non-finite is a
-        verification error (exit 1): no checkpoint is written, and every
-        line of the loss log is strict JSON."""
+        verification error (exit 1), and the run writes nothing: no
+        checkpoint, no loss log, no sidecar, no output directory."""
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(config))
-        ck = tmp_path / "c.ckpt"
         argv = [command, "--config", cfg, "--steps", "1", "--batch-size", "2",
-                "--out", ck, "--log-level", "quiet"]
+                "--out", tmp_path / "o" / "c.ckpt", "--log-level", "quiet"]
         if command == "posttrain":
             argv += ["--gram-teacher", work / "enc.ckpt"]
         assert run_cli(*argv) == 1
-        assert re.search(r"^verification error: .+ non-finite at step \d+$",
-                         capsys.readouterr().err, re.M)
-        assert not ck.exists()
-
-        def strict(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        for line in Path(f"{ck}.losses.jsonl").read_text().splitlines():
-            json.loads(line, parse_constant=strict)
+        assert re.fullmatch(r"verification error: .+ non-finite at step \d+",
+                            capsys.readouterr().err.splitlines()[-1])
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_posttrain_requires_gram_teacher(self, tmp_path, capsys):
         assert run_cli("posttrain", "--steps", "2",
@@ -776,6 +772,8 @@ class TestTraining:
         rows = [json.loads(l) for l in
                 (tmp_path / "p.ckpt.losses.jsonl").read_text().splitlines()]
         assert all(r["gram"] > 0.0 for r in rows[1:])
+        # steps continue from the 100-step checkpoint the run starts at
+        assert [r["step"] for r in rows[1:]] == [101, 102, 103]
         state, _, _, extra = load_train_state(ck)
         assert state.gram_teacher is not None
         assert extra["phase"] == "posttrain"
@@ -1507,9 +1505,9 @@ class TestConfigSearch:
     @settings(max_examples=50, deadline=None)
     @given(config=pretrain_configs())
     def test_pretrain_exits_by_the_contract(self, config):
-        """Any flat config file gives exit 0 with a checkpoint, exit 1
-        with a verification error, or exit 2 having written nothing;
-        never a traceback."""
+        """Any flat config file gives exit 0 with a checkpoint, or exit
+        1 with a verification error or exit 2, either having written
+        nothing; never a traceback."""
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "c.json", Path(tmp) / "out"
             cfg.write_text(json.dumps(config))
@@ -1526,7 +1524,7 @@ class TestConfigSearch:
                 assert err.getvalue().startswith("verification error: ")
             else:
                 assert code == 2 and err.getvalue().startswith("error: ")
-                assert not out.exists()
+            assert code == 0 or not out.exists()
 
 
 def tree_with(work, root, extra):

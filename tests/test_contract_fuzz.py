@@ -1,12 +1,22 @@
 """The exit-code contract under generated config files.
 
-Each example writes a config file of 1-3 keys drawn from the fields of
-``StainAugConfig`` and ``SslConfig`` plus ``lr``, each holding a value
-(or a triple of values) from one edge pool, and runs ``pretrain`` or
-``augment`` through ``cli.main`` in a forked child under its own
-address-space limit and alarm.  The oracle: the exit code is 0, 1 or
-2; stderr's last line starts with that code's label; an exit 0 writes
-strict JSON (no NaN or Infinity) and prints no ``warning:`` line.
+Each example writes a config file of 1-3 keys, each holding a value (or
+a triple of values) from one edge pool, and runs one subcommand through
+``cli.main`` in a forked child under its own address-space limit and
+alarm:
+
+- ``augment`` on a two-raster tree, and ``pretrain`` or ``posttrain``
+  for two steps at batch 2, draw their keys from the fields of
+  ``StainAugConfig`` and ``SslConfig`` plus ``lr``; ``posttrain``
+  anchors on an untrained checkpoint;
+- ``probe``, in either head mode on a small ``bench`` tree over that
+  checkpoint, draws from the fields of ``HeadTrainConfig``, with
+  ``epochs`` clamped to at most 5.
+
+The oracle: the exit code is 0, 1 or 2; stderr's last line starts with
+that code's label; a nonzero exit creates nothing under ``--out``'s
+directory; an exit 0 writes strict JSON (no NaN or Infinity) and
+checkpoints ``load_params`` accepts, and prints no ``warning:`` line.
 """
 
 import dataclasses
@@ -20,17 +30,21 @@ import traceback
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenhier import cli
+from tokenhier.checkpoint import load_params
 from tokenhier.color import StainAugConfig, write_ppm
 from tokenhier.errors import TokenhierError
+from tokenhier.heads import ATTNPOOL, LINEAR, HeadTrainConfig
 from tokenhier.numkernel import RngStream
 from tokenhier.ssl import SslConfig
 
 KEYS = sorted({f.name for cfg in (StainAugConfig, SslConfig)
                for f in dataclasses.fields(cfg)} | {"lr"})
+HEAD_KEYS = sorted(f.name for f in dataclasses.fields(HeadTrainConfig))
+MAX_EPOCHS = 5
 EDGES = st.sampled_from([0, 5e-324, 1e-300, 1, 1e101, 1e300, 1e308, -1])
 VALUES = EDGES | st.lists(EDGES, min_size=3, max_size=3)
 LABELS = {cls.code: cls.label for cls in TokenhierError.__subclasses__()}
@@ -39,8 +53,8 @@ CHILD_ALARM_S = 30
 
 
 @st.composite
-def configs(draw):
-    keys = draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=3,
+def configs(draw, keys=KEYS):
+    keys = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
                          unique=True))
     return {key: draw(VALUES) for key in keys}
 
@@ -54,6 +68,19 @@ def rasters(tmp_path_factory):
         write_ppm(root / f"r{i}.ppm",
                   (rng.uniform(16 * 16 * 3) * 256).astype("uint8")
                   .reshape(16, 16, 3))
+    return root
+
+
+@pytest.fixture(scope="module")
+def anchor(tmp_path_factory):
+    """An untrained checkpoint and a two-class ``bench`` tree beside it,
+    for ``posttrain --gram-teacher`` and ``probe``."""
+    root = tmp_path_factory.mktemp("anchor")
+    quiet = ["--log-level", "quiet"]
+    assert cli.main(["pretrain", "--steps", "0", "--out",
+                     str(root / "init.ckpt"), *quiet]) == 0
+    assert cli.main(["bench", "--suite", "global", "--per-class", "10",
+                     "--out", str(root / "tree"), *quiet]) == 0
     return root
 
 
@@ -91,21 +118,19 @@ def refuse_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(config=configs(), command=st.sampled_from(["augment", "pretrain"]))
-def test_config_files_keep_the_exit_contract(rasters, config, command):
+def keeps_the_contract(command, config, argv):
+    """Run ``command`` on ``config`` with ``argv(out)``, whose outputs
+    all lie in the directory ``out``, and apply the oracle."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "c.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(config))
-        argv = {"augment": ["--input", rasters, "--out", out],
-                "pretrain": ["--steps", "2", "--batch-size", "2",
-                             "--out", out / "c.ckpt"]}[command]
-        code, err = run_in_child([command, "--config", cfg, *argv,
+        code, err = run_in_child([command, "--config", cfg, *argv(out),
                                   "--log-level", "quiet"], Path(tmp))
         lines = err.splitlines()
         assert code in (0, 1, 2), (code, err)
         if code:
             assert lines and lines[-1].startswith(f"{LABELS[code]}: "), err
+            assert not out.exists(), (err, sorted(out.rglob("*")))
             return
         assert not [ln for ln in lines if ln.startswith("warning:")], err
         documents = [p.read_text() for p in out.glob("*.json")]
@@ -114,3 +139,40 @@ def test_config_files_keep_the_exit_contract(rasters, config, command):
         assert documents
         for doc in documents:
             json.loads(doc, parse_constant=refuse_constant)
+        for path in out.glob("*.ckpt"):
+            load_params(path)
+
+
+def training(out):
+    return ["--steps", "2", "--batch-size", "2", "--out", out / "c.ckpt"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=configs(), command=st.sampled_from(["augment", "pretrain"]))
+@example(config={"koleo_weight": 1e308}, command="pretrain")
+def test_config_files_keep_the_exit_contract(rasters, config, command):
+    argv = {"augment": lambda out: ["--input", rasters, "--out", out],
+            "pretrain": training}[command]
+    keeps_the_contract(command, config, argv)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=st.tuples(st.just("posttrain"), configs())
+       | st.tuples(st.sampled_from([LINEAR, ATTNPOOL]), configs(HEAD_KEYS)))
+@example(case=("posttrain", {"gram_weight": 1e308}))
+@example(case=("posttrain", {"gram_weight": 1}))
+def test_posttrain_and_probe_configs_keep_the_exit_contract(anchor, case):
+    """``case`` is ``posttrain`` or a ``probe`` head mode, and its
+    config."""
+    command, config = case
+    ckpt = anchor / "init.ckpt"
+    if command == "posttrain":
+        keeps_the_contract(command, config, lambda out: [
+            *training(out), "--gram-teacher", ckpt])
+        return
+    epochs = config.get("epochs", MAX_EPOCHS)
+    if type(epochs) is int:
+        config["epochs"] = min(epochs, MAX_EPOCHS)
+    keeps_the_contract("probe", config, lambda out: [
+        "--ckpt", ckpt, "--data", anchor / "tree", "--mode", command,
+        "--report", out / "r.json"])

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from tokenhier.bench import AblationConfig, make_pretrain_corpus
 from tokenhier.checkpoint import read_config
+from tokenhier.cli import main as cli_main
 from tokenhier.color import StainAugConfig, stain_augment
 from tokenhier import ssl as ssl_module
 from tokenhier.encoder import (EncoderConfig, forward_batch, patchify,
@@ -625,17 +626,18 @@ class TestTrainStep:
             assert abs(lb.total - expect) < 1e-12
 
     def test_log_file_written(self, tmp_path):
-        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
-        state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=19))
-        log = tmp_path / "loss.jsonl"
-        with open(log, "w", encoding="ascii") as fh:
-            run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
-                         RngStream(seed=20), steps=3, batch_size=2,
-                         log_file=fh)
-        lines = [json.loads(l) for l in log.read_text().splitlines()]
-        assert len(lines) == 3
-        assert set(lines[0]) == {"step", "dino", "ibot", "koleo", "gram",
-                                 "total"}
+        """The loss log appears beside the checkpoint once training
+        succeeds: a header, then one line per step of ``run_training``'s
+        history."""
+        ck = tmp_path / "c.ckpt"
+        assert cli_main(["pretrain", "--steps", "3", "--batch-size", "2",
+                         "--out", str(ck), "--log-level", "quiet"]) == 0
+        lines = [json.loads(l) for l in
+                 (tmp_path / "c.ckpt.losses.jsonl").read_text().splitlines()]
+        assert len(lines) == 4
+        assert set(lines[0]) == {"config_fingerprint", "phase"}
+        assert all(set(l) == {"step", "dino", "ibot", "koleo", "gram",
+                              "total"} for l in lines[1:])
 
     @pytest.mark.parametrize("phase, config, message", [
         (PRETRAIN, {"koleo_weight": 1e308}, "weighted total"),
@@ -924,7 +926,7 @@ def test_step_views_equal_per_view_draws(enabled, batch, token_size,
 
 
 def serial_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg, rng, steps,
-                    batch_size, phase, log):
+                    batch_size, phase):
     """run_training's loop with every step's views built in line, just
     before the step trains on them: the reference the lookahead must
     equal."""
@@ -934,8 +936,6 @@ def serial_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg, rng, steps,
         lb = train_on([corpus[int(i)] for i in pick], state, ssl_cfg,
                       enc_cfg, aug_cfg, rng, phase=phase)
         history.append(lb)
-        log.write(json.dumps({"step": state.step, **asdict(lb)},
-                             sort_keys=True) + "\n")
     return history
 
 
@@ -950,8 +950,9 @@ def fresh_state(ssl_cfg, enc_cfg, phase, start):
 
 class TestLookahead:
     """run_training builds each step's views in one forked worker
-    process; nothing it returns or writes may tell, and no process
-    outlives the call."""
+    process; nothing it returns or leaves in the state may tell, no
+    buffer the caller holds is flushed twice, and no process outlives
+    the call."""
 
     BATCH = 2
 
@@ -971,15 +972,15 @@ class TestLookahead:
 
         def outcome(train):
             state = fresh_state(ssl_cfg, enc_cfg, phase, start)
-            log = tmp_path / "loss.jsonl"
-            with open(log, "w", encoding="ascii") as fh:
+            held = tmp_path / "held.txt"
+            with open(held, "w", encoding="ascii") as fh:
                 fh.write("unflushed\n")   # a forked child must not flush it
-                hist = train(state, fh)
-            return state_sha256(state), state.step, hist, log.read_bytes()
+                hist = train(state)
+            return state_sha256(state), state.step, hist, held.read_bytes()
 
-        serial = outcome(lambda state, fh: serial_training(
+        serial = outcome(lambda state: serial_training(
             corpus, state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=32),
-            steps, self.BATCH, phase, fh))
+            steps, self.BATCH, phase))
 
         # one line per remapped view, appended by whichever process
         # builds it
@@ -992,13 +993,13 @@ class TestLookahead:
             return real(*args)
 
         monkeypatch.setattr(ssl_module, "stain_remap", counting)
-        lookahead = outcome(lambda state, fh: run_training(
+        lookahead = outcome(lambda state: run_training(
             corpus, state, ssl_cfg, enc_cfg, aug_cfg, RngStream(seed=32),
-            steps, self.BATCH, phase=phase, log_file=fh))
+            steps, self.BATCH, phase=phase))
         self.assert_no_child()
         assert lookahead == serial
-        assert lookahead[1] == start + steps
-        assert lookahead[3].count(b"unflushed\n") == 1
+        assert lookahead[1] == start + steps and len(lookahead[2]) == steps
+        assert lookahead[3] == b"unflushed\n"
         # no view is built for a step that never runs
         built = augmented.read_text().split() if augmented.exists() else []
         assert len(built) == (2 * self.BATCH * steps if enabled else 0)
@@ -1033,12 +1034,24 @@ class TestLookahead:
         self.assert_no_child()
         assert len(ahead) == 6 and max(ahead) <= 2
 
-    def run_until_failure(self, tmp_path, exc):
-        """Five steps that must fail with ``exc``'s type and message
-        within 120 s, leaving no child process."""
+    @staticmethod
+    def fresh():
+        enc_cfg, ssl_cfg, _, _ = tiny_setup()
+        return fresh_state(ssl_cfg, enc_cfg, PRETRAIN, 0)
+
+    def train(self, state, steps):
+        """``state`` after ``steps`` steps of the run that
+        ``run_until_failure`` starts."""
         enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
-        state = fresh_state(ssl_cfg, enc_cfg, PRETRAIN, 0)
-        log = tmp_path / "loss.jsonl"
+        run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
+                     RngStream(seed=33), steps, self.BATCH)
+        return state
+
+    def run_until_failure(self, exc):
+        """Five steps that must fail with ``exc``'s type and message
+        within 120 s, leaving no child process and the state that
+        steps 0 and 1 alone leave."""
+        state = self.fresh()
 
         def hung(signum, frame):
             raise TimeoutError("run_training did not return")
@@ -1046,23 +1059,21 @@ class TestLookahead:
         before = signal.signal(signal.SIGALRM, hung)
         signal.alarm(120)
         try:
-            with open(log, "w", encoding="ascii") as fh:
-                with pytest.raises(type(exc)) as raised:
-                    run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
-                                 RngStream(seed=33), 5, self.BATCH,
-                                 log_file=fh)
+            with pytest.raises(type(exc)) as raised:
+                self.train(state, 5)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, before)
         assert type(raised.value) is type(exc)
         assert str(raised.value) == str(exc)
         self.assert_no_child()
-        return state, log.read_text().splitlines()
+        assert state.step == 2
+        assert state_sha256(state) == state_sha256(self.train(self.fresh(), 2))
 
     @pytest.mark.parametrize("exc", [NumericError("dino term non-finite"),
                                      KeyboardInterrupt()],
                              ids=["NumericError", "KeyboardInterrupt"])
-    def test_failing_step_leaves_no_child(self, tmp_path, monkeypatch, exc):
+    def test_failing_step_leaves_no_child(self, monkeypatch, exc):
         real = ssl_module.train_step
 
         def failing(views, state, *args, **kw):
@@ -1071,14 +1082,12 @@ class TestLookahead:
             return real(views, state, *args, **kw)
 
         monkeypatch.setattr(ssl_module, "train_step", failing)
-        _, lines = self.run_until_failure(tmp_path, exc)
-        assert [json.loads(line)["step"] for line in lines] == [1, 2]
+        self.run_until_failure(exc)
 
-    def test_failing_views_surface_at_their_step(self, tmp_path,
-                                                 monkeypatch):
+    def test_failing_views_surface_at_their_step(self, monkeypatch):
         """Step 2's views fail in the worker while step 1 trains; the
-        error, with its type and message, leaves once step 1's line is
-        written, not before."""
+        error, with its type and message, leaves once step 1 has
+        trained, not before."""
         real = ssl_module._step_views
 
         def failing(rasters, step, *args):
@@ -1087,13 +1096,9 @@ class TestLookahead:
             return real(rasters, step, *args)
 
         monkeypatch.setattr(ssl_module, "_step_views", failing)
-        state, lines = self.run_until_failure(
-            tmp_path, NumericError("views of step 2"))
-        assert state.step == 2
-        assert [json.loads(line)["step"] for line in lines] == [1, 2]
+        self.run_until_failure(NumericError("views of step 2"))
 
-    def test_dead_worker_is_an_error_not_a_hang(self, tmp_path,
-                                                monkeypatch):
+    def test_dead_worker_is_an_error_not_a_hang(self, monkeypatch):
         """A worker killed while it builds step 2's views, which the
         parent can build, ends the call at step 2 with a named error."""
         parent, real = os.getpid(), ssl_module._step_views
@@ -1104,11 +1109,8 @@ class TestLookahead:
             return real(rasters, step, *args)
 
         monkeypatch.setattr(ssl_module, "_step_views", killed)
-        state, lines = self.run_until_failure(
-            tmp_path, NumericError("the view worker died before step 2's "
-                                   "views"))
-        assert state.step == 2
-        assert [json.loads(line)["step"] for line in lines] == [1, 2]
+        self.run_until_failure(
+            NumericError("the view worker died before step 2's views"))
 
 
 class TestSmokeTraining:
