@@ -11,7 +11,11 @@ the class token at row 0: ``patchify`` one raster per item, stack,
 ``tokenize_batch``, then ``forward_batch``.  That is the only path, for
 training and for frozen embeddings alike.  ``forward_batch`` returns a
 cache that ``backward_batch`` consumes to produce parameter gradients;
-both are pure functions of their inputs.
+both are pure functions of their inputs.  Given a lane (a single-thread
+executor; ``numkernel.defer``), ``backward_batch`` runs each layer's
+weight-gradient contractions on it while the calling thread goes on
+down the input-gradient chain; each contraction sees the same arrays
+either way, so no byte depends on the lane.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .numkernel import (RngStream, gelu, gelu_grad, init_tensors, layer_norm,
-                        layer_norm_backward, softmax_backward, softmax_rows)
+from .numkernel import (RngStream, defer, gelu, gelu_grad, init_tensors,
+                        layer_norm, layer_norm_backward, softmax_backward,
+                        softmax_rows)
 
 
 @dataclass(frozen=True)
@@ -190,8 +195,16 @@ def forward_batch(z0: np.ndarray, cfg: EncoderConfig, params: dict):
     return out, dict(layers=layers, fin=fin_stats, cfg=cfg)
 
 
-def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
-    """Parameter gradients plus d(loss)/d(Z_0) under key "z0"."""
+def _w2_grad(dx, a1):
+    # dx first makes the MLP width einsum's inner loop: same bytes, faster
+    return np.einsum("bsd,bsh->dh", dx, a1).T
+
+
+def backward_batch(dout: np.ndarray, cache: dict, params: dict,
+                   lane=None) -> dict:
+    """Parameter gradients plus d(loss)/d(Z_0) under key "z0".  The
+    weight gradients run on ``lane`` when one is given (none: in line);
+    each lands in its key's place, so the key order holds either way."""
     cfg: EncoderConfig = cache["cfg"]
     scale = 1.0 / np.sqrt(cfg.head_dim)
     grads = {}
@@ -204,11 +217,11 @@ def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
         c = cache["layers"][i]
         # MLP half
         da1 = dx @ params[pre + "mlp.W2"].T
-        # dx first makes the MLP width einsum's inner loop: same bytes, faster
-        grads[pre + "mlp.W2"] = np.einsum("bsd,bsh->dh", dx, c["a1"]).T
+        grads[pre + "mlp.W2"] = defer(lane, _w2_grad, dx, c["a1"])
         grads[pre + "mlp.b2"] = dx.sum(axis=(0, 1))
         du1 = da1 * gelu_grad(c["u1"])
-        grads[pre + "mlp.W1"] = np.einsum("bsd,bsh->dh", c["h2"], du1)
+        grads[pre + "mlp.W1"] = defer(
+            lane, np.einsum, "bsd,bsh->dh", c["h2"], du1)
         grads[pre + "mlp.b1"] = du1.sum(axis=(0, 1))
         dh2 = du1 @ params[pre + "mlp.W1"].T
         dmid, dg2, db2 = layer_norm_backward(dh2, params[pre + "ln2.g"], c["ln2"])
@@ -217,7 +230,8 @@ def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
         dx = dx + dmid
         # attention half
         dctx = dx @ params[pre + "attn.Wo"].T
-        grads[pre + "attn.Wo"] = np.einsum("bsd,bse->de", c["ctx"], dx)
+        grads[pre + "attn.Wo"] = defer(
+            lane, np.einsum, "bsd,bse->de", c["ctx"], dx)
         grads[pre + "attn.bo"] = dx.sum(axis=(0, 1))
         dctx_h = _split_heads(dctx, cfg)
         dattn = np.einsum("bhsd,bhtd->bhst", dctx_h, c["v"])
@@ -228,7 +242,8 @@ def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
         dh1 = np.zeros_like(c["h1"])
         for w, dgrad in (("Wq", dq), ("Wk", dk), ("Wv", dv)):
             merged = _merge_heads(dgrad)
-            grads[pre + "attn." + w] = np.einsum("bsd,bse->de", c["h1"], merged)
+            grads[pre + "attn." + w] = defer(
+                lane, np.einsum, "bsd,bse->de", c["h1"], merged)
             grads[pre + "attn.b" + w[1:].lower()] = merged.sum(axis=(0, 1))
             dh1 = dh1 + merged @ params[pre + "attn." + w].T
         din, dg1, db1 = layer_norm_backward(dh1, params[pre + "ln1.g"], c["ln1"])
@@ -236,7 +251,7 @@ def backward_batch(dout: np.ndarray, cache: dict, params: dict) -> dict:
         grads[pre + "ln1.b"] = db1
         dx = dx + din
     grads["z0"] = dx
-    return grads
+    return {k: g() if callable(g) else g for k, g in grads.items()}
 
 
 def token_gradients(dz0: np.ndarray, patch_mats, masks, params: dict) -> dict:

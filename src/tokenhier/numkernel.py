@@ -17,12 +17,19 @@ index``) make parallel execution order-independent, and identical
 Importing the module sets glibc's allocator thresholds (``mallopt``; on
 other C libraries nothing is set), so the temporaries of a training step
 or an embedding chunk reuse freed heap pages instead of faulting in
-fresh ones; forked workers inherit them.  No byte depends on them.
+fresh ones; forked workers inherit them.  It also keeps glibc to one
+arena, so a training step's helper thread (``defer``) reuses those
+pages instead of holding a heap of its own.  No byte depends on them.
+
+``defer`` runs a call either in line or on a lane, a single-thread
+executor beside the calling thread: the same op on the same inputs, so
+no byte depends on where it ran.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import platform
 from dataclasses import dataclass, field
@@ -44,13 +51,38 @@ _STREAM_SALT = 0xD6E8FEB86659FD93
 # layer norm's variance floor
 LN_EPS = 1e-6
 
-# glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1), in bytes
+# glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1), in bytes, and
+# M_ARENA_MAX (-8)
 MMAP_THRESHOLD = 8 << 20
 TRIM_THRESHOLD = 32 << 20
+ARENA_MAX = 1
 if platform.libc_ver()[0] == "glibc":
     _LIBC = ctypes.CDLL(None)
+    _LIBC.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    _LIBC.mallopt.restype = ctypes.c_int
     _LIBC.mallopt(-3, MMAP_THRESHOLD)
     _LIBC.mallopt(-1, TRIM_THRESHOLD)
+    _LIBC.mallopt(-8, ARENA_MAX)
+
+
+def defer(lane, fn, *args):
+    """A call that returns ``fn(*args)``.  With ``lane``, a
+    single-thread executor, ``fn`` starts now on the lane's thread
+    under the caller's floating-point error state (numpy keeps it per
+    thread); with None it runs in line when the call is made, so its
+    errors surface where serial code would raise them.  A result never
+    called for is dropped with any error it raised: serial code would
+    not have computed it."""
+    if lane is None:
+        return functools.partial(fn, *args)
+    err = np.geterr()
+
+    def task():
+        with np.errstate(divide=err["divide"], over=err["over"],
+                         under=err["under"], invalid=err["invalid"]):
+            return fn(*args)
+
+    return lane.submit(task).result
 
 
 def softmax_rows(m: Mat) -> Mat:

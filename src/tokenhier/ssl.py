@@ -24,6 +24,14 @@ views of an image are equal, and ``train_step`` reads
 teacher) once per image.  One forked worker builds the views into two
 shared-memory slots, both indices starting on the free pipe, while the
 parent trains: colour work and training share no interpreter lock.
+
+When the process has a core that neither the trainer nor the view
+worker keeps busy (the worker counts only with augmentation on),
+``run_training`` gives the step a lane, one helper thread: the teacher
+and Gram-teacher passes run on it beside the student's, and
+``backward_batch`` sends it each layer's weight gradients.  Every op
+sees the same inputs in the same summation order, so no byte depends
+on the lane, and all its work is joined before Adam moves a weight.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 import copy
 import mmap
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,8 +57,8 @@ from .encoder import (
     tokenize_batch,
 )
 from .errors import ConfigError, DataError, NumericError
-from .numkernel import (RngStream, draw_words, fisher_yates, gelu, gelu_grad,
-                        init_tensors, softmax_rows, to_unit)
+from .numkernel import (RngStream, defer, draw_words, fisher_yates, gelu,
+                        gelu_grad, init_tensors, softmax_rows, to_unit)
 from .optim import AdamConfig, adam_init, adam_step
 
 _LOG_EPS = 1e-12
@@ -298,9 +307,11 @@ def train_state_mismatch(state: TrainState, enc_cfg: EncoderConfig,
     return f"holds tensor {extra[0]!r}, which has no place" if extra else None
 
 
-def _guard(value, what: str, step: int):
+def _guard(value, what: str, state: TrainState):
+    """A ``NumericError`` when ``value`` is not finite, naming the step
+    as the loss log numbers it: ``state.step`` steps done, this one next."""
     if not np.all(np.isfinite(np.asarray(value))):
-        raise NumericError(f"{what} non-finite at step {step}")
+        raise NumericError(f"{what} non-finite at step {state.step + 1}")
 
 
 def _step_views(rasters, step: int, ssl_cfg: SslConfig,
@@ -367,10 +378,11 @@ def _slots(enc_cfg: EncoderConfig, batch_size: int):
     return patches, np.ndarray((2, v, n), bool, buffer, offset=patches.nbytes)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_step(views, state: TrainState, ssl_cfg: SslConfig,
                enc_cfg: EncoderConfig, aug_cfg: StainAugConfig,
-               phase: str = PRETRAIN,
-               adam_cfg: AdamConfig = AdamConfig()) -> LossBreakdown:
+               phase: str = PRETRAIN, adam_cfg: AdamConfig = AdamConfig(),
+               lane: ThreadPoolExecutor = None) -> LossBreakdown:
     """One optimization step on ``views``, a batch's ``_step_views`` at
     ``state.step``.
 
@@ -380,7 +392,15 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     views it covers.  Gradients flow only into the student; the teacher
     follows by EMA and the centers by momentum on batch-mean teacher logits.
     A non-finite loss term, weighted total or squared gradient norm is a
-    ``NumericError`` naming the step, raised before any tensor moves.
+    ``NumericError`` naming the step, raised before any tensor moves;
+    numpy's floating-point warnings are off, since the guards name the
+    fault.
+
+    With ``lane``, the teacher and Gram-teacher passes start on it
+    before the student's and are joined where serial code runs them
+    (the teacher before the image-level term, the Gram teacher before
+    its term), so errors keep their serial order; ``backward_batch``
+    gets the lane too.  With None every call runs in line.
 
     The caller has checked the inputs: a non-empty batch, num_patches
     >= 2, and a Gram teacher on ``state`` for POSTTRAIN.
@@ -395,10 +415,13 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
                                enc_cfg, params)
         return np.repeat(out, repeat, axis=0)
 
+    teacher = defer(lane, unmasked, _sub(state.teacher, "enc."))
+    gram_teacher = (defer(lane, unmasked, state.gram_teacher)
+                    if phase == POSTTRAIN else None)
     enc_s = _sub(state.student, "enc.")
     out_s, cache_s = forward_batch(tokenize_batch(patches, enc_s, masks),
                                    enc_cfg, enc_s)
-    out_t = unmasked(_sub(state.teacher, "enc."))
+    out_t = teacher()
 
     cls_s = out_s[:, 0, :]
     cls_t = out_t[:, 0, :]
@@ -415,7 +438,7 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     swap = np.arange(len(patches)).reshape(-1, 2)[:, ::-1].reshape(-1)
     dino, d_logits_s = centered_ce_loss_grad(logits_s, logits_t[swap],
                                              state.cls_center, ssl_cfg)
-    _guard(dino, "dino term", state.step)
+    _guard(dino, "dino term", state)
 
     # patch-level at masked positions, stacked across views
     masked_rows_s = out_s[:, 1:, :][masks]
@@ -424,18 +447,18 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     p_logits_t = head_forward(masked_rows_t, patch_head_t)[0]
     ibot, d_plogits = centered_ce_loss_grad(p_logits_s, p_logits_t,
                                             state.patch_center, ssl_cfg)
-    _guard(ibot, "ibot term", state.step)
+    _guard(ibot, "ibot term", state)
 
     koleo, d_cls_koleo = koleo_loss_grad(cls_s)
-    _guard(koleo, "koleo term", state.step)
+    _guard(koleo, "koleo term", state)
 
     # ---- backward: assemble d(total)/d(encoder out), Gram term first ----
     dout = np.zeros_like(out_s)
     gram = 0.0
     if phase == POSTTRAIN:
         gram, d_gram = gram_loss_grad(out_s[:, 1:, :],
-                                      unmasked(state.gram_teacher)[:, 1:, :])
-        _guard(gram, "gram term", state.step)
+                                      gram_teacher()[:, 1:, :])
+        _guard(gram, "gram term", state)
         dout[:, 1:, :] += ssl_cfg.gram_weight * d_gram
 
     cls_grads, d_cls = head_backward(d_logits_s, cls_cache, cls_head_s)
@@ -445,7 +468,7 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     dout[:, 0, :] = d_cls
     dout[:, 1:, :][masks] += d_masked
 
-    enc_grads = backward_batch(dout, cache_s, enc_s)
+    enc_grads = backward_batch(dout, cache_s, enc_s, lane)
     enc_grads.update(token_gradients(enc_grads.pop("z0"), patches, masks,
                                      enc_s))
 
@@ -457,9 +480,9 @@ def train_step(views, state: TrainState, ssl_cfg: SslConfig,
     # overflows diverges too.  np.square, not np.vdot: a BLAS dot wakes
     # OpenBLAS's worker threads, which then spin beside the view worker
     lb = LossBreakdown.compute(dino, ibot, koleo, gram, ssl_cfg)
-    _guard(lb.total, "weighted total", state.step)
+    _guard(lb.total, "weighted total", state)
     _guard(sum(np.square(g).sum() for g in grads.values()),
-           "squared gradient norm", state.step)
+           "squared gradient norm", state)
     adam_step(state.student, grads, state.adam, adam_cfg)
 
     # EMA teacher and center updates close the step
@@ -499,6 +522,13 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
     reads EOF, and reaps the child.  ``steps=0`` forks nothing.  POSIX
     only.
 
+    When the process may run on more cores (``os.sched_getaffinity``)
+    than the step keeps busy, the trainer plus the view worker with
+    augmentation on, the parent makes the step's lane, a single-thread
+    executor, after the fork, and shuts it down on every exit, so no
+    thread lives across a fork or outlives the call.  Otherwise every
+    step runs in line.  No byte depends on which.
+
     Returns the list of per-step LossBreakdowns.  The caller has
     checked ``steps >= 0``, ``batch_size >= 1`` (``check_step_size``
     included) and a non-empty corpus.
@@ -531,6 +561,9 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
             os._exit(0)
     os.close(ready_w)
     os.close(free_r)
+    busy = 2 if aug_cfg.enabled else 1
+    lane = (ThreadPoolExecutor(1) if len(os.sched_getaffinity(0)) > busy
+            else None)
     try:
         for step in run:
             k = os.read(ready_r, 1)
@@ -539,7 +572,7 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
                 raise NumericError(
                     f"the view worker died before step {step}'s views")
             lb = train_step((slot_patches[k[0]], slot_masks[k[0]]), state,
-                            ssl_cfg, enc_cfg, aug_cfg, phase, adam_cfg)
+                            ssl_cfg, enc_cfg, aug_cfg, phase, adam_cfg, lane)
             history.append(lb)
             if step + 2 < run.stop:
                 try:
@@ -547,6 +580,8 @@ def run_training(corpus, state: TrainState, ssl_cfg: SslConfig,
                 except BrokenPipeError:   # reported at the next read
                     pass
     finally:
+        if lane is not None:   # after its running task, if any
+            lane.shutdown(cancel_futures=True)
         os.close(ready_r)
         os.close(free_w)
         os.waitpid(pid, 0)

@@ -1981,8 +1981,14 @@ class TestCrossProcessDeterminism:
         """The determinism contract across processes: the pipeline run
         at OpenBLAS 1 thread and hash seed 1, and again at 2 threads and
         hash seed 987, writes the same files with the same bytes,
-        sidecar logs aside."""
+        sidecar logs aside.  A plain post-training run closes it: its
+        steps take the lane wherever a core is free."""
         src = str(Path(cli.__file__).parents[1])
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"enabled": False}))
+        pipeline = PIPELINE + [
+            ["posttrain", "--config", str(plain), "--steps", "2",
+             "--out", "plain.ckpt", "--gram-teacher", "enc.ckpt"]]
         trees = []
         for blas, hash_seed in (("1", "1"), ("2", "987")):
             run = tmp_path / f"blas{blas}"
@@ -1992,7 +1998,7 @@ class TestCrossProcessDeterminism:
                        PYTHONPATH=os.pathsep.join(filter(None, [
                            src, os.environ.get("PYTHONPATH")])))
             child = subprocess.run(
-                [sys.executable, "-c", CHILD, json.dumps(PIPELINE)],
+                [sys.executable, "-c", CHILD, json.dumps(pipeline)],
                 cwd=run, env=env, capture_output=True, text=True,
                 timeout=120)
             assert child.returncode == 0, child.stderr
@@ -2002,8 +2008,9 @@ class TestCrossProcessDeterminism:
         # 10 rasters and report.json, the checkpoint and its loss log,
         # the embeddings, the probe report, the post-trained checkpoint
         # and its loss log, class0's 5 augmented views and their summary,
-        # and the tile manifest
-        assert len(trees[0]) == 24
+        # the tile manifest, and the plain post-trained checkpoint and its
+        # loss log
+        assert len(trees[0]) == 26
         assert trees[0].keys() == trees[1].keys()
         assert [f for f in trees[0] if trees[0][f] != trees[1][f]] == []
 

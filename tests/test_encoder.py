@@ -1,6 +1,7 @@
 """Token sequence construction, block stack, and hand-written gradients."""
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -286,6 +287,33 @@ class TestGradients:
         grads = self.analytic()
         assert np.abs(grads["mask_token"]).max() > 0
         assert np.abs(grads["cls"]).max() > 0
+
+
+@pytest.mark.parametrize("cfg", [small_cfg(), EncoderConfig()],
+                         ids=["small", "default"])
+def test_backward_batch_on_a_lane_is_the_same(cfg):
+    """With a lane for its weight gradients, ``backward_batch`` returns
+    the in-line gradients byte for byte, keys in the same order."""
+    params = init_params(cfg, RngStream(seed=24))
+    rng = np.random.default_rng(25)
+    z0 = rng.normal(size=(6, cfg.seq_len, cfg.embed_dim))
+    dout = rng.normal(size=z0.shape)
+    _, cache = forward_batch(z0, cfg, params)
+    inline = backward_batch(dout, cache, params)
+    with ThreadPoolExecutor(1) as lane:
+        laned = backward_batch(dout, cache, params, lane)
+    # the order sums over the gradients (the step's norm guard) follow
+    layer = ["mlp.W2", "mlp.b2", "mlp.W1", "mlp.b1", "ln2.g", "ln2.b",
+             "attn.Wo", "attn.bo", "attn.Wq", "attn.bq", "attn.Wk",
+             "attn.bk", "attn.Wv", "attn.bv", "ln1.g", "ln1.b"]
+    assert list(inline) == (["final_ln.g", "final_ln.b"]
+                            + [f"layer{i}.{name}"
+                               for i in reversed(range(cfg.depth))
+                               for name in layer] + ["z0"])
+    assert list(laned) == list(inline)
+    for name, grad in inline.items():
+        assert laned[name].shape == grad.shape, name
+        assert laned[name].tobytes() == grad.tobytes(), name
 
 
 @settings(max_examples=100, deadline=None)

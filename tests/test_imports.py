@@ -251,25 +251,41 @@ def test_jitter_sigmas_are_read_in_color_only():
     assert not found, f"jitter sigmas read outside color: {found}"
 
 
+# Standard-library modules that start threads or processes.
+CONCURRENCY = {"concurrent", "multiprocessing", "threading", "_thread"}
+POOLS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread", "Timer",
+         "Pool", "Process", "start_new_thread"}
+
+
 def test_one_forked_worker():
     """``os.fork`` and ``os.waitpid`` are each called once in ``src``,
     both in ``ssl.run_training``: the view worker is the one child
-    process, and the call that makes it reaps it.  No module imports
-    ``concurrent.futures``, the thread pool the worker replaced."""
-    calls = []
+    process, and the call that makes it reaps it.  The one thread pool
+    is the training step's lane: ``ssl`` alone imports
+    ``concurrent.futures``, and ``run_training`` makes its one
+    ``ThreadPoolExecutor`` after the fork, so no thread lives across it;
+    no other thread or pool is made in ``src``."""
+    calls, lines, imports = [], {}, []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                calls += [f"{path.stem}.{node.name} {ast.unparse(call.func)}"
-                          for call in ast.walk(node)
-                          if isinstance(call, ast.Call)
-                          and ast.unparse(call.func) in ("os.fork",
-                                                         "os.waitpid")]
-        assert not [line for line, module in absolute_imports(tree)
-                    if module == "concurrent"], path.name
-    assert sorted(calls) == ["ssl.run_training os.fork",
+                for call in ast.walk(node):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    func = ast.unparse(call.func)
+                    if (func in ("os.fork", "os.waitpid")
+                            or func.split(".")[-1] in POOLS):
+                        calls.append(f"{path.stem}.{node.name} {func}")
+                        lines[func] = call.lineno
+        imports += [f"{path.stem} {module}"
+                    for _, module in absolute_imports(tree)
+                    if module in CONCURRENCY]
+    assert sorted(calls) == ["ssl.run_training ThreadPoolExecutor",
+                             "ssl.run_training os.fork",
                              "ssl.run_training os.waitpid"]
+    assert imports == ["ssl concurrent"]
+    assert lines["os.fork"] < lines["ThreadPoolExecutor"]
 
 
 def test_one_home_for_suite_specs():

@@ -7,7 +7,11 @@ import json
 import math
 import os
 import signal
+import sys
+import threading
 import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
@@ -599,7 +603,7 @@ class TestTrainStep:
         state.step = 5
         before = state_sha256(state)
         with pytest.raises(NumericError,
-                           match=f"^{term} term non-finite at step 5$"):
+                           match=f"^{term} term non-finite at step 6$"):
             train_on(corpus[:2], state, ssl_cfg, enc_cfg, aug_cfg,
                      RngStream(seed=16), phase=POSTTRAIN)
         assert state.step == 5 and state_sha256(state) == before
@@ -653,7 +657,7 @@ class TestTrainStep:
         state.step = 4
         before = state_sha256(state)
         with pytest.raises(NumericError,
-                           match=f"^{message} non-finite at step 4$"):
+                           match=f"^{message} non-finite at step 5$"):
             with np.errstate(over="ignore", invalid="ignore"):
                 train_on(corpus[:2], state, ssl_cfg, enc_cfg, aug_cfg,
                          RngStream(seed=18), phase=phase)
@@ -873,6 +877,165 @@ def test_forward_rows_per_step(monkeypatch, enabled, rows):
     assert seen == rows
 
 
+class TestLane:
+    """A step given a lane, the helper thread ``run_training`` makes
+    when a core is free, against the same step in line: the same bytes,
+    the same errors in the same order, and nothing moved by a failure."""
+
+    CONFIGS = {"desk": AblationConfig().encoder, "default": EncoderConfig()}
+
+    @staticmethod
+    def both(step):
+        """``step(lane)`` in line, then with a lane."""
+        with ThreadPoolExecutor(1) as lane:
+            return step(None), step(lane)
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("phase", [PRETRAIN, POSTTRAIN])
+    def test_same_bytes(self, config, enabled, phase):
+        """Two steps of a state whose Gram anchor differs from its
+        student: equal state bytes and loss records either way."""
+        enc_cfg = self.CONFIGS[config]
+        ssl_cfg = AblationConfig().ssl
+        aug_cfg = replace(AblationConfig().aug, enabled=enabled)
+        corpus = make_pretrain_corpus(RngStream(seed=3, stream_id=10),
+                                      count=6, image_size=enc_cfg.image_size)
+
+        def stepped(lane):
+            state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=43))
+            state.gram_teacher = {k: v + 0.01 for k, v
+                                  in _sub(state.student, "enc.").items()}
+            losses = [asdict(train_on(corpus[2 * s:2 * s + 3], state,
+                                      ssl_cfg, enc_cfg, aug_cfg,
+                                      RngStream(seed=44), phase=phase,
+                                      lane=lane))
+                      for s in range(2)]
+            return state_sha256(state), losses
+
+        inline, laned = self.both(stepped)
+        assert laned == inline
+
+    def test_same_bytes_at_a_short_switch_interval(self):
+        """Five plain post-training steps with the interpreter switching
+        threads every microsecond, within 120 s, against the same steps
+        in line."""
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        aug_cfg = replace(aug_cfg, enabled=False)
+
+        def stepped(lane):
+            state = fresh_state(ssl_cfg, enc_cfg, POSTTRAIN, 0)
+            for s in range(5):
+                train_on(corpus[3 * s:3 * s + 3], state, ssl_cfg, enc_cfg,
+                         aug_cfg, RngStream(seed=49), phase=POSTTRAIN,
+                         lane=lane)
+            return state_sha256(state)
+
+        def hung(signum, frame):
+            raise TimeoutError("a lane step did not return")
+
+        interval = sys.getswitchinterval()
+        before = signal.signal(signal.SIGALRM, hung)
+        sys.setswitchinterval(1e-6)
+        signal.alarm(120)
+        try:
+            inline, laned = self.both(stepped)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, before)
+            sys.setswitchinterval(interval)
+        assert laned == inline
+
+    @pytest.mark.parametrize("fault, message", [
+        ("teacher", "layer 1: non-finite activations"),
+        ("gram", "layer 1: non-finite activations"),
+        ("gram and dino", "dino term non-finite at step 4"),
+        ("student and teacher", "layer 0: non-finite activations")])
+    def test_errors_keep_their_serial_order(self, monkeypatch, fault,
+                                            message):
+        """A NaN weight in the teacher or the Gram teacher fails the
+        step with that pass's error.  A Gram pass that fails on the lane
+        does not pre-empt the image-level term's guard, which serial
+        code reaches first; a failing student pass pre-empts a failing
+        teacher.  No tensor moves."""
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        aug_cfg = replace(aug_cfg, enabled=False)
+        real = ssl_module.centered_ce_loss_grad
+
+        def dino_nan(*args):
+            value, grad = real(*args)
+            return np.nan, grad
+
+        if "dino" in fault:
+            monkeypatch.setattr(ssl_module, "centered_ce_loss_grad",
+                                dino_nan)
+
+        def failed(lane):
+            state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=45))
+            state.gram_teacher = copy.deepcopy(_sub(state.student, "enc."))
+            state.step = 3
+            for name, weights in (("student", _sub(state.student, "enc.")),
+                                  ("teacher", _sub(state.teacher, "enc.")),
+                                  ("gram", state.gram_teacher)):
+                if name in fault:
+                    layer = 0 if name == "student" else 1
+                    weights[f"layer{layer}.mlp.W2"][0, 0] = np.nan
+            before = state_sha256(state)
+            with pytest.raises(NumericError) as raised:
+                train_on(corpus[:3], state, ssl_cfg, enc_cfg, aug_cfg,
+                         RngStream(seed=46), phase=POSTTRAIN, lane=lane)
+            assert state.step == 3 and state_sha256(state) == before
+            return str(raised.value)
+
+        assert self.both(failed) == (message, message)
+
+    @pytest.mark.parametrize("phase, config, scale, message", [
+        (PRETRAIN, {"koleo_weight": 1e308}, 1.0,
+         "weighted total non-finite at step 1"),
+        (POSTTRAIN, {"gram_weight": 1e308}, 1.0,
+         "squared gradient norm non-finite at step 1"),
+        (PRETRAIN, {}, np.inf, "layer 0: non-finite activations")])
+    def test_divergence_warns_on_no_thread(self, phase, config, scale,
+                                           message):
+        """A diverging step, or a teacher whose first MLP turns
+        infinite on the lane, raises its guard's error alone: numpy's
+        floating-point warnings stay off on the calling thread and on
+        the lane's."""
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        ssl_cfg = replace(ssl_cfg, **config)
+        aug_cfg = replace(aug_cfg, enabled=False)
+
+        def failed(lane):
+            state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=17))
+            state.gram_teacher = {k: v + 0.1 for k, v
+                                  in _sub(state.student, "enc.").items()}
+            state.teacher["enc.layer0.mlp.W1"] *= scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError) as raised:
+                    train_on(corpus[:2], state, ssl_cfg, enc_cfg, aug_cfg,
+                             RngStream(seed=18), phase=phase, lane=lane)
+            return str(raised.value)
+
+        assert self.both(failed) == (message, message)
+
+    def test_backward_batch_is_called_with_the_lane(self, monkeypatch):
+        """The weight gradients get the step's lane, not None."""
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        real, seen = ssl_module.backward_batch, []
+
+        def recording(*args):
+            seen.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(ssl_module, "backward_batch", recording)
+        state = init_train_state(enc_cfg, ssl_cfg, RngStream(seed=47))
+        with ThreadPoolExecutor(1) as lane:
+            train_on(corpus[:2], state, ssl_cfg, enc_cfg, aug_cfg,
+                     RngStream(seed=48), lane=lane)
+        assert seen == [lane]
+
+
 def per_view_mask(rng, n, fraction):
     """The student mask as one draw per view made it."""
     m = min(max(1, int(round(fraction * n))), n - 1)
@@ -1003,6 +1166,43 @@ class TestLookahead:
         # no view is built for a step that never runs
         built = augmented.read_text().split() if augmented.exists() else []
         assert len(built) == (2 * self.BATCH * steps if enabled else 0)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("exc", [None, NumericError("koleo"),
+                                     KeyboardInterrupt()],
+                             ids=["returns", "raises", "interrupted"])
+    def test_lane_never_outlives_the_call(self, monkeypatch, enabled, exc):
+        """A step has a lane exactly when the process has more cores
+        than the trainer and, with augmentation on, the view worker keep
+        busy; once ``run_training`` returns or raises, even while the
+        lane still runs the Gram pass, no thread is left."""
+        enc_cfg, ssl_cfg, aug_cfg, corpus = tiny_setup()
+        aug_cfg = replace(aug_cfg, enabled=enabled)
+        state = fresh_state(ssl_cfg, enc_cfg, POSTTRAIN, 0)
+        real, extra = ssl_module.koleo_loss_grad, []
+        before = threading.enumerate()
+
+        def counting(*args):   # after the teacher's join, before the Gram's
+            extra.append(threading.active_count() - len(before))
+            if exc is not None and len(extra) == 2:
+                raise exc
+            return real(*args)
+
+        def train():
+            run_training(corpus, state, ssl_cfg, enc_cfg, aug_cfg,
+                         RngStream(seed=35), 3, self.BATCH, phase=POSTTRAIN)
+
+        monkeypatch.setattr(ssl_module, "koleo_loss_grad", counting)
+        if exc is None:
+            train()
+        else:
+            with pytest.raises(type(exc)):
+                train()
+        self.assert_no_child()
+        assert threading.enumerate() == before
+        busy = 2 if enabled else 1
+        lanes = 1 if len(os.sched_getaffinity(0)) > busy else 0
+        assert extra == [lanes] * (3 if exc is None else 2)
 
     def test_worker_runs_at_most_two_steps_ahead(self, tmp_path,
                                                  monkeypatch):
